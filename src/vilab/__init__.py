@@ -6,10 +6,11 @@ __version__ = "0.1.0"
 from .analysis import (BOUND_NOTE, BernsteinResult, BoundSet, StabilityResult,
                        SweepResult, bernstein_check, bernstein_constant,
                        covering_bound, eg_stability_closed_form,
-                       evaluate_bounds, fit_loglog_slope, game_bound,
+                       evaluate_bounds, fit_loglog_slope, fit_sweep, game_bound,
                        gd_stability_bound, generalization_sweep,
-                       hp_quantile_sweep, simplex_bound, stability_experiment,
-                       stability_gamma, trial_dataset_seed)
+                       hp_quantile_sweep, quantile_fit_on, simplex_bound,
+                       stability_experiment, stability_gamma, sweep_point,
+                       trial_dataset_seed)
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
                      InfeasiblePointError, NumericalError,

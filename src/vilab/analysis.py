@@ -20,7 +20,7 @@ not depend on execution order and parallel scheduling cannot change results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
                        constants, empirical_operator, exact_solution,
                        noisy_operator_ceiling, replace_record, sample_dataset)
 from .solvers import (SolverConfig, eg_contraction_bound, gd_contraction_bound,
-                      in_gd_stability_range)
+                      in_gd_stability_range, run)
 
 BOUND_NOTE = "order-level: hidden constants set to 1"
 
@@ -226,36 +226,17 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
         raise ConfigError(
             f"eta exceeds 2*mu/L^2: eta={config.eta}, limit={2 * consts.mu / consts.L ** 2:.6g}"
         )
-    pairs = []
+    originals, neighbours = [], []
     for t in range(trials):
         ds_seed = trial_dataset_seed(seed, n, t)
         X = sample_dataset(problem, noise, n, ds_seed)
         j = int(np.random.default_rng(
             np.random.SeedSequence(ds_seed, spawn_key=(9,))).integers(n))
-        Xp = replace_record(X, j, ds_seed + [1])
-        pairs.append((X, Xp))
+        originals.append(X)
+        neighbours.append(replace_record(X, j, ds_seed + [1]))
 
-    mats_a, offs_a = _stacked_empirical(problem, [p[0] for p in pairs])
-    mats_b, offs_b = _stacked_empirical(problem, [p[1] for p in pairs])
-    if mats_a.ndim == 2:
-        mats = mats_a
-        offs = np.concatenate([offs_a, offs_b])
-    else:
-        mats = np.concatenate([mats_a, mats_b])
-        offs = np.concatenate([offs_a, offs_b])
-    F = _batched_affine(mats, offs)
-    Z = np.tile(domain.center(), (2 * trials, 1))
-    guard = 1e6 * (1.0 + float(np.linalg.norm(domain.center())))
-    for step_idx in range(config.T):
-        if config.method == "gd":
-            Z = Z - config.eta * F(Z)
-        else:
-            half = Z - config.eta * F(Z)
-            Z = Z - config.eta * F(half)
-        if config.projected:
-            Z = domain.project(Z)
-        if float(np.max(np.linalg.norm(Z, axis=-1))) > guard:
-            raise NumericalError(f"stability trajectories diverged at step {step_idx + 1}")
+    F = _batched_affine(*_stacked_empirical(problem, originals + neighbours))
+    Z = run(F, domain, config, np.tile(domain.center(), (2 * trials, 1))).final
     div = np.linalg.norm(Z[:trials] - Z[trials:], axis=-1)
 
     if config.method == "gd":
@@ -284,7 +265,7 @@ class SweepResult:
     kind: str
     fit_on: str
     n_grid: tuple
-    per_n: list            # dicts: n, mean, std, quantiles, values, train_steps
+    per_n: list            # sweep_point rows
     slope: Optional[float]
     intercept: Optional[float]
     r_squared: Optional[float]
@@ -321,19 +302,11 @@ def _train_to_empirical_opt(problem, domain, config, datasets, noise, consts):
     target = 0.5 * _TRAIN_TOL / max(L_eff * consts.D * max(R0, 1e-12), 1e-300)
     T = max(1, int(math.ceil(math.log(target) / math.log(max(xi, 1e-12)))))
 
-    mats, offs = _stacked_empirical(problem, datasets)
-    F = _batched_affine(mats, offs)
+    F = _batched_affine(*_stacked_empirical(problem, datasets))
     Z = np.tile(domain.center(), (len(datasets), 1))
     steps = 0
     for _ in range(8):
-        for _ in range(T):
-            if config.method == "gd":
-                Z = Z - config.eta * F(Z)
-            else:
-                half = Z - config.eta * F(Z)
-                Z = Z - config.eta * F(half)
-            if config.projected:
-                Z = domain.project(Z)
+        Z = run(F, domain, replace(config, T=T), Z).final
         steps += T
         gaps = _batched_gap(domain, F, Z)
         if float(np.max(gaps)) <= _TRAIN_TOL:
@@ -355,68 +328,99 @@ def _evaluate_kind(problem, domain, kind: str, Z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
-def generalization_sweep(problem, domain: Domain, config: SolverConfig,
-                         noise: NoiseModel, n_grid, trials: int, seed: int,
-                         kind: str = "gap", delta: float = 0.1,
-                         fit_on: str = "mean") -> SweepResult:
-    """For each n: sample `trials` datasets, train to empirical optimality,
-    evaluate the true `kind` at the trained points, and fit a log-log line
-    through the chosen aggregate (the mean, or a quantile via fit_on="q0.9")."""
+def _quantile_levels(delta: float) -> dict:
+    """Quantile levels a sweep row stores, keyed as in row["quantiles"]."""
+    return {"0.5": 0.5, "0.9": 0.9, f"{1 - delta:g}": 1.0 - delta}
+
+
+def _check_sweep(trials: int, delta: float, fit_on: str = "mean") -> None:
     if trials < 2:
         raise ValueError("sweeps need at least 2 trials per n")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
+    levels = _quantile_levels(delta)
+    if fit_on != "mean" and not (fit_on.startswith("q") and fit_on[1:] in levels):
+        raise ValueError(
+            f"fit_on must be 'mean' or 'q<level>' for a stored level "
+            f"({', '.join(levels)}), got {fit_on!r}"
+        )
+
+
+def sweep_point(problem, domain: Domain, config: SolverConfig, noise: NoiseModel,
+                n: int, trials: int, seed: int, kind: str = "gap",
+                delta: float = 0.1, consts: Optional[ProblemConstants] = None) -> dict:
+    """One dataset size of a sweep: sample `trials` datasets of size n, train
+    each to empirical optimality, and evaluate the true `kind` at the trained
+    points. The row holds n, mean, std, quantiles (0.5, 0.9, 1-delta),
+    values, train_steps, and `failed`: the trials whose training missed the
+    tolerance."""
+    _check_sweep(trials, delta)
+    if consts is None:
+        consts = constants(problem, domain)
+    datasets = [sample_dataset(problem, noise, n, trial_dataset_seed(seed, n, t))
+                for t in range(trials)]
+    Z, steps, failed = _train_to_empirical_opt(problem, domain, config,
+                                               datasets, noise, consts)
+    values = _evaluate_kind(problem, domain, kind, Z)
+    qs = {key: float(np.quantile(values, level))
+          for key, level in _quantile_levels(delta).items()}
+    return {"n": n, "mean": float(values.mean()), "std": float(values.std()),
+            "quantiles": qs, "values": values, "train_steps": steps,
+            "failed": failed}
+
+
+def fit_sweep(per_n, fit_on: str = "mean"):
+    """Log-log fit of the sweep rows' aggregate (the mean, or the quantile
+    named by fit_on="q<level>") against n, as (slope, intercept, r^2,
+    error). When the fit fails, e.g. on a single n, the numbers are None and
+    error holds the reason."""
+    agg = [row["mean"] if fit_on == "mean" else row["quantiles"][fit_on[1:]]
+           for row in per_n]
+    try:
+        return (*fit_loglog_slope([row["n"] for row in per_n], agg), None)
+    except ValueError as exc:
+        return None, None, None, str(exc)
+
+
+def generalization_sweep(problem, domain: Domain, config: SolverConfig,
+                         noise: NoiseModel, n_grid, trials: int, seed: int,
+                         kind: str = "gap", delta: float = 0.1,
+                         fit_on: str = "mean") -> SweepResult:
+    """sweep_point for each n, then fit_sweep through the chosen aggregate
+    (the mean, or a stored quantile via fit_on="q0.9")."""
+    _check_sweep(trials, delta, fit_on)
     n_grid = tuple(int(n) for n in n_grid)
     if any(n < 1 for n in n_grid):
         raise ValueError("dataset sizes must be >= 1")
     consts = constants(problem, domain)
-    per_n, failures = [], []
-    for n in n_grid:
-        datasets = [sample_dataset(problem, noise, n, trial_dataset_seed(seed, n, t))
-                    for t in range(trials)]
-        Z, steps, failed = _train_to_empirical_opt(problem, domain, config,
-                                                   datasets, noise, consts)
-        if failed:
-            failures.append({"n": n, "trials": failed})
-        values = _evaluate_kind(problem, domain, kind, Z)
-        qs = {"0.5": float(np.quantile(values, 0.5)),
-              "0.9": float(np.quantile(values, 0.9)),
-              f"{1 - delta:g}": float(np.quantile(values, 1.0 - delta))}
-        per_n.append({"n": n, "mean": float(values.mean()), "std": float(values.std()),
-                      "quantiles": qs, "values": values, "train_steps": steps})
-
-    if fit_on == "mean":
-        agg = [row["mean"] for row in per_n]
-    elif fit_on.startswith("q"):
-        level = fit_on[1:]
-        agg = [row["quantiles"][level] for row in per_n]
-    else:
-        raise ValueError(f"fit_on must be 'mean' or 'q<level>', got {fit_on!r}")
-    slope = intercept = r2 = None
-    fit_error = None
-    try:
-        slope, intercept, r2 = fit_loglog_slope(n_grid, agg)
-    except ValueError as exc:
-        fit_error = str(exc)
+    per_n = [sweep_point(problem, domain, config, noise, n, trials, seed, kind,
+                         delta, consts) for n in n_grid]
+    slope, intercept, r2, fit_error = fit_sweep(per_n, fit_on)
+    failures = [{"n": row["n"], "trials": row["failed"]} for row in per_n if row["failed"]]
     return SweepResult(kind=kind, fit_on=fit_on, n_grid=n_grid, per_n=per_n,
                        slope=slope, intercept=intercept, r_squared=r2,
                        delta=delta, trials=trials, seed=seed,
                        failures=failures, fit_error=fit_error)
 
 
-def hp_quantile_sweep(problem, domain: Domain, config: SolverConfig,
-                      noise: NoiseModel, n_grid, trials: int, seed: int,
-                      kind: str = "weak_gap", delta: float = 0.1) -> SweepResult:
-    """High-probability variant: fit the (1-delta)-quantile trace. Needs
-    enough trials to estimate that quantile (>= 10/delta)."""
+def quantile_fit_on(trials: int, delta: float) -> str:
+    """fit_on for the high-probability (1-delta)-quantile trace. Estimating
+    that quantile needs >= 10/delta trials."""
     needed = int(math.ceil(10.0 / delta))
     if trials < needed:
         raise ValueError(
             f"quantile sweep at delta={delta} needs >= {needed} trials, got {trials}"
         )
+    return f"q{1 - delta:g}"
+
+
+def hp_quantile_sweep(problem, domain: Domain, config: SolverConfig,
+                      noise: NoiseModel, n_grid, trials: int, seed: int,
+                      kind: str = "weak_gap", delta: float = 0.1) -> SweepResult:
+    """High-probability variant: fit the (1-delta)-quantile trace."""
     return generalization_sweep(problem, domain, config, noise, n_grid, trials,
                                 seed, kind=kind, delta=delta,
-                                fit_on=f"q{1 - delta:g}")
+                                fit_on=quantile_fit_on(trials, delta))
 
 
 # ---------------------------------------------------------------------------

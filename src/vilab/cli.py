@@ -33,9 +33,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import (BoundSet, bernstein_check, covering_bound,
-                       evaluate_bounds, fit_loglog_slope, game_bound,
-                       generalization_sweep, hp_quantile_sweep, simplex_bound,
-                       stability_experiment, stability_gamma)
+                       evaluate_bounds, fit_sweep, game_bound, quantile_fit_on,
+                       simplex_bound, stability_experiment, stability_gamma,
+                       sweep_point)
 from .charts import log_log_chart
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
@@ -486,24 +486,10 @@ def cmd_stability(args) -> int:
 def _sweep_one_n(payload):
     cfg, n = payload
     problem, domain, noise = build_problem(cfg)
-    sc = solver_config(cfg)
     exp = cfg["experiment"]
-    trials = _int(_require(exp, "trials", "experiment"), "experiment.trials", lo=2)
-    kind = exp.get("kind", "gap")
-    delta = float(exp.get("delta", 0.1))
-    mode = exp.get("mode", "mean")
-    seed = cfg["problem"]["seed"]
-    if mode == "quantile":
-        res = hp_quantile_sweep(problem, domain, sc, noise, [n], trials, seed,
-                                kind=kind, delta=delta)
-    else:
-        res = generalization_sweep(problem, domain, sc, noise, [n], trials, seed,
-                                   kind=kind, delta=delta)
-    row = res.per_n[0]
-    return {"n": n, "mean": row["mean"], "std": row["std"],
-            "quantiles": row["quantiles"], "values": row["values"].tolist(),
-            "train_steps": row["train_steps"], "fit_on": res.fit_on,
-            "failures": res.failures}
+    return sweep_point(problem, domain, solver_config(cfg), noise, n, exp["trials"],
+                       cfg["problem"]["seed"], kind=exp.get("kind", "gap"),
+                       delta=float(exp.get("delta", 0.1)))
 
 
 def cmd_sweep(args) -> int:
@@ -523,21 +509,14 @@ def cmd_sweep(args) -> int:
     delta = _num(exp.get("delta", 0.1), "experiment.delta", lo_strict=0.0)
     if delta >= 1.0:
         raise ConfigError(f"'experiment.delta' must be < 1, got {delta}")
+    trials = _int(_require(exp, "trials", "experiment"), "experiment.trials", lo=2)
+    fit_on = quantile_fit_on(trials, delta) if mode == "quantile" else "mean"
 
     problem, domain, noise = build_problem(cfg)
     consts = constants(problem, domain)
     sc = solver_config(cfg)
     per_n = _parallel_map(_sweep_one_n, [(cfg, n) for n in n_grid], args.workers)
-
-    fit_on = per_n[0]["fit_on"]
-    agg = [row["mean"] if fit_on == "mean" else row["quantiles"][fit_on[1:]]
-           for row in per_n]
-    slope = intercept = r2 = None
-    fit_error = None
-    try:
-        slope, intercept, r2 = fit_loglog_slope(n_grid, agg)
-    except ValueError as exc:
-        fit_error = str(exc)
+    slope, intercept, r2, fit_error = fit_sweep(per_n, fit_on)
 
     rows = [(row["n"], t, v, kind)
             for row in per_n for t, v in enumerate(row["values"])]

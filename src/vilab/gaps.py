@@ -125,12 +125,9 @@ def potential_gap(game: QuadraticGame, z, domain: Optional[Product] = None):
     w = best_response(game, z, domain)
     total = 0.0
     for i, s in enumerate(game.slices):
-        Q = game.block(i)
-        lin = game.others(z, i) @ game.coupling(i).T + game.offset_block(i)
-        zi, wi = z[..., s], w[..., s]
-        f_z = 0.5 * np.einsum("...i,...i->...", zi, zi @ Q.T) + np.einsum("...i,...i->...", zi, lin)
-        f_w = 0.5 * np.einsum("...i,...i->...", wi, wi @ Q.T) + np.einsum("...i,...i->...", wi, lin)
-        total = total + (f_z - f_w)
+        zw = z.copy()
+        zw[..., s] = w[..., s]
+        total = total + (game.potential(i, z) - game.potential(i, zw))
     return _maybe_float(np.asarray(total))
 
 

@@ -131,9 +131,8 @@ class QuadraticGame:
     def k(self) -> int:
         return len(self.dims)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    dim = QuadraticOperator.dim
+    evaluate = __call__ = QuadraticOperator.evaluate
 
     def block(self, i: int) -> np.ndarray:
         s = self.slices[i]
@@ -151,12 +150,6 @@ class QuadraticGame:
 
     def as_operator(self) -> QuadraticOperator:
         return QuadraticOperator(self.matrix, self.offset)
-
-    def evaluate(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return z @ self.matrix.T + self.offset
-
-    __call__ = evaluate
 
     def potential(self, i: int, z) -> np.ndarray:
         """f_i(z) = 1/2 z_i^T Q_i z_i + z_i^T (C_i z_{-i} + b_i), batched."""
@@ -566,15 +559,8 @@ class EmpiricalOperator:
     dataset: SampledDataset
     base: QuadraticOperator
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def evaluate(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return z @ self.matrix.T + self.offset
-
-    __call__ = evaluate
+    dim = QuadraticOperator.dim
+    evaluate = __call__ = QuadraticOperator.evaluate
 
     def as_operator(self) -> QuadraticOperator:
         return QuadraticOperator(self.matrix, self.offset, self.base.tangent_basis)

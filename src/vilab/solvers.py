@@ -70,8 +70,10 @@ def eg_step(F: Callable, z, eta: float, project_onto: Optional[Domain] = None):
 
 def run(F: Callable, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
     """Iterate the configured step map for T steps from z0 (domain center by
-    default). Batched starts of shape (B, dim) advance in lockstep. Raises
-    NumericalError if any iterate norm exceeds 1e6 * (1 + ||z0||)."""
+    default). Batched starts of shape (B, dim) advance in lockstep; this is
+    the one gd/eg loop, also behind stability experiments and sweep
+    training. Raises NumericalError if any iterate norm exceeds
+    1e6 * (1 + max ||z0||)."""
     z = domain.center() if z0 is None else np.asarray(z0, dtype=float)
     if z.shape[-1] != domain.dim:
         raise ValueError(f"start point shape {z.shape} does not match domain dim {domain.dim}")

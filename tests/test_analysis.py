@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from vilab import (
     SolverConfig,
     bernstein_check,
     bernstein_constant,
+    constants,
     covering_bound,
     eg_stability_closed_form,
+    empirical_operator,
     evaluate_bounds,
     fit_loglog_slope,
     game_bound,
@@ -22,11 +26,14 @@ from vilab import (
     generate_game,
     generate_operator,
     hp_quantile_sweep,
+    run,
+    sample_dataset,
     simplex_bound,
     stability_experiment,
     stability_gamma,
     trial_dataset_seed,
 )
+from vilab.analysis import _train_to_empirical_opt
 
 UNIT_CONSTS = ProblemConstants(mu=1.0, L=1.0, K=1.0, D=2.0, per_player=((1.0, 1.0),))
 TWO_PLAYER_CONSTS = ProblemConstants(
@@ -274,6 +281,36 @@ class TestGeneralizationSweep:
         res = hp_quantile_sweep(game, game.domain, cfg, noise, (16, 32), 20, 0,
                                 delta=0.5)
         assert res.fit_on == "q0.5"
+
+    def test_fit_on_checked_before_sampling(self, monkeypatch):
+        dom = Ball(np.zeros(2), 1.0)
+        op = generate_operator(6, 2, 0.8, 1.6, domain=dom)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before fit_on was checked")
+
+        monkeypatch.setattr("vilab.analysis.sample_dataset", no_sampling)
+        for fit_on in ("bogus", "q0.7"):
+            with pytest.raises(ValueError, match="fit_on"):
+                generalization_sweep(op, dom, SolverConfig("gd", 0.2, 1),
+                                     NoiseModel("offset", 0.1), (8, 16), 5, 0,
+                                     fit_on=fit_on)
+
+    def test_training_steps_through_solver(self):
+        # offset noise 3.0 moves empirical roots outside the unit ball, so
+        # the projection binds on the eg half-step as well
+        dom = Ball(np.zeros(3), 1.0)
+        op = generate_operator(0, 3, 0.8, 1.0, domain=dom)
+        noise = NoiseModel("offset", 3.0)
+        cfg = SolverConfig("eg", 0.5, 1, projected=True)
+        datasets = [sample_dataset(op, noise, 8, trial_dataset_seed(0, 8, t))
+                    for t in range(6)]
+        Z, steps, failed = _train_to_empirical_opt(op, dom, cfg, datasets, noise,
+                                                   constants(op, dom))
+        for z, X in zip(Z, datasets):
+            ref = run(empirical_operator(op, X), dom, replace(cfg, T=steps)).final
+            assert np.max(np.abs(z - ref)) <= 1e-12
+        assert failed == []
 
 
 class TestBernsteinCheck:
