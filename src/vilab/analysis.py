@@ -174,13 +174,18 @@ def trial_dataset_seed(base_seed: int, n: int, t: int) -> list:
 
 
 def _stacked_empirical(problem, datasets):
-    """(matrix stack or shared matrix, offset stack) for a list of datasets."""
+    """(matrix stack or shared matrix, offset stack) for an iterable of
+    datasets. Each dataset is reduced to its mean matrix and mean offset as
+    it arrives, so a generator keeps only one dataset's records alive and
+    peak memory does not grow with the number of trials."""
     op = problem.as_operator()
-    offs = np.stack([op.offset + X.mean_offset() for X in datasets])
-    if datasets[0].matrices is None:
-        return op.matrix, offs
-    mats = np.stack([op.matrix + X.mean_matrix() for X in datasets])
-    return mats, offs
+    mats, offs = [], []
+    for X in datasets:
+        offs.append(op.offset + X.mean_offset())
+        if X.matrices is not None:
+            mats.append(op.matrix + X.mean_matrix())
+        del X
+    return (np.stack(mats) if mats else op.matrix), np.stack(offs)
 
 
 def _batched_affine(mats, offs) -> Callable:
@@ -212,8 +217,20 @@ class StabilityResult:
     bound_base_K: Optional[float] = None
 
 
+def _neighbour_pairs(problem, noise: NoiseModel, n: int, trials: int, seed: int):
+    """Yield each trial's dataset X, then X with one record replaced."""
+    for t in range(trials):
+        ds_seed = trial_dataset_seed(seed, n, t)
+        X = sample_dataset(problem, noise, n, ds_seed)
+        j = int(np.random.default_rng(
+            np.random.SeedSequence(ds_seed, spawn_key=(9,))).integers(n))
+        yield X
+        yield replace_record(X, j, ds_seed + [1])
+
+
 def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
-                         trials: int, seed: int, noise: NoiseModel) -> StabilityResult:
+                         trials: int, seed: int, noise: NoiseModel,
+                         consts: Optional[ProblemConstants] = None) -> StabilityResult:
     """Train on X and on X-with-one-record-replaced from the same start and
     record ||z_T - z_T'|| per trial.
 
@@ -221,21 +238,18 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     operators actually satisfy); bound_base_K keeps the plain-constants
     version for reference. For eg the closed form is informational only.
     """
-    consts = constants(problem, domain)
+    if consts is None:
+        consts = constants(problem, domain)
     if config.method == "gd" and not in_gd_stability_range(config.eta, consts.mu, consts.L):
         raise ConfigError(
             f"eta exceeds 2*mu/L^2: eta={config.eta}, limit={2 * consts.mu / consts.L ** 2:.6g}"
         )
-    originals, neighbours = [], []
-    for t in range(trials):
-        ds_seed = trial_dataset_seed(seed, n, t)
-        X = sample_dataset(problem, noise, n, ds_seed)
-        j = int(np.random.default_rng(
-            np.random.SeedSequence(ds_seed, spawn_key=(9,))).integers(n))
-        originals.append(X)
-        neighbours.append(replace_record(X, j, ds_seed + [1]))
-
-    F = _batched_affine(*_stacked_empirical(problem, originals + neighbours))
+    # pairs arrive interleaved (X_0, X'_0, X_1, ...); the batch is laid out
+    # as all originals, then all neighbours
+    mats, offs = _stacked_empirical(problem, _neighbour_pairs(problem, noise, n, trials, seed))
+    if mats.ndim == 3:
+        mats = np.concatenate([mats[0::2], mats[1::2]])
+    F = _batched_affine(mats, np.concatenate([offs[0::2], offs[1::2]]))
     Z = run(F, domain, config, np.tile(domain.center(), (2 * trials, 1))).final
     div = np.linalg.norm(Z[:trials] - Z[trials:], axis=-1)
 
@@ -277,7 +291,8 @@ class SweepResult:
 
 
 def _train_to_empirical_opt(problem, domain, config, datasets, noise, consts):
-    """Batched gd/eg until every trial's empirical gap is <= 1e-8.
+    """Batched gd/eg until every trial's empirical gap is <= 1e-8. `datasets`
+    is any iterable; only its means are kept (see _stacked_empirical).
 
     The horizon comes from the per-step contraction of the noisy operators
     (their certificates degrade to mu/2, L + magnitude under matrix noise),
@@ -302,8 +317,9 @@ def _train_to_empirical_opt(problem, domain, config, datasets, noise, consts):
     target = 0.5 * _TRAIN_TOL / max(L_eff * consts.D * max(R0, 1e-12), 1e-300)
     T = max(1, int(math.ceil(math.log(target) / math.log(max(xi, 1e-12)))))
 
-    F = _batched_affine(*_stacked_empirical(problem, datasets))
-    Z = np.tile(domain.center(), (len(datasets), 1))
+    mats, offs = _stacked_empirical(problem, datasets)
+    F = _batched_affine(mats, offs)
+    Z = np.tile(domain.center(), (offs.shape[0], 1))
     steps = 0
     for _ in range(8):
         Z = run(F, domain, replace(config, T=T), Z).final
@@ -319,13 +335,9 @@ def _train_to_empirical_opt(problem, domain, config, datasets, noise, consts):
 def _evaluate_kind(problem, domain, kind: str, Z: np.ndarray) -> np.ndarray:
     if kind == "gap":
         return np.atleast_1d(gap(problem, domain, Z))
-    if not isinstance(problem, QuadraticGame):
-        raise ValueError(f"kind {kind!r} needs a game")
     if kind == "weak_gap":
         return np.atleast_1d(weak_gap(problem, problem, Z, domain))
-    if kind == "potential_gap":
-        return np.atleast_1d(potential_gap(problem, Z, domain))
-    raise ValueError(f"unknown sweep kind {kind!r}")
+    return np.atleast_1d(potential_gap(problem, Z, domain))
 
 
 def _quantile_levels(delta: float) -> dict:
@@ -333,7 +345,13 @@ def _quantile_levels(delta: float) -> dict:
     return {"0.5": 0.5, "0.9": 0.9, f"{1 - delta:g}": 1.0 - delta}
 
 
-def _check_sweep(trials: int, delta: float, fit_on: str = "mean") -> None:
+def _check_sweep(problem, kind: str, trials: int, delta: float,
+                 fit_on: str = "mean") -> None:
+    """Validate a sweep's arguments before anything is sampled."""
+    if kind not in ("gap", "weak_gap", "potential_gap"):
+        raise ValueError(f"unknown sweep kind {kind!r}")
+    if kind != "gap" and not isinstance(problem, QuadraticGame):
+        raise ValueError(f"kind {kind!r} needs a game")
     if trials < 2:
         raise ValueError("sweeps need at least 2 trials per n")
     if not 0.0 < delta < 1.0:
@@ -354,11 +372,11 @@ def sweep_point(problem, domain: Domain, config: SolverConfig, noise: NoiseModel
     points. The row holds n, mean, std, quantiles (0.5, 0.9, 1-delta),
     values, train_steps, and `failed`: the trials whose training missed the
     tolerance."""
-    _check_sweep(trials, delta)
+    _check_sweep(problem, kind, trials, delta)
     if consts is None:
         consts = constants(problem, domain)
-    datasets = [sample_dataset(problem, noise, n, trial_dataset_seed(seed, n, t))
-                for t in range(trials)]
+    datasets = (sample_dataset(problem, noise, n, trial_dataset_seed(seed, n, t))
+                for t in range(trials))
     Z, steps, failed = _train_to_empirical_opt(problem, domain, config,
                                                datasets, noise, consts)
     values = _evaluate_kind(problem, domain, kind, Z)
@@ -388,7 +406,7 @@ def generalization_sweep(problem, domain: Domain, config: SolverConfig,
                          fit_on: str = "mean") -> SweepResult:
     """sweep_point for each n, then fit_sweep through the chosen aggregate
     (the mean, or a stored quantile via fit_on="q0.9")."""
-    _check_sweep(trials, delta, fit_on)
+    _check_sweep(problem, kind, trials, delta, fit_on)
     n_grid = tuple(int(n) for n in n_grid)
     if any(n < 1 for n in n_grid):
         raise ValueError("dataset sizes must be >= 1")

@@ -434,13 +434,10 @@ def cmd_contraction(args) -> int:
 
 
 def _stability_one_n(payload):
-    cfg, n = payload
-    problem, domain, noise = build_problem(cfg)
-    sc = solver_config(cfg)
-    trials = _int(_require(cfg["experiment"], "trials", "experiment"),
-                  "experiment.trials", lo=1)
-    res = stability_experiment(problem, domain, sc, n, trials,
-                               cfg["problem"]["seed"], noise)
+    (problem, domain, noise, consts), cfg, n = payload
+    res = stability_experiment(problem, domain, solver_config(cfg), n,
+                               cfg["experiment"]["trials"], cfg["problem"]["seed"],
+                               noise, consts)
     return {"n": n, "divergences": res.divergences.tolist(), "bound": res.bound,
             "bound_informational": res.bound_informational,
             "bound_base_K": res.bound_base_K}
@@ -456,10 +453,12 @@ def cmd_stability(args) -> int:
     n_grid = [_int(n, "experiment.n_grid[*]", lo=1) for n in n_grid]
     _int(_require(exp, "trials", "experiment"), "experiment.trials", lo=1)
 
-    problem, domain, noise = build_problem(cfg)  # early config validation
+    problem, domain, noise = build_problem(cfg)
     consts = constants(problem, domain)
     sc = solver_config(cfg)
-    per_n = _parallel_map(_stability_one_n, [(cfg, n) for n in n_grid], args.workers)
+    built = (problem, domain, noise, consts)
+    per_n = _parallel_map(_stability_one_n, [(built, cfg, n) for n in n_grid],
+                          args.workers)
 
     rows = []
     violations = 0
@@ -484,12 +483,11 @@ def cmd_stability(args) -> int:
 
 
 def _sweep_one_n(payload):
-    cfg, n = payload
-    problem, domain, noise = build_problem(cfg)
+    (problem, domain, noise, consts), cfg, n = payload
     exp = cfg["experiment"]
     return sweep_point(problem, domain, solver_config(cfg), noise, n, exp["trials"],
                        cfg["problem"]["seed"], kind=exp.get("kind", "gap"),
-                       delta=float(exp.get("delta", 0.1)))
+                       delta=float(exp.get("delta", 0.1)), consts=consts)
 
 
 def cmd_sweep(args) -> int:
@@ -515,7 +513,8 @@ def cmd_sweep(args) -> int:
     problem, domain, noise = build_problem(cfg)
     consts = constants(problem, domain)
     sc = solver_config(cfg)
-    per_n = _parallel_map(_sweep_one_n, [(cfg, n) for n in n_grid], args.workers)
+    built = (problem, domain, noise, consts)
+    per_n = _parallel_map(_sweep_one_n, [(built, cfg, n) for n in n_grid], args.workers)
     slope, intercept, r2, fit_error = fit_sweep(per_n, fit_on)
 
     rows = [(row["n"], t, v, kind)

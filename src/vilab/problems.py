@@ -461,6 +461,12 @@ def _draw_matrices(seed, count: int, dim: int, magnitude: float,
     if magnitude == 0.0:
         return E
     sym = 0.5 * (base_matrix + base_matrix.T)
+    # Weyl: lambda_min(sym(M + E_i)) >= lambda_min(sym M) - ||E_i||_2, and
+    # ||E_i||_2 = magnitude. When that clears the floor by a margin far above
+    # eigvalsh's rounding, no record can be rejected: skip the batched check.
+    eigs = np.linalg.eigvalsh(sym)
+    if magnitude < eigs[0] - mu_floor - 1e-9 * np.max(np.abs(eigs)):
+        return E
     lam = np.linalg.eigvalsh(sym + 0.5 * (E + np.transpose(E, (0, 2, 1))))[:, 0]
     bad = np.nonzero(lam < mu_floor)[0]
     for i in bad:

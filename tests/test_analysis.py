@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from vilab import (
     simplex_bound,
     stability_experiment,
     stability_gamma,
+    sweep_point,
     trial_dataset_seed,
 )
 from vilab.analysis import _train_to_empirical_opt
@@ -296,6 +298,26 @@ class TestGeneralizationSweep:
                                      NoiseModel("offset", 0.1), (8, 16), 5, 0,
                                      fit_on=fit_on)
 
+    def test_kind_checked_before_sampling(self, monkeypatch):
+        dom = Ball(np.zeros(2), 1.0)
+        op = generate_operator(6, 2, 0.8, 1.6, domain=dom)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sample_dataset(*args, **kwargs)
+
+        monkeypatch.setattr("vilab.analysis.sample_dataset", counting)
+        cfg, noise = SolverConfig("gd", 0.2, 1), NoiseModel("offset", 0.1)
+        for kind, match in (("weak_gap", "needs a game"),
+                            ("potential_gap", "needs a game"),
+                            ("bogus", "unknown sweep kind")):
+            with pytest.raises(ValueError, match=match):
+                generalization_sweep(op, dom, cfg, noise, (8, 16), 5, 0, kind=kind)
+            with pytest.raises(ValueError, match=match):
+                sweep_point(op, dom, cfg, noise, 8, 5, 0, kind=kind)
+        assert calls == []
+
     def test_training_steps_through_solver(self):
         # offset noise 3.0 moves empirical roots outside the unit ball, so
         # the projection binds on the eg half-step as well
@@ -311,6 +333,39 @@ class TestGeneralizationSweep:
             ref = run(empirical_operator(op, X), dom, replace(cfg, T=steps)).final
             assert np.max(np.abs(z - ref)) <= 1e-12
         assert failed == []
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Experiments keep each trial's means, not its records, so peak memory
+    does not grow with the number of trials."""
+
+    dom = Ball(np.zeros(4), 1.0)
+    op = generate_operator(0, 4, 0.8, 1.6, domain=dom)
+
+    @pytest.mark.parametrize("kind", ["matrix", "offset"])
+    def test_stability_peak_flat_in_trials(self, kind):
+        noise, cfg = NoiseModel(kind, 0.2), SolverConfig("gd", 0.25, 50)
+        peaks = [_peak_bytes(lambda: stability_experiment(self.op, self.dom, cfg, 2048,
+                                                          trials, 0, noise))
+                 for trials in (4, 40)]
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    @pytest.mark.parametrize("kind", ["matrix", "offset"])
+    def test_sweep_point_peak_flat_in_trials(self, kind):
+        noise, cfg = NoiseModel(kind, 0.2), SolverConfig("gd", 0.1, 1)
+        peaks = [_peak_bytes(lambda: sweep_point(self.op, self.dom, cfg, noise, 2048,
+                                                 trials, 0))
+                 for trials in (4, 40)]
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestBernsteinCheck:

@@ -3,12 +3,15 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vilab import BoundViolationError, ConfigError, NumericalError
-from vilab.cli import main, normalize_config
+from vilab.cli import build_problem, main, normalize_config
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def op_config(**overrides):
@@ -279,6 +282,24 @@ class TestSweep:
         code, _ = run_cli(tmp_path, "sweep", cfg)
         assert code == 2
         assert "n_grid" in capsys.readouterr().err
+
+
+class TestBuildOnce:
+    @pytest.mark.parametrize("stem,command", [("sweep_game", "sweep"),
+                                              ("stability_ball", "stability")])
+    def test_problem_built_once_per_command(self, tmp_path, monkeypatch, stem, command):
+        # the n grid's workers reuse the instance and constants built up front
+        calls = []
+
+        def counting(cfg):
+            calls.append(1)
+            return build_problem(cfg)
+
+        monkeypatch.setattr("vilab.cli.build_problem", counting)
+        code = main([command, "--config", str(CONFIG_DIR / f"{stem}.json"),
+                     "--out-dir", str(tmp_path), "--workers", "1"])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestBernstein:

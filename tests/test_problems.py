@@ -349,6 +349,33 @@ class TestDatasets:
             lam = monotonicity_modulus(op.matrix + X.matrices[i])
             assert lam >= 0.5 - 1e-12
 
+    def test_matrix_floor_check_skipped_below_half_mu(self, monkeypatch):
+        # Weyl certifies the mu/2 floor when magnitude < mu/2, so the batched
+        # eigvalsh check is skipped and the records are the normalised draws
+        op = generate_operator(40, 3, 1.0, 2.0)
+        mu = monotonicity_modulus(op.matrix)
+        batched = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                batched.append(np.shape(a)[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        magnitude = 0.45 * mu
+        X = sample_dataset(op, NoiseModel("matrix", magnitude), 300, seed=18)
+        assert batched == []
+        G = np.random.default_rng(
+            np.random.SeedSequence(18, spawn_key=(0,))).standard_normal((300, 3, 3))
+        s = np.linalg.norm(G, 2, axis=(-2, -1))
+        assert np.array_equal(X.matrices, magnitude * G / s[..., None, None])
+        for E in X.matrices:
+            assert monotonicity_modulus(op.matrix + E) >= 0.5 * mu
+        # at mu/2 Weyl no longer clears the floor, so every record is checked
+        sample_dataset(op, NoiseModel("matrix", 0.5 * mu), 300, seed=18)
+        assert batched == [300]
+
     def test_matrix_floor_unreachable(self):
         # at d=8 a norm-50 perturbation with near-PSD symmetric part is far
         # too rare for the 200-attempt budget; streams are seed-fixed
