@@ -480,7 +480,6 @@ def bernstein_check(game: QuadraticGame, domain, noise: NoiseModel,
         mu_floor = 0.5 * consts.mu
         E = _draw_matrices([int(seed), 13], mc_samples, op.dim, noise.magnitude,
                            op.tangent_basis, op.matrix, mu_floor)
-        e = np.zeros((mc_samples, op.dim))
 
     from .gaps import best_response
 

@@ -315,6 +315,12 @@ def _bounds_dict(b: BoundSet) -> dict:
             "bernstein_B": b.bernstein_B, "gamma": b.gamma, "note": b.note}
 
 
+def _bounds_at_count(b: BoundSet, n: int, source: str) -> dict:
+    """Bounds whose gamma was taken at a sample count that is not a dataset
+    size; the summary says which count and that it is not one."""
+    return {**_bounds_dict(b), "n": n, "n_source": source, "n_is_dataset_size": False}
+
+
 def _out(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
@@ -420,12 +426,12 @@ def cmd_contraction(args) -> int:
     write_csv(_out(args, cfg["output"]["csv"]),
               ["eta", "method", "measured_max_ratio", "theoretical_bound", "pairs"],
               rows)
-    gamma = stability_gamma(consts, max(int(exp.get("pairs", 1000)), 1), sc.eta,
-                            _noise, domain)
+    gamma = stability_gamma(consts, pairs, sc.eta, _noise, domain)
     bounds = evaluate_bounds(consts, gamma, domain, problem)
     write_summary(_out(args, cfg["output"]["json"]), "contraction", cfg, consts,
                   {"method": sc.method, "rows": details, "violations": violations},
-                  _bounds_dict(bounds), started, args.workers)
+                  _bounds_at_count(bounds, pairs, "experiment.pairs"),
+                  started, args.workers)
     if violations:
         raise BoundViolationError(
             f"{violations} eta value(s) exceeded the contraction ceiling by > 1e-9"
@@ -582,7 +588,8 @@ def cmd_bernstein(args) -> int:
     write_summary(_out(args, cfg["output"]["json"]), "bernstein", cfg, consts,
                   {"B": res.B, "mc_samples": res.mc_samples, "rows": res.rows,
                    "violations": res.violations},
-                  _bounds_dict(bounds), started, args.workers)
+                  _bounds_at_count(bounds, mc_samples, "experiment.mc_samples"),
+                  started, args.workers)
     if res.violations:
         raise BoundViolationError(
             f"Bernstein condition violated at {res.violations} sample point(s)"

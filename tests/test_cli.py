@@ -198,6 +198,15 @@ class TestContraction:
             assert float(measured) <= float(bound) + 1e-9
             assert int(pairs) <= 200
 
+    def test_bounds_say_their_n_is_not_a_dataset_size(self, tmp_path):
+        cfg = op_config(experiment={"pairs": 150})
+        code, out_dir = run_cli(tmp_path, "contraction", cfg)
+        assert code == 0
+        bounds = json.loads((out_dir / "contraction_summary.json").read_text())["bounds"]
+        assert bounds["n"] == 150
+        assert bounds["n_source"] == "experiment.pairs"
+        assert bounds["n_is_dataset_size"] is False
+
     def test_explicit_eta_grid(self, tmp_path):
         cfg = op_config(experiment={"pairs": 100, "eta_grid": [0.05, 0.1]})
         code, out_dir = run_cli(tmp_path, "contraction", cfg)
@@ -314,6 +323,15 @@ class TestBernstein:
         assert first[0] == "0" and float(first[1]) == 0.0 and float(first[2]) == 0.0
         summary = json.loads((out_dir / "bernstein_summary.json").read_text())
         assert summary["results"]["violations"] == 0
+
+    def test_bounds_say_their_n_is_not_a_dataset_size(self, tmp_path):
+        cfg = game_config(experiment={"z_samples": 3, "mc_samples": 400})
+        code, out_dir = run_cli(tmp_path, "bernstein", cfg)
+        assert code == 0
+        bounds = json.loads((out_dir / "bernstein_summary.json").read_text())["bounds"]
+        assert bounds["n"] == 400
+        assert bounds["n_source"] == "experiment.mc_samples"
+        assert bounds["n_is_dataset_size"] is False
 
     def test_requires_game(self, tmp_path, capsys):
         cfg = op_config(experiment={"z_samples": 5, "mc_samples": 100})

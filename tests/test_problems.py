@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from vilab import problems
 from vilab import (
     Ball,
     Box,
@@ -351,30 +354,124 @@ class TestDatasets:
 
     def test_matrix_floor_check_skipped_below_half_mu(self, monkeypatch):
         # Weyl certifies the mu/2 floor when magnitude < mu/2, so the batched
-        # eigvalsh check is skipped and the records are the normalised draws
+        # floor check is skipped and the records are the normalised draws
         op = generate_operator(40, 3, 1.0, 2.0)
         mu = monotonicity_modulus(op.matrix)
         batched = []
-        eigvalsh = np.linalg.eigvalsh
+        below_floor = problems._below_floor
 
-        def counting(a, *args, **kwargs):
-            if np.ndim(a) == 3:
-                batched.append(np.shape(a)[0])
-            return eigvalsh(a, *args, **kwargs)
+        def counting(sym, E, mu_floor):
+            batched.append(E.shape[0])
+            return below_floor(sym, E, mu_floor)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(problems, "_below_floor", counting)
         magnitude = 0.45 * mu
         X = sample_dataset(op, NoiseModel("matrix", magnitude), 300, seed=18)
         assert batched == []
         G = np.random.default_rng(
             np.random.SeedSequence(18, spawn_key=(0,))).standard_normal((300, 3, 3))
-        s = np.linalg.norm(G, 2, axis=(-2, -1))
+        gram = np.matmul(np.swapaxes(G, -1, -2), G)
+        s = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
         assert np.array_equal(X.matrices, magnitude * G / s[..., None, None])
         for E in X.matrices:
             assert monotonicity_modulus(op.matrix + E) >= 0.5 * mu
         # at mu/2 Weyl no longer clears the floor, so every record is checked
         sample_dataset(op, NoiseModel("matrix", 0.5 * mu), 300, seed=18)
         assert batched == [300]
+
+    @staticmethod
+    def _svd_normalised(G, magnitude):
+        s = np.linalg.norm(G, 2, axis=(-2, -1))
+        return magnitude * G / s[..., None, None]
+
+    def _assert_svd_agrees(self, X, magnitude, G=None, basis=None):
+        # oracle: numpy's SVD, independent of the Gram route the sampler uses
+        norms = np.linalg.norm(X.matrices, 2, axis=(-2, -1))
+        assert np.allclose(norms, magnitude, rtol=1e-12, atol=0.0)
+        if G is not None:
+            want = self._svd_normalised(G, magnitude)
+            if basis is not None:
+                want = np.einsum("ti,ntu,uj->nij", basis, want, basis)
+            assert np.allclose(X.matrices, want, rtol=0.0, atol=1e-13 * magnitude)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 32])
+    def test_matrix_normalisation_matches_svd(self, d):
+        op = generate_operator(41, d, 1.0, 2.0)
+        n = 64 if d == 32 else 300
+        X = sample_dataset(op, NoiseModel("matrix", 0.3), n, seed=19)
+        G = np.random.default_rng(
+            np.random.SeedSequence(19, spawn_key=(0,))).standard_normal((n, d, d))
+        self._assert_svd_agrees(X, 0.3, G)
+
+    def test_matrix_normalisation_matches_svd_on_simplex(self):
+        dom = Simplex(3)
+        op = generate_operator(42, dom.dim, 0.8, 1.6, dom)
+        X = sample_dataset(op, NoiseModel("matrix", 0.3), 300, seed=20)
+        B = op.tangent_basis
+        G = np.random.default_rng(
+            np.random.SeedSequence(20, spawn_key=(0,))).standard_normal((300, 3, 3))
+        self._assert_svd_agrees(X, 0.3, G, B)
+
+    def test_matrix_normalisation_matches_svd_through_rejections(self):
+        # same instance as test_matrix_records_certified, where rejections
+        # fire; the oracle replays the redraw substreams with SVD norms
+        op = generate_operator(33, 3, 1.0, 2.0)
+        floor = 0.5 * monotonicity_modulus(op.matrix)
+        X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
+        G = np.random.default_rng(
+            np.random.SeedSequence(11, spawn_key=(0,))).standard_normal((300, 3, 3))
+        want = self._svd_normalised(G, 0.9)
+        redrawn = 0
+        for i in range(300):
+            attempt = 0
+            while monotonicity_modulus(op.matrix + want[i]) < floor:
+                g = np.random.default_rng(np.random.SeedSequence(
+                    11, spawn_key=(2, i, attempt))).standard_normal((3, 3))
+                want[i] = self._svd_normalised(g, 0.9)
+                attempt += 1
+            redrawn += attempt > 0
+        assert redrawn > 0
+        self._assert_svd_agrees(X, 0.9)
+        assert np.allclose(X.matrices, want, rtol=0.0, atol=1e-13 * 0.9)
+
+    def test_matrix_record_zero_independent_of_n(self):
+        op = generate_operator(43, 4, 0.8, 1.6)
+        noise = NoiseModel("matrix", 0.2)
+        one = sample_dataset(op, noise, 1, seed=21)
+        many = sample_dataset(op, noise, 4096, seed=21)
+        assert np.array_equal(one.matrices[0], many.matrices[0])
+
+    def test_matrix_noise_makes_no_svd_call(self, monkeypatch):
+        # counts both the public svd and the one np.linalg.norm calls
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        op = generate_operator(44, 3, 1.0, 2.0)
+        simplex_op = generate_operator(45, 4, 0.8, 1.6, Simplex(3))
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(sys.modules[np.linalg.norm.__wrapped__.__module__],
+                            "svd", counting)
+        X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
+        replace_record(X, 5, seed=99)
+        sample_dataset(simplex_op, NoiseModel("matrix", 0.3), 50, seed=22)
+        assert calls == []
+        # the counter does see the SVD route the sampler used to take
+        np.linalg.norm(X.matrices, 2, axis=(-2, -1))
+        assert calls == [1]
+
+    def test_matrix_noise_has_no_offset_buffer(self):
+        op = generate_operator(46, 3, 1.0, 2.0)
+        X = sample_dataset(op, NoiseModel("matrix", 0.2), 50, seed=23)
+        assert X.offsets.shape == (50, 3)
+        assert np.all(X.offsets == 0.0)
+        assert X.offsets.strides[0] == 0
+        Y = replace_record(X, 7, seed=5)
+        assert Y.offsets is X.offsets
+        assert np.array_equal(X.mean_offset(), np.zeros(3))
 
     def test_matrix_floor_unreachable(self):
         # at d=8 a norm-50 perturbation with near-PSD symmetric part is far
