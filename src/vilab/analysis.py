@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .domains import Domain, Simplex
 from .errors import ConfigError, NumericalError
 from .gaps import gap, potential_gap, weak_gap
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
-                       SampledDataset, _draw_matrices, _draw_offsets,
+                       QuadraticOperator, SampledDataset, _draw_matrices, _draw_offsets,
                        constants, empirical_operator, exact_solution,
                        noisy_operator_ceiling, replace_record, sample_dataset)
 from .solvers import (SolverConfig, eg_contraction_bound, gd_contraction_bound,
@@ -188,13 +188,7 @@ def _stacked_empirical(problem, datasets):
     return (np.stack(mats) if mats else op.matrix), np.stack(offs)
 
 
-def _batched_affine(mats, offs) -> Callable:
-    if mats.ndim == 2:
-        return lambda Z: Z @ mats.T + offs
-    return lambda Z: np.einsum("bij,bj->bi", mats, Z) + offs
-
-
-def _batched_gap(domain: Domain, F: Callable, Z: np.ndarray) -> np.ndarray:
+def _batched_gap(domain: Domain, F: QuadraticOperator, Z: np.ndarray) -> np.ndarray:
     G = F(Z)
     U = domain.lmo(G)
     return np.einsum("bi,bi->b", G, Z - U)
@@ -249,8 +243,8 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     mats, offs = _stacked_empirical(problem, _neighbour_pairs(problem, noise, n, trials, seed))
     if mats.ndim == 3:
         mats = np.concatenate([mats[0::2], mats[1::2]])
-    F = _batched_affine(mats, np.concatenate([offs[0::2], offs[1::2]]))
-    Z = run(F, domain, config, np.tile(domain.center(), (2 * trials, 1))).final
+    F = QuadraticOperator(mats, np.concatenate([offs[0::2], offs[1::2]]))
+    Z = run(F, domain, config).final
     div = np.linalg.norm(Z[:trials] - Z[trials:], axis=-1)
 
     if config.method == "gd":
@@ -318,8 +312,8 @@ def _train_to_empirical_opt(problem, domain, config, datasets, noise, consts):
     T = max(1, int(math.ceil(math.log(target) / math.log(max(xi, 1e-12)))))
 
     mats, offs = _stacked_empirical(problem, datasets)
-    F = _batched_affine(mats, offs)
-    Z = np.tile(domain.center(), (offs.shape[0], 1))
+    F = QuadraticOperator(mats, offs)
+    Z = None  # run starts every trial at the domain center
     steps = 0
     for _ in range(8):
         Z = run(F, domain, replace(config, T=T), Z).final

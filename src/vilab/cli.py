@@ -27,7 +27,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -315,10 +314,10 @@ def _bounds_dict(b: BoundSet) -> dict:
             "bernstein_B": b.bernstein_B, "gamma": b.gamma, "note": b.note}
 
 
-def _bounds_at_count(b: BoundSet, n: int, source: str) -> dict:
-    """Bounds whose gamma was taken at a sample count that is not a dataset
-    size; the summary says which count and that it is not one."""
-    return {**_bounds_dict(b), "n": n, "n_source": source, "n_is_dataset_size": False}
+def _bounds_at_count(b: BoundSet, n: int, source: str, dataset_size: bool = False) -> dict:
+    """Bounds whose gamma was taken at one count n; the summary says which
+    count it is and whether it is a dataset size."""
+    return {**_bounds_dict(b), "n": n, "n_source": source, "n_is_dataset_size": dataset_size}
 
 
 def _out(args, name: str) -> str:
@@ -480,7 +479,8 @@ def cmd_stability(args) -> int:
     bounds = evaluate_bounds(consts, gamma, domain, problem)
     write_summary(_out(args, cfg["output"]["json"]), "stability", cfg, consts,
                   {"method": sc.method, "per_n": per_n, "violations": violations},
-                  _bounds_dict(bounds), started, args.workers)
+                  _bounds_at_count(bounds, n_grid[0], "experiment.n_grid[0]", True),
+                  started, args.workers)
     if violations:
         raise BoundViolationError(
             f"measured divergence exceeded the stability bound for {violations} n value(s)"
@@ -545,10 +545,10 @@ def cmd_sweep(args) -> int:
     results = {"kind": kind, "fit_on": fit_on, "per_n": per_n,
                "slope": slope, "intercept": intercept, "r_squared": r2,
                "fit_error": fit_error, "bounds_per_n": bounds_per_n}
-    gamma0 = stability_gamma(consts, n_grid[0], sc.eta, noise, domain)
-    bounds = evaluate_bounds(consts, gamma0, domain, problem)
-    write_summary(_out(args, cfg["output"]["json"]), "sweep", cfg, consts,
-                  results, _bounds_dict(bounds), started, args.workers)
+    bounds = evaluate_bounds(consts, bounds_per_n[0]["gamma"], domain, problem)
+    write_summary(_out(args, cfg["output"]["json"]), "sweep", cfg, consts, results,
+                  _bounds_at_count(bounds, n_grid[0], "experiment.n_grid[0]", True),
+                  started, args.workers)
 
     if "svg" in cfg["output"]:
         series = [{"label": f"mean {kind}", "x": n_grid,
@@ -604,6 +604,7 @@ def cmd_bernstein(args) -> int:
 
 def _parallel_map(fn, payloads, workers: int) -> list:
     if workers > 1 and len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]

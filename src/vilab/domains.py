@@ -46,7 +46,7 @@ def _as_points(z, dim: int) -> np.ndarray:
     return z
 
 
-def _simplex_project(v: np.ndarray) -> np.ndarray:
+def _simplex_project(v: np.ndarray, out=None) -> np.ndarray:
     # Euclidean projection onto {x >= 0, sum x = 1}, batched on the last axis.
     # Sort descending, find the largest k with u_k > (cumsum_k - 1)/k, clip.
     m = v.shape[-1]
@@ -56,7 +56,7 @@ def _simplex_project(v: np.ndarray) -> np.ndarray:
     cond = u - css / ks > 0.0
     rho = np.count_nonzero(cond, axis=-1)
     theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
-    return np.maximum(v - theta, 0.0)
+    return np.maximum(v - theta, 0.0, out=out)
 
 
 class Domain:
@@ -75,7 +75,9 @@ class Domain:
         """True where z is within tol of the set in the Euclidean norm."""
         return self.distance(z) <= tol
 
-    def project(self, z) -> np.ndarray:
+    def project(self, z, out=None) -> np.ndarray:
+        """Euclidean projection, batched. With `out` (z's shape, may be z) the
+        result is written there and returned, with the same bits."""
         raise NotImplementedError
 
     def contains_interior(self, z, margin: float):
@@ -140,8 +142,8 @@ class Simplex(Domain):
             raise ValueError(f"simplex order must be >= 1, got {self.d}")
         self.dim = self.d + 1
 
-    def project(self, z) -> np.ndarray:
-        return _simplex_project(_as_points(z, self.dim))
+    def project(self, z, out=None) -> np.ndarray:
+        return _simplex_project(_as_points(z, self.dim), out)
 
     def contains_interior(self, z, margin: float):
         z = _as_points(z, self.dim)
@@ -229,12 +231,14 @@ class Ball(Domain):
             raise ValueError(f"ball radius must be positive, got {self.radius}")
         self.dim = self.center_point.shape[0]
 
-    def project(self, z) -> np.ndarray:
+    def project(self, z, out=None) -> np.ndarray:
         z = _as_points(z, self.dim)
-        delta = z - self.center_point
-        dist = np.linalg.norm(delta, axis=-1, keepdims=True)
+        delta = np.subtract(z, self.center_point, out=out)
+        # the sum of squares np.linalg.norm takes, into one scratch array
+        dist = np.sqrt(np.add.reduce(delta * delta, axis=-1, keepdims=True))
         scale = np.where(dist > self.radius, self.radius / np.maximum(dist, 1e-300), 1.0)
-        return self.center_point + delta * scale
+        delta *= scale
+        return np.add(self.center_point, delta, out=delta)
 
     def contains_interior(self, z, margin: float):
         z = _as_points(z, self.dim)
@@ -311,8 +315,8 @@ class Box(Domain):
             raise ValueError("box requires lower < upper coordinatewise")
         self.dim = self.lower.shape[0]
 
-    def project(self, z) -> np.ndarray:
-        return np.clip(_as_points(z, self.dim), self.lower, self.upper)
+    def project(self, z, out=None) -> np.ndarray:
+        return np.clip(_as_points(z, self.dim), self.lower, self.upper, out=out)
 
     def contains_interior(self, z, margin: float):
         z = _as_points(z, self.dim)
@@ -398,8 +402,11 @@ class Product(Domain):
     def join(self, parts) -> np.ndarray:
         return np.concatenate([np.asarray(p, dtype=float) for p in parts], axis=-1)
 
-    def project(self, z) -> np.ndarray:
-        return self.join([f.project(p) for f, p in zip(self.factors, self.split(z))])
+    def project(self, z, out=None) -> np.ndarray:
+        out = np.empty(np.shape(z)) if out is None else out
+        for f, p, s in zip(self.factors, self.split(z), self.slices):
+            f.project(p, out=out[..., s])  # factor by factor, in place when out is z
+        return out
 
     def contains_interior(self, z, margin: float):
         parts = self.split(z)

@@ -131,18 +131,23 @@ def potential_gap(game: QuadraticGame, z, domain: Optional[Product] = None):
     return _maybe_float(np.asarray(total))
 
 
-def generalization_gap(problem, X: SampledDataset, domain: Domain, z,
-                       kind: str = "gap"):
-    """True minus empirical value of the selected gap kind."""
+def _true_and_empirical(problem, X: SampledDataset, domain: Domain, z, kind: str):
+    """(true, empirical) value of the selected gap kind at z."""
     if kind == "gap":
-        return gap(problem, domain, z) - empirical_gap(problem, X, domain, z)
+        return gap(problem, domain, z), empirical_gap(problem, X, domain, z)
     if kind == "weak_gap":
         if not isinstance(problem, QuadraticGame):
             raise ValueError("weak_gap generalization needs a game")
         emp = empirical_operator(problem, X)
-        return (weak_gap(problem, problem, z, domain)
-                - weak_gap(emp, problem, z, domain))
+        return weak_gap(problem, problem, z, domain), weak_gap(emp, problem, z, domain)
     raise ValueError(f"kind must be 'gap' or 'weak_gap', got {kind!r}")
+
+
+def generalization_gap(problem, X: SampledDataset, domain: Domain, z,
+                       kind: str = "gap"):
+    """True minus empirical value of the selected gap kind."""
+    true, empirical = _true_and_empirical(problem, X, domain, z, kind)
+    return true - empirical
 
 
 @dataclass(frozen=True)
@@ -163,21 +168,14 @@ def gap_report(problem, X: SampledDataset, domain: Domain, z,
     is_game = isinstance(problem, QuadraticGame)
     if kind is None:
         kind = "weak_gap" if is_game else "gap"
-    g_true = gap(problem, domain, z)
-    g_emp = empirical_gap(problem, X, domain, z)
-    if is_game:
-        emp = empirical_operator(problem, X)
-        w_true = weak_gap(problem, problem, z, domain)
-        w_emp = weak_gap(emp, problem, z, domain)
-        p_gap = potential_gap(problem, z, domain)
-    else:
-        w_true = w_emp = p_gap = None
-    if kind == "gap":
-        gen = g_true - g_emp
-    elif kind == "weak_gap" and is_game:
-        gen = w_true - w_emp
-    else:
+    if kind not in ("gap", "weak_gap") or (kind == "weak_gap" and not is_game):
         raise ValueError(f"unsupported report kind {kind!r} for this problem")
+    g_true, g_emp = _true_and_empirical(problem, X, domain, z, "gap")
+    w_true = w_emp = p_gap = None
+    if is_game:
+        w_true, w_emp = _true_and_empirical(problem, X, domain, z, "weak_gap")
+        p_gap = potential_gap(problem, z, domain)
+    gen = g_true - g_emp if kind == "gap" else w_true - w_emp
     return GapReport(kind=kind, gap_true=float(g_true), gap_empirical=float(g_emp),
                      weak_gap_true=w_true, weak_gap_empirical=w_emp,
                      potential_gap=p_gap, generalization_gap=float(gen))

@@ -71,9 +71,19 @@ def monotonicity_modulus(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 
 
+def _apply_affine(matrix, offset, z, out=None) -> np.ndarray:
+    """matrix @ z + offset over (..., dim); a (B, d, d) stack acts row by row."""
+    if matrix.ndim == 2:
+        product = np.matmul(z, matrix.T, out=out)
+    else:
+        product = np.einsum("bij,bj->bi", matrix, z, out=out)
+    return np.add(product, offset, out=out)
+
+
 @dataclass(eq=False)
 class QuadraticOperator:
-    """F(z) = matrix @ z + offset, evaluation batched over (..., dim)."""
+    """F(z) = matrix @ z + offset, batched over (..., dim); a (B, d, d) matrix
+    stack or (B, d) offsets make B operators, one per row of (B, d) points."""
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -82,18 +92,18 @@ class QuadraticOperator:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
         self.offset = np.atleast_1d(np.asarray(self.offset, dtype=float))
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {self.matrix.shape}")
-        if self.offset.shape != (self.matrix.shape[0],):
+        m, o = self.matrix, self.offset
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+            raise ValueError(f"matrix must be square or a stack of squares, got shape {m.shape}")
+        if o.ndim > 2 or o.shape[-1] != m.shape[-1] or (m.ndim == 3 and o.shape != m.shape[:2]):
             raise ValueError("offset length must match matrix size")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def evaluate(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return z @ self.matrix.T + self.offset
+        return _apply_affine(self.matrix, self.offset, np.asarray(z, dtype=float))
 
     __call__ = evaluate
 
@@ -598,8 +608,7 @@ class EmpiricalOperator:
 
     def record_values(self, z) -> np.ndarray:
         """Per-record evaluations Xi(z, zeta_i), shape (n, d) for a single z."""
-        z = np.asarray(z, dtype=float)
-        base_val = z @ self.base.matrix.T + self.base.offset
+        base_val = self.base(z)
         if self.dataset.matrices is None:
             return base_val[..., None, :] + self.dataset.offsets
         extra = np.einsum("nij,...j->...ni", self.dataset.matrices, z)

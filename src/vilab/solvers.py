@@ -9,20 +9,22 @@ For F(z) = Mz + b with mu = lambda_min(sym M) and L = sigma_max(M):
   by c(eta) = 2 - 2 eta mu + eta^4 L^4 - (2 eta mu + 1)(1 - 2 eta L +
   eta^2 mu^2), which dips below 1 only when mu > L/2.
 
-Both step maps accept batched iterates of shape (..., dim) and any callable
-operator that is itself batch-transparent.
+Both step maps and `run` take batched iterates of shape (..., dim) and an
+affine operator with `matrix` and `offset`: a QuadraticOperator (also a
+per-row stack of them), an EmpiricalOperator or a QuadraticGame.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .domains import Domain
 from .errors import NumericalError
+from .problems import _apply_affine
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -53,38 +55,67 @@ class Trajectory:
     iterates: Optional[list] = None
 
 
-def gd_step(F: Callable, z, eta: float, project_onto: Optional[Domain] = None):
-    z = np.asarray(z, dtype=float)
-    out = z - eta * np.asarray(F(z), dtype=float)
-    return out if project_onto is None else project_onto.project(out)
+def _descend(F, point, z, eta: float, buf, out):
+    """out <- z - eta F(point), with F(point) computed into buf."""
+    _apply_affine(F.matrix, F.offset, point, buf)
+    buf *= eta
+    return np.subtract(z, buf, out=out)
 
 
-def eg_step(F: Callable, z, eta: float, project_onto: Optional[Domain] = None):
-    z = np.asarray(z, dtype=float)
-    half = z - eta * np.asarray(F(z), dtype=float)
-    if project_onto is not None:
-        half = project_onto.project(half)
-    out = z - eta * np.asarray(F(half), dtype=float)
-    return out if project_onto is None else project_onto.project(out)
+def _step_into(F, z, eta: float, domain: Optional[Domain], buf, half=None):
+    """Advance z in place by one gd step (eg when the buffer `half` is given),
+    projected onto `domain` if given; only the projection allocates scratch."""
+    point = z
+    if half is not None:
+        point = _descend(F, z, z, eta, half, half)
+        if domain is not None:
+            domain.project(half, out=half)
+    if domain is None:
+        return _descend(F, point, z, eta, buf, z)
+    return domain.project(_descend(F, point, z, eta, buf, buf), out=z)
 
 
-def run(F: Callable, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
+def _own_start(F, z) -> np.ndarray:
+    """C-ordered copy of z broadcast to F's batch (C order fixes sum orders)."""
+    batch = np.broadcast_shapes(np.shape(z), F.offset.shape, F.matrix.shape[:-1])
+    return np.array(np.broadcast_to(np.asarray(z, dtype=float), batch), order="C")
+
+
+def gd_step(F, z, eta: float, project_onto: Optional[Domain] = None):
+    z = _own_start(F, z)
+    return _step_into(F, z, eta, project_onto, np.empty_like(z))
+
+
+def eg_step(F, z, eta: float, project_onto: Optional[Domain] = None):
+    z = _own_start(F, z)
+    return _step_into(F, z, eta, project_onto, np.empty_like(z), np.empty_like(z))
+
+
+def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
     """Iterate the configured step map for T steps from z0 (domain center by
-    default). Batched starts of shape (B, dim) advance in lockstep; this is
-    the one gd/eg loop, also behind stability experiments and sweep
-    training. Raises NumericalError if any iterate norm exceeds
-    1e6 * (1 + max ||z0||)."""
+    default, broadcast against F's batch; the B rows advance in lockstep):
+    the one gd/eg loop, its (B, dim) buffers allocated once per call.
+
+    Raises NumericalError if an iterate norm exceeds the guard
+    1e6 * (1 + max ||z0||). Projected runs skip the check when
+    2 * domain.max_point_norm() < guard: their iterates lie in the domain or
+    are NaN, which never exceeds it."""
     z = domain.center() if z0 is None else np.asarray(z0, dtype=float)
     if z.shape[-1] != domain.dim:
         raise ValueError(f"start point shape {z.shape} does not match domain dim {domain.dim}")
-    step = gd_step if config.method == "gd" else eg_step
-    target = domain if config.projected else None
+    z = _own_start(F, z)
     guard = DIVERGENCE_FACTOR * (1.0 + float(np.max(np.linalg.norm(z, axis=-1))))
+    target = domain if config.projected else None
+    guarded = target is None or 2.0 * domain.max_point_norm() >= guard
+    buf = np.empty_like(z)  # F values and the step; free again after each step
+    half = np.empty_like(z) if config.method == "eg" else None
     iterates = [z.copy()] if config.record_trajectory else None
     for t in range(config.T):
-        z = step(F, z, config.eta, target)
-        if float(np.max(np.linalg.norm(z, axis=-1))) > guard:
-            raise NumericalError(f"iterate norm exceeded divergence guard at step {t + 1}")
+        _step_into(F, z, config.eta, target, buf, half)
+        if guarded:
+            norms = np.sqrt(np.add.reduce(np.multiply(z, z, out=buf), axis=-1))
+            if float(np.max(norms)) > guard:
+                raise NumericalError(f"iterate norm exceeded divergence guard at step {t + 1}")
         if iterates is not None:
             iterates.append(z.copy())
     return Trajectory(final=z, steps=config.T, iterates=iterates)
@@ -152,7 +183,7 @@ def admissible_eta(mu: float, L: float, method: str = "gd", resolution: Optional
     return grid[c < 1.0]
 
 
-def contraction_ratio(F: Callable, z, zp, eta: float, method: str = "gd") -> float:
+def contraction_ratio(F, z, zp, eta: float, method: str = "gd") -> float:
     """Measured one-step ratio ||G(z) - G(z')|| / ||z - z'|| for distinct z, z'."""
     z = np.asarray(z, dtype=float)
     zp = np.asarray(zp, dtype=float)

@@ -250,6 +250,15 @@ class TestStability:
         for block in summary["results"]["per_n"]:
             assert max(block["divergences"]) <= block["bound"]
 
+    def test_bounds_say_they_are_at_the_first_dataset_size(self, tmp_path):
+        cfg = op_config(solver={"T": 100}, experiment={"n_grid": [32, 8], "trials": 3})
+        code, out_dir = run_cli(tmp_path, "stability", cfg)
+        assert code == 0
+        bounds = json.loads((out_dir / "stability_summary.json").read_text())["bounds"]
+        assert bounds["n"] == 32
+        assert bounds["n_source"] == "experiment.n_grid[0]"
+        assert bounds["n_is_dataset_size"] is True
+
 
 class TestSweep:
     def test_csv_fit_and_bounds(self, tmp_path):
@@ -267,6 +276,19 @@ class TestSweep:
         assert len(res["bounds_per_n"]) == 3
         for entry in res["bounds_per_n"]:
             assert "game" in entry and "mean_over_game_bound" in entry
+
+    def test_bounds_say_they_are_at_the_first_dataset_size(self, tmp_path):
+        cfg = game_config(experiment={"n_grid": [64, 16], "trials": 4,
+                                      "kind": "weak_gap"})
+        code, out_dir = run_cli(tmp_path, "sweep", cfg)
+        assert code == 0
+        summary = json.loads((out_dir / "sweep_summary.json").read_text())
+        bounds = summary["bounds"]
+        assert bounds["n"] == 64
+        assert bounds["n_source"] == "experiment.n_grid[0]"
+        assert bounds["n_is_dataset_size"] is True
+        # the per-n bounds at that n carry the same gamma
+        assert summary["results"]["bounds_per_n"][0]["gamma"] == bounds["gamma"]
 
     def test_svg_output(self, tmp_path):
         cfg = game_config(experiment={"n_grid": [16, 64], "trials": 5,
@@ -417,6 +439,16 @@ class TestExitCodes:
 
 
 class TestEntryPoint:
+    def test_import_loads_no_process_pool(self):
+        # --workers 1 runs never start a pool, so importing the CLI must not
+        # pay for multiprocessing
+        code = ("import sys, vilab.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_script(self, tmp_path):
         cfg = write_cfg(tmp_path, op_config(problem={"noise": {"kind": "offset",
                                                                "magnitude": 0.0}},

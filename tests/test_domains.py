@@ -89,6 +89,22 @@ class TestProjection:
                 for j in range(5):
                     assert np.allclose(batched[i, j], dom.project(z[i, j]))
 
+    def test_out_buffer_gets_the_same_bits(self):
+        # project(z, out=buf) returns buf holding project(z) bit for bit,
+        # also when buf is z itself
+        rng = np.random.default_rng(4)
+        for dom in small_domains():
+            for shape in ((dom.dim,), (6, dom.dim)):
+                z = rng.normal(scale=3.0, size=shape)
+                before = z.copy()
+                expected = dom.project(z)
+                buf = np.empty_like(z)
+                assert dom.project(z, out=buf) is buf
+                assert np.array_equal(buf, expected)
+                assert np.array_equal(z, before)
+                assert dom.project(z, out=z) is z
+                assert np.array_equal(z, expected)
+
 
 class TestMembership:
     def test_examples(self):

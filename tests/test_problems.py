@@ -53,6 +53,30 @@ class TestOperators:
         with pytest.raises(ValueError):
             QuadraticOperator(np.eye(2), np.zeros(3))
 
+    def test_stacked_operator_matches_per_batch_formulas(self):
+        # a (B, d, d) stack or a shared matrix with (B, d) offsets evaluates
+        # row b of Z with operator b, with the bits of the plain formulas
+        rng = np.random.default_rng(5)
+        B, d = 6, 4
+        shared, stack = rng.normal(size=(d, d)), rng.normal(size=(B, d, d))
+        offs, Z = rng.normal(size=(B, d)), rng.normal(size=(B, d))
+        for op, expected in ((QuadraticOperator(shared, offs), Z @ shared.T + offs),
+                             (QuadraticOperator(stack, offs),
+                              np.einsum("bij,bj->bi", stack, Z) + offs)):
+            assert op.dim == d
+            assert np.array_equal(op(Z), expected)
+        for b in range(B):
+            assert np.allclose(QuadraticOperator(stack, offs)(Z)[b],
+                               QuadraticOperator(stack[b], offs[b])(Z[b]))
+
+    def test_stack_shape_validation(self):
+        stack, offs = np.zeros((3, 2, 2)), np.zeros((3, 2))
+        for matrix, offset in ((stack, offs[:2]), (stack, np.zeros(2)),
+                               (np.zeros((3, 2, 3)), offs), (np.zeros((1, 3, 2, 2)), offs),
+                               (np.eye(2), np.zeros((1, 3, 2)))):
+            with pytest.raises(ValueError):
+                QuadraticOperator(matrix, offset)
+
 
 class TestSpectralNorm:
     def test_matches_numpy_svd(self):

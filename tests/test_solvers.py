@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from vilab import (
     Box,
     NoiseModel,
     NumericalError,
+    Product,
     QuadraticOperator,
+    Simplex,
     SolverConfig,
     Trajectory,
     admissible_eta,
@@ -113,6 +117,119 @@ class TestRun:
         dom = Box(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             run(IDENTITY, dom, SolverConfig("gd", 0.1, 1), z0=np.zeros(2))
+
+
+def _reference_project(dom, z):
+    """Each domain's projection as plain allocating formulas."""
+    if isinstance(dom, Ball):
+        delta = z - dom.center_point
+        dist = np.linalg.norm(delta, axis=-1, keepdims=True)
+        scale = np.where(dist > dom.radius, dom.radius / np.maximum(dist, 1e-300), 1.0)
+        return dom.center_point + delta * scale
+    if isinstance(dom, Box):
+        return np.clip(z, dom.lower, dom.upper)
+    if isinstance(dom, Simplex):
+        u = -np.sort(-z, axis=-1)
+        css = np.cumsum(u, axis=-1) - 1.0
+        rho = np.count_nonzero(u - css / np.arange(1.0, z.shape[-1] + 1.0) > 0.0, axis=-1)
+        theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
+        return np.maximum(z - theta, 0.0)
+    return np.concatenate([_reference_project(f, z[..., s])
+                           for f, s in zip(dom.factors, dom.slices)], axis=-1)
+
+
+def _reference_run(M, b, dom, method, eta, T, projected, z0):
+    """Every iterate of gd/eg as a loop of fresh arrays: z - eta (z M^T + b)."""
+    def F(z):
+        return z @ M.T + b if M.ndim == 2 else np.einsum("bij,bj->bi", M, z) + b
+
+    def P(z):
+        return _reference_project(dom, z) if projected else z
+
+    iterates = [z0]
+    z = z0
+    for _ in range(T):
+        point = P(z - eta * F(z)) if method == "eg" else z
+        z = P(z - eta * F(point))
+        iterates.append(z)
+    return iterates
+
+
+# dimension 9: sums of 9 or more squares are where numpy's reduction order
+# depends on the memory layout
+KERNEL_DOMAINS = {
+    "ball_at_origin": Ball(np.zeros(9), 1.0),
+    "ball_off_origin": Ball(np.linspace(-0.4, 0.4, 9), 0.7),
+    "box": Box(-0.5 * np.ones(9), 0.8 * np.ones(9)),
+    "simplex": Simplex(8),
+    "product": Product((Ball(np.array([0.2, -0.1]), 0.6), Simplex(6))),
+}
+
+
+class TestBufferedKernel:
+    # run and the single steps write into reused buffers; every iterate must
+    # carry the same bits as the allocating formulas above
+    @pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
+    @pytest.mark.parametrize("method,projected", [("gd", False), ("gd", True),
+                                                  ("eg", False), ("eg", True)])
+    def test_bitwise_equal_to_reference_loop(self, name, method, projected):
+        dom = KERNEL_DOMAINS[name]
+        rng = np.random.default_rng(11)
+        B, d, eta, T = 7, 9, 0.3, 25
+        shared = np.eye(d) + 0.3 * rng.normal(size=(d, d))
+        stack = np.eye(d) + 0.3 * rng.normal(size=(B, d, d))
+        offs = 2.0 * rng.normal(size=(B, d))
+        start = 0.4 * rng.normal(size=(B, d))
+        cases = [(shared, offs[0], start[0]),   # one operator, one point
+                 (shared, offs, start),         # shared matrix, offset stack
+                 (stack, offs, start[0]),       # matrix stack, one start
+                 (stack, offs, start),          # matrix stack, one start per row
+                 (shared, offs, np.asfortranarray(start))]
+        for M, b, z0 in cases:
+            op = QuadraticOperator(M, b)
+            cfg = SolverConfig(method, eta, T, projected=projected, record_trajectory=True)
+            got = run(op, dom, cfg, z0)
+            batch = np.broadcast_shapes(z0.shape, b.shape)
+            ref = _reference_run(M, b, dom, method, eta, T, projected,
+                                 np.ascontiguousarray(np.broadcast_to(z0, batch)))
+            assert got.final.shape == batch
+            assert len(got.iterates) == T + 1
+            for z, r in zip(got.iterates, ref):
+                assert np.array_equal(z, r)
+            assert np.array_equal(got.final, ref[-1])
+            step = gd_step if method == "gd" else eg_step
+            assert np.array_equal(step(op, z0, eta, dom if projected else None), ref[1])
+
+    def test_guard_raises_on_projected_run_in_huge_ball(self):
+        # Ball(0, 1e7) is larger than the guard 1e6 * (1 + ||z0||), so a
+        # projected run still checks it; F = -I pushes outwards
+        dom = Ball(np.zeros(2), 1e7)
+        op = QuadraticOperator(-np.eye(2), np.zeros(2))
+        with pytest.raises(NumericalError):
+            run(op, dom, SolverConfig("gd", 0.5, 60, projected=True), z0=np.array([1.0, 0.0]))
+
+    def test_guard_raises_unprojected_eg(self):
+        dom = Ball(np.zeros(2), 1.0)
+        op = QuadraticOperator(-np.eye(2), np.zeros(2))
+        with pytest.raises(NumericalError):
+            run(op, dom, SolverConfig("eg", 0.5, 60), z0=np.array([0.5, 0.0]))
+
+    def test_working_set_is_the_buffers(self):
+        # a projected gd step on a ball holds the iterate, the step buffer and
+        # the projection's one scratch array; no array per step accumulates
+        B, d = 64, 50
+        dom = Ball(np.zeros(d), 1.0)
+        rng = np.random.default_rng(2)
+        op = QuadraticOperator(np.eye(d) + 0.1 * rng.normal(size=(d, d)),
+                               rng.normal(size=(B, d)))
+        z0 = np.zeros((B, d))
+        tracemalloc.start()
+        try:
+            run(op, dom, SolverConfig("gd", 0.2, 200, projected=True), z0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * z0.nbytes
 
 
 class TestContractionBounds:
