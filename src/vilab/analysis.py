@@ -222,6 +222,14 @@ def _neighbour_pairs(problem, noise: NoiseModel, n: int, trials: int, seed: int)
         yield replace_record(X, j, ds_seed + [1])
 
 
+def check_gd_eta(config: SolverConfig, consts: ProblemConstants) -> None:
+    """ConfigError when gd's eta lies outside the stability range (0, 2 mu / L^2)."""
+    if config.method == "gd" and not in_gd_stability_range(config.eta, consts.mu, consts.L):
+        raise ConfigError(
+            f"eta exceeds 2*mu/L^2: eta={config.eta}, limit={2 * consts.mu / consts.L ** 2:.6g}"
+        )
+
+
 def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
                          trials: int, seed: int, noise: NoiseModel,
                          consts: Optional[ProblemConstants] = None) -> StabilityResult:
@@ -234,10 +242,7 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     """
     if consts is None:
         consts = constants(problem, domain)
-    if config.method == "gd" and not in_gd_stability_range(config.eta, consts.mu, consts.L):
-        raise ConfigError(
-            f"eta exceeds 2*mu/L^2: eta={config.eta}, limit={2 * consts.mu / consts.L ** 2:.6g}"
-        )
+    check_gd_eta(config, consts)
     # pairs arrive interleaved (X_0, X'_0, X_1, ...); the batch is laid out
     # as all originals, then all neighbours
     mats, offs = _stacked_empirical(problem, _neighbour_pairs(problem, noise, n, trials, seed))

@@ -80,9 +80,3 @@ def log_log_chart(series, title: str = "", xlabel: str = "n", ylabel: str = "val
                    f'text-anchor="end" fill="{color}">{s["label"]}</text>')
     out.append("</svg>")
     return "\n".join(out)
-
-
-def write_chart(path, series, title: str = "", xlabel: str = "n",
-                ylabel: str = "value") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(log_log_chart(series, title, xlabel, ylabel))

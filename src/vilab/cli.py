@@ -21,17 +21,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
+import io
 import json
 import math
 import os
 import sys
 import tempfile
 import time
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
-from .analysis import (BoundSet, bernstein_check, covering_bound,
+from .analysis import (bernstein_check, check_gd_eta, covering_bound,
                        evaluate_bounds, fit_sweep, game_bound, quantile_fit_on,
                        simplex_bound, stability_experiment, stability_gamma,
                        sweep_point)
@@ -42,88 +46,174 @@ from .errors import (BoundViolationError, ConfigError, GenerationError,
 from .gaps import gap_report
 from .problems import (NoiseModel, QuadraticGame, constants, empirical_operator,
                        generate_game, generate_operator, sample_dataset)
-from .solvers import (SolverConfig, admissible_eta, eg_contraction_bound,
-                      eg_contraction_coefficient, eg_step, gd_contraction_bound,
-                      gd_step, in_gd_stability_range, run)
+from .solvers import (SolverConfig, admissible_eta, contraction_ratio,
+                      eg_contraction_bound, eg_contraction_coefficient,
+                      gd_contraction_bound, in_gd_stability_range, run)
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
 # ---------------------------------------------------------------------------
+#
+# A table maps each key of one config object to (check, bound, default).
+# check: float (a finite int or float), int, bool or str (never a bool for
+# the numeric ones); a tuple of allowed strings; a nested table; a list
+# [element check, element bound]; or a function (value, path) -> value.
+# bound: an interval such as "(0, inf)" that a number, or a list's length,
+# must lie in. default: _REQUIRED, None (the key may be absent), or the value
+# filled in when the key is absent.
 
-_EXPERIMENT_KEYS = {
-    "solve": {"n"},
-    "contraction": {"pairs", "eta_grid"},
-    "stability": {"n_grid", "trials"},
-    "sweep": {"n_grid", "trials", "kind", "delta", "mode"},
-    "bernstein": {"z_samples", "mc_samples"},
-}
-
-
-def _reject_unknown(section: dict, allowed, path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key '{path}.{key}'")
-
-
-def _require(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"missing config key '{path}.{key}'")
-    return section[key]
+_REQUIRED = object()
+_POSITIVE, _NONNEGATIVE, _COUNT, _PAIR = "(0, inf)", "[0, inf)", "[1, inf)", "[2, inf)"
+_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean",
+               str: "a string"}
 
 
-def _num(value, path: str, lo=None, lo_strict=None) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"'{path}' must be a number")
-    v = float(value)
-    if lo is not None and v < lo:
-        raise ConfigError(f"'{path}' must be >= {lo}, got {v}")
-    if lo_strict is not None and v <= lo_strict:
-        raise ConfigError(f"'{path}' must be > {lo_strict}, got {v}")
-    return v
+def _within(bound: str, v) -> bool:
+    lo, hi = (float(x) for x in bound[1:-1].split(","))
+    return ((lo <= v) if bound[0] == "[" else (lo < v)) and \
+        ((v <= hi) if bound[-1] == "]" else (v < hi))
 
 
-def _int(value, path: str, lo=None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"'{path}' must be an integer")
-    if lo is not None and value < lo:
-        raise ConfigError(f"'{path}' must be >= {lo}, got {value}")
+def _is(check: type, v) -> bool:
+    if check is float:  # finite: no NaN, no infinity, no int beyond float range
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and \
+            abs(v) <= sys.float_info.max
+    return isinstance(v, check) and isinstance(v, bool) == (check is bool)
+
+
+def _value(check, bound, value, path: str):
+    """`value` checked against one table entry; errors name `path`."""
+    if isinstance(check, dict):
+        return _section(check, value, path)
+    if isinstance(check, tuple):
+        if value not in check:
+            raise ConfigError(f"'{path}' must be one of {'/'.join(check)}, got {value!r}")
+        return value
+    if isinstance(check, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"'{path}' must be a list")
+        value = [_value(*check, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        if bound is not None and not _within(bound, len(value)):
+            raise ConfigError(f"'{path}' needs a length in {bound}, got {len(value)}")
+        return value
+    if not isinstance(check, type):
+        return check(value, path)
+    if not _is(check, value):
+        raise ConfigError(f"'{path}' must be {_TYPE_NAMES[check]}, got {value!r}")
+    if bound is not None and not _within(bound, value):
+        raise ConfigError(f"'{path}' must be in {bound}, got {value}")
     return value
 
 
-def _build_domain(spec, path: str) -> Domain:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"'{path}' must be an object")
-    kind = _require(spec, "kind", path)
+def _section(spec: dict, value, path: str) -> dict:
+    """A checked copy of the object at `path` (the root when empty): unknown
+    keys rejected, missing ones reported, defaults filled in."""
+    at = f"{path}." if path else ""
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{path or 'config'}' must be an object")
+    for key in value:
+        if key not in spec:
+            raise ConfigError(f"unknown config key '{at}{key}'")
+    out = {}
+    for key, (check, bound, default) in spec.items():
+        if key in value:
+            out[key] = _value(check, bound, value[key], at + key)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing config key '{at}{key}'")
+        elif default is not None:
+            out[key] = _value(check, bound, default, at + key)
+    return out
+
+
+def _tagged(tables: dict):
+    """Check for an object whose 'kind' names the table it is checked against."""
+    def check(value, path):
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{path}' must be an object")
+        kind = _value(tuple(tables), None, value.get("kind"), f"{path}.kind")
+        return _section({"kind": ((kind,), None, _REQUIRED), **tables[kind]}, value, path)
+    return check
+
+
+def _dims(value, path):
+    """One size for every player, or a list of one size per player."""
+    return _value([int, _COUNT] if isinstance(value, list) else int, _COUNT, value, path)
+
+
+_DOMAINS = {
+    "simplex": {"d": (int, _COUNT, _REQUIRED)},
+    "ball": {"center": ([float, None], _COUNT, _REQUIRED),
+             "radius": (float, _POSITIVE, _REQUIRED)},
+    "box": {"lower": ([float, None], _COUNT, _REQUIRED),
+            "upper": ([float, None], _COUNT, _REQUIRED)},
+}
+_DOMAIN = _tagged(_DOMAINS)
+_DOMAINS["product"] = {"factors": ([_DOMAIN, None], _COUNT, _REQUIRED)}
+
+_NOISE = {"kind": (("offset", "matrix"), None, _REQUIRED),
+          "magnitude": (float, _NONNEGATIVE, _REQUIRED)}
+_INSTANCE = {"seed": (int, _NONNEGATIVE, 0),
+             "noise": (_NOISE, None, {"kind": "offset", "magnitude": 0.0}),
+             "interior_margin": (float, _NONNEGATIVE, None)}
+_PROBLEMS = {
+    "operator": {"d": (int, _COUNT, _REQUIRED), "mu": (float, _POSITIVE, _REQUIRED),
+                 "L": (float, _POSITIVE, _REQUIRED), "domain": (_DOMAIN, None, _REQUIRED),
+                 **_INSTANCE},
+    "game": {"k": (int, _COUNT, _REQUIRED), "dims": (_dims, None, _REQUIRED),
+             "mu": (float, _POSITIVE, _REQUIRED),
+             "coupling": (float, _NONNEGATIVE, _REQUIRED), "domain": (_DOMAIN, None, None),
+             **_INSTANCE},
+}
+_SOLVER = {"method": (("gd", "eg"), None, "gd"), "eta": (float, _POSITIVE, _REQUIRED),
+           "T": (int, _NONNEGATIVE, _REQUIRED), "projected": (bool, None, False)}
+_EXPERIMENTS = {
+    "solve": {"n": (int, _COUNT, _REQUIRED)},
+    "contraction": {"pairs": (int, _COUNT, 1000),
+                    "eta_grid": ([float, _POSITIVE], _COUNT, None)},
+    "stability": {"n_grid": ([int, _COUNT], _COUNT, _REQUIRED),
+                  "trials": (int, _COUNT, _REQUIRED)},
+    "sweep": {"n_grid": ([int, _COUNT], _PAIR, _REQUIRED), "trials": (int, _PAIR, _REQUIRED),
+              "kind": (("gap", "weak_gap", "potential_gap"), None, "gap"),
+              "mode": (("mean", "quantile"), None, "mean"),
+              "delta": (float, "(0, 1)", 0.1)},
+    "bernstein": {"z_samples": (int, _COUNT, _REQUIRED),
+                  "mc_samples": (int, _PAIR, _REQUIRED)},
+}
+
+
+def _output(command: str) -> dict:
+    return {"csv": (str, None, f"{command}.csv"),
+            "json": (str, None, f"{command}_summary.json"), "svg": (str, None, None)}
+
+
+def _build_domain(spec: dict) -> Domain:
+    kind = spec["kind"]
     if kind == "simplex":
-        _reject_unknown(spec, {"kind", "d"}, path)
-        return Simplex(_int(_require(spec, "d", path), f"{path}.d", lo=1))
+        return Simplex(spec["d"])
     if kind == "ball":
-        _reject_unknown(spec, {"kind", "center", "radius"}, path)
-        center = _require(spec, "center", path)
-        if not isinstance(center, list):
-            raise ConfigError(f"'{path}.center' must be a list")
-        return Ball(np.asarray(center, dtype=float),
-                    _num(_require(spec, "radius", path), f"{path}.radius", lo_strict=0.0))
+        return Ball(np.asarray(spec["center"], dtype=float), spec["radius"])
     if kind == "box":
-        _reject_unknown(spec, {"kind", "lower", "upper"}, path)
-        lower, upper = _require(spec, "lower", path), _require(spec, "upper", path)
-        if not isinstance(lower, list) or not isinstance(upper, list):
-            raise ConfigError(f"'{path}.lower'/'{path}.upper' must be lists")
-        try:
-            return Box(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
-        except ValueError as exc:
-            raise ConfigError(f"invalid box at '{path}': {exc}") from exc
-    if kind == "product":
-        _reject_unknown(spec, {"kind", "factors"}, path)
-        factors = _require(spec, "factors", path)
-        if not isinstance(factors, list) or not factors:
-            raise ConfigError(f"'{path}.factors' must be a nonempty list")
-        return Product(tuple(_build_domain(f, f"{path}.factors[{i}]")
-                             for i, f in enumerate(factors)))
-    raise ConfigError(f"'{path}.kind' must be one of simplex/ball/box/product, got {kind!r}")
+        return Box(np.asarray(spec["lower"], dtype=float), np.asarray(spec["upper"], dtype=float))
+    return Product(tuple(_build_domain(f) for f in spec["factors"]))
+
+
+def _problem_domain(p: dict) -> Optional[Domain]:
+    """The problem's domain (None if a game omits it), checked against its dimensions."""
+    if "domain" not in p:
+        return None
+    try:
+        domain = _build_domain(p["domain"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid domain at 'problem.domain': {exc}") from exc
+    if p["kind"] == "game" and not isinstance(domain, Product):
+        raise ConfigError("'problem.domain' for a game must be a product domain")
+    if p["kind"] == "operator" and domain.dim != p["d"]:
+        raise ConfigError(f"'problem.domain' has dim {domain.dim} but 'problem.d' is {p['d']}")
+    return domain
 
 
 def load_config(path: str, command: str, seed_override=None) -> dict:
+    """The checked config of `command`, its experiment keys all present."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -131,78 +221,32 @@ def load_config(path: str, command: str, seed_override=None) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return normalize_config(cfg, command, seed_override)
+    cfg = normalize_config(cfg, command, seed_override)
+    exp = _section(_EXPERIMENTS[command], cfg["experiment"], "experiment")
+    if exp.get("mode") == "quantile":
+        quantile_fit_on(exp["trials"], exp["delta"])  # the quantile's trial floor
+    return cfg
 
 
 def normalize_config(cfg: dict, command: str, seed_override=None) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    _reject_unknown(cfg, {"problem", "solver", "experiment", "output"}, "config")
-    problem = cfg.get("problem")
-    if not isinstance(problem, dict):
-        raise ConfigError("missing config key 'config.problem'")
-    kind = _require(problem, "kind", "problem")
-    if kind == "operator":
-        allowed = {"kind", "seed", "d", "mu", "L", "domain", "noise", "interior_margin"}
-        _reject_unknown(problem, allowed, "problem")
-        d = _int(_require(problem, "d", "problem"), "problem.d", lo=1)
-        mu = _num(_require(problem, "mu", "problem"), "problem.mu", lo_strict=0.0)
-        L = _num(_require(problem, "L", "problem"), "problem.L", lo_strict=0.0)
-        if mu > L:
-            raise ConfigError(f"'problem.mu' must be <= 'problem.L', got {mu} > {L}")
-        _build_domain(_require(problem, "domain", "problem"), "problem.domain")
-    elif kind == "game":
-        allowed = {"kind", "seed", "k", "dims", "mu", "coupling", "domain", "noise",
-                   "interior_margin"}
-        _reject_unknown(problem, allowed, "problem")
-        k = _int(_require(problem, "k", "problem"), "problem.k", lo=1)
-        dims = _require(problem, "dims", "problem")
-        if isinstance(dims, int):
-            pass
-        elif isinstance(dims, list) and all(isinstance(x, int) for x in dims):
-            if len(dims) != k:
-                raise ConfigError(f"'problem.dims' must list {k} sizes, got {len(dims)}")
-        else:
-            raise ConfigError("'problem.dims' must be an int or a list of ints")
-        _num(_require(problem, "mu", "problem"), "problem.mu", lo_strict=0.0)
-        _num(_require(problem, "coupling", "problem"), "problem.coupling", lo=0.0)
-        if "domain" in problem:
-            _build_domain(problem["domain"], "problem.domain")
-    else:
-        raise ConfigError(f"'problem.kind' must be 'operator' or 'game', got {kind!r}")
-    problem.setdefault("seed", 0)
-    _int(problem["seed"], "problem.seed")
+    """A checked copy of `cfg` with defaults filled in. The command's
+    experiment keys are checked when present; load_config requires them."""
+    experiment = {key: (check, bound, None if default is _REQUIRED else default)
+                  for key, (check, bound, default) in _EXPERIMENTS[command].items()}
+    cfg = _section({"problem": (_tagged(_PROBLEMS), None, _REQUIRED),
+                    "solver": (_SOLVER, None, {"method": "gd", "eta": 0.1, "T": 1000}),
+                    "experiment": (experiment, None, {}),
+                    "output": (_output(command), None, {})}, cfg, "")
+    p = cfg["problem"]
+    if p["kind"] == "operator" and p["mu"] > p["L"]:
+        raise ConfigError(f"'problem.mu' must be <= 'problem.L', got {p['mu']} > {p['L']}")
+    if p["kind"] == "game" and isinstance(p["dims"], list) and len(p["dims"]) != p["k"]:
+        raise ConfigError(f"'problem.dims' must list {p['k']} sizes, got {len(p['dims'])}")
+    if command == "bernstein" and p["kind"] != "game":
+        raise ConfigError("bernstein requires 'problem.kind' = 'game'")
+    _problem_domain(p)
     if seed_override is not None:
-        problem["seed"] = int(seed_override)
-    noise = problem.setdefault("noise", {"kind": "offset", "magnitude": 0.0})
-    if not isinstance(noise, dict):
-        raise ConfigError("'problem.noise' must be an object")
-    _reject_unknown(noise, {"kind", "magnitude"}, "problem.noise")
-    if noise.get("kind") not in ("offset", "matrix"):
-        raise ConfigError("'problem.noise.kind' must be 'offset' or 'matrix'")
-    _num(_require(noise, "magnitude", "problem.noise"), "problem.noise.magnitude", lo=0.0)
-
-    solver = cfg.setdefault("solver", {"method": "gd", "eta": 0.1, "T": 1000})
-    _reject_unknown(solver, {"method", "eta", "T", "projected"}, "solver")
-    if solver.setdefault("method", "gd") not in ("gd", "eg"):
-        raise ConfigError("'solver.method' must be 'gd' or 'eg'")
-    _num(_require(solver, "eta", "solver"), "solver.eta", lo_strict=0.0)
-    _int(_require(solver, "T", "solver"), "solver.T", lo=0)
-    if not isinstance(solver.setdefault("projected", False), bool):
-        raise ConfigError("'solver.projected' must be a boolean")
-
-    experiment = cfg.setdefault("experiment", {})
-    if not isinstance(experiment, dict):
-        raise ConfigError("'config.experiment' must be an object")
-    _reject_unknown(experiment, _EXPERIMENT_KEYS[command], "experiment")
-
-    output = cfg.setdefault("output", {})
-    _reject_unknown(output, {"csv", "json", "svg"}, "output")
-    output.setdefault("csv", f"{command}.csv")
-    output.setdefault("json", f"{command}_summary.json")
-    for key in ("csv", "json", "svg"):
-        if key in output and not isinstance(output[key], str):
-            raise ConfigError(f"'output.{key}' must be a path string")
+        p["seed"] = _value(int, _NONNEGATIVE, seed_override, "--seed")
     return cfg
 
 
@@ -210,29 +254,18 @@ def build_problem(cfg: dict):
     """Instance, its domain, and the noise model from a normalized config."""
     p = cfg["problem"]
     noise = NoiseModel(p["noise"]["kind"], p["noise"]["magnitude"])
-    margin = p.get("interior_margin")
+    domain, margin = _problem_domain(p), p.get("interior_margin")
     if p["kind"] == "operator":
-        domain = _build_domain(p["domain"], "problem.domain")
-        if domain.dim != p["d"]:
-            raise ConfigError(
-                f"'problem.domain' has dim {domain.dim} but 'problem.d' is {p['d']}"
-            )
         problem = generate_operator(p["seed"], p["d"], p["mu"], p["L"],
                                     domain=domain, interior_margin=margin)
         return problem, domain, noise
-    dims = p["dims"]
-    domain = _build_domain(p["domain"], "problem.domain") if "domain" in p else None
-    if domain is not None and not isinstance(domain, Product):
-        raise ConfigError("'problem.domain' for a game must be a product domain")
-    game = generate_game(p["seed"], p["k"], dims, p["mu"], p["coupling"],
+    game = generate_game(p["seed"], p["k"], p["dims"], p["mu"], p["coupling"],
                          domain=domain, interior_margin=margin)
     return game, game.domain, noise
 
 
-def solver_config(cfg: dict, record: bool = False) -> SolverConfig:
-    s = cfg["solver"]
-    return SolverConfig(method=s["method"], eta=s["eta"], T=s["T"],
-                        projected=s["projected"], record_trajectory=record)
+def solver_config(cfg: dict) -> SolverConfig:
+    return SolverConfig(**cfg["solver"])
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +294,6 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -272,32 +303,16 @@ def write_csv(path: str, header, rows) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def write_summary(path: str, command: str, cfg: dict, consts, results: dict,
                   bounds, started: float, workers: int) -> None:
     summary = {
-        "config": _jsonable(cfg),
+        "config": cfg,
         "constants": {
             "mu": consts.mu, "L": consts.L, "K": consts.K, "D": consts.D,
             "per_player": [list(p) for p in consts.per_player],
         },
-        "results": _jsonable(results),
-        "bounds": _jsonable(bounds),
+        "results": results,
+        "bounds": bounds,
         "manifest": {
             "package_version": __version__,
             "command": command,
@@ -306,22 +321,9 @@ def write_summary(path: str, command: str, cfg: dict, consts, results: dict,
             "wall_clock_seconds": time.time() - started,
         },
     }
-    _atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-
-def _bounds_dict(b: BoundSet) -> dict:
-    return {"covering": b.covering, "simplex": b.simplex, "game": b.game,
-            "bernstein_B": b.bernstein_B, "gamma": b.gamma, "note": b.note}
-
-
-def _bounds_at_count(b: BoundSet, n: int, source: str, dataset_size: bool = False) -> dict:
-    """Bounds whose gamma was taken at one count n; the summary says which
-    count it is and whether it is a dataset size."""
-    return {**_bounds_dict(b), "n": n, "n_source": source, "n_is_dataset_size": dataset_size}
-
-
-def _out(args, name: str) -> str:
-    return os.path.join(args.out_dir, name)
+    text = json.dumps(summary, indent=2, sort_keys=True,
+                      default=lambda o: o.tolist())  # numpy arrays and scalars
+    _atomic_write(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -329,32 +331,50 @@ def _out(args, name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
+class _Outcome(NamedTuple):
+    """What a subcommand's experiment hands back to `_run`."""
+
+    results: dict
+    # (n, n_source, n_is_dataset_size): the count the summary's bounds take
+    # gamma at; an n_source of None leaves the bounds unlabelled
+    count: tuple
+    csv: Optional[tuple] = None      # (header, rows)
+    violation: Optional[str] = None  # set when a measured value broke its bound
+
+
+def _run(command: str, experiment, args) -> int:
+    """One subcommand: load the config, build the problem, run `experiment`,
+    write its CSV and summary, then report a bound violation."""
     started = time.time()
-    cfg = load_config(args.config, "solve", args.seed)
+    cfg = load_config(args.config, command, args.seed)
     problem, domain, noise = build_problem(cfg)
     consts = constants(problem, domain)
     sc = solver_config(cfg)
-    if sc.method == "gd" and not in_gd_stability_range(sc.eta, consts.mu, consts.L):
-        raise ConfigError(
-            f"eta exceeds 2*mu/L^2: eta={sc.eta}, limit={2 * consts.mu / consts.L ** 2:.6g}"
-        )
-    n = _int(_require(cfg["experiment"], "n", "experiment"), "experiment.n", lo=1)
+    out = experiment(args, cfg, (problem, domain, noise, consts), sc)
+    if out.csv is not None:
+        write_csv(os.path.join(args.out_dir, cfg["output"]["csv"]), *out.csv)
+    n, source, dataset_size = out.count
+    bounds = dataclasses.asdict(evaluate_bounds(
+        consts, stability_gamma(consts, n, sc.eta, noise, domain), domain, problem))
+    if source is not None:
+        bounds.update(n=n, n_source=source, n_is_dataset_size=dataset_size)
+    write_summary(os.path.join(args.out_dir, cfg["output"]["json"]), command, cfg, consts,
+                  out.results, bounds, started, args.workers)
+    if out.violation:
+        raise BoundViolationError(out.violation)
+    return 0
+
+
+def cmd_solve(args, cfg, built, sc) -> _Outcome:
+    problem, domain, noise, consts = built
+    check_gd_eta(sc, consts)
+    n = cfg["experiment"]["n"]
     X = sample_dataset(problem, noise, n, [cfg["problem"]["seed"], n, 0])
     traj = run(empirical_operator(problem, X), domain, sc)
     report = gap_report(problem, X, domain, traj.final)
-    gamma = stability_gamma(consts, n, sc.eta, noise, domain)
-    bounds = evaluate_bounds(consts, gamma, domain, problem)
     results = {
         "final": traj.final, "steps": traj.steps,
-        "gap_report": {
-            "kind": report.kind, "gap_true": report.gap_true,
-            "gap_empirical": report.gap_empirical,
-            "weak_gap_true": report.weak_gap_true,
-            "weak_gap_empirical": report.weak_gap_empirical,
-            "potential_gap": report.potential_gap,
-            "generalization_gap": report.generalization_gap,
-        },
+        "gap_report": dataclasses.asdict(report),
         "diagnostics": {
             "method": sc.method, "eta": sc.eta, "n": n,
             "gd_stability_range": in_gd_stability_range(sc.eta, consts.mu, consts.L),
@@ -362,9 +382,7 @@ def cmd_solve(args) -> int:
                                   else eg_contraction_bound)(consts.mu, consts.L, sc.eta),
         },
     }
-    write_summary(_out(args, cfg["output"]["json"]), "solve", cfg, consts,
-                  results, _bounds_dict(bounds), started, args.workers)
-    return 0
+    return _Outcome(results, (n, None, None))
 
 
 def _default_eta_grid(method: str, mu: float, L: float):
@@ -379,21 +397,12 @@ def _default_eta_grid(method: str, mu: float, L: float):
     return [float(adm[i]) for i in idx]
 
 
-def cmd_contraction(args) -> int:
-    started = time.time()
-    cfg = load_config(args.config, "contraction", args.seed)
-    problem, domain, _noise = build_problem(cfg)
-    consts = constants(problem, domain)
-    sc = solver_config(cfg)
+def cmd_contraction(args, cfg, built, sc) -> _Outcome:
+    problem, domain, _noise, consts = built
     exp = cfg["experiment"]
-    pairs = _int(exp.get("pairs", 1000), "experiment.pairs", lo=1)
-    if "eta_grid" in exp:
-        grid = exp["eta_grid"]
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError("'experiment.eta_grid' must be a nonempty list")
-        grid = [_num(e, "experiment.eta_grid[*]", lo_strict=0.0) for e in grid]
-    else:
-        grid = _default_eta_grid(sc.method, consts.mu, consts.L)
+    pairs = exp["pairs"]
+    grid = [float(e) for e in exp["eta_grid"]] if "eta_grid" in exp else \
+        _default_eta_grid(sc.method, consts.mu, consts.L)
 
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg["problem"]["seed"]], spawn_key=(5,)))
@@ -402,13 +411,10 @@ def cmd_contraction(args) -> int:
     keep = np.linalg.norm(Z1 - Z2, axis=-1) > 1e-12
     Z1, Z2 = Z1[keep], Z2[keep]
     F = problem.as_operator()
-    denom = np.linalg.norm(Z1 - Z2, axis=-1)
 
-    step = gd_step if sc.method == "gd" else eg_step
     rows, details, violations = [], [], 0
     for eta in grid:
-        ratios = np.linalg.norm(step(F, Z1, eta) - step(F, Z2, eta), axis=-1) / denom
-        measured = float(np.max(ratios))
+        measured = float(np.max(contraction_ratio(F, Z1, Z2, eta, sc.method)))
         if sc.method == "gd":
             bound = gd_contraction_bound(consts.mu, consts.L, eta)
             gated = True
@@ -417,25 +423,16 @@ def cmd_contraction(args) -> int:
             gated = eg_contraction_coefficient(consts.mu, consts.L, eta) < 1.0
         violated = gated and measured > bound + 1e-9
         violations += int(violated)
-        rows.append((eta, sc.method, measured, bound, int(denom.size)))
+        rows.append((eta, sc.method, measured, bound, int(Z1.shape[0])))
         details.append({"eta": eta, "measured_max_ratio": measured,
                         "theoretical_bound": bound, "gated": gated,
                         "violated": violated})
-
-    write_csv(_out(args, cfg["output"]["csv"]),
-              ["eta", "method", "measured_max_ratio", "theoretical_bound", "pairs"],
-              rows)
-    gamma = stability_gamma(consts, pairs, sc.eta, _noise, domain)
-    bounds = evaluate_bounds(consts, gamma, domain, problem)
-    write_summary(_out(args, cfg["output"]["json"]), "contraction", cfg, consts,
-                  {"method": sc.method, "rows": details, "violations": violations},
-                  _bounds_at_count(bounds, pairs, "experiment.pairs"),
-                  started, args.workers)
-    if violations:
-        raise BoundViolationError(
-            f"{violations} eta value(s) exceeded the contraction ceiling by > 1e-9"
-        )
-    return 0
+    return _Outcome(
+        {"method": sc.method, "rows": details, "violations": violations},
+        (pairs, "experiment.pairs", False),
+        (["eta", "method", "measured_max_ratio", "theoretical_bound", "pairs"], rows),
+        f"{violations} eta value(s) exceeded the contraction ceiling by > 1e-9"
+        if violations else None)
 
 
 def _stability_one_n(payload):
@@ -448,84 +445,38 @@ def _stability_one_n(payload):
             "bound_base_K": res.bound_base_K}
 
 
-def cmd_stability(args) -> int:
-    started = time.time()
-    cfg = load_config(args.config, "stability", args.seed)
-    exp = cfg["experiment"]
-    n_grid = _require(exp, "n_grid", "experiment")
-    if not isinstance(n_grid, list) or not n_grid:
-        raise ConfigError("'experiment.n_grid' must be a nonempty list")
-    n_grid = [_int(n, "experiment.n_grid[*]", lo=1) for n in n_grid]
-    _int(_require(exp, "trials", "experiment"), "experiment.trials", lo=1)
-
-    problem, domain, noise = build_problem(cfg)
-    consts = constants(problem, domain)
-    sc = solver_config(cfg)
-    built = (problem, domain, noise, consts)
+def cmd_stability(args, cfg, built, sc) -> _Outcome:
+    n_grid = cfg["experiment"]["n_grid"]
     per_n = _parallel_map(_stability_one_n, [(built, cfg, n) for n in n_grid],
                           args.workers)
-
-    rows = []
-    violations = 0
-    for block in per_n:
-        for t, d in enumerate(block["divergences"]):
-            rows.append((block["n"], t, d))
-        if not block["bound_informational"]:
-            worst = max(block["divergences"])
-            if worst > block["bound"] + 1e-12:
-                violations += 1
-    write_csv(_out(args, cfg["output"]["csv"]), ["n", "trial", "divergence"], rows)
-    gamma = stability_gamma(consts, n_grid[0], sc.eta, noise, domain)
-    bounds = evaluate_bounds(consts, gamma, domain, problem)
-    write_summary(_out(args, cfg["output"]["json"]), "stability", cfg, consts,
-                  {"method": sc.method, "per_n": per_n, "violations": violations},
-                  _bounds_at_count(bounds, n_grid[0], "experiment.n_grid[0]", True),
-                  started, args.workers)
-    if violations:
-        raise BoundViolationError(
-            f"measured divergence exceeded the stability bound for {violations} n value(s)"
-        )
-    return 0
+    rows = [(b["n"], t, d) for b in per_n for t, d in enumerate(b["divergences"])]
+    violations = sum(not b["bound_informational"] and max(b["divergences"]) > b["bound"] + 1e-12
+                     for b in per_n)
+    return _Outcome(
+        {"method": sc.method, "per_n": per_n, "violations": violations},
+        (n_grid[0], "experiment.n_grid[0]", True), (["n", "trial", "divergence"], rows),
+        f"measured divergence exceeded the stability bound for {violations} n value(s)"
+        if violations else None)
 
 
 def _sweep_one_n(payload):
     (problem, domain, noise, consts), cfg, n = payload
     exp = cfg["experiment"]
     return sweep_point(problem, domain, solver_config(cfg), noise, n, exp["trials"],
-                       cfg["problem"]["seed"], kind=exp.get("kind", "gap"),
-                       delta=float(exp.get("delta", 0.1)), consts=consts)
+                       cfg["problem"]["seed"], kind=exp["kind"], delta=exp["delta"],
+                       consts=consts)
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
-    cfg = load_config(args.config, "sweep", args.seed)
+def cmd_sweep(args, cfg, built, sc) -> _Outcome:
+    problem, domain, noise, consts = built
     exp = cfg["experiment"]
-    n_grid = _require(exp, "n_grid", "experiment")
-    if not isinstance(n_grid, list) or len(n_grid) < 2:
-        raise ConfigError("'experiment.n_grid' must list at least two sizes")
-    n_grid = [_int(n, "experiment.n_grid[*]", lo=1) for n in n_grid]
-    kind = exp.get("kind", "gap")
-    if kind not in ("gap", "weak_gap", "potential_gap"):
-        raise ConfigError("'experiment.kind' must be gap/weak_gap/potential_gap")
-    mode = exp.get("mode", "mean")
-    if mode not in ("mean", "quantile"):
-        raise ConfigError("'experiment.mode' must be 'mean' or 'quantile'")
-    delta = _num(exp.get("delta", 0.1), "experiment.delta", lo_strict=0.0)
-    if delta >= 1.0:
-        raise ConfigError(f"'experiment.delta' must be < 1, got {delta}")
-    trials = _int(_require(exp, "trials", "experiment"), "experiment.trials", lo=2)
-    fit_on = quantile_fit_on(trials, delta) if mode == "quantile" else "mean"
-
-    problem, domain, noise = build_problem(cfg)
-    consts = constants(problem, domain)
-    sc = solver_config(cfg)
-    built = (problem, domain, noise, consts)
+    n_grid, kind = exp["n_grid"], exp["kind"]
+    fit_on = quantile_fit_on(exp["trials"], exp["delta"]) if exp["mode"] == "quantile" \
+        else "mean"
     per_n = _parallel_map(_sweep_one_n, [(built, cfg, n) for n in n_grid], args.workers)
     slope, intercept, r2, fit_error = fit_sweep(per_n, fit_on)
-
     rows = [(row["n"], t, v, kind)
             for row in per_n for t, v in enumerate(row["values"])]
-    write_csv(_out(args, cfg["output"]["csv"]), ["n", "trial", "value", "kind"], rows)
 
     bounds_per_n = []
     for row in per_n:
@@ -542,14 +493,6 @@ def cmd_sweep(args) -> int:
             entry["mean_over_game_bound"] = row["mean"] / entry["game"]
         bounds_per_n.append(entry)
 
-    results = {"kind": kind, "fit_on": fit_on, "per_n": per_n,
-               "slope": slope, "intercept": intercept, "r_squared": r2,
-               "fit_error": fit_error, "bounds_per_n": bounds_per_n}
-    bounds = evaluate_bounds(consts, bounds_per_n[0]["gamma"], domain, problem)
-    write_summary(_out(args, cfg["output"]["json"]), "sweep", cfg, consts, results,
-                  _bounds_at_count(bounds, n_grid[0], "experiment.n_grid[0]", True),
-                  started, args.workers)
-
     if "svg" in cfg["output"]:
         series = [{"label": f"mean {kind}", "x": n_grid,
                    "y": [row["mean"] for row in per_n]}]
@@ -562,39 +505,29 @@ def cmd_sweep(args) -> int:
         if all(key in b for b in bounds_per_n):
             series.append({"label": f"{key} bound", "line": True, "x": n_grid,
                            "y": [b[key] for b in bounds_per_n]})
-        _atomic_write(_out(args, cfg["output"]["svg"]),
+        _atomic_write(os.path.join(args.out_dir, cfg["output"]["svg"]),
                       log_log_chart(series, title=f"{kind} vs dataset size",
                                     xlabel="n", ylabel=kind))
-    return 0
+    results = {"kind": kind, "fit_on": fit_on, "per_n": per_n,
+               "slope": slope, "intercept": intercept, "r_squared": r2,
+               "fit_error": fit_error, "bounds_per_n": bounds_per_n}
+    return _Outcome(results, (n_grid[0], "experiment.n_grid[0]", True),
+                    (["n", "trial", "value", "kind"], rows))
 
 
-def cmd_bernstein(args) -> int:
-    started = time.time()
-    cfg = load_config(args.config, "bernstein", args.seed)
-    if cfg["problem"]["kind"] != "game":
-        raise ConfigError("bernstein requires 'problem.kind' = 'game'")
+def cmd_bernstein(args, cfg, built, sc) -> _Outcome:
+    problem, domain, noise, _consts = built
     exp = cfg["experiment"]
-    z_samples = _int(_require(exp, "z_samples", "experiment"), "experiment.z_samples", lo=1)
-    mc_samples = _int(_require(exp, "mc_samples", "experiment"), "experiment.mc_samples", lo=2)
-    problem, domain, noise = build_problem(cfg)
-    consts = constants(problem, domain)
-    res = bernstein_check(problem, domain, noise, z_samples, mc_samples,
+    res = bernstein_check(problem, domain, noise, exp["z_samples"], exp["mc_samples"],
                           cfg["problem"]["seed"])
-    rows = [(r["index"], r["lhs"], r["rhs"], res.B) for r in res.rows]
-    write_csv(_out(args, cfg["output"]["csv"]), ["sample_index", "lhs", "rhs", "B"], rows)
-    sc = solver_config(cfg)
-    gamma = stability_gamma(consts, mc_samples, sc.eta, noise, domain)
-    bounds = evaluate_bounds(consts, gamma, domain, problem)
-    write_summary(_out(args, cfg["output"]["json"]), "bernstein", cfg, consts,
-                  {"B": res.B, "mc_samples": res.mc_samples, "rows": res.rows,
-                   "violations": res.violations},
-                  _bounds_at_count(bounds, mc_samples, "experiment.mc_samples"),
-                  started, args.workers)
-    if res.violations:
-        raise BoundViolationError(
-            f"Bernstein condition violated at {res.violations} sample point(s)"
-        )
-    return 0
+    return _Outcome(
+        {"B": res.B, "mc_samples": res.mc_samples, "rows": res.rows,
+         "violations": res.violations},
+        (exp["mc_samples"], "experiment.mc_samples", False),
+        (["sample_index", "lhs", "rhs", "B"],
+         [(r["index"], r["lhs"], r["rhs"], res.B) for r in res.rows]),
+        f"Bernstein condition violated at {res.violations} sample point(s)"
+        if res.violations else None)
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +544,11 @@ def _parallel_map(fn, payloads, workers: int) -> list:
 
 
 _COMMANDS = {
-    "solve": cmd_solve,
-    "contraction": cmd_contraction,
-    "stability": cmd_stability,
-    "sweep": cmd_sweep,
-    "bernstein": cmd_bernstein,
+    "solve": functools.partial(_run, "solve", cmd_solve),
+    "contraction": functools.partial(_run, "contraction", cmd_contraction),
+    "stability": functools.partial(_run, "stability", cmd_stability),
+    "sweep": functools.partial(_run, "sweep", cmd_sweep),
+    "bernstein": functools.partial(_run, "bernstein", cmd_bernstein),
 }
 
 

@@ -119,10 +119,6 @@ class Domain:
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_uniform(self, seed: int) -> np.ndarray:
-        """One uniform draw from a generator seeded with `seed`."""
-        return self.sample(np.random.default_rng(seed))
-
 
 def _positive_radius(r: float) -> float:
     r = float(r)

@@ -127,8 +127,10 @@ class QuadraticGame:
         d = sum(self.dims)
         if self.matrix.shape != (d, d) or self.offset.shape != (d,):
             raise ValueError("matrix/offset shapes do not match player dims")
-        if self.domain.dim != d:
-            raise ValueError("domain dimension does not match player dims")
+        if not isinstance(self.domain, Product) or \
+                [f.dim for f in self.domain.factors] != list(self.dims):
+            raise ValueError("a game's domain must be a product of one factor per player "
+                             "with the player's dimension")
         offs = np.concatenate([[0], np.cumsum(self.dims)])
         self.slices = tuple(slice(int(a), int(b)) for a, b in zip(offs[:-1], offs[1:]))
         self._others_idx = tuple(

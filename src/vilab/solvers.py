@@ -183,12 +183,13 @@ def admissible_eta(mu: float, L: float, method: str = "gd", resolution: Optional
     return grid[c < 1.0]
 
 
-def contraction_ratio(F, z, zp, eta: float, method: str = "gd") -> float:
-    """Measured one-step ratio ||G(z) - G(z')|| / ||z - z'|| for distinct z, z'."""
+def contraction_ratio(F, z, zp, eta: float, method: str = "gd"):
+    """Measured one-step ratios ||G(z) - G(z')|| / ||z - z'||, one per row of
+    the distinct points z, z' of shape (..., d)."""
     z = np.asarray(z, dtype=float)
     zp = np.asarray(zp, dtype=float)
-    gap = float(np.linalg.norm(z - zp))
-    if gap == 0.0:
+    gap = np.linalg.norm(z - zp, axis=-1)
+    if np.any(gap == 0.0):
         raise ValueError("contraction ratio needs two distinct points")
     step = gd_step if method == "gd" else eg_step
-    return float(np.linalg.norm(step(F, z, eta) - step(F, zp, eta))) / gap
+    return np.linalg.norm(step(F, z, eta) - step(F, zp, eta), axis=-1) / gap

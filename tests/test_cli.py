@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 from vilab import BoundViolationError, ConfigError, NumericalError
-from vilab.cli import build_problem, main, normalize_config
+from vilab import cli
+from vilab.cli import build_problem, load_config, main, normalize_config
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def op_config(**overrides):
@@ -133,6 +136,70 @@ class TestConfigValidation:
     def test_seed_override(self):
         cfg = normalize_config(op_config(), "solve", seed_override=42)
         assert cfg["problem"]["seed"] == 42
+
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_sample_configs_load(self, config):
+        # each sample config is named <command>_<instance>.json
+        load_config(str(config), config.stem.split("_")[0])
+
+    def test_readme_documents_every_key(self):
+        text = (ROOT / "README.md").read_text().split("## Config keys")[1].split("\n## ")[0]
+        documented = {title: set(re.findall(r"^\| `(\w+)` \|", body, re.M))
+                      for title, body in re.findall(r"^### ([^\n]+)\n(.*?)(?=^### |\Z)",
+                                                    text, re.M | re.S)}
+        expected = {"`problem.noise`": set(cli._NOISE), "`solver`": set(cli._SOLVER),
+                    "`output`": set(cli._output("solve"))}
+        for section, tables in (("problem", cli._PROBLEMS), ("problem.domain", cli._DOMAINS)):
+            expected.update({f"`{section}`, kind `{kind}`": {"kind", *table}
+                             for kind, table in tables.items()})
+        expected.update({f"`experiment`, command `{command}`": set(table)
+                         for command, table in cli._EXPERIMENTS.items()})
+        assert documented == expected
+
+
+def op_with(**problem):
+    cfg = op_config(experiment={"n": 5})
+    cfg["problem"].update(problem)
+    return cfg
+
+
+def game_with(**problem):
+    cfg = game_config(experiment={"n": 5})
+    cfg["problem"].update(problem)
+    return cfg
+
+
+# Each config names the key path its error must give. Each used to run, crash
+# with a traceback, or exit with another code or with no key path.
+MALFORMED = [
+    pytest.param(op_with(noise={"kind": "offset", "magnitude": float("inf")}),
+                 "problem.noise.magnitude", id="infinite-magnitude"),
+    pytest.param(op_with(interior_margin="wide"), "problem.interior_margin",
+                 id="string-margin"),
+    pytest.param(op_with(interior_margin=-0.1), "problem.interior_margin",
+                 id="negative-margin"),
+    pytest.param(op_with(mu=float("nan")), "problem.mu", id="nan-mu"),
+    pytest.param(op_with(domain={"kind": "ball", "center": [0.0, 0.0], "radius": float("nan")}),
+                 "problem.domain.radius", id="nan-radius"),
+    pytest.param(op_with(domain={"kind": "ball", "center": [0.0, float("inf")], "radius": 1.0}),
+                 "problem.domain.center[1]", id="infinite-center"),
+    pytest.param(op_with(domain={"kind": "ball", "center": [[0.0, 0.0]], "radius": 1.0}),
+                 "problem.domain.center[0]", id="nested-center"),
+    pytest.param(op_with(domain={"kind": "box", "lower": [[-1.0], [-1.0]], "upper": [1.0, 1.0]}),
+                 "problem.domain.lower[0]", id="nested-lower"),
+    pytest.param(op_with(seed=-1), "problem.seed", id="negative-seed"),
+    pytest.param(op_config(solver=[], experiment={"n": 5}), "solver", id="solver-list"),
+    pytest.param(game_with(dims=[0, 2]), "problem.dims[0]", id="zero-dim"),
+    pytest.param(game_with(dims=[True, 1]), "problem.dims[0]", id="bool-dim"),
+]
+
+
+@pytest.mark.parametrize("cfg,path", MALFORMED)
+def test_malformed_config_exits_2_naming_its_key(tmp_path, capsys, cfg, path):
+    code, _ = run_cli(tmp_path, "solve", cfg)
+    assert code == 2
+    assert f"'{path}'" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -416,6 +483,12 @@ class TestExitCodes:
         code = main(["solve", "--config", cfg, "--out-dir", str(tmp_path),
                      "--workers", "0"])
         assert code == 2
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "solve", op_config(experiment={"n": 5}),
+                          extra=("--seed", "-1"))
+        assert code == 2
+        assert "'--seed'" in capsys.readouterr().err
 
     def test_divergence_maps_to_3(self, tmp_path, capsys):
         # eg has no step-size gate; a huge eta honestly diverges

@@ -358,9 +358,9 @@ class TestSampling:
 
     def test_seeded_determinism(self):
         for dom in small_domains():
-            a = dom.sample_uniform(123)
-            b = dom.sample_uniform(123)
-            c = dom.sample_uniform(124)
+            a = dom.sample(np.random.default_rng(123))
+            b = dom.sample(np.random.default_rng(123))
+            c = dom.sample(np.random.default_rng(124))
             assert np.array_equal(a, b)
             assert not np.array_equal(a, c)
 

@@ -335,6 +335,19 @@ class TestGenerateGame:
         with pytest.raises(ValueError):
             generate_game(25, 2, 2, -1.0, 0.3)
 
+    def test_domain_has_one_factor_per_player(self):
+        # the right total dimension is not enough: the game is rejected when it
+        # is built, not later when a gap splits the domain per player
+        with pytest.raises(ValueError, match="one factor per player"):
+            generate_game(3, 2, 1, 0.5, 0.3, domain=Product((Simplex(1),)))
+        square, segment = Box(-np.ones(2), np.ones(2)), Box(-np.ones(1), np.ones(1))
+        for dims, dom in (((1, 1), square), ((1, 1), Product((square,))),
+                          ((1, 2), Product((square, segment)))):
+            with pytest.raises(ValueError, match="one factor per player"):
+                QuadraticGame(dims, np.eye(sum(dims)), np.zeros(sum(dims)), dom)
+        g = QuadraticGame((1, 2), np.eye(3), np.zeros(3), Product((segment, square)))
+        assert g.domain.dim == 3
+
 
 class TestDatasets:
     def test_offset_records(self):

@@ -292,6 +292,22 @@ class TestMeasuredContraction:
         with pytest.raises(ValueError):
             contraction_ratio(IDENTITY, np.array([1.0]), np.array([1.0]), 0.5)
 
+    def test_ratio_per_row(self):
+        # one ratio per row, bitwise the formula the contraction command used inline
+        op = generate_operator(7, 4, 0.7, 2.0)
+        rng = np.random.default_rng(8)
+        z, w = rng.normal(size=(50, 4)), rng.normal(size=(50, 4))
+        for method, step in (("gd", gd_step), ("eg", eg_step)):
+            want = (np.linalg.norm(step(op, z, 0.3) - step(op, w, 0.3), axis=-1)
+                    / np.linalg.norm(z - w, axis=-1))
+            got = contraction_ratio(op, z, w, 0.3, method)
+            assert got.shape == (50,)
+            assert np.array_equal(got, want)
+            assert np.isclose(contraction_ratio(op, z[3], w[3], 0.3, method), got[3])
+        w[7] = z[7]
+        with pytest.raises(ValueError):
+            contraction_ratio(op, z, w, 0.3)
+
     def test_gd_bound_holds_on_random_pairs(self):
         rng = np.random.default_rng(3)
         for seed in range(5):
