@@ -17,9 +17,9 @@ from .errors import (BoundViolationError, ConfigError, GenerationError,
                      VertexEnumerationError)
 from .gaps import (GapReport, best_response, empirical_gap, gap, gap_report,
                    generalization_gap, potential_gap, weak_gap)
-from .problems import (EmpiricalOperator, NoiseModel, ProblemConstants,
-                       QuadraticGame, QuadraticOperator, SampledDataset,
-                       constants, empirical_operator, exact_solution,
+from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
+                       QuadraticOperator, SampledDataset, constants,
+                       empirical_operator, exact_solution,
                        generate_game, generate_operator, monotonicity_modulus,
                        noisy_operator_ceiling, replace_record, sample_dataset,
                        spectral_norm)

@@ -82,15 +82,14 @@ def stability_gamma(consts: ProblemConstants, n: int, eta: float,
     return {"eta": at_eta, "limit": K / (n * consts.mu)}
 
 
-def covering_bound(consts: ProblemConstants, gamma: float, domain: Domain,
-                   r_grid, norm: str = "linf") -> float:
-    """min_r [K r + (L D + K) gamma log N(Z, r, norm)] over the given radii."""
+def covering_bound(consts: ProblemConstants, gamma: float, domain: Domain, r_grid) -> float:
+    """min_r [K r + (L D + K) gamma log N(Z, r, l-inf)] over the given radii."""
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if r_grid.size == 0 or np.any(r_grid <= 0.0):
         raise ValueError("r_grid must be nonempty with positive radii")
     vals = [
         consts.K * r
-        + (consts.L * consts.D + consts.K) * gamma * math.log(domain.covering_number_upper(r, norm))
+        + (consts.L * consts.D + consts.K) * gamma * math.log(domain.covering_number_upper(r))
         for r in r_grid
     ]
     return float(min(vals))
@@ -124,16 +123,16 @@ class BoundSet:
 
 
 def evaluate_bounds(consts: ProblemConstants, gamma_values: dict, domain: Domain,
-                    problem=None, r_grid=None, covering_norm: str = "linf") -> BoundSet:
+                    problem=None, r_grid=None) -> BoundSet:
     """Assemble every applicable bound at gamma = gamma_values['eta'] (falls
     back to the eta -> 0 value when the configured eta is out of range)."""
     gamma = gamma_values.get("eta")
     if gamma is None:
         gamma = gamma_values["limit"]
     if r_grid is None:
-        D = domain.diameter("l2")
+        D = domain.diameter()
         r_grid = D * np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
-    cov = covering_bound(consts, gamma, domain, r_grid, covering_norm)
+    cov = covering_bound(consts, gamma, domain, r_grid)
     simp = (simplex_bound(consts, gamma, domain.d)
             if isinstance(domain, Simplex) and domain.d > 1 else None)
     gm = game_bound(consts, gamma) if isinstance(problem, QuadraticGame) else None

@@ -35,16 +35,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (bernstein_check, check_gd_eta, covering_bound,
-                       evaluate_bounds, fit_sweep, game_bound, quantile_fit_on,
-                       simplex_bound, stability_experiment, stability_gamma,
+from .analysis import (bernstein_check, check_gd_eta, evaluate_bounds, fit_sweep,
+                       quantile_fit_on, stability_experiment, stability_gamma,
                        sweep_point)
 from .charts import log_log_chart
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
                      InfeasiblePointError, NumericalError)
 from .gaps import gap_report
-from .problems import (NoiseModel, QuadraticGame, constants, empirical_operator,
+from .problems import (NoiseModel, constants, empirical_operator,
                        generate_game, generate_operator, sample_dataset)
 from .solvers import (SolverConfig, admissible_eta, contraction_ratio,
                       eg_contraction_bound, eg_contraction_coefficient,
@@ -181,9 +180,18 @@ _EXPERIMENTS = {
 }
 
 
+def _file_name(value, path):
+    """A bare file name, so every output lands inside --out-dir."""
+    name = _value(str, None, value, path)
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ConfigError(f"'{path}' must be a bare file name, got {value!r}")
+    return name
+
+
 def _output(command: str) -> dict:
-    return {"csv": (str, None, f"{command}.csv"),
-            "json": (str, None, f"{command}_summary.json"), "svg": (str, None, None)}
+    return {"csv": (_file_name, None, f"{command}.csv"),
+            "json": (_file_name, None, f"{command}_summary.json"),
+            "svg": (_file_name, None, None)}
 
 
 def _build_domain(spec: dict) -> Domain:
@@ -244,6 +252,9 @@ def normalize_config(cfg: dict, command: str, seed_override=None) -> dict:
         raise ConfigError(f"'problem.dims' must list {p['k']} sizes, got {len(p['dims'])}")
     if command == "bernstein" and p["kind"] != "game":
         raise ConfigError("bernstein requires 'problem.kind' = 'game'")
+    kind = cfg["experiment"].get("kind", "gap")
+    if kind != "gap" and p["kind"] != "game":
+        raise ConfigError(f"'experiment.kind' {kind!r} requires 'problem.kind' = 'game'")
     _problem_domain(p)
     if seed_override is not None:
         p["seed"] = _value(int, _NONNEGATIVE, seed_override, "--seed")
@@ -348,21 +359,27 @@ def _run(command: str, experiment, args) -> int:
     started = time.time()
     cfg = load_config(args.config, command, args.seed)
     problem, domain, noise = build_problem(cfg)
-    consts = constants(problem, domain)
+    built = (problem, domain, noise, constants(problem, domain))
     sc = solver_config(cfg)
-    out = experiment(args, cfg, (problem, domain, noise, consts), sc)
+    out = experiment(args, cfg, built, sc)
     if out.csv is not None:
         write_csv(os.path.join(args.out_dir, cfg["output"]["csv"]), *out.csv)
     n, source, dataset_size = out.count
-    bounds = dataclasses.asdict(evaluate_bounds(
-        consts, stability_gamma(consts, n, sc.eta, noise, domain), domain, problem))
+    bounds = _bounds_at(n, sc, built)
     if source is not None:
         bounds.update(n=n, n_source=source, n_is_dataset_size=dataset_size)
-    write_summary(os.path.join(args.out_dir, cfg["output"]["json"]), command, cfg, consts,
+    write_summary(os.path.join(args.out_dir, cfg["output"]["json"]), command, cfg, built[3],
                   out.results, bounds, started, args.workers)
     if out.violation:
         raise BoundViolationError(out.violation)
     return 0
+
+
+def _bounds_at(n: int, sc: SolverConfig, built) -> dict:
+    """Every applicable bound, with gamma taken at n."""
+    problem, domain, noise, consts = built
+    return dataclasses.asdict(evaluate_bounds(
+        consts, stability_gamma(consts, n, sc.eta, noise, domain), domain, problem))
 
 
 def cmd_solve(args, cfg, built, sc) -> _Outcome:
@@ -468,7 +485,6 @@ def _sweep_one_n(payload):
 
 
 def cmd_sweep(args, cfg, built, sc) -> _Outcome:
-    problem, domain, noise, consts = built
     exp = cfg["experiment"]
     n_grid, kind = exp["n_grid"], exp["kind"]
     fit_on = quantile_fit_on(exp["trials"], exp["delta"]) if exp["mode"] == "quantile" \
@@ -480,17 +496,10 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
 
     bounds_per_n = []
     for row in per_n:
-        gamma = stability_gamma(consts, row["n"], sc.eta, noise, domain)
-        g = gamma["eta"] if gamma["eta"] is not None else gamma["limit"]
-        entry = {"n": row["n"], "gamma": gamma,
-                 "covering": covering_bound(consts, g, domain,
-                                            consts.D * np.array([0.01, 0.05, 0.1, 0.5]))}
-        if isinstance(domain, Simplex) and domain.d > 1:
-            entry["simplex"] = simplex_bound(consts, g, domain.d)
-            entry["mean_over_simplex_bound"] = row["mean"] / entry["simplex"]
-        if isinstance(problem, QuadraticGame):
-            entry["game"] = game_bound(consts, g)
-            entry["mean_over_game_bound"] = row["mean"] / entry["game"]
+        entry = {**_bounds_at(row["n"], sc, built), "n": row["n"]}
+        for key in ("simplex", "game"):
+            if entry[key] is not None:
+                entry[f"mean_over_{key}_bound"] = row["mean"] / entry[key]
         bounds_per_n.append(entry)
 
     if "svg" in cfg["output"]:
@@ -500,11 +509,10 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
             series.append({"label": f"fit slope {slope:.2f}", "line": True,
                            "x": n_grid,
                            "y": [math.exp(intercept) * n ** slope for n in n_grid]})
-        key = "game" if isinstance(problem, QuadraticGame) else (
-            "simplex" if isinstance(domain, Simplex) and domain.d > 1 else "covering")
-        if all(key in b for b in bounds_per_n):
-            series.append({"label": f"{key} bound", "line": True, "x": n_grid,
-                           "y": [b[key] for b in bounds_per_n]})
+        # the problem-specific bound when there is one, else the covering bound
+        key = next(k for k in ("game", "simplex", "covering") if bounds_per_n[0][k] is not None)
+        series.append({"label": f"{key} bound", "line": True, "x": n_grid,
+                       "y": [b[key] for b in bounds_per_n]})
         _atomic_write(os.path.join(args.out_dir, cfg["output"]["svg"]),
                       log_log_chart(series, title=f"{kind} vs dataset size",
                                     xlabel="n", ylabel=kind))

@@ -14,15 +14,16 @@ Conventions
 * LMO(g) returns argmin_{u in Z} <g, u> with deterministic tie-breaking
   (lowest vertex index on the simplex, lower corner on boxes, center for
   g = 0 on balls).
-* covering_number_upper(r, norm) never underestimates the true covering
-  number N(Z, r, norm); constructions witnessing the box/ball counts are
-  available via covering_points.
+* diameter() is the l2 diameter max ||z - z'||_2 over the set.
+* covering_number_upper(r) never underestimates the l-inf covering number
+  N(Z, r, l-inf); covering_points(r) gives a cover at radius r, whose size
+  attains the count on boxes and balls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,14 +31,6 @@ import numpy as np
 from .errors import VertexEnumerationError
 
 VERTEX_CAP = 20
-
-_NORMS = ("l1", "l2", "linf")
-
-
-def _check_norm(norm: str) -> None:
-    if norm not in _NORMS:
-        raise ValueError(f"unsupported norm {norm!r}, expected one of {_NORMS}")
-
 
 def _as_points(z, dim: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
@@ -86,7 +79,8 @@ class Domain:
 
     # geometry ----------------------------------------------------------------
 
-    def diameter(self, norm: str = "l2") -> float:
+    def diameter(self) -> float:
+        """max ||z - z'||_2 over the set."""
         raise NotImplementedError
 
     def center(self) -> np.ndarray:
@@ -106,11 +100,12 @@ class Domain:
 
     # covering ----------------------------------------------------------------
 
-    def covering_number_upper(self, r: float, norm: str = "l2") -> int:
+    def covering_number_upper(self, r: float) -> int:
+        """Upper bound on the number of l-inf balls of radius r covering the set."""
         raise NotImplementedError
 
-    def covering_points(self, r: float, norm: str = "l2") -> np.ndarray:
-        """An explicit cover at radius r. For Box/Ball its size equals
+    def covering_points(self, r: float) -> np.ndarray:
+        """An explicit l-inf cover at radius r. For Box/Ball its size equals
         covering_number_upper; for Simplex it is merely a valid cover."""
         raise NotImplementedError
 
@@ -146,10 +141,8 @@ class Simplex(Domain):
         on_plane = np.abs(z.sum(axis=-1) - 1.0) <= 1e-9
         return on_plane & np.all(z >= margin, axis=-1)
 
-    def diameter(self, norm: str = "l2") -> float:
-        _check_norm(norm)
-        # max over vertex pairs: ||e_i - e_j||
-        return {"l1": 2.0, "l2": math.sqrt(2.0), "linf": 1.0}[norm]
+    def diameter(self) -> float:
+        return math.sqrt(2.0)  # ||e_i - e_j||_2
 
     def center(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
@@ -167,33 +160,25 @@ class Simplex(Domain):
     def vertices(self) -> list:
         return [np.eye(self.dim)[i] for i in range(self.dim)]
 
-    def tangent_projector(self) -> np.ndarray:
-        """Orthogonal projector onto the sum-zero subspace of the hull."""
-        m = self.dim
-        return np.eye(m) - np.full((m, m), 1.0 / m)
-
     def tangent_basis(self) -> np.ndarray:
         """Rows: an orthonormal basis of the sum-zero subspace, shape (d, d+1)."""
         ones = np.ones((1, self.dim))
         _, _, vh = np.linalg.svd(ones, full_matrices=True)
         return vh[1:]
 
-    def covering_number_upper(self, r: float, norm: str = "l2") -> int:
+    def covering_number_upper(self, r: float) -> int:
         r = _positive_radius(r)
-        _check_norm(norm)
-        # volumetric bound inside the d-dimensional affine hull; the hull ball
-        # has circumradius sqrt(d/(d+1)). l1 balls of radius r contain l2
-        # balls of radius r/sqrt(d+1); linf covering is no harder than l2.
+        # l2 volumetric bound inside the d-dimensional affine hull, whose ball
+        # has circumradius sqrt(d/(d+1)); an l-inf ball of radius r contains
+        # the l2 ball of radius r, so l-inf covering is no harder.
         radius = math.sqrt(self.d / (self.d + 1))
-        eff = r / math.sqrt(self.dim) if norm == "l1" else r
-        return int(math.ceil(1.0 + 2.0 * radius / eff)) ** self.d
+        return int(math.ceil(1.0 + 2.0 * radius / r)) ** self.d
 
-    def covering_points(self, r: float, norm: str = "l2") -> np.ndarray:
+    def covering_points(self, r: float) -> np.ndarray:
         r = _positive_radius(r)
-        _check_norm(norm)
         # barycentric grid: coordinates k/m with sum k = m. Rounding any
         # simplex point to the grid errs by at most 1/m per coordinate, so the
-        # l1 covering radius is (d+1)/m and l2/linf radii are no larger.
+        # l1 covering radius is (d+1)/m <= r and the l-inf one is no larger.
         m = max(1, math.ceil(self.dim / r))
         pts = []
 
@@ -240,12 +225,7 @@ class Ball(Domain):
         z = _as_points(z, self.dim)
         return np.linalg.norm(z - self.center_point, axis=-1) <= self.radius - margin
 
-    def diameter(self, norm: str = "l2") -> float:
-        _check_norm(norm)
-        if norm == "l1":
-            return 2.0 * self.radius * math.sqrt(self.dim)
-        if norm == "linf":
-            return 2.0 * self.radius
+    def diameter(self) -> float:
         return 2.0 * self.radius
 
     def center(self) -> np.ndarray:
@@ -261,28 +241,19 @@ class Ball(Domain):
         step = np.where(nrm > 0.0, -self.radius * g / safe, 0.0)
         return self.center_point + step
 
-    def covering_number_upper(self, r: float, norm: str = "l2") -> int:
-        r = _positive_radius(r)
-        _check_norm(norm)
-        # standard volumetric bound for l2; linf covering is no harder; l1
-        # balls of radius r contain l2 balls of radius r/sqrt(d).
-        eff = r / math.sqrt(self.dim) if norm == "l1" else r
-        return int(math.ceil(1.0 + 2.0 * self.radius / eff)) ** self.dim
+    def _per_axis(self, r: float) -> int:
+        # the l2 volumetric count per axis: ceil(1 + 2R/r) points spaced at
+        # most r apart across [c-R, c+R] leave every point of the ball within
+        # l-inf r/2 of the grid
+        return int(math.ceil(1.0 + 2.0 * self.radius / _positive_radius(r)))
 
-    def covering_points(self, r: float, norm: str = "l2") -> np.ndarray:
-        r = _positive_radius(r)
-        _check_norm(norm)
-        eff = r / math.sqrt(self.dim) if norm == "l1" else r
-        per_axis = int(math.ceil(1.0 + 2.0 * self.radius / eff))
-        # per_axis points spaced across [c-R, c+R] leave per-axis gaps of
-        # R/ (per_axis-1) <= eff/... ; validated against a dense grid in tests.
-        axes = []
-        for i in range(self.dim):
-            c = self.center_point[i]
-            if per_axis == 1:
-                axes.append(np.array([c]))
-            else:
-                axes.append(np.linspace(c - self.radius, c + self.radius, per_axis))
+    def covering_number_upper(self, r: float) -> int:
+        return self._per_axis(r) ** self.dim
+
+    def covering_points(self, r: float) -> np.ndarray:
+        per_axis = self._per_axis(r)
+        axes = [np.linspace(c - self.radius, c + self.radius, per_axis)
+                for c in self.center_point]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -318,14 +289,8 @@ class Box(Domain):
         z = _as_points(z, self.dim)
         return np.all((z >= self.lower + margin) & (z <= self.upper - margin), axis=-1)
 
-    def diameter(self, norm: str = "l2") -> float:
-        _check_norm(norm)
-        sides = self.upper - self.lower
-        if norm == "l1":
-            return float(sides.sum())
-        if norm == "linf":
-            return float(sides.max())
-        return float(np.linalg.norm(sides))
+    def diameter(self) -> float:
+        return float(np.linalg.norm(self.upper - self.lower))
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
@@ -349,25 +314,18 @@ class Box(Domain):
             corners.append(np.where(bits == 1, self.upper, self.lower).astype(float))
         return corners
 
-    def covering_number_upper(self, r: float, norm: str = "l2") -> int:
-        r = _positive_radius(r)
-        _check_norm(norm)
+    def _counts(self, r: float) -> np.ndarray:
+        # cells of side <= 2r per axis; their centres cover within l-inf r
         sides = self.upper - self.lower
-        scale = {"linf": 1.0, "l2": math.sqrt(self.dim), "l1": float(self.dim)}[norm]
-        counts = np.maximum(1, np.ceil(sides * scale / (2.0 * r)).astype(int))
-        return int(np.prod(counts))
+        return np.maximum(1, np.ceil(sides / (2.0 * _positive_radius(r))).astype(int))
 
-    def covering_points(self, r: float, norm: str = "l2") -> np.ndarray:
-        r = _positive_radius(r)
-        _check_norm(norm)
-        sides = self.upper - self.lower
-        scale = {"linf": 1.0, "l2": math.sqrt(self.dim), "l1": float(self.dim)}[norm]
-        counts = np.maximum(1, np.ceil(sides * scale / (2.0 * r)).astype(int))
-        axes = []
-        for i in range(self.dim):
-            k = counts[i]
-            step = sides[i] / k
-            axes.append(self.lower[i] + step * (0.5 + np.arange(k)))
+    def covering_number_upper(self, r: float) -> int:
+        return int(np.prod(self._counts(r)))
+
+    def covering_points(self, r: float) -> np.ndarray:
+        counts = self._counts(r)
+        step = (self.upper - self.lower) / counts
+        axes = [self.lower[i] + step[i] * (0.5 + np.arange(k)) for i, k in enumerate(counts)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -411,14 +369,9 @@ class Product(Domain):
             ok = ok & f.contains_interior(p, margin)
         return ok
 
-    def diameter(self, norm: str = "l2") -> float:
-        _check_norm(norm)
-        ds = [f.diameter(norm) for f in self.factors]
-        if norm == "l2":
-            return math.sqrt(sum(d * d for d in ds))
-        if norm == "l1":
-            return float(sum(ds))
-        return float(max(ds))
+    def diameter(self) -> float:
+        ds = [f.diameter() for f in self.factors]
+        return math.sqrt(sum(d * d for d in ds))
 
     def center(self) -> np.ndarray:
         return self.join([f.center() for f in self.factors])
@@ -429,20 +382,9 @@ class Product(Domain):
     def lmo(self, g) -> np.ndarray:
         return self.join([f.lmo(p) for f, p in zip(self.factors, self.split(g))])
 
-    def covering_number_upper(self, r: float, norm: str = "l2") -> int:
-        r = _positive_radius(r)
-        _check_norm(norm)
-        k = len(self.factors)
-        if norm == "l2":
-            sub = r / math.sqrt(k)
-        elif norm == "l1":
-            sub = r / k
-        else:
-            sub = r
-        out = 1
-        for f in self.factors:
-            out *= f.covering_number_upper(sub, norm)
-        return out
+    def covering_number_upper(self, r: float) -> int:
+        # an l-inf ball is the product of the factors' l-inf balls
+        return math.prod(f.covering_number_upper(r) for f in self.factors)
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
         parts = [f.sample(rng, size) for f in self.factors]

@@ -220,7 +220,7 @@ def constants(problem, domain: Optional[Domain] = None) -> ProblemConstants:
     mu = monotonicity_modulus(op.matrix)
     L = spectral_norm(op.matrix)
     K = L * domain.max_point_norm() + float(np.linalg.norm(op.offset))
-    D = domain.diameter("l2")
+    D = domain.diameter()
     if isinstance(problem, QuadraticGame):
         per = []
         for i in range(problem.k):
@@ -340,7 +340,7 @@ def generate_operator(
         if isinstance(domain, Simplex):
             interior_margin = 0.25 / domain.dim
         else:
-            interior_margin = 0.05 * domain.diameter("l2")
+            interior_margin = 0.05 * domain.diameter()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if isinstance(domain, Simplex):
         B = domain.tangent_basis()  # (d-1, d) orthonormal rows
@@ -426,7 +426,7 @@ def generate_game(
     if domain.dim != d:
         raise ValueError("domain dimension does not match player dims")
     if interior_margin is None:
-        interior_margin = 0.05 * domain.diameter("l2")
+        interior_margin = 0.05 * domain.diameter()
     root = _place_interior_root(rng, domain, interior_margin)
     return QuadraticGame(dims=dims, matrix=M, offset=-M @ root, domain=domain)
 
@@ -535,10 +535,6 @@ class SampledDataset:
     def dim(self) -> int:
         return self.offsets.shape[1]
 
-    def record(self, i: int):
-        E = None if self.matrices is None else self.matrices[i]
-        return E, self.offsets[i]
-
     def mean_offset(self) -> np.ndarray:
         if self.noise.kind == "matrix":  # offsets are a zero broadcast
             return np.zeros(self.dim)
@@ -587,43 +583,14 @@ def replace_record(X: SampledDataset, j: int, seed: int) -> SampledDataset:
     )
 
 
-@dataclass(eq=False)
-class EmpiricalOperator:
-    """Average of the dataset's sampled operators; affine, so evaluating the
-    average equals averaging per-record evaluations exactly."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-    dataset: SampledDataset
-    base: QuadraticOperator
-
-    dim = QuadraticOperator.dim
-    evaluate = __call__ = QuadraticOperator.evaluate
-
-    def as_operator(self) -> QuadraticOperator:
-        return QuadraticOperator(self.matrix, self.offset, self.base.tangent_basis)
-
-    def sample_operator(self, i: int) -> QuadraticOperator:
-        E, e = self.dataset.record(i)
-        M = self.base.matrix if E is None else self.base.matrix + E
-        return QuadraticOperator(M, self.base.offset + e)
-
-    def record_values(self, z) -> np.ndarray:
-        """Per-record evaluations Xi(z, zeta_i), shape (n, d) for a single z."""
-        base_val = self.base(z)
-        if self.dataset.matrices is None:
-            return base_val[..., None, :] + self.dataset.offsets
-        extra = np.einsum("nij,...j->...ni", self.dataset.matrices, z)
-        return base_val[..., None, :] + extra + self.dataset.offsets
-
-
-def empirical_operator(problem, X: SampledDataset) -> EmpiricalOperator:
+def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:
+    """Average of the dataset's sampled operators. Each record is affine, so
+    the average is too: evaluating it equals averaging record evaluations."""
     op = problem.as_operator()
     if X.dim != op.dim:
         raise ValueError("dataset dimension does not match the operator")
     M = op.matrix if X.matrices is None else op.matrix + X.mean_matrix()
-    return EmpiricalOperator(matrix=M, offset=op.offset + X.mean_offset(),
-                             dataset=X, base=op)
+    return QuadraticOperator(M, op.offset + X.mean_offset(), op.tangent_basis)
 
 
 def noisy_operator_ceiling(consts: ProblemConstants, noise: NoiseModel,

@@ -11,7 +11,8 @@ For F(z) = Mz + b with mu = lambda_min(sym M) and L = sigma_max(M):
 
 Both step maps and `run` take batched iterates of shape (..., dim) and an
 affine operator with `matrix` and `offset`: a QuadraticOperator (also a
-per-row stack of them), an EmpiricalOperator or a QuadraticGame.
+per-row stack of them, and the empirical operator of a dataset) or a
+QuadraticGame.
 """
 
 from __future__ import annotations

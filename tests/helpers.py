@@ -1,11 +1,12 @@
 """Brute-force oracles shared by the tests: dense domain grids, greedy
-packings, and small combinatorial utilities. Intentionally slow and simple."""
+packings, per-record operators, and small combinatorial utilities.
+Intentionally slow and simple."""
 
 import itertools
 
 import numpy as np
 
-from vilab import Ball, Box, Product, Simplex
+from vilab import Ball, Box, Product, QuadraticOperator, Simplex
 
 _ORD = {"l1": 1, "l2": 2, "linf": np.inf}
 
@@ -56,8 +57,16 @@ def greedy_packing_count(points, separation, norm="l2"):
 
 
 def min_dist_to_set(points, anchors, norm="l2"):
-    """Per-point distance to the nearest anchor."""
+    """Per-point distance to the nearest anchor: every pair, 1024 points at a time."""
     out = np.empty(len(points))
-    for i, p in enumerate(points):
-        out[i] = np.min(np.linalg.norm(anchors - p, ord=_ORD[norm], axis=-1))
+    for s in range(0, len(points), 1024):
+        diffs = points[s:s + 1024, None, :] - anchors[None, :, :]
+        out[s:s + 1024] = np.linalg.norm(diffs, ord=_ORD[norm], axis=-1).min(axis=-1)
     return out
+
+
+def record_operator(problem, X, j):
+    """Record j's sampled operator (M + E_j) z + b + e_j, built from scratch."""
+    op = problem.as_operator()
+    M = op.matrix if X.matrices is None else op.matrix + X.matrices[j]
+    return QuadraticOperator(M, op.offset + X.offsets[j])

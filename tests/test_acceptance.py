@@ -46,7 +46,7 @@ from vilab import (
 from vilab.analysis import _train_to_empirical_opt
 from vilab.cli import main as cli_main
 
-from helpers import dense_grid
+from helpers import dense_grid, record_operator
 
 
 def report(num, ok, detail):
@@ -344,8 +344,8 @@ def test_criterion_09_certificates_and_growth():
             shared = ((1.0 - 1.0 / n) * op.matrix
                       + (X.matrices.sum(axis=0) - X.matrices[j]) / n)
         xi = np.linalg.norm(np.eye(3) - eta * shared, 2)
-        sup_in = eta / n * np.linalg.norm(emp.sample_operator(j)(verts), axis=-1).max()
-        sup_out = eta / n * np.linalg.norm(empp.sample_operator(j)(verts), axis=-1).max()
+        sup_in = eta / n * np.linalg.norm(record_operator(op, X, j)(verts), axis=-1).max()
+        sup_out = eta / n * np.linalg.norm(record_operator(op, Xp, j)(verts), axis=-1).max()
         z = zp = dom.center()
         for _ in range(T):
             d_now = np.linalg.norm(z - zp)

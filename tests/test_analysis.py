@@ -424,7 +424,7 @@ class TestEvaluateBounds:
         bounds = evaluate_bounds(UNIT_CONSTS, {"eta": None, "limit": 0.05}, dom)
         ref = covering_bound(
             UNIT_CONSTS, 0.05, dom,
-            dom.diameter("l2") * np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5]),
+            dom.diameter() * np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5]),
         )
         assert np.isclose(bounds.covering, ref)
 

@@ -202,6 +202,34 @@ def test_malformed_config_exits_2_naming_its_key(tmp_path, capsys, cfg, path):
     assert f"'{path}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,name", [("json", ""), ("json", "../x.json"),
+                                      ("csv", "sub/x.csv"), ("svg", "..")])
+def test_output_names_are_bare_file_names(tmp_path, capsys, key, name):
+    cfg = op_config(experiment={"n_grid": [16, 64], "trials": 4}, output={key: name})
+    code, out_dir = run_cli(tmp_path, "sweep", cfg)
+    assert code == 2
+    assert f"'output.{key}'" in capsys.readouterr().err
+    # nothing written: only the config file sits in tmp_path
+    assert not out_dir.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_out.json"]
+
+
+@pytest.mark.parametrize("kind", ["weak_gap", "potential_gap"])
+def test_game_gap_kind_needs_a_game_before_generation(tmp_path, capsys, monkeypatch, kind):
+    calls = []
+
+    def counting(cfg):
+        calls.append(1)
+        return build_problem(cfg)
+
+    monkeypatch.setattr("vilab.cli.build_problem", counting)
+    cfg = op_config(experiment={"n_grid": [16, 64], "trials": 4, "kind": kind})
+    code, _ = run_cli(tmp_path, "sweep", cfg)
+    assert code == 2
+    assert "'experiment.kind'" in capsys.readouterr().err
+    assert calls == []
+
+
 class TestSolve:
     def test_zero_noise_reaches_solution(self, tmp_path):
         cfg = op_config(problem={"noise": {"kind": "offset", "magnitude": 0.0}},
@@ -354,8 +382,23 @@ class TestSweep:
         assert bounds["n"] == 64
         assert bounds["n_source"] == "experiment.n_grid[0]"
         assert bounds["n_is_dataset_size"] is True
-        # the per-n bounds at that n carry the same gamma
-        assert summary["results"]["bounds_per_n"][0]["gamma"] == bounds["gamma"]
+        # the per-n bounds at that n are the summary's bounds
+        first = summary["results"]["bounds_per_n"][0]
+        shared = set(first) & set(bounds)
+        assert {"n", "gamma", "covering", "simplex", "game", "bernstein_B", "note"} <= shared
+        assert {key: first[key] for key in shared} == {key: bounds[key] for key in shared}
+
+    def test_simplex_bounds_per_n_match_the_summary_bounds(self, tmp_path):
+        code = main(["sweep", "--config", str(CONFIG_DIR / "sweep_simplex.json"),
+                     "--out-dir", str(tmp_path), "--workers", "1"])
+        assert code == 0
+        summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+        first, bounds = summary["results"]["bounds_per_n"][0], summary["bounds"]
+        assert first["simplex"] is not None
+        assert first["mean_over_simplex_bound"] == \
+            summary["results"]["per_n"][0]["mean"] / first["simplex"]
+        for key in set(first) & set(bounds):
+            assert first[key] == bounds[key], key
 
     def test_svg_output(self, tmp_path):
         cfg = game_config(experiment={"n_grid": [16, 64], "trials": 5,

@@ -1,13 +1,11 @@
-import itertools
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilab import Ball, Box, Product, Simplex, VertexEnumerationError
 
 from helpers import dense_grid, greedy_packing_count, min_dist_to_set
-
-NORMS = ("l1", "l2", "linf")
 
 
 def small_domains():
@@ -138,21 +136,14 @@ class TestMembership:
 
 class TestDiameter:
     def test_values(self):
-        assert np.isclose(Simplex(3).diameter("l2"), np.sqrt(2.0))
-        assert np.isclose(Simplex(3).diameter("l1"), 2.0)
-        assert np.isclose(Simplex(3).diameter("linf"), 1.0)
+        assert np.isclose(Simplex(3).diameter(), np.sqrt(2.0))
         ball = Ball(np.zeros(3), 2.0)
-        assert np.isclose(ball.diameter("l2"), 4.0)
-        assert np.isclose(ball.diameter("l1"), 4.0 * np.sqrt(3.0))
-        assert np.isclose(ball.diameter("linf"), 4.0)
+        assert np.isclose(ball.diameter(), 4.0)
         box = Box(np.array([0.0, 0.0]), np.array([3.0, 4.0]))
-        assert np.isclose(box.diameter("l2"), 5.0)
-        assert np.isclose(box.diameter("l1"), 7.0)
-        assert np.isclose(box.diameter("linf"), 4.0)
+        assert np.isclose(box.diameter(), 5.0)
 
     def test_realized_by_feasible_pair(self):
         # the reported diameter is attained (not just an upper bound)
-        ords = {"l1": 1, "l2": 2, "linf": np.inf}
         witnesses = {
             "simplex": (Simplex(2), np.eye(3)[0], np.eye(3)[1]),
             "box": (
@@ -162,27 +153,21 @@ class TestDiameter:
             ),
         }
         for dom, a, b in witnesses.values():
-            for norm in NORMS:
-                assert dom.contains(a) and dom.contains(b)
-                got = np.linalg.norm(a - b, ord=ords[norm])
-                assert np.isclose(got, dom.diameter(norm))
+            assert dom.contains(a) and dom.contains(b)
+            assert np.isclose(np.linalg.norm(a - b), dom.diameter())
         ball = Ball(np.array([0.5, -0.5]), 1.5)
-        for norm, u in (("l2", np.array([1.0, 0.0])), ("linf", np.array([1.0, 0.0])),
-                        ("l1", np.array([1.0, 1.0]) / np.sqrt(2.0))):
-            a = ball.center_point + ball.radius * u
-            b = ball.center_point - ball.radius * u
-            assert ball.contains(a, tol=1e-9) and ball.contains(b, tol=1e-9)
-            assert np.isclose(np.linalg.norm(a - b, ord=ords[norm]), ball.diameter(norm))
+        u = np.array([1.0, 0.0])
+        a = ball.center_point + ball.radius * u
+        b = ball.center_point - ball.radius * u
+        assert ball.contains(a, tol=1e-9) and ball.contains(b, tol=1e-9)
+        assert np.isclose(np.linalg.norm(a - b), ball.diameter())
 
     def test_never_exceeded_by_samples(self):
         rng = np.random.default_rng(4)
-        ords = {"l1": 1, "l2": 2, "linf": np.inf}
         for dom in small_domains():
             pts = dom.sample(rng, 300)
-            diffs = pts[:, None, :] - pts[None, :, :]
-            for norm in NORMS:
-                d = np.linalg.norm(diffs, ord=ords[norm], axis=-1)
-                assert d.max() <= dom.diameter(norm) + 1e-9
+            d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+            assert d.max() <= dom.diameter() + 1e-9
 
 
 class TestCenterAndNorms:
@@ -285,18 +270,16 @@ class TestVertices:
 class TestCovering:
     def test_frozen_counts(self):
         box = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        assert box.covering_number_upper(0.25, "linf") == 4
-        assert Ball(np.zeros(1), 1.0).covering_number_upper(1.0, "l2") == 3
-        assert Simplex(1).covering_number_upper(0.5, "l2") == 4
+        assert box.covering_number_upper(0.25) == 4
+        assert Ball(np.zeros(1), 1.0).covering_number_upper(1.0) == 3
+        assert Simplex(1).covering_number_upper(0.5) == 4
 
     def test_points_match_reported_count_box_ball(self):
         box = Box(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
         ball = Ball(np.array([0.2, -0.1]), 0.8)
         for dom in (box, ball):
-            for norm in NORMS:
-                for r in (0.2, 0.35, 0.7):
-                    pts = dom.covering_points(r, norm)
-                    assert len(pts) == dom.covering_number_upper(r, norm)
+            for r in (0.2, 0.35, 0.7):
+                assert len(dom.covering_points(r)) == dom.covering_number_upper(r)
 
     def test_constructions_cover_dense_grid(self):
         cases = [
@@ -306,10 +289,8 @@ class TestCovering:
         ]
         for dom, r in cases:
             grid = dense_grid(dom, r / 10.0)
-            for norm in NORMS:
-                anchors = dom.covering_points(r, norm)
-                worst = min_dist_to_set(grid, anchors, norm).max()
-                assert worst <= r + 1e-9, (type(dom).__name__, norm, worst)
+            worst = min_dist_to_set(grid, dom.covering_points(r), "linf").max()
+            assert worst <= r + 1e-9, (type(dom).__name__, worst)
 
     def test_packing_lower_bound(self):
         # a strict 2r-packing can never exceed the r-covering number
@@ -320,18 +301,16 @@ class TestCovering:
             Product((Box(np.array([0.0]), np.array([1.0])), Box(np.array([0.0]), np.array([1.0])))),
         ]
         for dom in cases:
-            for norm in ("l2", "linf"):
-                for r in (0.23, 0.4):
-                    grid = dense_grid(dom, r / 5.0)
-                    packed = greedy_packing_count(grid, 2.0 * r, norm)
-                    assert packed <= dom.covering_number_upper(r, norm)
+            for r in (0.23, 0.4):
+                grid = dense_grid(dom, r / 5.0)
+                packed = greedy_packing_count(grid, 2.0 * r, "linf")
+                assert packed <= dom.covering_number_upper(r)
 
     def test_monotone_in_radius(self):
         rs = np.linspace(0.1, 1.0, 10)
         for dom in small_domains():
-            for norm in NORMS:
-                counts = [dom.covering_number_upper(float(r), norm) for r in rs]
-                assert all(a >= b for a, b in zip(counts, counts[1:]))
+            counts = [dom.covering_number_upper(float(r)) for r in rs]
+            assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_invalid_inputs(self):
         dom = Box(np.zeros(2), np.ones(2))
@@ -339,8 +318,40 @@ class TestCovering:
             dom.covering_number_upper(0.0)
         with pytest.raises(ValueError):
             dom.covering_number_upper(-1.0)
-        with pytest.raises(ValueError):
-            dom.covering_number_upper(0.5, "l3")
+
+
+def _points(d):
+    return st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d).map(np.array)
+
+
+_BOXES = st.integers(1, 2).flatmap(lambda d: st.builds(
+    lambda lower, sides: Box(lower, lower + sides),
+    _points(d), st.lists(st.floats(0.1, 2.0), min_size=d, max_size=d).map(np.array)))
+_BALLS = st.integers(1, 2).flatmap(lambda d: st.builds(Ball, _points(d), st.floats(0.1, 1.0)))
+_BOXES_AND_BALLS = st.one_of(_BOXES, _BALLS)
+_RADII = st.floats(0.15, 1.0)
+
+
+class TestGeometryProperties:
+    """diameter() and the l-inf cover against brute force, on random boxes and balls."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_BOXES_AND_BALLS, _RADII)
+    def test_cover_size_is_the_count(self, dom, r):
+        assert len(dom.covering_points(r)) == dom.covering_number_upper(r)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(_BOXES_AND_BALLS, _RADII)
+    def test_cover_reaches_a_dense_grid(self, dom, r):
+        grid = dense_grid(dom, r / 10.0)
+        assert min_dist_to_set(grid, dom.covering_points(r), "linf").max() <= r + 1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_BOXES_AND_BALLS, st.integers(0, 2 ** 32 - 1))
+    def test_diameter_bounds_sampled_pairs(self, dom, seed):
+        pts = dom.sample(np.random.default_rng(seed), 200)
+        dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        assert dists.max() <= dom.diameter() + 1e-9
 
 
 class TestSampling:
@@ -417,7 +428,3 @@ class TestValidation:
             Box(np.array([0.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             Product(())
-
-    def test_bad_norm(self):
-        with pytest.raises(ValueError):
-            Simplex(1).diameter("l7")

@@ -27,6 +27,8 @@ from vilab import (
     spectral_norm,
 )
 
+from helpers import record_operator
+
 
 def small_game(seed=0, k=3, dims=2, mu=0.5, coupling=0.4):
     return generate_game(seed, k, dims, mu, coupling)
@@ -228,7 +230,7 @@ class TestGenerateOperator:
         dom = Ball(np.zeros(4), 2.0)
         op = generate_operator(10, 4, 1.0, 3.0, domain=dom)
         z = exact_solution(op, dom)
-        assert bool(dom.contains_interior(z, 0.04 * dom.diameter("l2")))
+        assert bool(dom.contains_interior(z, 0.04 * dom.diameter()))
 
     def test_monotone_and_lipschitz_along_samples(self):
         rng = np.random.default_rng(11)
@@ -316,7 +318,7 @@ class TestGenerateGame:
     def test_nash_point_is_interior(self):
         g = small_game(seed=22)
         z = exact_solution(g)
-        assert bool(g.domain.contains_interior(z, 0.04 * g.domain.diameter("l2")))
+        assert bool(g.domain.contains_interior(z, 0.04 * g.domain.diameter()))
 
     def test_scalar_dims_expand(self):
         g = generate_game(23, 3, 2, 0.5, 0.3)
@@ -572,20 +574,8 @@ class TestEmpiricalOperator:
             X = sample_dataset(op, noise, 50, seed=18)
             emp = empirical_operator(op, X)
             z = rng.normal(size=3)
-            per_record = np.array([emp.sample_operator(i)(z) for i in range(X.n)])
+            per_record = np.array([record_operator(op, X, i)(z) for i in range(X.n)])
             assert np.allclose(per_record.mean(axis=0), emp(z), atol=1e-12)
-            assert np.allclose(per_record, emp.record_values(z), atol=1e-12)
-
-    def test_record_values_batched(self):
-        op = generate_operator(42, 3, 0.5, 1.5)
-        X = sample_dataset(op, NoiseModel("matrix", 0.2), 20, seed=19)
-        emp = empirical_operator(op, X)
-        rng = np.random.default_rng(43)
-        z = rng.normal(size=(4, 3))
-        vals = emp.record_values(z)
-        assert vals.shape == (4, 20, 3)
-        for i in range(4):
-            assert np.allclose(vals[i], emp.record_values(z[i]))
 
     def test_zero_noise_collapses_to_base(self):
         op = generate_operator(44, 3, 0.5, 1.5)
@@ -603,9 +593,8 @@ class TestEmpiricalOperator:
         pts = dom.sample(rng, 400)
         for noise in (NoiseModel("offset", 0.4), NoiseModel("matrix", 0.2)):
             X = sample_dataset(op, noise, 60, seed=21)
-            emp = empirical_operator(op, X)
             ceil = noisy_operator_ceiling(c, noise, dom)
-            vals = emp.record_values(pts)  # (400, 60, 3)
+            vals = np.array([record_operator(op, X, i)(pts) for i in range(X.n)])  # (60, 400, 3)
             assert np.linalg.norm(vals, axis=-1).max() <= ceil + 1e-9
 
     def test_dimension_check(self):

@@ -30,6 +30,8 @@ from vilab import (
     sample_dataset,
 )
 
+from helpers import record_operator
+
 IDENTITY = QuadraticOperator(np.eye(1), np.zeros(1))
 
 
@@ -365,8 +367,8 @@ class TestNeighbourRecursion:
         # shared affine part: mean over the n-1 common records
         xi = np.linalg.norm(np.eye(2) - eta * (1.0 - 1.0 / n) * emp.matrix, 2)
         verts = np.array(dom.vertices())
-        sup_in = eta / n * np.linalg.norm(emp.sample_operator(j)(verts), axis=-1).max()
-        sup_out = eta / n * np.linalg.norm(empp.sample_operator(j)(verts), axis=-1).max()
+        sup_in = eta / n * np.linalg.norm(record_operator(op, X, j)(verts), axis=-1).max()
+        sup_out = eta / n * np.linalg.norm(record_operator(op, Xp, j)(verts), axis=-1).max()
         z = zp = dom.center()
         for _ in range(T):
             d_now = np.linalg.norm(z - zp)
