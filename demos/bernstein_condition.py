@@ -28,7 +28,7 @@ def main():
     rows = []
     for seed in range(GAMES):
         game = generate_game(100 + seed, 3, 2, 0.5, 0.4)
-        res = bernstein_check(game, game.domain, NoiseModel("offset", 0.3),
+        res = bernstein_check(game, NoiseModel("offset", 0.3),
                               z_samples=Z_SAMPLES, mc_samples=MC_SAMPLES, seed=seed)
         ratios = [r["lhs"] / r["rhs"] for r in res.rows if r["rhs"] > 0.0]
         print(f"game seed {100 + seed}: B = {res.B:.1f}, "

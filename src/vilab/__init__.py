@@ -8,15 +8,14 @@ from .analysis import (BOUND_NOTE, BernsteinResult, BoundSet, StabilityResult,
                        covering_bound, eg_stability_closed_form,
                        evaluate_bounds, fit_loglog_slope, fit_sweep, game_bound,
                        gd_stability_bound, generalization_sweep,
-                       hp_quantile_sweep, quantile_fit_on, simplex_bound,
-                       stability_experiment, stability_gamma, sweep_point,
-                       trial_dataset_seed)
+                       quantile_fit_on, simplex_bound, stability_experiment,
+                       stability_gamma, sweep_point, trial_dataset_seed)
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
                      InfeasiblePointError, NumericalError,
                      VertexEnumerationError)
-from .gaps import (GapReport, best_response, empirical_gap, gap, gap_report,
-                   generalization_gap, potential_gap, weak_gap)
+from .gaps import (GapReport, best_response, gap, gap_report, potential_gap,
+                   weak_gap)
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
                        QuadraticOperator, SampledDataset, constants,
                        empirical_operator, exact_solution,

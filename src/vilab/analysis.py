@@ -27,10 +27,9 @@ import numpy as np
 
 from .domains import Domain, Simplex
 from .errors import ConfigError, NumericalError
-from .gaps import gap, potential_gap, weak_gap
+from .gaps import best_response, gap, potential_gap, weak_gap
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
-                       QuadraticOperator, SampledDataset, _draw_matrices, _draw_offsets,
-                       constants, empirical_operator, exact_solution,
+                       QuadraticOperator, _draw_records, constants, exact_solution,
                        noisy_operator_ceiling, replace_record, sample_dataset)
 from .solvers import (SolverConfig, eg_contraction_bound, gd_contraction_bound,
                       in_gd_stability_range, run)
@@ -218,7 +217,7 @@ def _neighbour_pairs(problem, noise: NoiseModel, n: int, trials: int, seed: int)
         j = int(np.random.default_rng(
             np.random.SeedSequence(ds_seed, spawn_key=(9,))).integers(n))
         yield X
-        yield replace_record(X, j, ds_seed + [1])
+        yield replace_record(problem, X, j, ds_seed + [1])
 
 
 def check_gd_eta(config: SolverConfig, consts: ProblemConstants) -> None:
@@ -334,8 +333,8 @@ def _evaluate_kind(problem, domain, kind: str, Z: np.ndarray) -> np.ndarray:
     if kind == "gap":
         return np.atleast_1d(gap(problem, domain, Z))
     if kind == "weak_gap":
-        return np.atleast_1d(weak_gap(problem, problem, Z, domain))
-    return np.atleast_1d(potential_gap(problem, Z, domain))
+        return np.atleast_1d(weak_gap(problem, problem, Z))
+    return np.atleast_1d(potential_gap(problem, Z))
 
 
 def _quantile_levels(delta: float) -> dict:
@@ -430,15 +429,6 @@ def quantile_fit_on(trials: int, delta: float) -> str:
     return f"q{1 - delta:g}"
 
 
-def hp_quantile_sweep(problem, domain: Domain, config: SolverConfig,
-                      noise: NoiseModel, n_grid, trials: int, seed: int,
-                      kind: str = "weak_gap", delta: float = 0.1) -> SweepResult:
-    """High-probability variant: fit the (1-delta)-quantile trace."""
-    return generalization_sweep(problem, domain, config, noise, n_grid, trials,
-                                seed, kind=kind, delta=delta,
-                                fit_on=quantile_fit_on(trials, delta))
-
-
 # ---------------------------------------------------------------------------
 # Bernstein-condition check
 # ---------------------------------------------------------------------------
@@ -452,49 +442,35 @@ class BernsteinResult:
     violations: int
 
 
-def bernstein_check(game: QuadraticGame, domain, noise: NoiseModel,
-                    z_samples: int, mc_samples: int, seed: int) -> BernsteinResult:
+def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
+                    mc_samples: int, seed: int) -> BernsteinResult:
     """Estimate E[(g(z) - g(z*))^2] and B * E[g(z) - g(z*)] over fresh noise,
     where g(z, zeta) = <Xi(z, zeta), z - w*(z)>. Row 0 is z* itself (both
     sides vanish). A row is violated when the 1.05-slack inequality fails by
     more than 3 Monte-Carlo standard errors."""
     if z_samples < 1 or mc_samples < 2:
         raise ValueError("need z_samples >= 1 and mc_samples >= 2")
-    consts = constants(game, domain)
+    consts = constants(game)
     B = bernstein_constant(consts)
     op = game.as_operator()
-    zstar = exact_solution(game, domain)
-    zs = [zstar]
+    zs = [exact_solution(game)]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)], spawn_key=(11,)))
     if z_samples > 1:
-        zs.extend(domain.sample(rng, z_samples - 1))
+        zs.extend(game.domain.sample(rng, z_samples - 1))
     zs = np.asarray(zs)
+    e, E = _draw_records(game, noise, mc_samples, [int(seed), 13])
 
-    if noise.kind == "offset":
-        e = _draw_offsets([int(seed), 13], mc_samples, op.dim, noise.magnitude,
-                          op.tangent_basis)
-        E = None
-    else:
-        mu_floor = 0.5 * consts.mu
-        E = _draw_matrices([int(seed), 13], mc_samples, op.dim, noise.magnitude,
-                           op.tangent_basis, op.matrix, mu_floor)
+    def g(z, w):
+        """g(z, zeta) over the noise draws, with w = w*(z)."""
+        noisy = e if E is None else np.einsum("nij,j->ni", E, z)
+        return (op.evaluate(z) + noisy) @ (z - w)
 
-    from .gaps import best_response
-
-    W = best_response(game, zs, domain)
+    W = best_response(game, zs)
+    gstar = g(zs[0], W[0])
     rows = []
     violations = 0
     for idx in range(zs.shape[0]):
-        z, w = zs[idx], W[idx]
-        dz = z - w
-        dstar = zs[0] - W[0]
-        if E is None:
-            g = (op.evaluate(z) + e) @ dz
-            gstar = (op.evaluate(zs[0]) + e) @ dstar
-        else:
-            g = (op.evaluate(z) + np.einsum("nij,j->ni", E, z)) @ dz
-            gstar = (op.evaluate(zs[0]) + np.einsum("nij,j->ni", E, zs[0])) @ dstar
-        diff = g - gstar
+        diff = g(zs[idx], W[idx]) - gstar
         lhs = float(np.mean(diff ** 2))
         rhs = float(B * np.mean(diff))
         t = diff ** 2 - 1.05 * B * diff

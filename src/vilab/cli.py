@@ -275,10 +275,6 @@ def build_problem(cfg: dict):
     return game, game.domain, noise
 
 
-def solver_config(cfg: dict) -> SolverConfig:
-    return SolverConfig(**cfg["solver"])
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -360,7 +356,7 @@ def _run(command: str, experiment, args) -> int:
     cfg = load_config(args.config, command, args.seed)
     problem, domain, noise = build_problem(cfg)
     built = (problem, domain, noise, constants(problem, domain))
-    sc = solver_config(cfg)
+    sc = SolverConfig(**cfg["solver"])
     out = experiment(args, cfg, built, sc)
     if out.csv is not None:
         write_csv(os.path.join(args.out_dir, cfg["output"]["csv"]), *out.csv)
@@ -452,20 +448,16 @@ def cmd_contraction(args, cfg, built, sc) -> _Outcome:
         if violations else None)
 
 
-def _stability_one_n(payload):
-    (problem, domain, noise, consts), cfg, n = payload
-    res = stability_experiment(problem, domain, solver_config(cfg), n,
-                               cfg["experiment"]["trials"], cfg["problem"]["seed"],
-                               noise, consts)
-    return {"n": n, "divergences": res.divergences.tolist(), "bound": res.bound,
-            "bound_informational": res.bound_informational,
-            "bound_base_K": res.bound_base_K}
-
-
 def cmd_stability(args, cfg, built, sc) -> _Outcome:
+    problem, domain, noise, consts = built
     n_grid = cfg["experiment"]["n_grid"]
-    per_n = _parallel_map(_stability_one_n, [(built, cfg, n) for n in n_grid],
-                          args.workers)
+    one_n = functools.partial(stability_experiment, problem, domain, sc,
+                              trials=cfg["experiment"]["trials"],
+                              seed=cfg["problem"]["seed"], noise=noise, consts=consts)
+    per_n = [{"n": res.n, "divergences": res.divergences.tolist(), "bound": res.bound,
+              "bound_informational": res.bound_informational,
+              "bound_base_K": res.bound_base_K}
+             for res in _parallel_map(one_n, n_grid, args.workers)]
     rows = [(b["n"], t, d) for b in per_n for t, d in enumerate(b["divergences"])]
     violations = sum(not b["bound_informational"] and max(b["divergences"]) > b["bound"] + 1e-12
                      for b in per_n)
@@ -476,20 +468,16 @@ def cmd_stability(args, cfg, built, sc) -> _Outcome:
         if violations else None)
 
 
-def _sweep_one_n(payload):
-    (problem, domain, noise, consts), cfg, n = payload
-    exp = cfg["experiment"]
-    return sweep_point(problem, domain, solver_config(cfg), noise, n, exp["trials"],
-                       cfg["problem"]["seed"], kind=exp["kind"], delta=exp["delta"],
-                       consts=consts)
-
-
 def cmd_sweep(args, cfg, built, sc) -> _Outcome:
+    problem, domain, noise, consts = built
     exp = cfg["experiment"]
     n_grid, kind = exp["n_grid"], exp["kind"]
     fit_on = quantile_fit_on(exp["trials"], exp["delta"]) if exp["mode"] == "quantile" \
         else "mean"
-    per_n = _parallel_map(_sweep_one_n, [(built, cfg, n) for n in n_grid], args.workers)
+    one_n = functools.partial(sweep_point, problem, domain, sc, noise,
+                              trials=exp["trials"], seed=cfg["problem"]["seed"],
+                              kind=kind, delta=exp["delta"], consts=consts)
+    per_n = _parallel_map(one_n, n_grid, args.workers)
     slope, intercept, r2, fit_error = fit_sweep(per_n, fit_on)
     rows = [(row["n"], t, v, kind)
             for row in per_n for t, v in enumerate(row["values"])]
@@ -524,9 +512,9 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
 
 
 def cmd_bernstein(args, cfg, built, sc) -> _Outcome:
-    problem, domain, noise, _consts = built
+    problem, _domain, noise, _consts = built
     exp = cfg["experiment"]
-    res = bernstein_check(problem, domain, noise, exp["z_samples"], exp["mc_samples"],
+    res = bernstein_check(problem, noise, exp["z_samples"], exp["mc_samples"],
                           cfg["problem"]["seed"])
     return _Outcome(
         {"B": res.B, "mc_samples": res.mc_samples, "rows": res.rows,

@@ -215,8 +215,10 @@ class Ball(Domain):
     def project(self, z, out=None) -> np.ndarray:
         z = _as_points(z, self.dim)
         delta = np.subtract(z, self.center_point, out=out)
-        # the sum of squares np.linalg.norm takes, into one scratch array
-        dist = np.sqrt(np.add.reduce(delta * delta, axis=-1, keepdims=True))
+        # the sum of squares np.linalg.norm takes, into one C-ordered scratch
+        # array so the row sums' order (and last bits) ignore the input layout
+        dist = np.sqrt(np.add.reduce(np.multiply(delta, delta, order="C"),
+                                     axis=-1, keepdims=True))
         scale = np.where(dist > self.radius, self.radius / np.maximum(dist, 1e-300), 1.0)
         delta *= scale
         return np.add(self.center_point, delta, out=delta)

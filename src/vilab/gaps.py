@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import Domain, Product
+from .domains import Domain
 from .errors import InfeasiblePointError, NumericalError
 from .problems import QuadraticGame, SampledDataset, empirical_operator
 
@@ -54,21 +54,7 @@ def gap(F: Callable, domain: Domain, z):
     return _maybe_float(np.einsum("...i,...i->...", g, z - u))
 
 
-def empirical_gap(problem, X: SampledDataset, domain: Domain, z):
-    return gap(empirical_operator(problem, X), domain, z)
-
-
-def _player_parts(game: QuadraticGame, domain: Optional[Product]):
-    domain = game.domain if domain is None else domain
-    if not isinstance(domain, Product) or len(domain.factors) != game.k:
-        raise ValueError("game evaluations need a Product domain with one factor per player")
-    for f, di in zip(domain.factors, game.dims):
-        if f.dim != di:
-            raise ValueError("player domain dims do not match the game")
-    return domain
-
-
-def best_response(game: QuadraticGame, z, domain: Optional[Product] = None) -> np.ndarray:
+def best_response(game: QuadraticGame, z) -> np.ndarray:
     """w*(z): block i minimizes f_i(., z_{-i}) over Z_i.
 
     The unconstrained minimizer -Q_i^{-1}(C_i z_{-i} + b_i) is used whenever
@@ -76,7 +62,7 @@ def best_response(game: QuadraticGame, z, domain: Optional[Product] = None) -> n
     1/lambda_max(Q_i) runs until the projected-gradient norm is <= 1e-10
     (at most 1e5 inner steps).
     """
-    domain = _player_parts(game, domain)
+    domain = game.domain
     z = _check_feasible(domain, z)
     parts = []
     for i in range(game.k):
@@ -109,45 +95,24 @@ def _projected_best_response(Q: np.ndarray, lin: np.ndarray, sub: Domain,
     )
 
 
-def weak_gap(F: Callable, game: QuadraticGame, z, domain: Optional[Product] = None):
+def weak_gap(F: Callable, game: QuadraticGame, z):
     """<F(z), z - w*(z)> with true-game best responses; F may be empirical."""
-    domain = _player_parts(game, domain)
-    z = _check_feasible(domain, z)
-    w = best_response(game, z, domain)
+    z = _check_feasible(game.domain, z)
+    w = best_response(game, z)
     g = _values(F, z)
     return _maybe_float(np.einsum("...i,...i->...", g, z - w))
 
 
-def potential_gap(game: QuadraticGame, z, domain: Optional[Product] = None):
+def potential_gap(game: QuadraticGame, z):
     """sum_i [f_i(z) - min_{w in Z_i} f_i(w, z_{-i})]; nonnegative."""
-    domain = _player_parts(game, domain)
-    z = _check_feasible(domain, z)
-    w = best_response(game, z, domain)
+    z = _check_feasible(game.domain, z)
+    w = best_response(game, z)
     total = 0.0
     for i, s in enumerate(game.slices):
         zw = z.copy()
         zw[..., s] = w[..., s]
         total = total + (game.potential(i, z) - game.potential(i, zw))
     return _maybe_float(np.asarray(total))
-
-
-def _true_and_empirical(problem, X: SampledDataset, domain: Domain, z, kind: str):
-    """(true, empirical) value of the selected gap kind at z."""
-    if kind == "gap":
-        return gap(problem, domain, z), empirical_gap(problem, X, domain, z)
-    if kind == "weak_gap":
-        if not isinstance(problem, QuadraticGame):
-            raise ValueError("weak_gap generalization needs a game")
-        emp = empirical_operator(problem, X)
-        return weak_gap(problem, problem, z, domain), weak_gap(emp, problem, z, domain)
-    raise ValueError(f"kind must be 'gap' or 'weak_gap', got {kind!r}")
-
-
-def generalization_gap(problem, X: SampledDataset, domain: Domain, z,
-                       kind: str = "gap"):
-    """True minus empirical value of the selected gap kind."""
-    true, empirical = _true_and_empirical(problem, X, domain, z, kind)
-    return true - empirical
 
 
 @dataclass(frozen=True)
@@ -170,11 +135,12 @@ def gap_report(problem, X: SampledDataset, domain: Domain, z,
         kind = "weak_gap" if is_game else "gap"
     if kind not in ("gap", "weak_gap") or (kind == "weak_gap" and not is_game):
         raise ValueError(f"unsupported report kind {kind!r} for this problem")
-    g_true, g_emp = _true_and_empirical(problem, X, domain, z, "gap")
+    emp = empirical_operator(problem, X)
+    g_true, g_emp = gap(problem, domain, z), gap(emp, domain, z)
     w_true = w_emp = p_gap = None
     if is_game:
-        w_true, w_emp = _true_and_empirical(problem, X, domain, z, "weak_gap")
-        p_gap = potential_gap(problem, z, domain)
+        w_true, w_emp = weak_gap(problem, problem, z), weak_gap(emp, problem, z)
+        p_gap = potential_gap(problem, z)
     gen = g_true - g_emp if kind == "gap" else w_true - w_emp
     return GapReport(kind=kind, gap_true=float(g_true), gap_empirical=float(g_emp),
                      weak_gap_true=w_true, weak_gap_empirical=w_emp,

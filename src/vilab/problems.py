@@ -16,7 +16,7 @@ Noisy samples come in two unbiased flavours:
   sqrt(lambda_max(G_i^T G_i)) from one batched eigvalsh of the Gram stack
   (about 1e-15 relative to the SVD value, at a fraction of its cost).
 
-Record i of a dataset is a deterministic function of (base_seed, i), so two
+Record i of a dataset is a deterministic function of (seed, i), so two
 datasets from the same seed agree record by record and neighbouring datasets
 (one record replaced) can be formed without touching the others.
 
@@ -28,7 +28,7 @@ root on the simplex hyperplane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -131,8 +131,7 @@ class QuadraticGame:
                 [f.dim for f in self.domain.factors] != list(self.dims):
             raise ValueError("a game's domain must be a product of one factor per player "
                              "with the player's dimension")
-        offs = np.concatenate([[0], np.cumsum(self.dims)])
-        self.slices = tuple(slice(int(a), int(b)) for a, b in zip(offs[:-1], offs[1:]))
+        self.slices = self.domain.slices
         self._others_idx = tuple(
             np.array([j for j in range(d) if j < s.start or j >= s.stop], dtype=int)
             for s in self.slices
@@ -519,13 +518,9 @@ def _draw_matrices(seed, count: int, dim: int, magnitude: float,
 class SampledDataset:
     """n noisy operator samples: record i is (E_i, e_i) added to (M, b)."""
 
-    base_seed: int
     noise: NoiseModel
     offsets: np.ndarray            # (n, d)
     matrices: Optional[np.ndarray]  # (n, d, d) for matrix noise, else None
-    _base_matrix: np.ndarray = field(repr=False, default=None)
-    _mu_floor: float = field(repr=False, default=0.0)
-    _basis: Optional[np.ndarray] = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -544,43 +539,36 @@ class SampledDataset:
         return None if self.matrices is None else self.matrices.mean(axis=0)
 
 
+def _draw_records(problem, noise: NoiseModel, count: int, seed):
+    """(offsets, matrices) of `count` records drawn from `seed`."""
+    op = problem.as_operator()
+    if noise.kind == "offset":
+        return _draw_offsets(seed, count, op.dim, noise.magnitude, op.tangent_basis), None
+    mu_floor = 0.5 * monotonicity_modulus(op.matrix)
+    E = _draw_matrices(seed, count, op.dim, noise.magnitude, op.tangent_basis,
+                       op.matrix, mu_floor)
+    # read-only zero offsets; no (n, d) buffer for a noise kind that has none
+    return np.broadcast_to(np.zeros(op.dim), (count, op.dim)), E
+
+
 def sample_dataset(problem, noise: NoiseModel, n: int, seed: int) -> SampledDataset:
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
-    op = problem.as_operator()
-    basis = op.tangent_basis
-    if noise.kind == "offset":
-        e = _draw_offsets(seed, n, op.dim, noise.magnitude, basis)
-        E = None
-        mu_floor = 0.0
-    else:
-        mu_floor = 0.5 * monotonicity_modulus(op.matrix)
-        E = _draw_matrices(seed, n, op.dim, noise.magnitude, basis, op.matrix, mu_floor)
-        # read-only zero offsets; no (n, d) buffer for a noise kind that has none
-        e = np.broadcast_to(np.zeros(op.dim), (n, op.dim))
-    return SampledDataset(
-        base_seed=seed, noise=noise, offsets=e, matrices=E,
-        _base_matrix=op.matrix, _mu_floor=mu_floor, _basis=basis,
-    )
+    return SampledDataset(noise, *_draw_records(problem, noise, n, seed))
 
 
-def replace_record(X: SampledDataset, j: int, seed: int) -> SampledDataset:
+def replace_record(problem, X: SampledDataset, j: int, seed: int) -> SampledDataset:
     """Neighbouring dataset: record j redrawn from `seed`, others untouched."""
     if not 0 <= j < X.n:
         raise ValueError(f"record index {j} out of range for n={X.n}")
-    offsets, matrices = X.offsets, X.matrices
-    if X.noise.kind == "offset":
-        offsets = offsets.copy()
-        offsets[j] = _draw_offsets(seed, 1, X.dim, X.noise.magnitude, X._basis)[0]
-    else:
-        matrices = matrices.copy()
-        matrices[j] = _draw_matrices(
-            seed, 1, X.dim, X.noise.magnitude, X._basis, X._base_matrix, X._mu_floor
-        )[0]
-    return SampledDataset(
-        base_seed=X.base_seed, noise=X.noise, offsets=offsets, matrices=matrices,
-        _base_matrix=X._base_matrix, _mu_floor=X._mu_floor, _basis=X._basis,
-    )
+    new_offsets, new_matrices = _draw_records(problem, X.noise, 1, seed)
+    if X.matrices is None:
+        offsets = X.offsets.copy()
+        offsets[j] = new_offsets[0]
+        return SampledDataset(X.noise, offsets, None)
+    matrices = X.matrices.copy()
+    matrices[j] = new_matrices[0]
+    return SampledDataset(X.noise, X.offsets, matrices)
 
 
 def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:

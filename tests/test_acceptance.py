@@ -35,8 +35,8 @@ from vilab import (
     generalization_sweep,
     generate_game,
     generate_operator,
-    hp_quantile_sweep,
     potential_gap,
+    quantile_fit_on,
     replace_record,
     sample_dataset,
     stability_experiment,
@@ -217,10 +217,11 @@ def test_criterion_05_game_weak_and_potential_rates():
 def test_criterion_06_high_probability_quantile_rate():
     started = time.time()
     game = generate_game(70, 3, 2, 0.5, 0.4)
-    res = hp_quantile_sweep(game, game.domain, SolverConfig("gd", 0.1, 1),
-                            NoiseModel("offset", 0.1),
-                            (64, 128, 256, 512, 1024), 200, 29,
-                            kind="weak_gap", delta=0.1)
+    res = generalization_sweep(game, game.domain, SolverConfig("gd", 0.1, 1),
+                               NoiseModel("offset", 0.1),
+                               (64, 128, 256, 512, 1024), 200, 29,
+                               kind="weak_gap", delta=0.1,
+                               fit_on=quantile_fit_on(200, 0.1))
     elapsed = time.time() - started
     assert res.failures == []
     assert res.fit_on == "q0.9"
@@ -238,7 +239,7 @@ def test_criterion_07_bernstein_condition():
     violations = 0
     for seed in range(5):
         game = generate_game(80 + seed, 3, 2, 0.5, 0.4)
-        res = bernstein_check(game, game.domain, NoiseModel("offset", 0.3),
+        res = bernstein_check(game, NoiseModel("offset", 0.3),
                               z_samples=100, mc_samples=10_000, seed=seed)
         total_rows += len(res.rows)
         violations += res.violations
@@ -335,7 +336,7 @@ def test_criterion_09_certificates_and_growth():
     n, j, eta, T = 30, 4, 0.2, 80
     for noise in (NoiseModel("offset", 0.5), NoiseModel("matrix", 0.2)):
         X = sample_dataset(op, noise, n, seed=3)
-        Xp = replace_record(X, j, seed=4)
+        Xp = replace_record(op, X, j, seed=4)
         emp, empp = empirical_operator(op, X), empirical_operator(op, Xp)
         # shared part: the n-1 common records, scaled by 1/n
         if X.matrices is None:

@@ -26,7 +26,7 @@ from vilab import (
     generalization_sweep,
     generate_game,
     generate_operator,
-    hp_quantile_sweep,
+    quantile_fit_on,
     run,
     sample_dataset,
     simplex_bound,
@@ -279,9 +279,10 @@ class TestGeneralizationSweep:
         cfg = SolverConfig("gd", 0.1, 1)
         noise = NoiseModel("offset", 0.1)
         with pytest.raises(ValueError):
-            hp_quantile_sweep(game, game.domain, cfg, noise, (16, 32), 19, 0, delta=0.5)
-        res = hp_quantile_sweep(game, game.domain, cfg, noise, (16, 32), 20, 0,
-                                delta=0.5)
+            generalization_sweep(game, game.domain, cfg, noise, (16, 32), 19, 0,
+                                 delta=0.5, fit_on=quantile_fit_on(19, 0.5))
+        res = generalization_sweep(game, game.domain, cfg, noise, (16, 32), 20, 0,
+                                   delta=0.5, fit_on=quantile_fit_on(20, 0.5))
         assert res.fit_on == "q0.5"
 
     def test_fit_on_checked_before_sampling(self, monkeypatch):
@@ -372,7 +373,7 @@ class TestBernsteinCheck:
     def test_reference_row_and_violations(self):
         for seed in (0, 1):
             game = generate_game(seed, 2, 1, 0.8, 0.3)
-            res = bernstein_check(game, game.domain, NoiseModel("offset", 0.3),
+            res = bernstein_check(game, NoiseModel("offset", 0.3),
                                   z_samples=20, mc_samples=2000, seed=seed)
             assert len(res.rows) == 20
             ref = res.rows[0]
@@ -383,22 +384,22 @@ class TestBernsteinCheck:
 
     def test_matrix_noise(self):
         game = generate_game(2, 2, 1, 0.8, 0.3)
-        res = bernstein_check(game, game.domain, NoiseModel("matrix", 0.2),
+        res = bernstein_check(game, NoiseModel("matrix", 0.2),
                               z_samples=10, mc_samples=1000, seed=3)
         assert res.violations == 0
 
     def test_deterministic(self):
         game = generate_game(4, 2, 1, 0.8, 0.3)
-        a = bernstein_check(game, game.domain, NoiseModel("offset", 0.3), 5, 500, 9)
-        b = bernstein_check(game, game.domain, NoiseModel("offset", 0.3), 5, 500, 9)
+        a = bernstein_check(game, NoiseModel("offset", 0.3), 5, 500, 9)
+        b = bernstein_check(game, NoiseModel("offset", 0.3), 5, 500, 9)
         assert a.rows == b.rows
 
     def test_validation(self):
         game = generate_game(5, 2, 1, 0.8, 0.3)
         with pytest.raises(ValueError):
-            bernstein_check(game, game.domain, NoiseModel("offset", 0.3), 0, 100, 0)
+            bernstein_check(game, NoiseModel("offset", 0.3), 0, 100, 0)
         with pytest.raises(ValueError):
-            bernstein_check(game, game.domain, NoiseModel("offset", 0.3), 5, 1, 0)
+            bernstein_check(game, NoiseModel("offset", 0.3), 5, 1, 0)
 
 
 class TestEvaluateBounds:

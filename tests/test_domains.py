@@ -103,6 +103,23 @@ class TestProjection:
                 assert dom.project(z, out=z) is z
                 assert np.array_equal(z, expected)
 
+    def test_ball_bits_ignore_memory_layout(self):
+        # the row norms sum squares in one order whatever the input's layout:
+        # C, Fortran and strided inputs, and Fortran out= buffers, agree bitwise
+        rng = np.random.default_rng(5)
+        ball = Ball(rng.normal(size=30), 1.5)
+        for _ in range(20):
+            z = rng.normal(scale=2.0, size=(50, 30))
+            expected = ball.project(z)
+            wide = np.empty((50, 60))
+            wide[:, ::2] = z
+            fortran = np.asfortranarray(z)
+            for view in (fortran, wide[:, ::2]):
+                assert np.array_equal(ball.project(view), expected)
+            buf = np.empty_like(z, order="F")
+            assert np.array_equal(ball.project(z, out=buf), expected)
+            assert np.array_equal(ball.project(fortran, out=fortran), expected)
+
 
 class TestMembership:
     def test_examples(self):

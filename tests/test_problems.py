@@ -495,7 +495,7 @@ class TestDatasets:
         monkeypatch.setattr(sys.modules[np.linalg.norm.__wrapped__.__module__],
                             "svd", counting)
         X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
-        replace_record(X, 5, seed=99)
+        replace_record(op, X, 5, seed=99)
         sample_dataset(simplex_op, NoiseModel("matrix", 0.3), 50, seed=22)
         assert calls == []
         # the counter does see the SVD route the sampler used to take
@@ -508,7 +508,7 @@ class TestDatasets:
         assert X.offsets.shape == (50, 3)
         assert np.all(X.offsets == 0.0)
         assert X.offsets.strides[0] == 0
-        Y = replace_record(X, 7, seed=5)
+        Y = replace_record(op, X, 7, seed=5)
         assert Y.offsets is X.offsets
         assert np.array_equal(X.mean_offset(), np.zeros(3))
 
@@ -528,7 +528,7 @@ class TestDatasets:
         op = generate_operator(36, 3, 0.5, 1.5)
         for noise in (NoiseModel("offset", 0.3), NoiseModel("matrix", 0.2)):
             X = sample_dataset(op, noise, 50, seed=14)
-            Y = replace_record(X, 17, seed=999)
+            Y = replace_record(op, X, 17, seed=999)
             if noise.kind == "offset":
                 diff = np.any(X.offsets != Y.offsets, axis=-1)
             else:
@@ -536,14 +536,14 @@ class TestDatasets:
             assert diff[17]
             assert diff.sum() == 1
             # redrawing with the same seed is reproducible
-            Y2 = replace_record(X, 17, seed=999)
+            Y2 = replace_record(op, X, 17, seed=999)
             assert np.array_equal(Y.offsets, Y2.offsets)
 
     def test_replace_record_bounds(self):
         op = generate_operator(37, 2, 0.5, 1.5)
         X = sample_dataset(op, NoiseModel("offset", 0.1), 5, seed=15)
         with pytest.raises(ValueError):
-            replace_record(X, 5, seed=0)
+            replace_record(op, X, 5, seed=0)
 
     def test_simplex_noise_stays_tangent(self):
         dom = Simplex(3)

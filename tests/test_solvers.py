@@ -362,7 +362,7 @@ class TestNeighbourRecursion:
         op = generate_operator(7, 2, 0.8, 1.6, domain=dom)
         n, j, eta, T = 40, 3, 0.2, 60
         X = sample_dataset(op, NoiseModel("offset", 0.5), n, seed=1)
-        Xp = replace_record(X, j, seed=2)
+        Xp = replace_record(op, X, j, seed=2)
         emp, empp = empirical_operator(op, X), empirical_operator(op, Xp)
         # shared affine part: mean over the n-1 common records
         xi = np.linalg.norm(np.eye(2) - eta * (1.0 - 1.0 / n) * emp.matrix, 2)
