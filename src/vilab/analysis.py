@@ -1,7 +1,9 @@
 """Stability experiments, generalization-rate sweeps, and closed-form bounds.
 
 The measurement side runs neighbouring-dataset divergence experiments and
-train-then-evaluate sweeps over dataset sizes; the closed-form side
+sweeps over dataset sizes that evaluate true gaps at each trial's empirical
+VI solution (solved for directly where a projected sweep allows, else
+trained); the closed-form side
 evaluates the uniform-stability ceiling
 
     gd:  ||z_T - z_T'|| <= 2K / (n (2 mu - eta L^2)),   0 < eta < 2 mu/L^2,
@@ -287,14 +289,10 @@ class SweepResult:
     fit_error: Optional[str] = None
 
 
-def _train_to_empirical_opt(problem, domain, config, datasets, noise, consts):
-    """Batched gd/eg until every trial's empirical gap is <= 1e-8. `datasets`
-    is any iterable; only its means are kept (see _stacked_empirical).
-
-    The horizon comes from the per-step contraction of the noisy operators
-    (their certificates degrade to mu/2, L + magnitude under matrix noise),
-    then is verified and doubled as needed.
-    """
+def _training_horizon(config, noise, consts) -> int:
+    """First horizon of the doubling loop, from the per-step contraction of
+    the noisy operators (their certificates degrade to mu/2, L + magnitude
+    under matrix noise); ConfigError when eta does not contract them."""
     if noise.kind == "offset":
         mu_eff, L_eff = consts.mu, consts.L
     else:
@@ -312,11 +310,14 @@ def _train_to_empirical_opt(problem, domain, config, datasets, noise, consts):
             raise ConfigError(f"training eta {config.eta} not contractive for eg")
     R0 = consts.D + noise.magnitude / mu_eff
     target = 0.5 * _TRAIN_TOL / max(L_eff * consts.D * max(R0, 1e-12), 1e-300)
-    T = max(1, int(math.ceil(math.log(target) / math.log(max(xi, 1e-12)))))
+    return max(1, int(math.ceil(math.log(target) / math.log(max(xi, 1e-12)))))
 
-    mats, offs = _stacked_empirical(problem, datasets)
-    F = QuadraticOperator(mats, offs)
-    Z = None  # run starts every trial at the domain center
+
+def _iterate_to_tol(F: QuadraticOperator, domain: Domain, config: SolverConfig, T: int):
+    """Batched gd/eg from the domain center, T steps and then doubling T, until
+    every row's empirical gap is <= 1e-8 (at most 8 rounds). Returns the
+    iterates, the steps run and the rows that missed the tolerance."""
+    Z = None
     steps = 0
     for _ in range(8):
         Z = run(F, domain, replace(config, T=T), Z).final
@@ -325,8 +326,52 @@ def _train_to_empirical_opt(problem, domain, config, datasets, noise, consts):
         if float(np.max(gaps)) <= _TRAIN_TOL:
             return Z, steps, []
         T *= 2
-    failed = np.nonzero(gaps > _TRAIN_TOL)[0].tolist()
-    return Z, steps, failed
+    return Z, steps, np.nonzero(gaps > _TRAIN_TOL)[0].tolist()
+
+
+def _empirical_roots(F: QuadraticOperator) -> np.ndarray:
+    """Each row's root -M^{-1} b, C-ordered so later row sums keep their bits."""
+    if F.matrix.ndim == 2:
+        R = np.linalg.solve(F.matrix, F.offset.T).T  # one LU, B right-hand sides
+    else:
+        R = np.linalg.solve(F.matrix, F.offset[..., None])[..., 0]
+    R = np.ascontiguousarray(R)
+    return np.negative(R, out=R)
+
+
+def _train_to_empirical_opt(problem, domain, config, datasets, noise, consts):
+    """Batched gd/eg on every trial until its empirical gap is <= 1e-8, as
+    (Z, steps, failed). `datasets` is any iterable; only its means are kept
+    (see _stacked_empirical)."""
+    T = _training_horizon(config, noise, consts)
+    F = QuadraticOperator(*_stacked_empirical(problem, datasets))
+    return _iterate_to_tol(F, domain, config, T)
+
+
+def _empirical_solutions(problem, domain, config, datasets, noise, consts):
+    """Every trial's empirical VI solution to a 1e-8 empirical gap, as
+    (Z, training steps, failed trials, trials solved directly).
+
+    Unprojected configs train every trial (_train_to_empirical_opt).
+    Projected configs solve for each trial's root first. A root that is its
+    own projection and passes the gap check is the projected-VI solution, so
+    only the other trials train, as one sub-batch.
+    """
+    if not config.projected:
+        return (*_train_to_empirical_opt(problem, domain, config, datasets,
+                                         noise, consts), 0)
+    T = _training_horizon(config, noise, consts)
+    mats, offs = _stacked_empirical(problem, datasets)
+    F = QuadraticOperator(mats, offs)
+    Z = _empirical_roots(F)
+    solved = domain.contains(Z, 0.0) & (_batched_gap(domain, F, Z) <= _TRAIN_TOL)
+    rest = np.flatnonzero(~solved)
+    steps, failed = 0, []
+    if rest.size:
+        sub = QuadraticOperator(mats if mats.ndim == 2 else mats[rest], offs[rest])
+        Z[rest], steps, sub_failed = _iterate_to_tol(sub, domain, config, T)
+        failed = rest[sub_failed].tolist()
+    return Z, steps, failed, len(Z) - rest.size
 
 
 def _evaluate_kind(problem, domain, kind: str, Z: np.ndarray) -> np.ndarray:
@@ -364,24 +409,27 @@ def _check_sweep(problem, kind: str, trials: int, delta: float,
 def sweep_point(problem, domain: Domain, config: SolverConfig, noise: NoiseModel,
                 n: int, trials: int, seed: int, kind: str = "gap",
                 delta: float = 0.1, consts: Optional[ProblemConstants] = None) -> dict:
-    """One dataset size of a sweep: sample `trials` datasets of size n, train
-    each to empirical optimality, and evaluate the true `kind` at the trained
-    points. The row holds n, mean, std, quantiles (0.5, 0.9, 1-delta),
-    values, train_steps, and `failed`: the trials whose training missed the
-    tolerance."""
+    """One dataset size of a sweep: sample `trials` datasets of size n, find
+    each one's empirical VI solution, and evaluate the true `kind` there.
+    Projected configs solve for it directly where the root lies in the
+    domain and train the other trials; unprojected configs train all.
+    The row holds n, mean, std, quantiles (0.5, 0.9, 1-delta), values,
+    `direct` (trials taken from the solve), `train_steps` (steps the
+    training ran, 0 when none did) and `failed`: the trials whose training
+    missed the tolerance."""
     _check_sweep(problem, kind, trials, delta)
     if consts is None:
         consts = constants(problem, domain)
     datasets = (sample_dataset(problem, noise, n, trial_dataset_seed(seed, n, t))
                 for t in range(trials))
-    Z, steps, failed = _train_to_empirical_opt(problem, domain, config,
-                                               datasets, noise, consts)
+    Z, steps, failed, direct = _empirical_solutions(problem, domain, config,
+                                                    datasets, noise, consts)
     values = _evaluate_kind(problem, domain, kind, Z)
     qs = {key: float(np.quantile(values, level))
           for key, level in _quantile_levels(delta).items()}
     return {"n": n, "mean": float(values.mean()), "std": float(values.std()),
-            "quantiles": qs, "values": values, "train_steps": steps,
-            "failed": failed}
+            "quantiles": qs, "values": values, "direct": direct,
+            "train_steps": steps, "failed": failed}
 
 
 def fit_sweep(per_n, fit_on: str = "mean"):

@@ -39,6 +39,13 @@ def _as_points(z, dim: int) -> np.ndarray:
     return z
 
 
+def _row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1), with the squares in one C-ordered scratch
+    array so the row sums' order (and last bits) ignore the layout of x."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x, order="C"), axis=-1,
+                                 keepdims=keepdims))
+
+
 def _simplex_project(v: np.ndarray, out=None) -> np.ndarray:
     # Euclidean projection onto {x >= 0, sum x = 1}, batched on the last axis.
     # Sort descending, find the largest k with u_k > (cumsum_k - 1)/k, clip.
@@ -62,7 +69,7 @@ class Domain:
     def distance(self, z) -> np.ndarray:
         """Euclidean distance from z (batched) to the set."""
         z = _as_points(z, self.dim)
-        return np.linalg.norm(z - self.project(z), axis=-1)
+        return _row_norms(z - self.project(z))
 
     def contains(self, z, tol: float = 1e-9):
         """True where z is within tol of the set in the Euclidean norm."""
@@ -215,17 +222,14 @@ class Ball(Domain):
     def project(self, z, out=None) -> np.ndarray:
         z = _as_points(z, self.dim)
         delta = np.subtract(z, self.center_point, out=out)
-        # the sum of squares np.linalg.norm takes, into one C-ordered scratch
-        # array so the row sums' order (and last bits) ignore the input layout
-        dist = np.sqrt(np.add.reduce(np.multiply(delta, delta, order="C"),
-                                     axis=-1, keepdims=True))
+        dist = _row_norms(delta, keepdims=True)
         scale = np.where(dist > self.radius, self.radius / np.maximum(dist, 1e-300), 1.0)
         delta *= scale
         return np.add(self.center_point, delta, out=delta)
 
     def contains_interior(self, z, margin: float):
         z = _as_points(z, self.dim)
-        return np.linalg.norm(z - self.center_point, axis=-1) <= self.radius - margin
+        return _row_norms(z - self.center_point) <= self.radius - margin
 
     def diameter(self) -> float:
         return 2.0 * self.radius
@@ -238,7 +242,7 @@ class Ball(Domain):
 
     def lmo(self, g) -> np.ndarray:
         g = _as_points(g, self.dim)
-        nrm = np.linalg.norm(g, axis=-1, keepdims=True)
+        nrm = _row_norms(g, keepdims=True)
         safe = np.maximum(nrm, 1e-300)
         step = np.where(nrm > 0.0, -self.radius * g / safe, 0.0)
         return self.center_point + step

@@ -98,7 +98,10 @@ def _projected_best_response(Q: np.ndarray, lin: np.ndarray, sub: Domain,
 def weak_gap(F: Callable, game: QuadraticGame, z):
     """<F(z), z - w*(z)> with true-game best responses; F may be empirical."""
     z = _check_feasible(game.domain, z)
-    w = best_response(game, z)
+    return _weak_gap_at(F, z, best_response(game, z))
+
+
+def _weak_gap_at(F: Callable, z: np.ndarray, w: np.ndarray):
     g = _values(F, z)
     return _maybe_float(np.einsum("...i,...i->...", g, z - w))
 
@@ -106,7 +109,10 @@ def weak_gap(F: Callable, game: QuadraticGame, z):
 def potential_gap(game: QuadraticGame, z):
     """sum_i [f_i(z) - min_{w in Z_i} f_i(w, z_{-i})]; nonnegative."""
     z = _check_feasible(game.domain, z)
-    w = best_response(game, z)
+    return _potential_gap_at(game, z, best_response(game, z))
+
+
+def _potential_gap_at(game: QuadraticGame, z: np.ndarray, w: np.ndarray):
     total = 0.0
     for i, s in enumerate(game.slices):
         zw = z.copy()
@@ -139,8 +145,10 @@ def gap_report(problem, X: SampledDataset, domain: Domain, z,
     g_true, g_emp = gap(problem, domain, z), gap(emp, domain, z)
     w_true = w_emp = p_gap = None
     if is_game:
-        w_true, w_emp = weak_gap(problem, problem, z), weak_gap(emp, problem, z)
-        p_gap = potential_gap(problem, z)
+        z = np.asarray(z, dtype=float)
+        w = best_response(problem, z)  # w*(z) once (it checks feasibility)
+        w_true, w_emp = _weak_gap_at(problem, z, w), _weak_gap_at(emp, z, w)
+        p_gap = _potential_gap_at(problem, z, w)
     gen = g_true - g_emp if kind == "gap" else w_true - w_emp
     return GapReport(kind=kind, gap_true=float(g_true), gap_empirical=float(g_emp),
                      weak_gap_true=w_true, weak_gap_empirical=w_emp,

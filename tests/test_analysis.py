@@ -20,7 +20,9 @@ from vilab import (
     eg_stability_closed_form,
     empirical_operator,
     evaluate_bounds,
+    exact_solution,
     fit_loglog_slope,
+    gap,
     game_bound,
     gd_stability_bound,
     generalization_sweep,
@@ -35,7 +37,7 @@ from vilab import (
     sweep_point,
     trial_dataset_seed,
 )
-from vilab.analysis import _train_to_empirical_opt
+from vilab.analysis import _empirical_solutions, _train_to_empirical_opt
 
 UNIT_CONSTS = ProblemConstants(mu=1.0, L=1.0, K=1.0, D=2.0, per_player=((1.0, 1.0),))
 TWO_PLAYER_CONSTS = ProblemConstants(
@@ -334,6 +336,90 @@ class TestGeneralizationSweep:
             ref = run(empirical_operator(op, X), dom, replace(cfg, T=steps)).final
             assert np.max(np.abs(z - ref)) <= 1e-12
         assert failed == []
+
+
+def _trial_datasets(problem, noise, n, trials, seed):
+    """The datasets sweep_point draws for (n, seed)."""
+    return [sample_dataset(problem, noise, n, trial_dataset_seed(seed, n, t))
+            for t in range(trials)]
+
+
+def _projected(kind):
+    """Projected gd at a step the noise kind's certificate admits (matrix
+    noise needs eta < 0.18 here), large enough that the reference loop ends
+    within a few ulps of each root."""
+    return SolverConfig("gd", 0.2 if kind == "offset" else 0.1, 1, projected=True)
+
+
+@pytest.mark.parametrize("kind", ["offset", "matrix"])
+class TestEmpiricalSolutions:
+    """Projected sweeps take each trial's empirical root when it lies in the
+    domain and train the rest; the all-trials doubling loop
+    (_train_to_empirical_opt) on the same datasets is the reference."""
+
+    unit = Ball(np.zeros(3), 1.0)
+    op = generate_operator(0, 3, 0.8, 1.6, domain=unit)
+
+    def _loop(self, dom, cfg, noise, n, trials, seed):
+        datasets = _trial_datasets(self.op, noise, n, trials, seed)
+        return _train_to_empirical_opt(self.op, dom, cfg, datasets, noise,
+                                       constants(self.op, dom))
+
+    def test_roots_inside_are_solved_directly(self, kind):
+        noise = NoiseModel(kind, 0.1)
+        row = sweep_point(self.op, self.unit, _projected(kind), noise, 64, 20, 3)
+        assert (row["direct"], row["train_steps"], row["failed"]) == (20, 0, [])
+        Z, steps, failed = self._loop(self.unit, _projected(kind), noise, 64, 20, 3)
+        assert steps > 0 and failed == []
+        ref = gap(self.op, self.unit, Z)
+        assert np.max(np.abs(row["values"] - ref) / np.abs(ref)) <= 1e-12
+
+    def test_roots_outside_train_like_the_loop(self, kind):
+        small = Ball(np.zeros(3), 0.01)
+        noise = NoiseModel(kind, 0.1)
+        row = sweep_point(self.op, small, _projected(kind), noise, 64, 20, 3)
+        assert row["direct"] == 0 and row["failed"] == []
+        Z, steps, _ = self._loop(small, _projected(kind), noise, 64, 20, 3)
+        assert row["train_steps"] == steps
+        assert np.array_equal(row["values"], gap(self.op, small, Z))
+
+    def test_mixed_batch_maps_failed_to_trials(self, kind, monkeypatch):
+        # a ball whose boundary passes through the true root splits the
+        # empirical roots; a fallback that never moves from the center fails
+        # every trained trial, which must be reported by its batch index
+        dom = Ball(np.zeros(3), float(np.linalg.norm(exact_solution(self.op))))
+        noise = NoiseModel(kind, 0.5)
+        datasets = _trial_datasets(self.op, noise, 16, 20, 5)
+        consts = constants(self.op, dom)
+        Z, _, failed, direct = _empirical_solutions(
+            self.op, dom, _projected(kind), datasets, noise, consts)
+        assert 0 < direct < 20 and failed == []
+        Zref, _, _ = _train_to_empirical_opt(self.op, dom, _projected(kind), datasets,
+                                             noise, consts)
+        assert np.max(np.abs(Z - Zref)) <= 1e-12
+
+        real_run = run
+        monkeypatch.setattr("vilab.analysis.run", lambda F, d, cfg, z0=None:
+                            real_run(F, d, replace(cfg, T=0), z0))
+        Z, _, failed, direct = _empirical_solutions(
+            self.op, dom, _projected(kind), datasets, noise, consts)
+        trained = np.flatnonzero(np.all(Z == dom.center(), axis=-1)).tolist()
+        assert failed == trained and len(failed) == 20 - direct
+        assert failed != list(range(len(failed)))
+        for t in sorted(set(range(20)) - set(failed)):
+            root = exact_solution(empirical_operator(self.op, datasets[t]))
+            assert np.max(np.abs(Z[t] - root)) <= 1e-12
+
+    def test_unprojected_never_solves(self, kind, monkeypatch):
+        def no_solve(F):
+            raise AssertionError("unprojected sweep took the direct solve")
+
+        monkeypatch.setattr("vilab.analysis._empirical_roots", no_solve)
+        cfg, noise = SolverConfig("gd", 0.2, 1), NoiseModel(kind, 0.1)
+        row = sweep_point(self.op, self.unit, cfg, noise, 64, 20, 3)
+        Z, steps, failed = self._loop(self.unit, cfg, noise, 64, 20, 3)
+        assert (row["direct"], row["train_steps"], row["failed"]) == (0, steps, failed)
+        assert np.array_equal(row["values"], gap(self.op, self.unit, Z))
 
 
 def _peak_bytes(fn) -> int:

@@ -150,6 +150,30 @@ class TestMembership:
         # interior test also requires sitting on the affine hull
         assert not s.contains_interior(np.array([0.5, 0.5, 0.5]), 0.1)
 
+    def test_ball_membership_bits_ignore_memory_layout(self):
+        # distance and contains_interior agree bitwise on C, Fortran and
+        # strided inputs. Each interior margin puts the threshold exactly on
+        # one row's C-order norm (1 - (1 - t) == t for t in [0.5, 1]), so a
+        # norm that moved by one ulp with the layout flips that row.
+        rng = np.random.default_rng(7)
+        ball = Ball(np.zeros(30), 1.0)
+        z = rng.normal(size=(50, 30))
+        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        outside = z * rng.uniform(1.1, 2.0, size=(50, 1))
+        inside = z * rng.uniform(0.5, 0.99, size=(50, 1))
+        margins = 1.0 - np.linalg.norm(inside, axis=-1)
+
+        def layouts(x):
+            wide = np.empty((50, 60))
+            wide[:, ::2] = x
+            return [x, np.asfortranarray(x), wide[:, ::2]]
+
+        dists = [ball.distance(v) for v in layouts(outside)]
+        assert all(np.array_equal(d, dists[0]) for d in dists[1:])
+        for m in margins:
+            flags = [ball.contains_interior(v, m) for v in layouts(inside)]
+            assert all(np.array_equal(f, flags[0]) for f in flags[1:])
+
 
 class TestDiameter:
     def test_values(self):

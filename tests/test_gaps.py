@@ -259,6 +259,26 @@ class TestEmpiricalAndReports:
         assert rep.potential_gap <= rep.weak_gap_true + 1e-9
         assert rep.weak_gap_true <= rep.gap_true + 1e-9
 
+    def test_report_computes_one_best_response(self, monkeypatch):
+        game = generate_game(25, 3, 2, 0.5, 0.3)
+        X = sample_dataset(game, NoiseModel("offset", 0.2), 20, seed=3)
+        z = game.domain.sample(np.random.default_rng(26))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return best_response(*args, **kwargs)
+
+        monkeypatch.setattr("vilab.gaps.best_response", counting)
+        rep = gap_report(game, X, game.domain, z)
+        assert len(calls) == 1
+        # each field equals the public evaluator's value, bit for bit
+        emp = empirical_operator(game, X)
+        assert rep.weak_gap_true == weak_gap(game, game, z)
+        assert rep.weak_gap_empirical == weak_gap(emp, game, z)
+        assert rep.potential_gap == potential_gap(game, z)
+        assert rep.generalization_gap == rep.weak_gap_true - rep.weak_gap_empirical
+
     def test_report_plain_operator(self):
         dom = Ball(np.zeros(2), 1.5)
         op = generate_operator(27, 2, 0.5, 1.5, domain=dom)
