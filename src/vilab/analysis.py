@@ -352,26 +352,20 @@ def _empirical_solutions(problem, domain, config, datasets, noise, consts):
     """Every trial's empirical VI solution to a 1e-8 empirical gap, as
     (Z, training steps, failed trials, trials solved directly).
 
-    Unprojected configs train every trial (_train_to_empirical_opt).
-    Projected configs solve for each trial's root first. A root that is its
-    own projection and passes the gap check is the projected-VI solution, so
-    only the other trials train, as one sub-batch.
+    A projected config solves for every trial's root first. When every root
+    lies in the domain (`contains_interior` at margin 0: exact for balls and
+    boxes, within the plane tolerance for simplices) and passes the gap
+    check, the roots are the projected-VI solutions. Otherwise, and for
+    unprojected configs, every trial trains as in _train_to_empirical_opt.
     """
-    if not config.projected:
-        return (*_train_to_empirical_opt(problem, domain, config, datasets,
-                                         noise, consts), 0)
     T = _training_horizon(config, noise, consts)
-    mats, offs = _stacked_empirical(problem, datasets)
-    F = QuadraticOperator(mats, offs)
-    Z = _empirical_roots(F)
-    solved = domain.contains(Z, 0.0) & (_batched_gap(domain, F, Z) <= _TRAIN_TOL)
-    rest = np.flatnonzero(~solved)
-    steps, failed = 0, []
-    if rest.size:
-        sub = QuadraticOperator(mats if mats.ndim == 2 else mats[rest], offs[rest])
-        Z[rest], steps, sub_failed = _iterate_to_tol(sub, domain, config, T)
-        failed = rest[sub_failed].tolist()
-    return Z, steps, failed, len(Z) - rest.size
+    F = QuadraticOperator(*_stacked_empirical(problem, datasets))
+    if config.projected:
+        Z = _empirical_roots(F)
+        if np.all(domain.contains_interior(Z, 0.0)
+                  & (_batched_gap(domain, F, Z) <= _TRAIN_TOL)):
+            return Z, 0, [], len(Z)
+    return (*_iterate_to_tol(F, domain, config, T), 0)
 
 
 def _evaluate_kind(problem, domain, kind: str, Z: np.ndarray) -> np.ndarray:
@@ -411,12 +405,12 @@ def sweep_point(problem, domain: Domain, config: SolverConfig, noise: NoiseModel
                 delta: float = 0.1, consts: Optional[ProblemConstants] = None) -> dict:
     """One dataset size of a sweep: sample `trials` datasets of size n, find
     each one's empirical VI solution, and evaluate the true `kind` there.
-    Projected configs solve for it directly where the root lies in the
-    domain and train the other trials; unprojected configs train all.
+    Projected configs solve for it directly when every trial's root lies in
+    the domain; otherwise, and for unprojected configs, every trial trains.
     The row holds n, mean, std, quantiles (0.5, 0.9, 1-delta), values,
-    `direct` (trials taken from the solve), `train_steps` (steps the
-    training ran, 0 when none did) and `failed`: the trials whose training
-    missed the tolerance."""
+    `direct` (trials taken from the solve: all or none), `train_steps`
+    (steps every trial trained, 0 when solved) and `failed`: the trials
+    whose training missed the tolerance."""
     _check_sweep(problem, kind, trials, delta)
     if consts is None:
         consts = constants(problem, domain)

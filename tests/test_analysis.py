@@ -37,7 +37,7 @@ from vilab import (
     sweep_point,
     trial_dataset_seed,
 )
-from vilab.analysis import _empirical_solutions, _train_to_empirical_opt
+from vilab.analysis import _train_to_empirical_opt
 
 UNIT_CONSTS = ProblemConstants(mu=1.0, L=1.0, K=1.0, D=2.0, per_player=((1.0, 1.0),))
 TWO_PLAYER_CONSTS = ProblemConstants(
@@ -353,8 +353,8 @@ def _projected(kind):
 
 @pytest.mark.parametrize("kind", ["offset", "matrix"])
 class TestEmpiricalSolutions:
-    """Projected sweeps take each trial's empirical root when it lies in the
-    domain and train the rest; the all-trials doubling loop
+    """Projected sweeps take the trials' empirical roots when all lie in the
+    domain and otherwise train every trial; the all-trials doubling loop
     (_train_to_empirical_opt) on the same datasets is the reference."""
 
     unit = Ball(np.zeros(3), 1.0)
@@ -383,32 +383,35 @@ class TestEmpiricalSolutions:
         assert row["train_steps"] == steps
         assert np.array_equal(row["values"], gap(self.op, small, Z))
 
-    def test_mixed_batch_maps_failed_to_trials(self, kind, monkeypatch):
-        # a ball whose boundary passes through the true root splits the
-        # empirical roots; a fallback that never moves from the center fails
-        # every trained trial, which must be reported by its batch index
+    def test_off_centre_ball_is_solved_directly(self, kind):
+        # membership must not go through the projection, which moves
+        # interior points of an off-centre ball by an ulp
+        root = exact_solution(self.op)
+        dom = Ball(root + 0.3, 1.0)
+        noise = NoiseModel(kind, 0.1)
+        roots = np.stack([exact_solution(empirical_operator(self.op, X))
+                          for X in _trial_datasets(self.op, noise, 64, 20, 3)])
+        assert not np.array_equal(dom.project(roots), roots)
+        row = sweep_point(self.op, dom, _projected(kind), noise, 64, 20, 3)
+        assert (row["direct"], row["train_steps"], row["failed"]) == (20, 0, [])
+        Z, _, failed = self._loop(dom, _projected(kind), noise, 64, 20, 3)
+        assert failed == []
+        ref = gap(self.op, dom, Z)
+        assert np.max(np.abs(row["values"] - ref) / np.abs(ref)) <= 1e-12
+
+    def test_one_rejected_root_trains_every_trial(self, kind):
+        # a ball whose boundary passes through the true root takes some
+        # empirical roots and rejects the others
         dom = Ball(np.zeros(3), float(np.linalg.norm(exact_solution(self.op))))
         noise = NoiseModel(kind, 0.5)
         datasets = _trial_datasets(self.op, noise, 16, 20, 5)
-        consts = constants(self.op, dom)
-        Z, _, failed, direct = _empirical_solutions(
-            self.op, dom, _projected(kind), datasets, noise, consts)
-        assert 0 < direct < 20 and failed == []
-        Zref, _, _ = _train_to_empirical_opt(self.op, dom, _projected(kind), datasets,
-                                             noise, consts)
-        assert np.max(np.abs(Z - Zref)) <= 1e-12
-
-        real_run = run
-        monkeypatch.setattr("vilab.analysis.run", lambda F, d, cfg, z0=None:
-                            real_run(F, d, replace(cfg, T=0), z0))
-        Z, _, failed, direct = _empirical_solutions(
-            self.op, dom, _projected(kind), datasets, noise, consts)
-        trained = np.flatnonzero(np.all(Z == dom.center(), axis=-1)).tolist()
-        assert failed == trained and len(failed) == 20 - direct
-        assert failed != list(range(len(failed)))
-        for t in sorted(set(range(20)) - set(failed)):
-            root = exact_solution(empirical_operator(self.op, datasets[t]))
-            assert np.max(np.abs(Z[t] - root)) <= 1e-12
+        roots = np.stack([exact_solution(empirical_operator(self.op, X))
+                          for X in datasets])
+        assert 0 < int(np.sum(dom.contains_interior(roots, 0.0))) < 20
+        row = sweep_point(self.op, dom, _projected(kind), noise, 16, 20, 5)
+        Z, steps, failed = self._loop(dom, _projected(kind), noise, 16, 20, 5)
+        assert (row["direct"], row["train_steps"], row["failed"]) == (0, steps, failed)
+        assert np.array_equal(row["values"], gap(self.op, dom, Z))
 
     def test_unprojected_never_solves(self, kind, monkeypatch):
         def no_solve(F):
