@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import Domain
+from .domains import Domain, _row_norms
 from .errors import InfeasiblePointError, NumericalError
 from .problems import QuadraticGame, SampledDataset, empirical_operator
 
@@ -85,7 +85,7 @@ def _projected_best_response(Q: np.ndarray, lin: np.ndarray, sub: Domain,
     for _ in range(100_000):
         grad = w @ Q.T + lin
         nxt = sub.project(w - step * grad)
-        residual = np.linalg.norm(w - nxt, axis=-1) / step
+        residual = _row_norms(w - nxt) / step
         w = nxt
         if float(np.max(residual)) <= 1e-10:
             return w

@@ -255,11 +255,51 @@ def exact_solution(problem, domain: Optional[Domain] = None, tol: float = 1e-6) 
 # ---------------------------------------------------------------------------
 
 
+def _skew_window(smax, f0: float, hi: float, f_hi: float, L: float, err: float) -> tuple:
+    """Skew scales (below, above) around the root of smax(beta) = L such that
+    every computed smax(beta) is < L for 0 <= beta <= below and >= L for
+    beta >= above, so the bisection need not compute those.
+
+    smax(beta) = sigma_max(S + beta*A) with A skew is convex and even in beta
+    (S - beta*A is the transpose of S + beta*A), hence nondecreasing on
+    [0, inf). With each computed value within `err` of the exact one, a
+    computed smax(below) < L - 2*err and smax(above) >= L + 2*err settle those
+    comparisons. A secant in (beta^2, smax^2), a nearly straight curve both
+    near 0 and for large beta, runs from (0, f0 ~ smax(0)) and (hi, f_hi) until
+    it lands within err of L; two probes 4*err/slope either side close the
+    window. Every probed beta is >= 0, where the monotonicity holds.
+    """
+    lo, up = 0.0, hi  # smax(lo) < L <= smax(up)
+    (a, fa), (b, fb) = (0.0, f0), (hi, f_hi)
+    seen = [(b, fb)]
+    for _ in range(12):
+        den = fb * fb - fa * fa
+        u = b * b - (fb * fb - L * L) * (b * b - a * a) / den if den else -1.0
+        x = math.sqrt(u) if lo * lo < u < up * up else 0.5 * (lo + up)
+        fx = smax(x)
+        if fx < L:
+            lo = x
+        else:
+            up = x
+        (a, fa), (b, fb) = (b, fb), (x, fx)
+        seen.append((x, fx))
+        if abs(fx - L) <= err:
+            break
+    if (fb - fa) * (b - a) > 0.0:
+        step = 4.0 * err * (b - a) / (fb - fa)
+        seen += [(x, smax(x)) for x in (max(b - step, 0.0), b + step)]
+    below = max((x for x, f in seen if f < L - 2.0 * err), default=0.0)
+    above = min((x for x, f in seen if f >= L + 2.0 * err), default=math.inf)
+    return below, above
+
+
 def _random_monotone_matrix(rng: np.random.Generator, d: int, mu: float, L: float) -> np.ndarray:
     """Square matrix with lambda_min(sym) = mu and sigma_max = L (both 1e-9)."""
     if not 0.0 < mu <= L:
         raise GenerationError(f"need 0 < mu <= L, got mu={mu}, L={L}")
     if math.isclose(mu, L, rel_tol=1e-12, abs_tol=0.0):
+        if L - mu > 1e-9:  # mu * I has sigma_max = mu exactly
+            raise GenerationError("generated matrix missed its mu/L certificates")
         return mu * np.eye(d)
     if d == 1:
         raise GenerationError("a 1x1 matrix forces mu == L; cannot hit distinct targets")
@@ -281,15 +321,18 @@ def _random_monotone_matrix(rng: np.random.Generator, d: int, mu: float, L: floa
 
     hi = 1.0
     for _ in range(200):
-        if smax(hi) >= L:
+        f_hi = smax(hi)
+        if f_hi >= L:
             break
         hi *= 2.0
     else:
         raise GenerationError("could not bracket the skew scale")
+    # 16 d eps L bounds the error of each computed smax with a wide margin
+    below, above = _skew_window(smax, L_sym, hi, f_hi, L, 16 * d * np.finfo(float).eps * L)
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if smax(mid) >= L:
+        if mid >= above or (mid > below and smax(mid) >= L):
             hi = mid
         else:
             lo = mid
@@ -351,17 +394,15 @@ def generate_operator(
             Mt = _random_monotone_matrix(rng, t, mu_target, L_target)
             c = 0.5 * (mu_target + L_target)
         M = B.T @ Mt @ B + c * np.full((d, d), 1.0 / d)
+        if abs(monotonicity_modulus(M) - mu_target) > 1e-9 or \
+                abs(np.linalg.norm(M, 2) - L_target) > 1e-9:
+            raise GenerationError("simplex embedding missed its mu/L certificates")
         basis = B
     else:
         M = _random_monotone_matrix(rng, d, mu_target, L_target)
         basis = None
     root = _place_interior_root(rng, domain, interior_margin)
-    op = QuadraticOperator(M, -M @ root, tangent_basis=basis)
-    if abs(monotonicity_modulus(M) - mu_target) > 1e-9:
-        raise GenerationError("mu certificate missed")
-    if abs(np.linalg.norm(M, 2) - L_target) > 1e-9:
-        raise GenerationError("L certificate missed")
-    return op
+    return QuadraticOperator(M, -M @ root, tangent_basis=basis)
 
 
 def generate_game(

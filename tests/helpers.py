@@ -70,3 +70,34 @@ def record_operator(problem, X, j):
     op = problem.as_operator()
     M = op.matrix if X.matrices is None else op.matrix + X.matrices[j]
     return QuadraticOperator(M, op.offset + X.offsets[j])
+
+
+def bisection_monotone_matrix(rng, d, mu, L):
+    """`problems._random_monotone_matrix` for mu < L, d >= 2, with a norm-2
+    SVD at every bisection midpoint: the same draws, bracket and stop."""
+    L_sym = mu + 0.7 * (L - mu)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eigs = np.sort(rng.uniform(mu, L_sym, size=d))
+    eigs[0], eigs[-1] = mu, L_sym
+    S = (Q * eigs) @ Q.T
+    S = 0.5 * (S + S.T)
+    G = rng.standard_normal((d, d))
+    A = 0.5 * (G - G.T)
+    A /= np.linalg.norm(A, 2)
+
+    def smax(beta):
+        return float(np.linalg.norm(S + beta * A, 2))
+
+    hi = 1.0
+    while smax(hi) < L:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if smax(mid) >= L:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14 * max(1.0, L):
+            break
+    return S + hi * A

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vilab import gaps
 from vilab import (
     Ball,
     Box,
@@ -160,6 +161,27 @@ class TestBestResponse:
         assert w.shape == z.shape
         for i in range(6):
             assert np.allclose(w[i], best_response(game, z[i]), atol=1e-9)
+
+    def test_bits_ignore_memory_layout(self, monkeypatch):
+        # C, Fortran and strided batches give the same best responses bit for
+        # bit, through the projected solve (ball factors, opponents pushing
+        # the unconstrained minimizers outside)
+        projected = gaps._projected_best_response
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return projected(*args)
+
+        monkeypatch.setattr(gaps, "_projected_best_response", counting)
+        dom = Product((Ball(np.zeros(24), 1.0), Ball(np.zeros(24), 1.0)))
+        game = generate_game(3, 2, (24, 24), 0.5, 3.0, domain=dom, interior_margin=0.01)
+        z = dom.sample(np.random.default_rng(4), 40)
+        wide = np.empty((40, 96))
+        wide[:, ::2] = z
+        outs = [best_response(game, v) for v in (z, np.asfortranarray(z), wide[:, ::2])]
+        assert len(calls) == 6
+        assert all(out.tobytes() == outs[0].tobytes() for out in outs[1:])
 
 
 class TestWeakAndPotential:

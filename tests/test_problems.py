@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilab import problems
 from vilab import (
@@ -27,7 +29,7 @@ from vilab import (
     spectral_norm,
 )
 
-from helpers import record_operator
+from helpers import bisection_monotone_matrix, record_operator
 
 
 def small_game(seed=0, k=3, dims=2, mu=0.5, coupling=0.4):
@@ -254,6 +256,9 @@ class TestGenerateOperator:
     def test_equal_targets_give_scaled_identity(self):
         op = generate_operator(14, 3, 1.2, 1.2)
         assert np.allclose(op.matrix, 1.2 * np.eye(3))
+        # targets equal to 1e-12 relative but 5e-9 apart: mu * I misses L
+        with pytest.raises(GenerationError):
+            generate_operator(14, 3, 1e4, 1e4 * (1.0 + 5e-13))
 
     def test_one_dim_distinct_targets_rejected(self):
         with pytest.raises(GenerationError):
@@ -293,6 +298,49 @@ class TestGenerateOperator:
         sym = 0.5 * (op.matrix + op.matrix.T)
         assert abs(np.linalg.eigvalsh(sym)[0] - 0.5) <= 1e-9
         assert abs(np.linalg.svd(op.matrix, compute_uv=False)[0] - 1.5) <= 1e-9
+
+
+class TestSkewScale:
+    """The skew-scale bisection skips only comparisons that convexity decides,
+    so every matrix equals the plain bisection's bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(seed, d, mu, L):
+        ss = np.random.SeedSequence(seed)
+        got = problems._random_monotone_matrix(np.random.default_rng(ss), d, mu, L)
+        want = bisection_monotone_matrix(np.random.default_rng(ss), d, mu, L)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 24),
+           mu=st.floats(1e-3, 10.0),
+           ratio=st.one_of(st.floats(1.0 + 1e-9, 1.0 + 1e-4), st.floats(1.0 + 1e-4, 1e4)))
+    def test_matches_plain_bisection(self, seed, d, mu, ratio):
+        self.assert_same_bits(seed, d, mu, mu * ratio)
+
+    @pytest.mark.parametrize("seed, d, mu, L", [
+        (1, 6, 0.7, 1.0),    # configs/contraction_ball.json
+        (0, 4, 0.8, 1.6),    # configs/solve_ball.json
+        (2, 4, 0.8, 1.6),    # configs/stability_ball.json
+        (5, 4, 1.0, 2.0),    # configs/sweep_simplex.json: the tangent block of d=5
+        (0, 200, 0.5, 2.0),  # the d=200 benchmark instance
+        (1, 200, 0.5, 2.0),
+    ])
+    def test_sample_instances_match_plain_bisection(self, seed, d, mu, L):
+        self.assert_same_bits(seed, d, mu, L)
+
+    def test_d200_takes_at_most_25_spectral_norms(self, monkeypatch):
+        norm = np.linalg.norm
+        calls = []
+
+        def counting(x, ord=None, *args, **kwargs):
+            calls.append(ord)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        problems._random_monotone_matrix(np.random.default_rng(0), 200, 0.5, 2.0)
+        assert calls.count(2) == len(calls)
+        assert len(calls) <= 25  # the plain bisection takes 51
 
 
 class TestGenerateGame:
