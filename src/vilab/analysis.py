@@ -113,6 +113,9 @@ def bernstein_constant(consts: ProblemConstants) -> float:
     return (consts.L * consts.D + consts.K * (1.0 + consts.smoothness_ratio_sum)) ** 2
 
 
+_COVER_RADII = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
+
+
 @dataclass(frozen=True)
 class BoundSet:
     covering: Optional[float]
@@ -124,16 +127,14 @@ class BoundSet:
 
 
 def evaluate_bounds(consts: ProblemConstants, gamma_values: dict, domain: Domain,
-                    problem=None, r_grid=None) -> BoundSet:
+                    problem=None) -> BoundSet:
     """Assemble every applicable bound at gamma = gamma_values['eta'] (falls
-    back to the eta -> 0 value when the configured eta is out of range)."""
+    back to the eta -> 0 value when the configured eta is out of range); the
+    covering bound is minimized over _COVER_RADII times the domain diameter."""
     gamma = gamma_values.get("eta")
     if gamma is None:
         gamma = gamma_values["limit"]
-    if r_grid is None:
-        D = domain.diameter()
-        r_grid = D * np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
-    cov = covering_bound(consts, gamma, domain, r_grid)
+    cov = covering_bound(consts, gamma, domain, domain.diameter() * _COVER_RADII)
     simp = (simplex_bound(consts, gamma, domain.d)
             if isinstance(domain, Simplex) and domain.d > 1 else None)
     gm = game_bound(consts, gamma) if isinstance(problem, QuadraticGame) else None
@@ -178,14 +179,13 @@ def _stacked_empirical(problem, datasets):
     datasets. Each dataset is reduced to its mean matrix and mean offset as
     it arrives, so a generator keeps only one dataset's records alive and
     peak memory does not grow with the number of trials."""
-    op = problem.as_operator()
     mats, offs = [], []
     for X in datasets:
-        offs.append(op.offset + X.mean_offset())
+        offs.append(problem.offset + X.mean_offset())
         if X.matrices is not None:
-            mats.append(op.matrix + X.mean_matrix())
+            mats.append(problem.matrix + X.mean_matrix())
         del X
-    return (np.stack(mats) if mats else op.matrix), np.stack(offs)
+    return (np.stack(mats) if mats else problem.matrix), np.stack(offs)
 
 
 def _batched_gap(domain: Domain, F: QuadraticOperator, Z: np.ndarray) -> np.ndarray:
@@ -201,10 +201,7 @@ def _batched_gap(domain: Domain, F: QuadraticOperator, Z: np.ndarray) -> np.ndar
 
 @dataclass(eq=False)
 class StabilityResult:
-    method: str
-    eta: float
     n: int
-    trials: int
     divergences: np.ndarray
     bound: Optional[float]
     bound_informational: bool
@@ -240,6 +237,8 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     operators actually satisfy); bound_base_K keeps the plain-constants
     version for reference. For eg the closed form is informational only.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if consts is None:
         consts = constants(problem, domain)
     check_gd_eta(config, consts)
@@ -261,8 +260,7 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
         bound = eg_stability_closed_form(consts.K, n, consts.mu, consts.L, config.eta)
         base = None
         informational = True
-    return StabilityResult(method=config.method, eta=config.eta, n=n, trials=trials,
-                           divergences=div, bound=bound,
+    return StabilityResult(n=n, divergences=div, bound=bound,
                            bound_informational=informational, bound_base_K=base)
 
 
@@ -275,16 +273,11 @@ _TRAIN_TOL = 1e-8
 
 @dataclass(eq=False)
 class SweepResult:
-    kind: str
     fit_on: str
-    n_grid: tuple
     per_n: list            # sweep_point rows
     slope: Optional[float]
     intercept: Optional[float]
     r_squared: Optional[float]
-    delta: float
-    trials: int
-    seed: int
     failures: list = field(default_factory=list)
     fit_error: Optional[str] = None
 
@@ -339,15 +332,6 @@ def _empirical_roots(F: QuadraticOperator) -> np.ndarray:
     return np.negative(R, out=R)
 
 
-def _train_to_empirical_opt(problem, domain, config, datasets, noise, consts):
-    """Batched gd/eg on every trial until its empirical gap is <= 1e-8, as
-    (Z, steps, failed). `datasets` is any iterable; only its means are kept
-    (see _stacked_empirical)."""
-    T = _training_horizon(config, noise, consts)
-    F = QuadraticOperator(*_stacked_empirical(problem, datasets))
-    return _iterate_to_tol(F, domain, config, T)
-
-
 def _empirical_solutions(problem, domain, config, datasets, noise, consts):
     """Every trial's empirical VI solution to a 1e-8 empirical gap, as
     (Z, training steps, failed trials, trials solved directly).
@@ -356,7 +340,8 @@ def _empirical_solutions(problem, domain, config, datasets, noise, consts):
     lies in the domain (`contains_interior` at margin 0: exact for balls and
     boxes, within the plane tolerance for simplices) and passes the gap
     check, the roots are the projected-VI solutions. Otherwise, and for
-    unprojected configs, every trial trains as in _train_to_empirical_opt.
+    unprojected configs, every trial trains (_iterate_to_tol). `datasets` is
+    any iterable; only its means are kept (see _stacked_empirical).
     """
     T = _training_horizon(config, noise, consts)
     F = QuadraticOperator(*_stacked_empirical(problem, datasets))
@@ -454,10 +439,8 @@ def generalization_sweep(problem, domain: Domain, config: SolverConfig,
                          delta, consts) for n in n_grid]
     slope, intercept, r2, fit_error = fit_sweep(per_n, fit_on)
     failures = [{"n": row["n"], "trials": row["failed"]} for row in per_n if row["failed"]]
-    return SweepResult(kind=kind, fit_on=fit_on, n_grid=n_grid, per_n=per_n,
-                       slope=slope, intercept=intercept, r_squared=r2,
-                       delta=delta, trials=trials, seed=seed,
-                       failures=failures, fit_error=fit_error)
+    return SweepResult(fit_on=fit_on, per_n=per_n, slope=slope, intercept=intercept,
+                       r_squared=r2, failures=failures, fit_error=fit_error)
 
 
 def quantile_fit_on(trials: int, delta: float) -> str:
@@ -494,7 +477,6 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
         raise ValueError("need z_samples >= 1 and mc_samples >= 2")
     consts = constants(game)
     B = bernstein_constant(consts)
-    op = game.as_operator()
     zs = [exact_solution(game)]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)], spawn_key=(11,)))
     if z_samples > 1:
@@ -505,7 +487,7 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
     def g(z, w):
         """g(z, zeta) over the noise draws, with w = w*(z)."""
         noisy = e if E is None else np.einsum("nij,j->ni", E, z)
-        return (op.evaluate(z) + noisy) @ (z - w)
+        return (game.evaluate(z) + noisy) @ (z - w)
 
     W = best_response(game, zs)
     gstar = g(zs[0], W[0])

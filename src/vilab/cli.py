@@ -423,11 +423,10 @@ def cmd_contraction(args, cfg, built, sc) -> _Outcome:
     Z2 = domain.sample(rng, pairs)
     keep = np.linalg.norm(Z1 - Z2, axis=-1) > 1e-12
     Z1, Z2 = Z1[keep], Z2[keep]
-    F = problem.as_operator()
 
     rows, details, violations = [], [], 0
     for eta in grid:
-        measured = float(np.max(contraction_ratio(F, Z1, Z2, eta, sc.method)))
+        measured = float(np.max(contraction_ratio(problem, Z1, Z2, eta, sc.method)))
         if sc.method == "gd":
             bound = gd_contraction_bound(consts.mu, consts.L, eta)
             gated = True
@@ -534,7 +533,7 @@ def cmd_bernstein(args, cfg, built, sc) -> _Outcome:
 def _parallel_map(fn, payloads, workers: int) -> list:
     if workers > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
 

@@ -132,15 +132,10 @@ class GapReport:
     generalization_gap: float
 
 
-def gap_report(problem, X: SampledDataset, domain: Domain, z,
-               kind: Optional[str] = None) -> GapReport:
+def gap_report(problem, X: SampledDataset, domain: Domain, z) -> GapReport:
     """All gap measures at a single point, plus true-minus-empirical for the
-    selected kind (default: weak_gap for games, strong gap otherwise)."""
+    report's kind: the weak gap for games, the strong gap otherwise."""
     is_game = isinstance(problem, QuadraticGame)
-    if kind is None:
-        kind = "weak_gap" if is_game else "gap"
-    if kind not in ("gap", "weak_gap") or (kind == "weak_gap" and not is_game):
-        raise ValueError(f"unsupported report kind {kind!r} for this problem")
     emp = empirical_operator(problem, X)
     g_true, g_emp = gap(problem, domain, z), gap(emp, domain, z)
     w_true = w_emp = p_gap = None
@@ -149,7 +144,7 @@ def gap_report(problem, X: SampledDataset, domain: Domain, z,
         w = best_response(problem, z)  # w*(z) once (it checks feasibility)
         w_true, w_emp = _weak_gap_at(problem, z, w), _weak_gap_at(emp, z, w)
         p_gap = _potential_gap_at(problem, z, w)
-    gen = g_true - g_emp if kind == "gap" else w_true - w_emp
-    return GapReport(kind=kind, gap_true=float(g_true), gap_empirical=float(g_emp),
+    gen = w_true - w_emp if is_game else g_true - g_emp
+    return GapReport(kind="weak_gap" if is_game else "gap", gap_true=float(g_true), gap_empirical=float(g_emp),
                      weak_gap_true=w_true, weak_gap_empirical=w_emp,
                      potential_gap=p_gap, generalization_gap=float(gen))

@@ -111,26 +111,20 @@ class QuadraticOperator:
         return self
 
 
-@dataclass(eq=False)
-class QuadraticGame:
-    """k-player quadratic game; block row i of `matrix` is [.. Q_i .. C_i ..]."""
+@dataclass(eq=False, kw_only=True)
+class QuadraticGame(QuadraticOperator):
+    """k-player quadratic game on a product of one factor per player; block
+    row i of `matrix` is [.. Q_i .. C_i ..]."""
 
-    dims: tuple
-    matrix: np.ndarray
-    offset: np.ndarray
     domain: Product
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        self.offset = np.asarray(self.offset, dtype=float)
-        d = sum(self.dims)
+        super().__post_init__()
+        d = self.dim
         if self.matrix.shape != (d, d) or self.offset.shape != (d,):
-            raise ValueError("matrix/offset shapes do not match player dims")
-        if not isinstance(self.domain, Product) or \
-                [f.dim for f in self.domain.factors] != list(self.dims):
-            raise ValueError("a game's domain must be a product of one factor per player "
-                             "with the player's dimension")
+            raise ValueError("a game needs one (d, d) matrix and one (d,) offset")
+        if not isinstance(self.domain, Product) or self.domain.dim != d:
+            raise ValueError(f"a game's domain must be a Product of dim {d}")
         self.slices = self.domain.slices
         self._others_idx = tuple(
             np.array([j for j in range(d) if j < s.start or j >= s.stop], dtype=int)
@@ -143,10 +137,7 @@ class QuadraticGame:
 
     @property
     def k(self) -> int:
-        return len(self.dims)
-
-    dim = QuadraticOperator.dim
-    evaluate = __call__ = QuadraticOperator.evaluate
+        return len(self.slices)
 
     def block(self, i: int) -> np.ndarray:
         s = self.slices[i]
@@ -161,9 +152,6 @@ class QuadraticGame:
     def others(self, z, i: int) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return z[..., self._others_idx[i]]
-
-    def as_operator(self) -> QuadraticOperator:
-        return QuadraticOperator(self.matrix, self.offset)
 
     def potential(self, i: int, z) -> np.ndarray:
         """f_i(z) = 1/2 z_i^T Q_i z_i + z_i^T (C_i z_{-i} + b_i), batched."""
@@ -213,12 +201,11 @@ def constants(problem, domain: Optional[Domain] = None) -> ProblemConstants:
         domain = getattr(problem, "domain", None)
     if domain is None:
         raise ValueError("constants() needs a domain for plain operators")
-    op = problem.as_operator()
-    if domain.dim != op.dim:
+    if domain.dim != problem.dim:
         raise ValueError("domain dimension does not match the operator")
-    mu = monotonicity_modulus(op.matrix)
-    L = spectral_norm(op.matrix)
-    K = L * domain.max_point_norm() + float(np.linalg.norm(op.offset))
+    mu = monotonicity_modulus(problem.matrix)
+    L = spectral_norm(problem.matrix)
+    K = L * domain.max_point_norm() + float(np.linalg.norm(problem.offset))
     D = domain.diameter()
     if isinstance(problem, QuadraticGame):
         per = []
@@ -234,9 +221,8 @@ def constants(problem, domain: Optional[Domain] = None) -> ProblemConstants:
 
 def exact_solution(problem, domain: Optional[Domain] = None, tol: float = 1e-6) -> np.ndarray:
     """Root of the affine operator, checked against the domain when given."""
-    op = problem.as_operator()
     try:
-        z = np.linalg.solve(op.matrix, -op.offset)
+        z = np.linalg.solve(problem.matrix, -problem.offset)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"operator matrix is singular: {exc}") from exc
     if not np.all(np.isfinite(z)):
@@ -427,10 +413,13 @@ def generate_game(
         raise ValueError(f"expected {k} player dims, got {len(dims)}")
     if mu_target <= 0.0:
         raise ValueError("mu_target must be positive")
+    if domain is None:
+        domain = Product(tuple(Box(-np.ones(di), np.ones(di)) for di in dims))
+    if not isinstance(domain, Product) or [f.dim for f in domain.factors] != list(dims):
+        raise ValueError("a game's domain must be a product of one factor per player "
+                         "with the player's dimension")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    d = sum(dims)
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    slices = [slice(int(a), int(b)) for a, b in zip(offs[:-1], offs[1:])]
+    d, slices = domain.dim, domain.slices
 
     blocks = []
     for di in dims:
@@ -461,14 +450,10 @@ def generate_game(
             f"(achieved {monotonicity_modulus(M):.3e})"
         )
 
-    if domain is None:
-        domain = Product(tuple(Box(-np.ones(di), np.ones(di)) for di in dims))
-    if domain.dim != d:
-        raise ValueError("domain dimension does not match player dims")
     if interior_margin is None:
         interior_margin = 0.05 * domain.diameter()
     root = _place_interior_root(rng, domain, interior_margin)
-    return QuadraticGame(dims=dims, matrix=M, offset=-M @ root, domain=domain)
+    return QuadraticGame(M, -M @ root, domain=domain)
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +567,13 @@ class SampledDataset:
 
 def _draw_records(problem, noise: NoiseModel, count: int, seed):
     """(offsets, matrices) of `count` records drawn from `seed`."""
-    op = problem.as_operator()
+    d, basis = problem.dim, problem.tangent_basis
     if noise.kind == "offset":
-        return _draw_offsets(seed, count, op.dim, noise.magnitude, op.tangent_basis), None
-    mu_floor = 0.5 * monotonicity_modulus(op.matrix)
-    E = _draw_matrices(seed, count, op.dim, noise.magnitude, op.tangent_basis,
-                       op.matrix, mu_floor)
+        return _draw_offsets(seed, count, d, noise.magnitude, basis), None
+    mu_floor = 0.5 * monotonicity_modulus(problem.matrix)
+    E = _draw_matrices(seed, count, d, noise.magnitude, basis, problem.matrix, mu_floor)
     # read-only zero offsets; no (n, d) buffer for a noise kind that has none
-    return np.broadcast_to(np.zeros(op.dim), (count, op.dim)), E
+    return np.broadcast_to(np.zeros(d), (count, d)), E
 
 
 def sample_dataset(problem, noise: NoiseModel, n: int, seed: int) -> SampledDataset:
@@ -615,11 +599,10 @@ def replace_record(problem, X: SampledDataset, j: int, seed: int) -> SampledData
 def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:
     """Average of the dataset's sampled operators. Each record is affine, so
     the average is too: evaluating it equals averaging record evaluations."""
-    op = problem.as_operator()
-    if X.dim != op.dim:
+    if X.dim != problem.dim:
         raise ValueError("dataset dimension does not match the operator")
-    M = op.matrix if X.matrices is None else op.matrix + X.mean_matrix()
-    return QuadraticOperator(M, op.offset + X.mean_offset(), op.tangent_basis)
+    M = problem.matrix if X.matrices is None else problem.matrix + X.mean_matrix()
+    return QuadraticOperator(M, problem.offset + X.mean_offset(), problem.tangent_basis)
 
 
 def noisy_operator_ceiling(consts: ProblemConstants, noise: NoiseModel,

@@ -11,8 +11,8 @@ For F(z) = Mz + b with mu = lambda_min(sym M) and L = sigma_max(M):
 
 Both step maps and `run` take batched iterates of shape (..., dim) and an
 affine operator with `matrix` and `offset`: a QuadraticOperator (also a
-per-row stack of them, and the empirical operator of a dataset) or a
-QuadraticGame.
+per-row stack of them, the empirical operator of a dataset, and a
+QuadraticGame).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class SolverConfig:
     eta: float
     T: int
     projected: bool = False
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if self.method not in ("gd", "eg"):
@@ -53,7 +52,6 @@ class SolverConfig:
 class Trajectory:
     final: np.ndarray
     steps: int
-    iterates: Optional[list] = None
 
 
 def _descend(F, point, z, eta: float, buf, out):
@@ -110,16 +108,13 @@ def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
     guarded = target is None or 2.0 * domain.max_point_norm() >= guard
     buf = np.empty_like(z)  # F values and the step; free again after each step
     half = np.empty_like(z) if config.method == "eg" else None
-    iterates = [z.copy()] if config.record_trajectory else None
     for t in range(config.T):
         _step_into(F, z, config.eta, target, buf, half)
         if guarded:
             norms = np.sqrt(np.add.reduce(np.multiply(z, z, out=buf), axis=-1))
             if float(np.max(norms)) > guard:
                 raise NumericalError(f"iterate norm exceeded divergence guard at step {t + 1}")
-        if iterates is not None:
-            iterates.append(z.copy())
-    return Trajectory(final=z, steps=config.T, iterates=iterates)
+    return Trajectory(final=z, steps=config.T)
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,8 @@ def min_dist_to_set(points, anchors, norm="l2"):
 
 def record_operator(problem, X, j):
     """Record j's sampled operator (M + E_j) z + b + e_j, built from scratch."""
-    op = problem.as_operator()
-    M = op.matrix if X.matrices is None else op.matrix + X.matrices[j]
-    return QuadraticOperator(M, op.offset + X.offsets[j])
+    M = problem.matrix if X.matrices is None else problem.matrix + X.matrices[j]
+    return QuadraticOperator(M, problem.offset + X.offsets[j])
 
 
 def bisection_monotone_matrix(rng, d, mu, L):

@@ -43,7 +43,7 @@ from vilab import (
     trial_dataset_seed,
     weak_gap,
 )
-from vilab.analysis import _train_to_empirical_opt
+from vilab.analysis import _empirical_solutions
 from vilab.cli import main as cli_main
 
 from helpers import dense_grid, record_operator
@@ -153,7 +153,7 @@ def test_criterion_04_simplex_strong_gap_rate():
     n_diag = 1024
     datasets = [sample_dataset(op, noise, n_diag, trial_dataset_seed(13, n_diag, t))
                 for t in range(100)]
-    Z, _, _ = _train_to_empirical_opt(op, dom, SolverConfig("gd", 0.1, 1),
+    Z, _, _, _ = _empirical_solutions(op, dom, SolverConfig("gd", 0.1, 1),
                                       datasets, noise, consts)
     zstar = exact_solution(op, dom)
     G = op(Z)
@@ -193,7 +193,7 @@ def test_criterion_05_game_weak_and_potential_rates():
     for n in n_grid:
         datasets = [sample_dataset(game, noise, n, trial_dataset_seed(21, n, t))
                     for t in range(100)]
-        Z, _, failed = _train_to_empirical_opt(game, game.domain, cfg, datasets,
+        Z, _, failed, _ = _empirical_solutions(game, game.domain, cfg, datasets,
                                                noise, consts)
         assert failed == []
         p = potential_gap(game, Z)

@@ -11,6 +11,7 @@ from vilab import (
     ConfigError,
     NoiseModel,
     ProblemConstants,
+    QuadraticOperator,
     Simplex,
     SolverConfig,
     bernstein_check,
@@ -37,7 +38,8 @@ from vilab import (
     sweep_point,
     trial_dataset_seed,
 )
-from vilab.analysis import _train_to_empirical_opt
+from vilab.analysis import (_empirical_solutions, _iterate_to_tol, _stacked_empirical,
+                            _training_horizon)
 
 UNIT_CONSTS = ProblemConstants(mu=1.0, L=1.0, K=1.0, D=2.0, per_player=((1.0, 1.0),))
 TWO_PLAYER_CONSTS = ProblemConstants(
@@ -180,6 +182,16 @@ class TestStabilityExperiment:
         with pytest.raises(ConfigError):
             stability_experiment(self.op, self.dom, SolverConfig("gd", 2.5, 10),
                                  16, 2, 0, NoiseModel("offset", 0.1))
+
+    def test_trials_checked_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before trials was checked")
+
+        monkeypatch.setattr("vilab.analysis.sample_dataset", no_sampling)
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials"):
+                stability_experiment(self.op, self.dom, SolverConfig("gd", 0.1, 10),
+                                     16, trials, 0, NoiseModel("offset", 0.1))
 
     def test_eg_bound_is_informational(self):
         cfg = SolverConfig("eg", 0.1, 500)
@@ -330,8 +342,9 @@ class TestGeneralizationSweep:
         cfg = SolverConfig("eg", 0.5, 1, projected=True)
         datasets = [sample_dataset(op, noise, 8, trial_dataset_seed(0, 8, t))
                     for t in range(6)]
-        Z, steps, failed = _train_to_empirical_opt(op, dom, cfg, datasets, noise,
-                                                   constants(op, dom))
+        Z, steps, failed, direct = _empirical_solutions(op, dom, cfg, datasets, noise,
+                                                        constants(op, dom))
+        assert direct == 0
         for z, X in zip(Z, datasets):
             ref = run(empirical_operator(op, X), dom, replace(cfg, T=steps)).final
             assert np.max(np.abs(z - ref)) <= 1e-12
@@ -355,15 +368,16 @@ def _projected(kind):
 class TestEmpiricalSolutions:
     """Projected sweeps take the trials' empirical roots when all lie in the
     domain and otherwise train every trial; the all-trials doubling loop
-    (_train_to_empirical_opt) on the same datasets is the reference."""
+    (_iterate_to_tol) on the same datasets is the reference."""
 
     unit = Ball(np.zeros(3), 1.0)
     op = generate_operator(0, 3, 0.8, 1.6, domain=unit)
 
     def _loop(self, dom, cfg, noise, n, trials, seed):
         datasets = _trial_datasets(self.op, noise, n, trials, seed)
-        return _train_to_empirical_opt(self.op, dom, cfg, datasets, noise,
-                                       constants(self.op, dom))
+        F = QuadraticOperator(*_stacked_empirical(self.op, datasets))
+        return _iterate_to_tol(F, dom, cfg,
+                               _training_horizon(cfg, noise, constants(self.op, dom)))
 
     def test_roots_inside_are_solved_directly(self, kind):
         noise = NoiseModel(kind, 0.1)

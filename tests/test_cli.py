@@ -507,6 +507,36 @@ class TestReproducibility:
             assert (dir_serial / f"{command}.csv").read_bytes() == \
                 (dir_par / f"{command}.csv").read_bytes()
 
+    def test_pool_has_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
+        # the default fork context starts every one of max_workers processes
+        # when the pool starts, so idle workers would still be forked; the
+        # fake pool records its size and maps serially, starting no process
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert cli._parallel_map(abs, [-3, 1, -2], 64) == [3, 1, 2]
+        assert cli._parallel_map(abs, [-3, 1, -2], 2) == [3, 1, 2]
+        assert cli._parallel_map(abs, [-3], 64) == [3]
+        cfg = op_config(solver={"T": 200}, experiment={"n_grid": [8, 16], "trials": 4})
+        code, _ = run_cli(tmp_path, "stability", cfg, workers=64)
+        assert code == 0
+        assert sizes == [3, 2, 2]
+
 
 class TestExitCodes:
     def test_invalid_json(self, tmp_path, capsys):

@@ -105,7 +105,7 @@ class TestStrongGap:
 class TestBestResponse:
     def one_player_game(self, Q, b, lo, hi):
         dom = Product((Box(np.atleast_1d(lo), np.atleast_1d(hi)),))
-        return QuadraticGame((len(np.atleast_1d(b)),), np.atleast_2d(Q), np.atleast_1d(b), dom)
+        return QuadraticGame(np.atleast_2d(Q), np.atleast_1d(b), domain=dom)
 
     def test_unconstrained_minimizer(self):
         # f(x) = x^2 - 2x on [-5, 5] has its minimum at 1
@@ -188,7 +188,7 @@ class TestWeakAndPotential:
     def frozen_game(self):
         # single player, f(z) = z^2 on [-1, 1]
         dom = Product((Box(np.array([-1.0]), np.array([1.0])),))
-        return QuadraticGame((1,), np.array([[2.0]]), np.array([0.0]), dom)
+        return QuadraticGame(np.array([[2.0]]), np.array([0.0]), domain=dom)
 
     def test_frozen_values(self):
         g = self.frozen_game()
@@ -311,10 +311,3 @@ class TestEmpiricalAndReports:
         assert rep.kind == "gap"
         assert rep.weak_gap_true is None and rep.potential_gap is None
         assert np.isclose(rep.generalization_gap, rep.gap_true - rep.gap_empirical)
-
-    def test_weak_kind_requires_game(self):
-        dom = Ball(np.zeros(2), 1.5)
-        op = generate_operator(29, 2, 0.5, 1.5, domain=dom)
-        X = sample_dataset(op, NoiseModel("offset", 0.2), 5, seed=5)
-        with pytest.raises(ValueError):
-            gap_report(op, X, dom, dom.center(), kind="weak_gap")

@@ -17,6 +17,7 @@ from vilab import (
     QuadraticGame,
     QuadraticOperator,
     Simplex,
+    SolverConfig,
     constants,
     empirical_operator,
     exact_solution,
@@ -25,6 +26,7 @@ from vilab import (
     monotonicity_modulus,
     noisy_operator_ceiling,
     replace_record,
+    run,
     sample_dataset,
     spectral_norm,
 )
@@ -110,7 +112,7 @@ class TestSpectralNorm:
 class TestGamePotentials:
     def test_single_player_example(self):
         dom = Product((Box(np.array([-5.0]), np.array([5.0])),))
-        g = QuadraticGame((1,), np.array([[2.0]]), np.array([-2.0]), dom)
+        g = QuadraticGame(np.array([[2.0]]), np.array([-2.0]), domain=dom)
         assert np.isclose(g.potential(0, np.array([1.0])), -1.0)
         assert np.isclose(g.potential(0, np.array([0.0])), 0.0)
 
@@ -157,10 +159,10 @@ class TestGamePotentials:
     def test_validation(self):
         dom = Product((Box(-np.ones(2), np.ones(2)),))
         M = np.array([[1.0, 0.5], [0.0, 1.0]])  # asymmetric own-block
+        with pytest.raises(ValueError, match="not symmetric"):
+            QuadraticGame(M, np.zeros(2), domain=dom)
         with pytest.raises(ValueError):
-            QuadraticGame((2,), M, np.zeros(2), dom)
-        with pytest.raises(ValueError):
-            QuadraticGame((2,), np.eye(3), np.zeros(3), dom)
+            QuadraticGame(np.eye(3), np.zeros(3), domain=dom)
 
 
 class TestConstants:
@@ -343,6 +345,50 @@ class TestSkewScale:
         assert len(calls) <= 25  # the plain bisection takes 51
 
 
+class TestGameIsOperator:
+    """A game is a QuadraticOperator on its product domain: each operator
+    call gives the bits of the same call on the plain operator."""
+
+    game = generate_game(31, 3, (1, 2, 2), 0.5, 0.4)
+
+    def test_is_an_operator(self):
+        assert isinstance(self.game, QuadraticOperator)
+        assert self.game.as_operator() is self.game
+        assert self.game.tangent_basis is None
+
+    def test_shape_and_domain_rejections(self):
+        pair = Product((Box(-np.ones(1), np.ones(1)), Box(-np.ones(1), np.ones(1))))
+        with pytest.raises(ValueError, match=r"\(d, d\) matrix"):
+            QuadraticGame(np.stack([np.eye(2)] * 3), np.zeros((3, 2)), domain=pair)
+        with pytest.raises(ValueError, match=r"\(d,\) offset"):
+            QuadraticGame(np.eye(2), np.zeros((3, 2)), domain=pair)
+        with pytest.raises(ValueError, match="Product of dim 2"):
+            QuadraticGame(np.eye(2), np.zeros(2), domain=Box(-np.ones(2), np.ones(2)))
+        with pytest.raises(ValueError, match="Product of dim 3"):
+            QuadraticGame(np.eye(3), np.zeros(3), domain=pair)
+        with pytest.raises(ValueError, match="offset length"):
+            QuadraticGame(np.eye(2), np.zeros(3), domain=pair)
+
+    def test_same_bits_as_plain_operator(self):
+        g = self.game
+        op = QuadraticOperator(g.matrix, g.offset)
+        dom = g.domain
+        cg, co = constants(g), constants(op, dom)
+        assert (cg.mu, cg.L, cg.K, cg.D) == (co.mu, co.L, co.K, co.D)
+        z = dom.sample(np.random.default_rng(1), 9)
+        assert np.array_equal(g.evaluate(z), op.evaluate(z))
+        assert np.array_equal(g(z), op(z))
+        for kind in ("offset", "matrix"):
+            Xg, Xo = (sample_dataset(p, NoiseModel(kind, 0.2), 50, 3) for p in (g, op))
+            assert np.array_equal(Xg.offsets, Xo.offsets)
+            assert (Xg.matrices is None and Xo.matrices is None) or \
+                np.array_equal(Xg.matrices, Xo.matrices)
+        for method in ("gd", "eg"):
+            for projected in (False, True):
+                cfg = SolverConfig(method, 0.1, 30, projected=projected)
+                assert np.array_equal(run(g, dom, cfg, z).final, run(op, dom, cfg, z).final)
+
+
 class TestGenerateGame:
     def test_monotonicity_floor(self):
         for seed in range(4):
@@ -370,13 +416,13 @@ class TestGenerateGame:
 
     def test_scalar_dims_expand(self):
         g = generate_game(23, 3, 2, 0.5, 0.3)
-        assert g.dims == (2, 2, 2)
-        assert g.dim == 6
+        assert [f.dim for f in g.domain.factors] == [2, 2, 2]
+        assert (g.k, g.dim) == (3, 6)
 
     def test_heterogeneous_dims(self):
         g = generate_game(24, 3, (1, 2, 3), 0.5, 0.3)
-        assert g.dims == (1, 2, 3)
-        assert g.dim == 6
+        assert [f.dim for f in g.domain.factors] == [1, 2, 3]
+        assert (g.k, g.dim) == (3, 6)
         assert [s.stop - s.start for s in g.slices] == [1, 2, 3]
 
     def test_validation(self):
@@ -385,17 +431,18 @@ class TestGenerateGame:
         with pytest.raises(ValueError):
             generate_game(25, 2, 2, -1.0, 0.3)
 
-    def test_domain_has_one_factor_per_player(self):
-        # the right total dimension is not enough: the game is rejected when it
-        # is built, not later when a gap splits the domain per player
-        with pytest.raises(ValueError, match="one factor per player"):
-            generate_game(3, 2, 1, 0.5, 0.3, domain=Product((Simplex(1),)))
+    def test_domain_has_one_factor_per_player(self, monkeypatch):
+        # the right total dimension is not enough: the domain is rejected
+        # before any coupling is built, not later when a gap splits it per player
         square, segment = Box(-np.ones(2), np.ones(2)), Box(-np.ones(1), np.ones(1))
-        for dims, dom in (((1, 1), square), ((1, 1), Product((square,))),
-                          ((1, 2), Product((square, segment)))):
-            with pytest.raises(ValueError, match="one factor per player"):
-                QuadraticGame(dims, np.eye(sum(dims)), np.zeros(sum(dims)), dom)
-        g = QuadraticGame((1, 2), np.eye(3), np.zeros(3), Product((segment, square)))
+        with monkeypatch.context() as m:
+            m.setattr(problems, "monotonicity_modulus", lambda M: pytest.fail("built M"))
+            for dims, dom in (((1, 1), Product((Simplex(1),))), ((1, 1), square),
+                              ((1, 1), Product((square,))),
+                              ((1, 2), Product((square, segment)))):
+                with pytest.raises(ValueError, match="one factor per player"):
+                    generate_game(3, len(dims), dims, 0.5, 0.3, domain=dom)
+        g = generate_game(3, 2, (1, 2), 0.5, 0.3, domain=Product((segment, square)))
         assert g.domain.dim == 3
 
 

@@ -81,11 +81,12 @@ class TestRun:
         assert np.allclose(out.final, dom.center())
 
     def test_trajectory_recording(self):
+        # The halving iterates at T = 0..3, each read off a run of that length.
         dom = Box(np.array([-10.0]), np.array([10.0]))
-        cfg = SolverConfig("gd", 0.5, 3, record_trajectory=True)
-        out = run(IDENTITY, dom, cfg, z0=np.array([8.0]))
-        assert len(out.iterates) == 4
-        assert np.allclose(np.concatenate(out.iterates), [8.0, 4.0, 2.0, 1.0])
+        iterates = [run(IDENTITY, dom, SolverConfig("gd", 0.5, T), z0=np.array([8.0])).final
+                    for T in range(4)]
+        assert len(iterates) == 4
+        assert np.allclose(np.concatenate(iterates), [8.0, 4.0, 2.0, 1.0])
 
     def test_divergence_guard(self):
         dom = Box(np.array([-10.0]), np.array([10.0]))
@@ -95,9 +96,10 @@ class TestRun:
     def test_projected_run_stays_inside(self):
         dom = Ball(np.zeros(2), 1.0)
         op = generate_operator(1, 2, 0.5, 1.5, domain=dom)
-        cfg = SolverConfig("eg", 0.2, 50, projected=True, record_trajectory=True)
-        out = run(op, dom, cfg)
-        for z in out.iterates:
+        cfg = SolverConfig("eg", 0.2, 1, projected=True)
+        z = None
+        for _ in range(50):
+            z = run(op, dom, cfg, z).final
             assert bool(dom.contains(z, tol=1e-9))
 
     def test_batched_lockstep(self):
@@ -189,16 +191,13 @@ class TestBufferedKernel:
                  (shared, offs, np.asfortranarray(start))]
         for M, b, z0 in cases:
             op = QuadraticOperator(M, b)
-            cfg = SolverConfig(method, eta, T, projected=projected, record_trajectory=True)
-            got = run(op, dom, cfg, z0)
             batch = np.broadcast_shapes(z0.shape, b.shape)
             ref = _reference_run(M, b, dom, method, eta, T, projected,
                                  np.ascontiguousarray(np.broadcast_to(z0, batch)))
-            assert got.final.shape == batch
-            assert len(got.iterates) == T + 1
-            for z, r in zip(got.iterates, ref):
-                assert np.array_equal(z, r)
-            assert np.array_equal(got.final, ref[-1])
+            for t, r in enumerate(ref):
+                got = run(op, dom, SolverConfig(method, eta, t, projected=projected), z0)
+                assert got.final.shape == batch and got.steps == t
+                assert np.array_equal(got.final, r)
             step = gd_step if method == "gd" else eg_step
             assert np.array_equal(step(op, z0, eta, dom if projected else None), ref[1])
 
