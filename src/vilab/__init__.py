@@ -20,7 +20,7 @@ from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
                        QuadraticOperator, SampledDataset, constants,
                        empirical_operator, exact_solution,
                        generate_game, generate_operator, monotonicity_modulus,
-                       noisy_operator_ceiling, replace_record, sample_dataset,
+                       noisy_operator_ceiling, sample_dataset,
                        spectral_norm)
 from .solvers import (SolverConfig, Trajectory, admissible_eta,
                       contraction_ratio, eg_contraction_bound,

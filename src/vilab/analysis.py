@@ -29,10 +29,10 @@ import numpy as np
 
 from .domains import Domain, Simplex
 from .errors import ConfigError, NumericalError
-from .gaps import best_response, gap, potential_gap, weak_gap
+from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
-                       QuadraticOperator, _draw_records, constants, exact_solution,
-                       noisy_operator_ceiling, replace_record, sample_dataset)
+                       QuadraticOperator, _draw_records, constants, empirical_operator,
+                       exact_solution, noisy_operator_ceiling, sample_dataset)
 from .solvers import (SolverConfig, eg_contraction_bound, gd_contraction_bound,
                       in_gd_stability_range, run)
 
@@ -151,8 +151,8 @@ def fit_loglog_slope(ns, values):
     """Least-squares slope/intercept/r^2 of log(value) against log(n)."""
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
-    if ns.shape != values.shape or ns.size < 2:
-        raise ValueError("need at least two (n, value) pairs of matching shape")
+    if ns.shape != values.shape or ns.size < 2 or ns.min() == ns.max():
+        raise ValueError("need (n, value) pairs of matching shape at two or more distinct n")
     if np.any(ns <= 0.0) or np.any(values <= 0.0):
         raise ValueError("log-log fit needs strictly positive inputs")
     x, y = np.log(ns), np.log(values)
@@ -176,22 +176,17 @@ def trial_dataset_seed(base_seed: int, n: int, t: int) -> list:
 
 def _stacked_empirical(problem, datasets):
     """(matrix stack or shared matrix, offset stack) for an iterable of
-    datasets. Each dataset is reduced to its mean matrix and mean offset as
-    it arrives, so a generator keeps only one dataset's records alive and
-    peak memory does not grow with the number of trials."""
+    datasets. Each dataset is reduced to its empirical operator as it
+    arrives, so a generator keeps only one dataset's records alive and peak
+    memory does not grow with the number of trials."""
     mats, offs = [], []
     for X in datasets:
-        offs.append(problem.offset + X.mean_offset())
+        emp = empirical_operator(problem, X)
+        offs.append(emp.offset)
         if X.matrices is not None:
-            mats.append(problem.matrix + X.mean_matrix())
+            mats.append(emp.matrix)
         del X
     return (np.stack(mats) if mats else problem.matrix), np.stack(offs)
-
-
-def _batched_gap(domain: Domain, F: QuadraticOperator, Z: np.ndarray) -> np.ndarray:
-    G = F(Z)
-    U = domain.lmo(G)
-    return np.einsum("bi,bi->b", G, Z - U)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +204,20 @@ class StabilityResult:
 
 
 def _neighbour_pairs(problem, noise: NoiseModel, n: int, trials: int, seed: int):
-    """Yield each trial's dataset X, then X with one record replaced."""
+    """Yield each trial's dataset X, then X again with record j redrawn in
+    place: the consumer reduces X before it asks for the neighbour."""
     for t in range(trials):
         ds_seed = trial_dataset_seed(seed, n, t)
         X = sample_dataset(problem, noise, n, ds_seed)
         j = int(np.random.default_rng(
             np.random.SeedSequence(ds_seed, spawn_key=(9,))).integers(n))
         yield X
-        yield replace_record(problem, X, j, ds_seed + [1])
+        offsets, matrices = _draw_records(problem, noise, 1, ds_seed + [1])
+        if matrices is None:
+            X.offsets[j] = offsets[0]
+        else:  # the zero offsets are shared by every record and stay as they are
+            X.matrices[j] = matrices[0]
+        yield X
 
 
 def check_gd_eta(config: SolverConfig, consts: ProblemConstants) -> None:
@@ -315,7 +316,7 @@ def _iterate_to_tol(F: QuadraticOperator, domain: Domain, config: SolverConfig, 
     for _ in range(8):
         Z = run(F, domain, replace(config, T=T), Z).final
         steps += T
-        gaps = _batched_gap(domain, F, Z)
+        gaps = _strong_gap(F, domain, Z)
         if float(np.max(gaps)) <= _TRAIN_TOL:
             return Z, steps, []
         T *= 2
@@ -348,7 +349,7 @@ def _empirical_solutions(problem, domain, config, datasets, noise, consts):
     if config.projected:
         Z = _empirical_roots(F)
         if np.all(domain.contains_interior(Z, 0.0)
-                  & (_batched_gap(domain, F, Z) <= _TRAIN_TOL)):
+                  & (_strong_gap(F, domain, Z) <= _TRAIN_TOL)):
             return Z, 0, [], len(Z)
     return (*_iterate_to_tol(F, domain, config, T), 0)
 

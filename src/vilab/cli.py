@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .analysis import (bernstein_check, check_gd_eta, evaluate_bounds, fit_sweep,
                        quantile_fit_on, stability_experiment, stability_gamma,
-                       sweep_point)
+                       sweep_point, trial_dataset_seed)
 from .charts import log_log_chart
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
@@ -227,6 +227,8 @@ def load_config(path: str, command: str, seed_override=None) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, no permission, an I/O error
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = normalize_config(cfg, command, seed_override)
@@ -382,9 +384,10 @@ def cmd_solve(args, cfg, built, sc) -> _Outcome:
     problem, domain, noise, consts = built
     check_gd_eta(sc, consts)
     n = cfg["experiment"]["n"]
-    X = sample_dataset(problem, noise, n, [cfg["problem"]["seed"], n, 0])
-    traj = run(empirical_operator(problem, X), domain, sc)
-    report = gap_report(problem, X, domain, traj.final)
+    X = sample_dataset(problem, noise, n, trial_dataset_seed(cfg["problem"]["seed"], n, 0))
+    emp = empirical_operator(problem, X)
+    traj = run(emp, domain, sc)
+    report = gap_report(problem, emp, domain, traj.final)
     results = {
         "final": traj.final, "steps": traj.steps,
         "gap_report": dataclasses.asdict(report),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domains import Domain, _row_norms
 from .errors import InfeasiblePointError, NumericalError
-from .problems import QuadraticGame, SampledDataset, empirical_operator
+from .problems import QuadraticGame
 
 _FEAS_TOL = 1e-6
 
@@ -48,10 +48,14 @@ def _check_feasible(domain: Domain, z, tol: float = _FEAS_TOL) -> np.ndarray:
 
 def gap(F: Callable, domain: Domain, z):
     """max_u <F(z), z - u> via the LMO; nonnegative on feasible points."""
-    z = _check_feasible(domain, z)
+    return _maybe_float(_strong_gap(F, domain, _check_feasible(domain, z)))
+
+
+def _strong_gap(F: Callable, domain: Domain, z) -> np.ndarray:
+    """<F(z), z - lmo(F(z))> per row, with no feasibility check: training
+    iterates may lie outside the set."""
     g = _values(F, z)
-    u = domain.lmo(g)
-    return _maybe_float(np.einsum("...i,...i->...", g, z - u))
+    return np.einsum("...i,...i->...", g, z - domain.lmo(g))
 
 
 def best_response(game: QuadraticGame, z) -> np.ndarray:
@@ -132,11 +136,11 @@ class GapReport:
     generalization_gap: float
 
 
-def gap_report(problem, X: SampledDataset, domain: Domain, z) -> GapReport:
-    """All gap measures at a single point, plus true-minus-empirical for the
-    report's kind: the weak gap for games, the strong gap otherwise."""
+def gap_report(problem, emp: Callable, domain: Domain, z) -> GapReport:
+    """All gap measures of `problem` and its empirical operator `emp` at one
+    point, plus true-minus-empirical for the report's kind: the weak gap for
+    games, the strong gap otherwise."""
     is_game = isinstance(problem, QuadraticGame)
-    emp = empirical_operator(problem, X)
     g_true, g_emp = gap(problem, domain, z), gap(emp, domain, z)
     w_true = w_emp = p_gap = None
     if is_game:

@@ -17,8 +17,8 @@ Noisy samples come in two unbiased flavours:
   (about 1e-15 relative to the SVD value, at a fraction of its cost).
 
 Record i of a dataset is a deterministic function of (seed, i), so two
-datasets from the same seed agree record by record and neighbouring datasets
-(one record replaced) can be formed without touching the others.
+datasets from the same seed agree record by record and a neighbouring
+dataset is formed by redrawing one record without touching the others.
 
 Operators built on a simplex keep its tangent subspace invariant and the
 noise is drawn inside that subspace, so every sampled operator still has its
@@ -489,11 +489,10 @@ def _below_floor(sym: np.ndarray, E: np.ndarray, mu_floor: float) -> np.ndarray:
 
 
 def _draw_matrices(seed, count: int, dim: int, magnitude: float,
-                   basis: Optional[np.ndarray], base_matrix: np.ndarray,
-                   mu_floor: float) -> np.ndarray:
+                   basis: Optional[np.ndarray], base_matrix: np.ndarray) -> np.ndarray:
     """Spectral-norm-normalized Gaussian perturbations with a monotonicity
-    floor: lambda_min(sym(M + E_i)) >= mu_floor, enforced per record so
-    rejections never disturb neighbouring records.
+    floor: lambda_min(sym(M + E_i)) >= mu_floor = lambda_min(sym M) / 2,
+    enforced per record so rejections never disturb neighbouring records.
 
     ||G_i||_2 = sqrt(lambda_max(G_i^T G_i)), one batched eigvalsh of the
     Gram stack (about half the cost of a batched SVD), for the bulk draw and
@@ -520,6 +519,7 @@ def _draw_matrices(seed, count: int, dim: int, magnitude: float,
     # ||E_i||_2 = magnitude. When that clears the floor by a margin far above
     # eigvalsh's rounding, no record can be rejected: skip the batched check.
     eigs = np.linalg.eigvalsh(sym)
+    mu_floor = 0.5 * eigs[0]
     if magnitude < eigs[0] - mu_floor - 1e-9 * np.max(np.abs(eigs)):
         return E
     for i in _below_floor(sym, E, mu_floor):
@@ -544,8 +544,7 @@ def _draw_matrices(seed, count: int, dim: int, magnitude: float,
 class SampledDataset:
     """n noisy operator samples: record i is (E_i, e_i) added to (M, b)."""
 
-    noise: NoiseModel
-    offsets: np.ndarray            # (n, d)
+    offsets: np.ndarray            # (n, d); a read-only zero broadcast for matrix noise
     matrices: Optional[np.ndarray]  # (n, d, d) for matrix noise, else None
 
     @property
@@ -556,22 +555,13 @@ class SampledDataset:
     def dim(self) -> int:
         return self.offsets.shape[1]
 
-    def mean_offset(self) -> np.ndarray:
-        if self.noise.kind == "matrix":  # offsets are a zero broadcast
-            return np.zeros(self.dim)
-        return self.offsets.mean(axis=0)
-
-    def mean_matrix(self) -> Optional[np.ndarray]:
-        return None if self.matrices is None else self.matrices.mean(axis=0)
-
 
 def _draw_records(problem, noise: NoiseModel, count: int, seed):
     """(offsets, matrices) of `count` records drawn from `seed`."""
     d, basis = problem.dim, problem.tangent_basis
     if noise.kind == "offset":
         return _draw_offsets(seed, count, d, noise.magnitude, basis), None
-    mu_floor = 0.5 * monotonicity_modulus(problem.matrix)
-    E = _draw_matrices(seed, count, d, noise.magnitude, basis, problem.matrix, mu_floor)
+    E = _draw_matrices(seed, count, d, noise.magnitude, basis, problem.matrix)
     # read-only zero offsets; no (n, d) buffer for a noise kind that has none
     return np.broadcast_to(np.zeros(d), (count, d)), E
 
@@ -579,21 +569,7 @@ def _draw_records(problem, noise: NoiseModel, count: int, seed):
 def sample_dataset(problem, noise: NoiseModel, n: int, seed: int) -> SampledDataset:
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
-    return SampledDataset(noise, *_draw_records(problem, noise, n, seed))
-
-
-def replace_record(problem, X: SampledDataset, j: int, seed: int) -> SampledDataset:
-    """Neighbouring dataset: record j redrawn from `seed`, others untouched."""
-    if not 0 <= j < X.n:
-        raise ValueError(f"record index {j} out of range for n={X.n}")
-    new_offsets, new_matrices = _draw_records(problem, X.noise, 1, seed)
-    if X.matrices is None:
-        offsets = X.offsets.copy()
-        offsets[j] = new_offsets[0]
-        return SampledDataset(X.noise, offsets, None)
-    matrices = X.matrices.copy()
-    matrices[j] = new_matrices[0]
-    return SampledDataset(X.noise, X.offsets, matrices)
+    return SampledDataset(*_draw_records(problem, noise, n, seed))
 
 
 def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:
@@ -601,8 +577,11 @@ def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:
     the average is too: evaluating it equals averaging record evaluations."""
     if X.dim != problem.dim:
         raise ValueError("dataset dimension does not match the operator")
-    M = problem.matrix if X.matrices is None else problem.matrix + X.mean_matrix()
-    return QuadraticOperator(M, problem.offset + X.mean_offset(), problem.tangent_basis)
+    if X.matrices is None:
+        M, e = problem.matrix, X.offsets.mean(axis=0)
+    else:  # zero offsets; b + 0.0 is a fresh array where a -0.0 of b reads +0.0
+        M, e = problem.matrix + X.matrices.mean(axis=0), np.zeros(X.dim)
+    return QuadraticOperator(M, problem.offset + e, problem.tangent_basis)
 
 
 def noisy_operator_ceiling(consts: ProblemConstants, noise: NoiseModel,

@@ -6,7 +6,8 @@ import itertools
 
 import numpy as np
 
-from vilab import Ball, Box, Product, QuadraticOperator, Simplex
+from vilab import Ball, Box, Product, QuadraticOperator, SampledDataset, Simplex
+from vilab.problems import _draw_records
 
 _ORD = {"l1": 1, "l2": 2, "linf": np.inf}
 
@@ -69,6 +70,18 @@ def record_operator(problem, X, j):
     """Record j's sampled operator (M + E_j) z + b + e_j, built from scratch."""
     M = problem.matrix if X.matrices is None else problem.matrix + X.matrices[j]
     return QuadraticOperator(M, problem.offset + X.offsets[j])
+
+
+def neighbour(problem, X, noise, j, seed):
+    """A copy of X with record j redrawn from `seed`; X is left as it is."""
+    new_offsets, new_matrices = _draw_records(problem, noise, 1, seed)
+    if X.matrices is None:
+        offsets = X.offsets.copy()
+        offsets[j] = new_offsets[0]
+        return SampledDataset(offsets, None)
+    matrices = X.matrices.copy()
+    matrices[j] = new_matrices[0]
+    return SampledDataset(X.offsets, matrices)
 
 
 def bisection_monotone_matrix(rng, d, mu, L):

@@ -37,7 +37,6 @@ from vilab import (
     generate_operator,
     potential_gap,
     quantile_fit_on,
-    replace_record,
     sample_dataset,
     stability_experiment,
     trial_dataset_seed,
@@ -46,7 +45,7 @@ from vilab import (
 from vilab.analysis import _empirical_solutions
 from vilab.cli import main as cli_main
 
-from helpers import dense_grid, record_operator
+from helpers import dense_grid, neighbour, record_operator
 
 
 def report(num, ok, detail):
@@ -336,7 +335,7 @@ def test_criterion_09_certificates_and_growth():
     n, j, eta, T = 30, 4, 0.2, 80
     for noise in (NoiseModel("offset", 0.5), NoiseModel("matrix", 0.2)):
         X = sample_dataset(op, noise, n, seed=3)
-        Xp = replace_record(op, X, j, seed=4)
+        Xp = neighbour(op, X, noise, j, seed=4)
         emp, empp = empirical_operator(op, X), empirical_operator(op, Xp)
         # shared part: the n-1 common records, scaled by 1/n
         if X.matrices is None:

@@ -38,8 +38,10 @@ from vilab import (
     sweep_point,
     trial_dataset_seed,
 )
-from vilab.analysis import (_empirical_solutions, _iterate_to_tol, _stacked_empirical,
-                            _training_horizon)
+from vilab.analysis import (_empirical_solutions, _iterate_to_tol, _neighbour_pairs,
+                            _stacked_empirical, _training_horizon)
+
+from helpers import neighbour
 
 UNIT_CONSTS = ProblemConstants(mu=1.0, L=1.0, K=1.0, D=2.0, per_player=((1.0, 1.0),))
 TWO_PLAYER_CONSTS = ProblemConstants(
@@ -141,6 +143,9 @@ class TestLogLogFit:
             fit_loglog_slope([1.0, 2.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             fit_loglog_slope([1.0, 2.0], [1.0, 2.0, 3.0])
+        # one distinct n fixes no slope; polyfit would only warn
+        with pytest.raises(ValueError, match="distinct n"):
+            fit_loglog_slope([64.0, 64.0], [1.0, 2.0])
 
 
 class TestStabilityExperiment:
@@ -201,6 +206,40 @@ class TestStabilityExperiment:
         assert res.bound < 0.0
         assert res.bound_base_K is None
         assert np.all(res.divergences >= 0.0)
+
+    @pytest.mark.parametrize("kind", ["offset", "matrix"])
+    @pytest.mark.parametrize("on_simplex", [False, True])
+    def test_neighbours_match_a_copied_reference(self, kind, on_simplex):
+        # the neighbour swapped in place gives the divergences of a
+        # neighbour built as a copy, bit for bit
+        dom = Simplex(2) if on_simplex else Ball(np.zeros(3), 1.0)
+        op = generate_operator(9, dom.dim, 0.8, 1.6, domain=dom)
+        noise, cfg = NoiseModel(kind, 0.3), SolverConfig("gd", 0.2, 300)
+        n, trials, seed = 16, 6, 7
+        res = stability_experiment(op, dom, cfg, n, trials, seed, noise)
+        originals, neighbours = [], []
+        for t in range(trials):
+            ds_seed = trial_dataset_seed(seed, n, t)
+            X = sample_dataset(op, noise, n, ds_seed)
+            j = int(np.random.default_rng(
+                np.random.SeedSequence(ds_seed, spawn_key=(9,))).integers(n))
+            originals.append(empirical_operator(op, X))
+            neighbours.append(empirical_operator(op, neighbour(op, X, noise, j, ds_seed + [1])))
+        emps = originals + neighbours
+        mats = np.stack([e.matrix for e in emps]) if kind == "matrix" else op.matrix
+        Z = run(QuadraticOperator(mats, np.stack([e.offset for e in emps])), dom, cfg).final
+        assert np.array_equal(res.divergences,
+                              np.linalg.norm(Z[:trials] - Z[trials:], axis=-1))
+        assert np.all(res.divergences > 0.0)
+        # the swap changes exactly one record
+        pairs = _neighbour_pairs(op, noise, n, 1, seed)
+        X = next(pairs)
+        before = X.offsets.copy(), None if X.matrices is None else X.matrices.copy()
+        assert next(pairs) is X
+        changed = np.any(X.offsets != before[0], axis=-1)
+        if kind == "matrix":
+            changed |= np.any(X.matrices != before[1], axis=(1, 2))
+        assert changed.sum() == 1
 
     def test_matrix_noise_runs(self):
         cfg = SolverConfig("gd", 0.1, 500)
@@ -280,6 +319,15 @@ class TestGeneralizationSweep:
             generalization_sweep(op, dom, cfg, noise, (8, 16), 5, 0, fit_on="best")
         with pytest.raises(ValueError):
             generalization_sweep(op, dom, cfg, noise, (8, 16), 5, 0, kind="weak_gap")
+
+    def test_repeated_n_reports_no_fit(self):
+        dom = Ball(np.zeros(2), 1.0)
+        op = generate_operator(6, 2, 0.8, 1.6, domain=dom)
+        res = generalization_sweep(op, dom, SolverConfig("gd", 0.2, 1),
+                                   NoiseModel("offset", 0.1), (16, 16), 3, 0)
+        assert len(res.per_n) == 2
+        assert res.slope is None and res.intercept is None and res.r_squared is None
+        assert "distinct n" in res.fit_error
 
     def test_training_eta_gate(self):
         dom = Ball(np.zeros(2), 1.0)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 import shutil
@@ -418,6 +419,17 @@ class TestSweep:
         assert code == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_repeated_size_reports_no_fit(self, tmp_path):
+        cfg = game_config(experiment={"n_grid": [64, 64], "trials": 4,
+                                      "kind": "weak_gap"},
+                          output={"svg": "sweep.svg"})
+        code, out_dir = run_cli(tmp_path, "sweep", cfg)
+        assert code == 0
+        res = json.loads((out_dir / "sweep_summary.json").read_text())["results"]
+        assert res["slope"] is None and res["r_squared"] is None
+        assert "distinct n" in res["fit_error"]
+        assert "fit slope" not in (out_dir / "sweep.svg").read_text()
+
     def test_needs_two_sizes(self, tmp_path, capsys):
         cfg = game_config(experiment={"n_grid": [16], "trials": 5})
         code, _ = run_cli(tmp_path, "sweep", cfg)
@@ -507,6 +519,26 @@ class TestReproducibility:
             assert (dir_serial / f"{command}.csv").read_bytes() == \
                 (dir_par / f"{command}.csv").read_bytes()
 
+    def test_sample_configs_match_the_pinned_digests(self, tmp_path):
+        # the benchmark's same-bytes gate, digested as bench/workloads.py's
+        # cli_output_digest does: the CSV, or solve's summary without its
+        # manifest (which holds wall time)
+        pinned = json.loads((ROOT / "bench" / "reference" / "cli_sha256.json").read_text())
+        assert len(pinned) == 6
+        got = {}
+        for stem in pinned:
+            command, out = stem.split("_")[0], tmp_path / stem
+            assert main([command, "--config", str(CONFIG_DIR / f"{stem}.json"),
+                         "--out-dir", str(out), "--workers", "1"]) == 0
+            if command == "solve":
+                summary = json.loads((out / "solve_summary.json").read_text())
+                summary.pop("manifest")
+                data = json.dumps(summary, sort_keys=True, separators=(",", ":")).encode()
+            else:
+                data = (out / f"{command}.csv").read_bytes()
+            got[stem] = hashlib.sha256(data).hexdigest()
+        assert got == pinned
+
     def test_pool_has_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
         # the default fork context starts every one of max_workers processes
         # when the pool starts, so idle workers would still be forked; the
@@ -550,6 +582,13 @@ class TestExitCodes:
         code = main(["solve", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path)])
         assert code == 2
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        code = main(["solve", "--config", str(tmp_path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file")
+        assert str(tmp_path) in err and "Traceback" not in err
 
     def test_bad_workers(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, op_config(experiment={"n": 5}))

@@ -258,7 +258,7 @@ class TestEmpiricalAndReports:
         rng = np.random.default_rng(22)
         z = dom.sample(rng)
         assert np.isclose(gap(empirical_operator(op, X), dom, z), gap(op, dom, z), atol=0.0)
-        assert gap_report(op, X, dom, z).generalization_gap == 0.0
+        assert gap_report(op, empirical_operator(op, X), dom, z).generalization_gap == 0.0
 
     def test_gap_of_average_below_average_of_gaps(self):
         # gap is a max of linear functionals of F, hence convex in F
@@ -275,7 +275,7 @@ class TestEmpiricalAndReports:
         X = sample_dataset(game, NoiseModel("offset", 0.2), 20, seed=3)
         rng = np.random.default_rng(26)
         z = game.domain.sample(rng)
-        rep = gap_report(game, X, game.domain, z)
+        rep = gap_report(game, empirical_operator(game, X), game.domain, z)
         assert rep.kind == "weak_gap"
         assert np.isclose(rep.generalization_gap, rep.weak_gap_true - rep.weak_gap_empirical)
         assert rep.potential_gap <= rep.weak_gap_true + 1e-9
@@ -291,11 +291,11 @@ class TestEmpiricalAndReports:
             calls.append(1)
             return best_response(*args, **kwargs)
 
+        emp = empirical_operator(game, X)
         monkeypatch.setattr("vilab.gaps.best_response", counting)
-        rep = gap_report(game, X, game.domain, z)
+        rep = gap_report(game, emp, game.domain, z)
         assert len(calls) == 1
         # each field equals the public evaluator's value, bit for bit
-        emp = empirical_operator(game, X)
         assert rep.weak_gap_true == weak_gap(game, game, z)
         assert rep.weak_gap_empirical == weak_gap(emp, game, z)
         assert rep.potential_gap == potential_gap(game, z)
@@ -307,7 +307,29 @@ class TestEmpiricalAndReports:
         X = sample_dataset(op, NoiseModel("offset", 0.2), 20, seed=4)
         rng = np.random.default_rng(28)
         z = dom.sample(rng)
-        rep = gap_report(op, X, dom, z)
+        rep = gap_report(op, empirical_operator(op, X), dom, z)
         assert rep.kind == "gap"
         assert rep.weak_gap_true is None and rep.potential_gap is None
         assert np.isclose(rep.generalization_gap, rep.gap_true - rep.gap_empirical)
+
+    @pytest.mark.parametrize("kind", ["offset", "matrix"])
+    def test_report_on_the_empirical_operator(self, kind):
+        # every field is the public evaluator's value on the dataset's
+        # empirical operator, bit for bit, for an operator and for a game
+        dom = Simplex(3)
+        op = generate_operator(29, dom.dim, 0.8, 1.6, dom)
+        game = generate_game(25, 2, 2, 0.5, 0.3)
+        for problem, domain in ((op, dom), (game, game.domain)):
+            X = sample_dataset(problem, NoiseModel(kind, 0.2), 30, seed=5)
+            z = domain.sample(np.random.default_rng(30))
+            emp = empirical_operator(problem, X)
+            rep = gap_report(problem, emp, domain, z)
+            assert rep.gap_true == gap(problem, domain, z)
+            assert rep.gap_empirical == gap(emp, domain, z)
+            if problem is game:
+                assert rep.weak_gap_true == weak_gap(game, game, z)
+                assert rep.weak_gap_empirical == weak_gap(emp, game, z)
+                assert rep.potential_gap == potential_gap(game, z)
+                assert rep.generalization_gap == rep.weak_gap_true - rep.weak_gap_empirical
+            else:
+                assert rep.generalization_gap == rep.gap_true - rep.gap_empirical

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vilab import problems
+from vilab.analysis import _neighbour_pairs
 from vilab import (
     Ball,
     Box,
@@ -25,7 +26,6 @@ from vilab import (
     generate_operator,
     monotonicity_modulus,
     noisy_operator_ceiling,
-    replace_record,
     run,
     sample_dataset,
     spectral_norm,
@@ -474,7 +474,7 @@ class TestDatasets:
         op = generate_operator(32, 4, 0.5, 1.5)
         X = sample_dataset(op, NoiseModel("offset", 1.0), 100_000, seed=10)
         # E||mean|| ~ magnitude * sqrt(d/n); 5x that is a comfortable ceiling
-        assert np.linalg.norm(X.mean_offset()) <= 5.0 * np.sqrt(4.0 / 100_000)
+        assert np.linalg.norm(X.offsets.mean(axis=0)) <= 5.0 * np.sqrt(4.0 / 100_000)
 
     def test_matrix_records_certified(self):
         op = generate_operator(33, 3, 1.0, 2.0)
@@ -590,7 +590,7 @@ class TestDatasets:
         monkeypatch.setattr(sys.modules[np.linalg.norm.__wrapped__.__module__],
                             "svd", counting)
         X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
-        replace_record(op, X, 5, seed=99)
+        problems._draw_records(op, NoiseModel("matrix", 0.9), 1, seed=99)
         sample_dataset(simplex_op, NoiseModel("matrix", 0.3), 50, seed=22)
         assert calls == []
         # the counter does see the SVD route the sampler used to take
@@ -599,13 +599,17 @@ class TestDatasets:
 
     def test_matrix_noise_has_no_offset_buffer(self):
         op = generate_operator(46, 3, 1.0, 2.0)
-        X = sample_dataset(op, NoiseModel("matrix", 0.2), 50, seed=23)
+        noise = NoiseModel("matrix", 0.2)
+        X = sample_dataset(op, noise, 50, seed=23)
         assert X.offsets.shape == (50, 3)
         assert np.all(X.offsets == 0.0)
         assert X.offsets.strides[0] == 0
-        Y = replace_record(op, X, 7, seed=5)
-        assert Y.offsets is X.offsets
-        assert np.array_equal(X.mean_offset(), np.zeros(3))
+        assert not X.offsets.flags.writeable
+        # a stability neighbour swaps a matrix in place and keeps the broadcast
+        pairs = _neighbour_pairs(op, noise, 50, 1, 23)
+        first = next(pairs).offsets
+        assert next(pairs).offsets is first
+        assert np.array_equal(empirical_operator(op, X).offset, op.offset)
 
     def test_matrix_floor_unreachable(self):
         # at d=8 a norm-50 perturbation with near-PSD symmetric part is far
@@ -618,27 +622,6 @@ class TestDatasets:
         op = generate_operator(35, 3, 0.5, 1.5)
         X = sample_dataset(op, NoiseModel("offset", 0.0), 10, seed=13)
         assert np.all(X.offsets == 0.0)
-
-    def test_replace_record_touches_one_row(self):
-        op = generate_operator(36, 3, 0.5, 1.5)
-        for noise in (NoiseModel("offset", 0.3), NoiseModel("matrix", 0.2)):
-            X = sample_dataset(op, noise, 50, seed=14)
-            Y = replace_record(op, X, 17, seed=999)
-            if noise.kind == "offset":
-                diff = np.any(X.offsets != Y.offsets, axis=-1)
-            else:
-                diff = np.any(X.matrices != Y.matrices, axis=(1, 2))
-            assert diff[17]
-            assert diff.sum() == 1
-            # redrawing with the same seed is reproducible
-            Y2 = replace_record(op, X, 17, seed=999)
-            assert np.array_equal(Y.offsets, Y2.offsets)
-
-    def test_replace_record_bounds(self):
-        op = generate_operator(37, 2, 0.5, 1.5)
-        X = sample_dataset(op, NoiseModel("offset", 0.1), 5, seed=15)
-        with pytest.raises(ValueError):
-            replace_record(op, X, 5, seed=0)
 
     def test_simplex_noise_stays_tangent(self):
         dom = Simplex(3)

@@ -25,12 +25,11 @@ from vilab import (
     gd_step,
     generate_operator,
     in_gd_stability_range,
-    replace_record,
     run,
     sample_dataset,
 )
 
-from helpers import record_operator
+from helpers import neighbour, record_operator
 
 IDENTITY = QuadraticOperator(np.eye(1), np.zeros(1))
 
@@ -360,8 +359,9 @@ class TestNeighbourRecursion:
         dom = Box(-np.ones(2), np.ones(2))
         op = generate_operator(7, 2, 0.8, 1.6, domain=dom)
         n, j, eta, T = 40, 3, 0.2, 60
-        X = sample_dataset(op, NoiseModel("offset", 0.5), n, seed=1)
-        Xp = replace_record(op, X, j, seed=2)
+        noise = NoiseModel("offset", 0.5)
+        X = sample_dataset(op, noise, n, seed=1)
+        Xp = neighbour(op, X, noise, j, seed=2)
         emp, empp = empirical_operator(op, X), empirical_operator(op, Xp)
         # shared affine part: mean over the n-1 common records
         xi = np.linalg.norm(np.eye(2) - eta * (1.0 - 1.0 / n) * emp.matrix, 2)
