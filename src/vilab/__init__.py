@@ -12,8 +12,7 @@ from .analysis import (BOUND_NOTE, BernsteinResult, BoundSet, StabilityResult,
                        stability_gamma, sweep_point, trial_dataset_seed)
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
-                     InfeasiblePointError, NumericalError,
-                     VertexEnumerationError)
+                     InfeasiblePointError, NumericalError)
 from .gaps import (GapReport, best_response, gap, gap_report, potential_gap,
                    weak_gap)
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame,

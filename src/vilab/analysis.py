@@ -31,8 +31,9 @@ from .domains import Domain, Simplex
 from .errors import ConfigError, NumericalError
 from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
-                       QuadraticOperator, _draw_records, constants, empirical_operator,
-                       exact_solution, noisy_operator_ceiling, sample_dataset)
+                       QuadraticOperator, _draw_records, _noisy_certificates, constants,
+                       empirical_operator, exact_solution, noisy_operator_ceiling,
+                       sample_dataset)
 from .solvers import (SolverConfig, eg_contraction_bound, gd_contraction_bound,
                       in_gd_stability_range, run)
 
@@ -74,13 +75,14 @@ def stability_gamma(consts: ProblemConstants, n: int, eta: float,
                     noise: Optional[NoiseModel] = None,
                     domain: Optional[Domain] = None) -> dict:
     """The stability constant at the configured eta and in the eta -> 0 limit
-    K/(n mu). Uses the noise-inflated K when a noise model is given (that is
-    the K the sampled operators actually obey)."""
-    K = consts.K if noise is None else noisy_operator_ceiling(consts, noise, domain)
-    at_eta = None
-    if in_gd_stability_range(eta, consts.mu, consts.L):
-        at_eta = gd_stability_bound(K, n, consts.mu, consts.L, eta)
-    return {"eta": at_eta, "limit": K / (n * consts.mu)}
+    K/(n mu). Given a noise model, K, mu and L are the ones the sampled
+    operators actually obey (noisy_operator_ceiling, _noisy_certificates)."""
+    K, mu, L = consts.K, consts.mu, consts.L
+    if noise is not None:
+        K = noisy_operator_ceiling(consts, noise, domain)
+        mu, L = _noisy_certificates(consts, noise)
+    at_eta = gd_stability_bound(K, n, mu, L, eta) if in_gd_stability_range(eta, mu, L) else None
+    return {"eta": at_eta, "limit": K / (n * mu)}
 
 
 def covering_bound(consts: ProblemConstants, gamma: float, domain: Domain, r_grid) -> float:
@@ -220,12 +222,16 @@ def _neighbour_pairs(problem, noise: NoiseModel, n: int, trials: int, seed: int)
         yield X
 
 
-def check_gd_eta(config: SolverConfig, consts: ProblemConstants) -> None:
-    """ConfigError when gd's eta lies outside the stability range (0, 2 mu / L^2)."""
-    if config.method == "gd" and not in_gd_stability_range(config.eta, consts.mu, consts.L):
+def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseModel) -> tuple:
+    """The (mu, L) that every sampled operator satisfies (_noisy_certificates);
+    ConfigError when gd's eta lies outside their stability range (0, 2 mu / L^2)."""
+    mu, L = _noisy_certificates(consts, noise)
+    if config.method == "gd" and not in_gd_stability_range(config.eta, mu, L):
+        noisy = "" if noise.kind == "offset" else f" (matrix noise certifies mu={mu:.6g}, L={L:.6g})"
         raise ConfigError(
-            f"eta exceeds 2*mu/L^2: eta={config.eta}, limit={2 * consts.mu / consts.L ** 2:.6g}"
+            f"eta exceeds 2*mu/L^2: eta={config.eta}, limit={2 * mu / L ** 2:.6g}{noisy}"
         )
+    return mu, L
 
 
 def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
@@ -234,15 +240,16 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     """Train on X and on X-with-one-record-replaced from the same start and
     record ||z_T - z_T'|| per trial.
 
-    The reported gd bound uses the noise-inflated K (what the sampled
-    operators actually satisfy); bound_base_K keeps the plain-constants
-    version for reference. For eg the closed form is informational only.
+    The gd eta gate and bound use the K, mu and L that the sampled operators
+    actually satisfy (noisy_operator_ceiling, _noisy_certificates);
+    bound_base_K keeps the plain-constants bound for reference. For eg the
+    closed form is informational only.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if consts is None:
         consts = constants(problem, domain)
-    check_gd_eta(config, consts)
+    mu_w, L_w = check_gd_eta(config, consts, noise)
     # pairs arrive interleaved (X_0, X'_0, X_1, ...); the batch is laid out
     # as all originals, then all neighbours
     mats, offs = _stacked_empirical(problem, _neighbour_pairs(problem, noise, n, trials, seed))
@@ -254,7 +261,7 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
 
     if config.method == "gd":
         K_noisy = noisy_operator_ceiling(consts, noise, domain)
-        bound = gd_stability_bound(K_noisy, n, consts.mu, consts.L, config.eta)
+        bound = gd_stability_bound(K_noisy, n, mu_w, L_w, config.eta)
         base = gd_stability_bound(consts.K, n, consts.mu, consts.L, config.eta)
         informational = False
     else:
@@ -285,18 +292,10 @@ class SweepResult:
 
 def _training_horizon(config, noise, consts) -> int:
     """First horizon of the doubling loop, from the per-step contraction of
-    the noisy operators (their certificates degrade to mu/2, L + magnitude
-    under matrix noise); ConfigError when eta does not contract them."""
-    if noise.kind == "offset":
-        mu_eff, L_eff = consts.mu, consts.L
-    else:
-        mu_eff, L_eff = 0.5 * consts.mu, consts.L + noise.magnitude
+    the noisy operators (check_gd_eta); ConfigError when eta does not
+    contract them."""
+    mu_eff, L_eff = check_gd_eta(config, consts, noise)
     if config.method == "gd":
-        if not in_gd_stability_range(config.eta, mu_eff, L_eff):
-            raise ConfigError(
-                f"training eta {config.eta} not contractive for the noisy operators "
-                f"(limit {2 * mu_eff / L_eff ** 2:.6g})"
-            )
         xi = gd_contraction_bound(mu_eff, L_eff, config.eta)
     else:
         xi = eg_contraction_bound(mu_eff, L_eff, config.eta)

@@ -221,7 +221,7 @@ def _problem_domain(p: dict) -> Optional[Domain]:
 
 
 def load_config(path: str, command: str, seed_override=None) -> dict:
-    """The checked config of `command`, its experiment keys all present."""
+    """The config file at `path`, checked by normalize_config."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -231,21 +231,14 @@ def load_config(path: str, command: str, seed_override=None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = normalize_config(cfg, command, seed_override)
-    exp = _section(_EXPERIMENTS[command], cfg["experiment"], "experiment")
-    if exp.get("mode") == "quantile":
-        quantile_fit_on(exp["trials"], exp["delta"])  # the quantile's trial floor
-    return cfg
+    return normalize_config(cfg, command, seed_override)
 
 
 def normalize_config(cfg: dict, command: str, seed_override=None) -> dict:
-    """A checked copy of `cfg` with defaults filled in. The command's
-    experiment keys are checked when present; load_config requires them."""
-    experiment = {key: (check, bound, None if default is _REQUIRED else default)
-                  for key, (check, bound, default) in _EXPERIMENTS[command].items()}
+    """A checked copy of `command`'s config `cfg` with defaults filled in."""
     cfg = _section({"problem": (_tagged(_PROBLEMS), None, _REQUIRED),
                     "solver": (_SOLVER, None, {"method": "gd", "eta": 0.1, "T": 1000}),
-                    "experiment": (experiment, None, {}),
+                    "experiment": (_EXPERIMENTS[command], None, {}),
                     "output": (_output(command), None, {})}, cfg, "")
     p = cfg["problem"]
     if p["kind"] == "operator" and p["mu"] > p["L"]:
@@ -254,9 +247,11 @@ def normalize_config(cfg: dict, command: str, seed_override=None) -> dict:
         raise ConfigError(f"'problem.dims' must list {p['k']} sizes, got {len(p['dims'])}")
     if command == "bernstein" and p["kind"] != "game":
         raise ConfigError("bernstein requires 'problem.kind' = 'game'")
-    kind = cfg["experiment"].get("kind", "gap")
-    if kind != "gap" and p["kind"] != "game":
-        raise ConfigError(f"'experiment.kind' {kind!r} requires 'problem.kind' = 'game'")
+    exp = cfg["experiment"]
+    if exp.get("kind", "gap") != "gap" and p["kind"] != "game":
+        raise ConfigError(f"'experiment.kind' {exp['kind']!r} requires 'problem.kind' = 'game'")
+    if exp.get("mode") == "quantile":
+        quantile_fit_on(exp["trials"], exp["delta"])  # the quantile's trial floor
     _problem_domain(p)
     if seed_override is not None:
         p["seed"] = _value(int, _NONNEGATIVE, seed_override, "--seed")
@@ -382,7 +377,7 @@ def _bounds_at(n: int, sc: SolverConfig, built) -> dict:
 
 def cmd_solve(args, cfg, built, sc) -> _Outcome:
     problem, domain, noise, consts = built
-    check_gd_eta(sc, consts)
+    mu, L = check_gd_eta(sc, consts, noise)  # what the empirical operator certifies
     n = cfg["experiment"]["n"]
     X = sample_dataset(problem, noise, n, trial_dataset_seed(cfg["problem"]["seed"], n, 0))
     emp = empirical_operator(problem, X)
@@ -393,9 +388,9 @@ def cmd_solve(args, cfg, built, sc) -> _Outcome:
         "gap_report": dataclasses.asdict(report),
         "diagnostics": {
             "method": sc.method, "eta": sc.eta, "n": n,
-            "gd_stability_range": in_gd_stability_range(sc.eta, consts.mu, consts.L),
+            "gd_stability_range": in_gd_stability_range(sc.eta, mu, L),
             "contraction_bound": (gd_contraction_bound if sc.method == "gd"
-                                  else eg_contraction_bound)(consts.mu, consts.L, sc.eta),
+                                  else eg_contraction_bound)(mu, L, sc.eta),
         },
     }
     return _Outcome(results, (n, None, None))

@@ -2,9 +2,9 @@
 
 Every domain is a compact convex subset of R^dim and offers the same small
 toolkit: membership, Euclidean projection, diameter, a linear minimization
-oracle (LMO), vertex enumeration where finite, covering-number upper bounds,
-and uniform sampling. All point-valued operations accept batches: arrays of
-shape (..., dim) are handled along the last axis.
+oracle (LMO), covering-number upper bounds, and uniform sampling. All
+point-valued operations accept batches: arrays of shape (..., dim) are
+handled along the last axis.
 
 Conventions
 -----------
@@ -16,8 +16,8 @@ Conventions
   g = 0 on balls).
 * diameter() is the l2 diameter max ||z - z'||_2 over the set.
 * covering_number_upper(r) never underestimates the l-inf covering number
-  N(Z, r, l-inf); covering_points(r) gives a cover at radius r, whose size
-  attains the count on boxes and balls.
+  N(Z, r, l-inf). It is an exact Python int at any dimension; on boxes and
+  balls an explicit grid cover attains it.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import VertexEnumerationError
-
-VERTEX_CAP = 20
 
 def _as_points(z, dim: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
@@ -101,19 +98,10 @@ class Domain:
         """Linear minimization oracle: argmin_{u in Z} <g, u>, batched."""
         raise NotImplementedError
 
-    def vertices(self) -> Optional[list]:
-        """Finite vertex list, or None when the set has no finite vertex set."""
-        return None
-
     # covering ----------------------------------------------------------------
 
     def covering_number_upper(self, r: float) -> int:
         """Upper bound on the number of l-inf balls of radius r covering the set."""
-        raise NotImplementedError
-
-    def covering_points(self, r: float) -> np.ndarray:
-        """An explicit l-inf cover at radius r. For Box/Ball its size equals
-        covering_number_upper; for Simplex it is merely a valid cover."""
         raise NotImplementedError
 
     # sampling ----------------------------------------------------------------
@@ -164,9 +152,6 @@ class Simplex(Domain):
         np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
         return out
 
-    def vertices(self) -> list:
-        return [np.eye(self.dim)[i] for i in range(self.dim)]
-
     def tangent_basis(self) -> np.ndarray:
         """Rows: an orthonormal basis of the sum-zero subspace, shape (d, d+1)."""
         ones = np.ones((1, self.dim))
@@ -180,24 +165,6 @@ class Simplex(Domain):
         # the l2 ball of radius r, so l-inf covering is no harder.
         radius = math.sqrt(self.d / (self.d + 1))
         return int(math.ceil(1.0 + 2.0 * radius / r)) ** self.d
-
-    def covering_points(self, r: float) -> np.ndarray:
-        r = _positive_radius(r)
-        # barycentric grid: coordinates k/m with sum k = m. Rounding any
-        # simplex point to the grid errs by at most 1/m per coordinate, so the
-        # l1 covering radius is (d+1)/m <= r and the l-inf one is no larger.
-        m = max(1, math.ceil(self.dim / r))
-        pts = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                pts.append(prefix + [remaining])
-                return
-            for k in range(remaining + 1):
-                rec(prefix + [k], remaining - k, slots - 1)
-
-        rec([], m, self.dim)
-        return np.array(pts, dtype=float) / m
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
         shape = (self.dim,) if size is None else (size, self.dim)
@@ -247,21 +214,11 @@ class Ball(Domain):
         step = np.where(nrm > 0.0, -self.radius * g / safe, 0.0)
         return self.center_point + step
 
-    def _per_axis(self, r: float) -> int:
+    def covering_number_upper(self, r: float) -> int:
         # the l2 volumetric count per axis: ceil(1 + 2R/r) points spaced at
         # most r apart across [c-R, c+R] leave every point of the ball within
         # l-inf r/2 of the grid
-        return int(math.ceil(1.0 + 2.0 * self.radius / _positive_radius(r)))
-
-    def covering_number_upper(self, r: float) -> int:
-        return self._per_axis(r) ** self.dim
-
-    def covering_points(self, r: float) -> np.ndarray:
-        per_axis = self._per_axis(r)
-        axes = [np.linspace(c - self.radius, c + self.radius, per_axis)
-                for c in self.center_point]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return int(math.ceil(1.0 + 2.0 * self.radius / _positive_radius(r))) ** self.dim
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
         n = 1 if size is None else size
@@ -309,31 +266,11 @@ class Box(Domain):
         # negative coefficients push to the upper face, ties go to lower
         return np.where(g < 0.0, self.upper, self.lower * np.ones_like(g))
 
-    def vertices(self, cap: int = VERTEX_CAP) -> list:
-        if self.dim > cap:
-            raise VertexEnumerationError(
-                f"vertex enumeration infeasible: box dimension {self.dim} exceeds cap {cap}"
-            )
-        corners = []
-        for mask in range(2 ** self.dim):
-            bits = (mask >> np.arange(self.dim)) & 1
-            corners.append(np.where(bits == 1, self.upper, self.lower).astype(float))
-        return corners
-
-    def _counts(self, r: float) -> np.ndarray:
-        # cells of side <= 2r per axis; their centres cover within l-inf r
-        sides = self.upper - self.lower
-        return np.maximum(1, np.ceil(sides / (2.0 * _positive_radius(r))).astype(int))
-
     def covering_number_upper(self, r: float) -> int:
-        return int(np.prod(self._counts(r)))
-
-    def covering_points(self, r: float) -> np.ndarray:
-        counts = self._counts(r)
-        step = (self.upper - self.lower) / counts
-        axes = [self.lower[i] + step[i] * (0.5 + np.arange(k)) for i, k in enumerate(counts)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        # cells of side <= 2r per axis; their centres cover within l-inf r.
+        # Python ints: a product of per-axis counts overflows int64 by d = 19.
+        cell = 2.0 * _positive_radius(r)
+        return math.prod(max(1, math.ceil(s / cell)) for s in (self.upper - self.lower).tolist())
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
         shape = (self.dim,) if size is None else (size, self.dim)

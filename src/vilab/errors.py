@@ -23,7 +23,3 @@ class GenerationError(RuntimeError):
 
 class InfeasiblePointError(ValueError):
     """A point lies outside the domain beyond the allowed tolerance."""
-
-
-class VertexEnumerationError(RuntimeError):
-    """Vertex enumeration infeasible for this domain size."""

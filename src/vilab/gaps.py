@@ -36,12 +36,12 @@ def _maybe_float(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-def _check_feasible(domain: Domain, z, tol: float = _FEAS_TOL) -> np.ndarray:
+def _check_feasible(domain: Domain, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     dist = domain.distance(z)
-    if np.any(dist > tol):
+    if np.any(dist > _FEAS_TOL):
         raise InfeasiblePointError(
-            f"point outside domain: distance {float(np.max(dist)):.3e} > tol {tol:.1e}"
+            f"point outside domain: distance {float(np.max(dist)):.3e} > tol {_FEAS_TOL:.1e}"
         )
     return z
 

@@ -39,26 +39,25 @@ from .errors import GenerationError, InfeasiblePointError, NumericalError
 _REJECTION_BUDGET = 1000
 
 
-def spectral_norm(M: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 50_000) -> float:
-    """Largest singular value via power iteration on M^T M.
-
-    The starting vector is a fixed pseudo-random draw, so results are
-    deterministic. Tested against numpy's SVD.
-    """
+def spectral_norm(M: np.ndarray) -> float:
+    """Largest singular value via power iteration on M^T M, run until the
+    Rayleigh quotient moves by <= 1e-10 relative (at most 50,000 steps) from
+    a fixed pseudo-random start, so results are deterministic. Tested
+    against numpy's SVD."""
     M = np.asarray(M, dtype=float)
     B = M.T @ M
     d = B.shape[0]
     v = np.random.default_rng(0).standard_normal(d)
     v /= np.linalg.norm(v)
     lam = float(v @ B @ v)
-    for _ in range(max_iter):
+    for _ in range(50_000):
         w = B @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         lam_new = float(v @ B @ v)
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-300):
+        if abs(lam_new - lam) <= 1e-10 * max(abs(lam_new), 1e-300):
             lam = lam_new
             break
         lam = lam_new
@@ -219,8 +218,8 @@ def constants(problem, domain: Optional[Domain] = None) -> ProblemConstants:
     return ProblemConstants(mu=mu, L=L, K=K, D=D, per_player=per_player)
 
 
-def exact_solution(problem, domain: Optional[Domain] = None, tol: float = 1e-6) -> np.ndarray:
-    """Root of the affine operator, checked against the domain when given."""
+def exact_solution(problem, domain: Optional[Domain] = None) -> np.ndarray:
+    """Root of the affine operator, checked to lie within 1e-6 of the domain when given."""
     try:
         z = np.linalg.solve(problem.matrix, -problem.offset)
     except np.linalg.LinAlgError as exc:
@@ -229,7 +228,7 @@ def exact_solution(problem, domain: Optional[Domain] = None, tol: float = 1e-6) 
         raise NumericalError("operator root is not finite")
     if domain is None:
         domain = getattr(problem, "domain", None)
-    if domain is not None and not bool(domain.contains(z, tol)):
+    if domain is not None and not bool(domain.contains(z, 1e-6)):
         raise InfeasiblePointError(
             f"operator root lies outside the domain (distance {float(domain.distance(z)):.3e})"
         )
@@ -591,3 +590,12 @@ def noisy_operator_ceiling(consts: ProblemConstants, noise: NoiseModel,
     if noise.kind == "offset":
         return consts.K + noise.magnitude
     return consts.K + noise.magnitude * domain.max_point_norm()
+
+
+def _noisy_certificates(consts: ProblemConstants, noise: NoiseModel) -> tuple:
+    """(mu, L) that every sampled operator, and so every dataset average,
+    satisfies. Matrix noise keeps lambda_min(sym) >= max(mu/2, mu - magnitude)
+    (the rejection floor, or Weyl) and sigma_max <= L + magnitude."""
+    if noise.kind == "offset":
+        return consts.mu, consts.L
+    return max(0.5 * consts.mu, consts.mu - noise.magnitude), consts.L + noise.magnitude

@@ -80,14 +80,14 @@ def _own_start(F, z) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(z, dtype=float), batch), order="C")
 
 
-def gd_step(F, z, eta: float, project_onto: Optional[Domain] = None):
+def gd_step(F, z, eta: float):
     z = _own_start(F, z)
-    return _step_into(F, z, eta, project_onto, np.empty_like(z))
+    return _step_into(F, z, eta, None, np.empty_like(z))
 
 
-def eg_step(F, z, eta: float, project_onto: Optional[Domain] = None):
+def eg_step(F, z, eta: float):
     z = _own_start(F, z)
-    return _step_into(F, z, eta, project_onto, np.empty_like(z), np.empty_like(z))
+    return _step_into(F, z, eta, None, np.empty_like(z), np.empty_like(z))
 
 
 def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:

@@ -1,6 +1,6 @@
-"""Brute-force oracles shared by the tests: dense domain grids, greedy
-packings, per-record operators, and small combinatorial utilities.
-Intentionally slow and simple."""
+"""Brute-force oracles shared by the tests: dense domain grids, vertex lists,
+explicit l-inf covers, greedy packings, per-record operators, and small
+combinatorial utilities. Intentionally slow and simple."""
 
 import itertools
 
@@ -42,6 +42,35 @@ def dense_grid(domain, step):
             out.append(np.concatenate([g[i] for g, i in zip(grids, combo)]))
         return np.array(out)
     raise TypeError(f"no dense grid for {type(domain)}")
+
+
+def vertices(domain):
+    """Every vertex of a simplex or box, or None for a set without finitely
+    many vertices."""
+    if isinstance(domain, Simplex):
+        return list(np.eye(domain.dim))
+    if isinstance(domain, Box):
+        return [np.where(upper, domain.upper, domain.lower)
+                for upper in itertools.product((False, True), repeat=domain.dim)]
+    return None
+
+
+def linf_cover(domain, r):
+    """An explicit l-inf cover of radius r: the centres of cells of side <= 2r
+    on a box, ceil(1 + 2R/r) evenly spaced points per axis across a ball's
+    bounding box, and the barycentric grid of pitch 1/ceil(dim/r) on a
+    simplex (its l1 radius is <= r)."""
+    if isinstance(domain, Simplex):
+        return dense_grid(domain, r)
+    if isinstance(domain, Box):
+        counts = np.maximum(1, np.ceil((domain.upper - domain.lower) / (2.0 * r)).astype(int))
+        step = (domain.upper - domain.lower) / counts
+        axes = [lo + h * (0.5 + np.arange(k)) for lo, h, k in zip(domain.lower, step, counts)]
+    else:
+        k = int(np.ceil(1.0 + 2.0 * domain.radius / r))
+        axes = [np.linspace(c - domain.radius, c + domain.radius, k) for c in domain.center_point]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def greedy_packing_count(points, separation, norm="l2"):

@@ -37,6 +37,7 @@ from vilab import (
     generate_operator,
     potential_gap,
     quantile_fit_on,
+    run,
     sample_dataset,
     stability_experiment,
     trial_dataset_seed,
@@ -45,7 +46,7 @@ from vilab import (
 from vilab.analysis import _empirical_solutions
 from vilab.cli import main as cli_main
 
-from helpers import dense_grid, neighbour, record_operator
+from helpers import dense_grid, neighbour, record_operator, vertices
 
 
 def report(num, ok, detail):
@@ -331,7 +332,7 @@ def test_criterion_09_certificates_and_growth():
     growth_violations = 0
     dom = Box(-np.ones(3), np.ones(3))
     op = generate_operator(130, 3, 0.8, 1.6, domain=dom)
-    verts = np.array(dom.vertices())
+    verts = np.array(vertices(dom))
     n, j, eta, T = 30, 4, 0.2, 80
     for noise in (NoiseModel("offset", 0.5), NoiseModel("matrix", 0.2)):
         X = sample_dataset(op, noise, n, seed=3)
@@ -346,11 +347,12 @@ def test_criterion_09_certificates_and_growth():
         xi = np.linalg.norm(np.eye(3) - eta * shared, 2)
         sup_in = eta / n * np.linalg.norm(record_operator(op, X, j)(verts), axis=-1).max()
         sup_out = eta / n * np.linalg.norm(record_operator(op, Xp, j)(verts), axis=-1).max()
+        step = SolverConfig("gd", eta, 1, projected=True)  # one projected gd step
         z = zp = dom.center()
         for _ in range(T):
             d_now = np.linalg.norm(z - zp)
-            z = gd_step(emp, z, eta, project_onto=dom)
-            zp = gd_step(empp, zp, eta, project_onto=dom)
+            z = run(emp, dom, step, z).final
+            zp = run(empp, dom, step, zp).final
             if np.linalg.norm(z - zp) > xi * d_now + sup_in + sup_out + 1e-12:
                 growth_violations += 1
     elapsed = time.time() - started

@@ -29,6 +29,7 @@ from vilab import (
     generalization_sweep,
     generate_game,
     generate_operator,
+    noisy_operator_ceiling,
     quantile_fit_on,
     run,
     sample_dataset,
@@ -82,6 +83,17 @@ class TestClosedFormBounds:
         g = stability_gamma(UNIT_CONSTS, 100, 0.1, NoiseModel("offset", 0.5), dom)
         assert np.isclose(g["eta"], 2.0 * 1.5 / 190.0)
         assert np.isclose(g["limit"], 1.5 / 100.0)
+
+    def test_gamma_uses_the_matrix_noise_certificates(self):
+        # matrix noise 0.2 certifies mu_w = max(mu/2, mu - 0.2) = 0.6 and
+        # L_w = L + 0.2 = 1.8; K grows by 0.2 * max ||z|| = 0.2
+        consts = ProblemConstants(mu=0.8, L=1.6, K=1.0, D=2.0, per_player=((0.8, 1.6),))
+        dom, noise = Ball(np.zeros(2), 1.0), NoiseModel("matrix", 0.2)
+        g = stability_gamma(consts, 100, 0.25, noise, dom)
+        assert np.isclose(g["eta"], 2.0 * 1.2 / (100 * (1.2 - 0.25 * 1.8 ** 2)))
+        assert np.isclose(g["limit"], 1.2 / (100 * 0.6))
+        # inside the plain range (0, 0.625), outside the noisy one (0, 0.37)
+        assert stability_gamma(consts, 100, 0.5, noise, dom)["eta"] is None
 
     def test_covering_bound_frozen(self):
         box = Box(np.zeros(2), np.ones(2))
@@ -240,6 +252,23 @@ class TestStabilityExperiment:
         if kind == "matrix":
             changed |= np.any(X.matrices != before[1], axis=(1, 2))
         assert changed.sum() == 1
+
+    def test_matrix_noise_bound_uses_the_certified_pair(self):
+        # a record's lambda_min(sym) can fall below mu; the gate and the bound
+        # use (max(mu/2, mu - magnitude), L + magnitude)
+        dom = Ball(np.zeros(3), 1.0)
+        op = generate_operator(9, 3, 0.8, 1.6, domain=dom)
+        consts, noise, n = constants(op, dom), NoiseModel("matrix", 0.2), 16
+        mu_w, L_w = max(consts.mu / 2, consts.mu - 0.2), consts.L + 0.2
+        emps = [empirical_operator(op, X) for X in _trial_datasets(op, noise, n, 6, 1)]
+        assert min(np.linalg.eigvalsh(0.5 * (e.matrix + e.matrix.T))[0] for e in emps) < consts.mu
+        res = stability_experiment(op, dom, SolverConfig("gd", 0.25, 300), n, 6, 1, noise)
+        K_noisy = noisy_operator_ceiling(consts, noise, dom)
+        assert res.bound == gd_stability_bound(K_noisy, n, mu_w, L_w, 0.25)
+        assert res.divergences.max() <= res.bound
+        eta = 0.5 * (2 * mu_w / L_w ** 2 + 2 * consts.mu / consts.L ** 2)
+        with pytest.raises(ConfigError, match="matrix noise certifies"):
+            stability_experiment(op, dom, SolverConfig("gd", eta, 10), n, 2, 0, noise)
 
     def test_matrix_noise_runs(self):
         cfg = SolverConfig("gd", 0.1, 500)

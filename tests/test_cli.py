@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -79,8 +80,9 @@ def run_cli(tmp_path, command, cfg, out="out", workers=1, extra=()):
 
 
 class TestConfigValidation:
+    # complete solve configs: the experiment's required keys are checked too
     def test_unknown_key_is_named(self):
-        cfg = op_config()
+        cfg = op_config(experiment={"n": 50})
         cfg["problem"]["foo"] = 1
         with pytest.raises(ConfigError, match="problem.foo"):
             normalize_config(cfg, "solve")
@@ -92,42 +94,49 @@ class TestConfigValidation:
             normalize_config(cfg, "solve")
 
     def test_missing_required(self):
-        cfg = op_config()
+        cfg = op_config(experiment={"n": 50})
         del cfg["problem"]["mu"]
         with pytest.raises(ConfigError, match="problem.mu"):
             normalize_config(cfg, "solve")
-        cfg = op_config(solver={"method": "gd"})
+        cfg = op_config(solver={"method": "gd"}, experiment={"n": 50})
         del cfg["solver"]["eta"]
         del cfg["solver"]["T"]
         with pytest.raises(ConfigError, match="solver.eta"):
             normalize_config(cfg, "solve")
 
     def test_type_checks(self):
-        cfg = op_config()
+        cfg = op_config(experiment={"n": 50})
         cfg["problem"]["d"] = 2.5
         with pytest.raises(ConfigError, match="problem.d"):
             normalize_config(cfg, "solve")
-        cfg = op_config()
+        cfg = op_config(experiment={"n": 50})
         cfg["solver"]["eta"] = -0.1
         with pytest.raises(ConfigError, match="solver.eta"):
             normalize_config(cfg, "solve")
-        cfg = op_config()
+        cfg = op_config(experiment={"n": 50})
         cfg["problem"]["mu"] = 2.0  # now mu > L
         with pytest.raises(ConfigError, match="problem.mu"):
             normalize_config(cfg, "solve")
 
     def test_bad_box(self):
-        cfg = op_config()
+        cfg = op_config(experiment={"n": 50})
         cfg["problem"]["domain"] = {"kind": "box", "lower": [0.0, 0.0], "upper": [0.0, 1.0]}
         with pytest.raises(ConfigError, match="box"):
             normalize_config(cfg, "solve")
 
     def test_defaults_filled(self):
-        cfg = {"problem": op_config()["problem"]}
+        cfg = {"problem": op_config()["problem"], "experiment": {"n": 50}}
         out = normalize_config(cfg, "solve")
         assert out["solver"] == {"method": "gd", "eta": 0.1, "T": 1000, "projected": False}
         assert out["output"]["csv"] == "solve.csv"
         assert out["output"]["json"] == "solve_summary.json"
+
+    def test_experiment_keys_required(self):
+        with pytest.raises(ConfigError, match="experiment.n"):
+            normalize_config(op_config(), "solve")
+        cfg = op_config(experiment={"n_grid": [8, 16], "trials": 5, "mode": "quantile"})
+        with pytest.raises(ValueError, match="needs >= 100 trials"):
+            normalize_config(cfg, "sweep")
 
     def test_normalization_is_idempotent(self):
         cfg = normalize_config(op_config(experiment={"n": 50}), "solve")
@@ -135,7 +144,7 @@ class TestConfigValidation:
         assert again == cfg
 
     def test_seed_override(self):
-        cfg = normalize_config(op_config(), "solve", seed_override=42)
+        cfg = normalize_config(op_config(experiment={"n": 50}), "solve", seed_override=42)
         assert cfg["problem"]["seed"] == 42
 
     @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
@@ -271,6 +280,33 @@ class TestSolve:
         assert code == 2
         assert "eta exceeds 2*mu/L^2" in capsys.readouterr().err
 
+    def test_matrix_noise_gates_and_reports_the_certified_pair(self, tmp_path, capsys):
+        # mu 0.8, L 1.6, matrix noise 0.2: the empirical operator certifies
+        # only (0.6, 1.8), whose gd limit is 0.37 < 0.5 < 2 mu/L^2 = 0.625
+        noise = {"noise": {"kind": "matrix", "magnitude": 0.2}}
+        cfg = op_config(problem=noise, solver={"eta": 0.5}, experiment={"n": 10})
+        code, _ = run_cli(tmp_path, "solve", cfg)
+        assert code == 2
+        assert "limit=0.37037 (matrix noise certifies mu=0.6, L=1.8)" in capsys.readouterr().err
+        cfg = op_config(problem=noise, solver={"eta": 0.25}, experiment={"n": 10})
+        code, out_dir = run_cli(tmp_path, "solve", cfg)
+        assert code == 0
+        summary = json.loads((out_dir / "solve_summary.json").read_text())
+        diagnostics = summary["results"]["diagnostics"]
+        assert diagnostics["gd_stability_range"] is True
+        assert np.isclose(diagnostics["contraction_bound"],
+                          math.sqrt(1.0 - 2 * 0.25 * 0.6 + 0.25 ** 2 * 1.8 ** 2))
+        assert summary["bounds"]["gamma"]["eta"] is not None
+
+    def test_forty_dim_box_has_a_finite_covering_bound(self, tmp_path):
+        # the box's covering numbers exceed int64 from d = 19 on
+        cfg = op_config(problem={"d": 40, "interior_margin": 0.01}, experiment={"n": 10})
+        cfg["problem"]["domain"] = {"kind": "box", "lower": [-1.0] * 40, "upper": [1.0] * 40}
+        code, out_dir = run_cli(tmp_path, "solve", cfg)
+        assert code == 0
+        covering = json.loads((out_dir / "solve_summary.json").read_text())["bounds"]["covering"]
+        assert math.isfinite(covering) and covering > 0.0
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = op_config(experiment={"n": 10})
         code, out_dir = run_cli(tmp_path, "solve", cfg, extra=("--seed", "42"))
@@ -345,6 +381,17 @@ class TestStability:
         summary = json.loads((out_dir / "stability_summary.json").read_text())
         for block in summary["results"]["per_n"]:
             assert max(block["divergences"]) <= block["bound"]
+
+    def test_eta_past_the_noisy_limit_exits_2(self, tmp_path, capsys):
+        # mu 0.8, L 1.6: eta 0.5 < 2 mu/L^2 = 0.625, but matrix noise 0.2
+        # certifies only (0.6, 1.8), whose limit is 0.37
+        cfg = op_config(problem={"noise": {"kind": "matrix", "magnitude": 0.2}},
+                        solver={"eta": 0.5, "T": 10},
+                        experiment={"n_grid": [8], "trials": 2})
+        code, _ = run_cli(tmp_path, "stability", cfg)
+        assert code == 2
+        assert ("eta exceeds 2*mu/L^2: eta=0.5, limit=0.37037 (matrix noise certifies "
+                "mu=0.6, L=1.8)") in capsys.readouterr().err
 
     def test_bounds_say_they_are_at_the_first_dataset_size(self, tmp_path):
         cfg = op_config(solver={"T": 100}, experiment={"n_grid": [32, 8], "trials": 3})

@@ -1,4 +1,5 @@
-"""Every module-level function, class and constant of the library is read.
+"""Every module-level function, class and constant of the library is read,
+and so is every public method of its classes.
 
 This is the dead-name check, the sibling of the unused-import check in
 test_imports.py: a name that a src/vilab/*.py module defines at module level
@@ -6,13 +7,21 @@ test_imports.py: a name that a src/vilab/*.py module defines at module level
 it outside its own definition and vilab/__init__.py does not re-export it. A
 read is a loaded name or a `from ... import` of the name, so a re-export in
 __init__.py counts as one.
+
+The method check covers the program, not the tests: a public method (a
+property too) of a src/vilab class is dead when no .py file under src/vilab,
+demos/ or bench/ reads its attribute name outside the method itself. A read
+is a loaded attribute (`x.name`), or the bare name in a class-level
+statement such as `__call__ = evaluate`.
 """
 
 import ast
 import pathlib
 from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vilab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vilab"
+CALLERS = (ROOT / "demos", ROOT / "bench")  # the program outside the library
 
 
 def defined_names(tree: ast.Module) -> dict:
@@ -68,3 +77,62 @@ def test_checker_sees_dead_names():
 def test_no_dead_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert dead_names(sources) == []
+
+
+def public_methods(tree: ast.Module) -> dict:
+    """(class name, method name) -> the def of every public method of every
+    module-level class."""
+    return {(cls.name, node.name): node
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
+def attribute_reads(node: ast.AST) -> Counter:
+    """How often each attribute name is read under `node`, class-level
+    aliases included."""
+    out = Counter(n.attr for n in ast.walk(node)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    for cls in ast.walk(node):
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    out.update(n.id for n in ast.walk(stmt)
+                               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    return out
+
+
+def dead_methods(library: dict, program: dict) -> list:
+    """(file name, class, method) of every dead public method of `library`
+    (file name -> source); `program` maps the other program files to their
+    source."""
+    trees = {name: ast.parse(src) for name, src in library.items()}
+    total = sum((attribute_reads(ast.parse(src)) for src in program.values()), Counter())
+    total = sum((attribute_reads(tree) for tree in trees.values()), total)
+    return sorted((fname, cls, name)
+                  for fname, tree in trees.items()
+                  for (cls, name), node in public_methods(tree).items()
+                  if total[name] == attribute_reads(node)[name])
+
+
+def test_checker_sees_dead_methods():
+    library = {
+        "a.py": ("class A:\n"
+                 "    def used(self):\n        return self._private()\n\n"
+                 "    def recurse(self, n):\n        return self.recurse(n - 1)\n\n"
+                 "    def aliased(self):\n        return 1\n\n"
+                 "    __call__ = aliased\n\n"
+                 "    @property\n    def size(self):\n        return 2\n\n"
+                 "    def _private(self):\n        return 3\n\n"
+                 "    def tested(self):\n        return 4\n"),
+    }
+    program = {"demo.py": "from a import A\nprint(A().used(), A().size)\n"}
+    assert dead_methods(library, program) == [("a.py", "A", "recurse"), ("a.py", "A", "tested")]
+
+
+def test_no_dead_methods():
+    library = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    program = {str(p): p.read_text(encoding="utf-8")
+               for d in CALLERS for p in sorted(d.rglob("*.py"))}
+    assert dead_methods(library, program) == []

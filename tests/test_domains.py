@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vilab import Ball, Box, Product, Simplex, VertexEnumerationError
+from vilab import Ball, Box, Product, Simplex
 
-from helpers import dense_grid, greedy_packing_count, min_dist_to_set
+from helpers import dense_grid, greedy_packing_count, linf_cover, min_dist_to_set, vertices
 
 
 def small_domains():
@@ -232,7 +232,7 @@ class TestCenterAndNorms:
 
     def test_max_point_norm_attained_on_vertex_domains(self):
         for dom in (Simplex(3), Box(np.array([-1.0, -0.5]), np.array([0.5, 2.0]))):
-            best = max(np.linalg.norm(v) for v in dom.vertices())
+            best = max(np.linalg.norm(v) for v in vertices(dom))
             assert np.isclose(best, dom.max_point_norm())
 
 
@@ -259,7 +259,7 @@ class TestLMO:
     def test_optimal_over_vertices(self):
         rng = np.random.default_rng(6)
         for dom in (Simplex(3), Box(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 1.0, 3.0]))):
-            verts = np.array(dom.vertices())
+            verts = np.array(vertices(dom))
             for _ in range(500):
                 g = rng.normal(size=dom.dim)
                 val = g @ dom.lmo(g)
@@ -285,27 +285,24 @@ class TestLMO:
 
 
 class TestVertices:
+    """The brute-force vertex lists the LMO and norm tests check against."""
+
     def test_simplex(self):
-        verts = Simplex(2).vertices()
+        verts = vertices(Simplex(2))
         assert len(verts) == 3
         assert np.allclose(np.array(verts), np.eye(3))
 
     def test_box_corner_count(self):
         box = Box(np.zeros(3), np.ones(3))
-        verts = np.array(box.vertices())
+        verts = np.array(vertices(box))
         assert verts.shape == (8, 3)
         assert len(np.unique(verts, axis=0)) == 8
         assert np.all(box.contains(verts))
 
-    def test_box_cap(self):
-        box = Box(np.zeros(21), np.ones(21))
-        with pytest.raises(VertexEnumerationError):
-            box.vertices()
-
     def test_smooth_sets_have_none(self):
-        assert Ball(np.zeros(2), 1.0).vertices() is None
+        assert vertices(Ball(np.zeros(2), 1.0)) is None
         prod = Product((Ball(np.zeros(2), 1.0), Box(np.zeros(1), np.ones(1))))
-        assert prod.vertices() is None
+        assert vertices(prod) is None
 
 
 class TestCovering:
@@ -320,7 +317,7 @@ class TestCovering:
         ball = Ball(np.array([0.2, -0.1]), 0.8)
         for dom in (box, ball):
             for r in (0.2, 0.35, 0.7):
-                assert len(dom.covering_points(r)) == dom.covering_number_upper(r)
+                assert len(linf_cover(dom, r)) == dom.covering_number_upper(r)
 
     def test_constructions_cover_dense_grid(self):
         cases = [
@@ -330,7 +327,7 @@ class TestCovering:
         ]
         for dom, r in cases:
             grid = dense_grid(dom, r / 10.0)
-            worst = min_dist_to_set(grid, dom.covering_points(r), "linf").max()
+            worst = min_dist_to_set(grid, linf_cover(dom, r), "linf").max()
             assert worst <= r + 1e-9, (type(dom).__name__, worst)
 
     def test_packing_lower_bound(self):
@@ -352,6 +349,12 @@ class TestCovering:
         for dom in small_domains():
             counts = [dom.covering_number_upper(float(r)) for r in rs]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("d", [25, 40])
+    def test_exact_at_any_dimension(self, d):
+        # 10 cells per axis; the product passes int64's 9.2e18 from d = 19
+        assert Box(-np.ones(d), np.ones(d)).covering_number_upper(0.1) == 10 ** d
+        assert Ball(np.zeros(d), 1.0).covering_number_upper(0.25) == 9 ** d
 
     def test_invalid_inputs(self):
         dom = Box(np.zeros(2), np.ones(2))
@@ -379,13 +382,13 @@ class TestGeometryProperties:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(_BOXES_AND_BALLS, _RADII)
     def test_cover_size_is_the_count(self, dom, r):
-        assert len(dom.covering_points(r)) == dom.covering_number_upper(r)
+        assert len(linf_cover(dom, r)) == dom.covering_number_upper(r)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(_BOXES_AND_BALLS, _RADII)
     def test_cover_reaches_a_dense_grid(self, dom, r):
         grid = dense_grid(dom, r / 10.0)
-        assert min_dist_to_set(grid, dom.covering_points(r), "linf").max() <= r + 1e-9
+        assert min_dist_to_set(grid, linf_cover(dom, r), "linf").max() <= r + 1e-9
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(_BOXES_AND_BALLS, st.integers(0, 2 ** 32 - 1))

@@ -29,7 +29,7 @@ from vilab import (
     sample_dataset,
 )
 
-from helpers import neighbour, record_operator
+from helpers import neighbour, record_operator, vertices
 
 IDENTITY = QuadraticOperator(np.eye(1), np.zeros(1))
 
@@ -47,8 +47,9 @@ class TestSteps:
         box = Box(np.array([0.0]), np.array([1.0]))
         op = QuadraticOperator(np.eye(1), np.array([5.0]))  # pushes hard left
         z = np.array([0.5])
-        assert np.allclose(gd_step(op, z, 1.0, project_onto=box), [0.0])
-        assert np.allclose(eg_step(op, z, 1.0, project_onto=box), [0.0])
+        for method in ("gd", "eg"):
+            step = SolverConfig(method, 1.0, 1, projected=True)
+            assert np.allclose(run(op, box, step, z).final, [0.0])
 
     def test_batched_steps(self):
         rng = np.random.default_rng(0)
@@ -197,8 +198,11 @@ class TestBufferedKernel:
                 got = run(op, dom, SolverConfig(method, eta, t, projected=projected), z0)
                 assert got.final.shape == batch and got.steps == t
                 assert np.array_equal(got.final, r)
-            step = gd_step if method == "gd" else eg_step
-            assert np.array_equal(step(op, z0, eta, dom if projected else None), ref[1])
+            if projected:  # a projected single step is a one-step projected run
+                one = run(op, dom, SolverConfig(method, eta, 1, projected=True), z0).final
+            else:
+                one = (gd_step if method == "gd" else eg_step)(op, z0, eta)
+            assert np.array_equal(one, ref[1])
 
     def test_guard_raises_on_projected_run_in_huge_ball(self):
         # Ball(0, 1e7) is larger than the guard 1e6 * (1 + ||z0||), so a
@@ -365,12 +369,13 @@ class TestNeighbourRecursion:
         emp, empp = empirical_operator(op, X), empirical_operator(op, Xp)
         # shared affine part: mean over the n-1 common records
         xi = np.linalg.norm(np.eye(2) - eta * (1.0 - 1.0 / n) * emp.matrix, 2)
-        verts = np.array(dom.vertices())
+        verts = np.array(vertices(dom))
         sup_in = eta / n * np.linalg.norm(record_operator(op, X, j)(verts), axis=-1).max()
         sup_out = eta / n * np.linalg.norm(record_operator(op, Xp, j)(verts), axis=-1).max()
+        step = SolverConfig("gd", eta, 1, projected=True)  # one projected gd step
         z = zp = dom.center()
         for _ in range(T):
             d_now = np.linalg.norm(z - zp)
-            z = gd_step(emp, z, eta, project_onto=dom)
-            zp = gd_step(empp, zp, eta, project_onto=dom)
+            z = run(emp, dom, step, z).final
+            zp = run(empp, dom, step, zp).final
             assert np.linalg.norm(z - zp) <= xi * d_now + sup_in + sup_out + 1e-12
