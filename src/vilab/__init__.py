@@ -3,13 +3,13 @@ measurement, gap oracles, and generalization-rate experiments."""
 
 __version__ = "0.1.0"
 
-from .analysis import (BOUND_NOTE, BernsteinResult, BoundSet, StabilityResult,
-                       SweepResult, bernstein_check, bernstein_constant,
-                       covering_bound, eg_stability_closed_form,
-                       evaluate_bounds, fit_loglog_slope, fit_sweep, game_bound,
+from .analysis import (BOUND_NOTE, BernsteinResult, StabilityResult, SweepResult,
+                       bernstein_check, bernstein_constant, covering_bound,
+                       eg_stability_closed_form, evaluate_bounds,
+                       fit_loglog_slope, fit_sweep, game_bound,
                        gd_stability_bound, generalization_sweep,
                        quantile_fit_on, simplex_bound, stability_experiment,
-                       stability_gamma, sweep_point, trial_dataset_seed)
+                       sweep_point, trial_dataset_seed)
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
                      InfeasiblePointError, NumericalError)
@@ -19,8 +19,7 @@ from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
                        QuadraticOperator, SampledDataset, constants,
                        empirical_operator, exact_solution,
                        generate_game, generate_operator, monotonicity_modulus,
-                       noisy_operator_ceiling, sample_dataset,
-                       spectral_norm)
+                       sample_dataset, sampled_constants, spectral_norm)
 from .solvers import (SolverConfig, Trajectory, admissible_eta,
                       contraction_ratio, eg_contraction_bound,
                       eg_contraction_coefficient, eg_step,

@@ -4,9 +4,10 @@ The measurement side runs neighbouring-dataset divergence experiments and
 sweeps over dataset sizes that evaluate true gaps at each trial's empirical
 VI solution (solved for directly where a projected sweep allows, else
 trained); the closed-form side
-evaluates the uniform-stability ceiling
+evaluates the uniform-stability ceilings (xi is eg's per-step ratio ceiling)
 
     gd:  ||z_T - z_T'|| <= 2K / (n (2 mu - eta L^2)),   0 < eta < 2 mu/L^2,
+    eg:  ||z_T - z_T'|| <= 2 eta K (1 + eta L) / (n (1 - xi)),   xi < 1 (unprojected),
 
 and the order-level generalization bounds driven by a stability constant
 gamma: a covering-number bound min_r [K r + (L D + K) gamma log N(r)], the
@@ -31,9 +32,8 @@ from .domains import Domain, Simplex
 from .errors import ConfigError, NumericalError
 from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
-                       QuadraticOperator, _draw_records, _noisy_certificates, constants,
-                       empirical_operator, exact_solution, noisy_operator_ceiling,
-                       sample_dataset)
+                       QuadraticOperator, _draw_records, constants, empirical_operator,
+                       exact_solution, sample_dataset, sampled_constants)
 from .solvers import (SolverConfig, eg_contraction_bound, gd_contraction_bound,
                       in_gd_stability_range, run)
 
@@ -71,20 +71,6 @@ def eg_stability_closed_form(K: float, n: int, mu: float, L: float, eta: float) 
     return 2.0 * K / denom
 
 
-def stability_gamma(consts: ProblemConstants, n: int, eta: float,
-                    noise: Optional[NoiseModel] = None,
-                    domain: Optional[Domain] = None) -> dict:
-    """The stability constant at the configured eta and in the eta -> 0 limit
-    K/(n mu). Given a noise model, K, mu and L are the ones the sampled
-    operators actually obey (noisy_operator_ceiling, _noisy_certificates)."""
-    K, mu, L = consts.K, consts.mu, consts.L
-    if noise is not None:
-        K = noisy_operator_ceiling(consts, noise, domain)
-        mu, L = _noisy_certificates(consts, noise)
-    at_eta = gd_stability_bound(K, n, mu, L, eta) if in_gd_stability_range(eta, mu, L) else None
-    return {"eta": at_eta, "limit": K / (n * mu)}
-
-
 def covering_bound(consts: ProblemConstants, gamma: float, domain: Domain, r_grid) -> float:
     """min_r [K r + (L D + K) gamma log N(Z, r, l-inf)] over the given radii."""
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
@@ -118,30 +104,29 @@ def bernstein_constant(consts: ProblemConstants) -> float:
 _COVER_RADII = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
 
 
-@dataclass(frozen=True)
-class BoundSet:
-    covering: Optional[float]
-    simplex: Optional[float]
-    game: Optional[float]
-    bernstein_B: float
-    gamma: dict
-    note: str = BOUND_NOTE
+def evaluate_bounds(problem, domain: Domain, consts: ProblemConstants,
+                    noise: NoiseModel, n: int, eta: float) -> dict:
+    """Every applicable bound at dataset size n, as a summary's `bounds`.
 
-
-def evaluate_bounds(consts: ProblemConstants, gamma_values: dict, domain: Domain,
-                    problem=None) -> BoundSet:
-    """Assemble every applicable bound at gamma = gamma_values['eta'] (falls
-    back to the eta -> 0 value when the configured eta is out of range); the
-    covering bound is minimized over _COVER_RADII times the domain diameter."""
-    gamma = gamma_values.get("eta")
-    if gamma is None:
-        gamma = gamma_values["limit"]
-    cov = covering_bound(consts, gamma, domain, domain.diameter() * _COVER_RADII)
-    simp = (simplex_bound(consts, gamma, domain.d)
-            if isinstance(domain, Simplex) and domain.d > 1 else None)
-    gm = game_bound(consts, gamma) if isinstance(problem, QuadraticGame) else None
-    return BoundSet(covering=cov, simplex=simp, game=gm,
-                    bernstein_B=bernstein_constant(consts), gamma=gamma_values)
+    The stability constant gamma is taken with the constants the sampled
+    operators satisfy (sampled_constants): at the configured eta, and in the
+    eta -> 0 limit K/(n mu), which stands in when eta is outside the gd range.
+    The other bounds use the plain constants; the covering bound is minimized
+    over _COVER_RADII times the domain diameter."""
+    w = sampled_constants(consts, noise, domain)
+    at_eta = gd_stability_bound(w.K, n, w.mu, w.L, eta) \
+        if in_gd_stability_range(eta, w.mu, w.L) else None
+    limit = w.K / (n * w.mu)
+    gamma = limit if at_eta is None else at_eta
+    return {
+        "covering": covering_bound(consts, gamma, domain, domain.diameter() * _COVER_RADII),
+        "simplex": (simplex_bound(consts, gamma, domain.d)
+                    if isinstance(domain, Simplex) and domain.d > 1 else None),
+        "game": game_bound(consts, gamma) if isinstance(problem, QuadraticGame) else None,
+        "bernstein_B": bernstein_constant(consts),
+        "gamma": {"eta": at_eta, "limit": limit},
+        "note": BOUND_NOTE,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +183,10 @@ def _stacked_empirical(problem, datasets):
 
 @dataclass(eq=False)
 class StabilityResult:
-    n: int
     divergences: np.ndarray
-    bound: Optional[float]
+    bound: float
     bound_informational: bool
-    bound_base_K: Optional[float] = None
+    bound_base_K: Optional[float]
 
 
 def _neighbour_pairs(problem, noise: NoiseModel, n: int, trials: int, seed: int):
@@ -222,16 +206,18 @@ def _neighbour_pairs(problem, noise: NoiseModel, n: int, trials: int, seed: int)
         yield X
 
 
-def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseModel) -> tuple:
-    """The (mu, L) that every sampled operator satisfies (_noisy_certificates);
+def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseModel,
+                 domain: Domain) -> ProblemConstants:
+    """The constants every sampled operator satisfies (sampled_constants);
     ConfigError when gd's eta lies outside their stability range (0, 2 mu / L^2)."""
-    mu, L = _noisy_certificates(consts, noise)
-    if config.method == "gd" and not in_gd_stability_range(config.eta, mu, L):
-        noisy = "" if noise.kind == "offset" else f" (matrix noise certifies mu={mu:.6g}, L={L:.6g})"
+    w = sampled_constants(consts, noise, domain)
+    if config.method == "gd" and not in_gd_stability_range(config.eta, w.mu, w.L):
+        noisy = "" if noise.kind == "offset" else \
+            f" (matrix noise certifies mu={w.mu:.6g}, L={w.L:.6g})"
         raise ConfigError(
-            f"eta exceeds 2*mu/L^2: eta={config.eta}, limit={2 * mu / L ** 2:.6g}{noisy}"
+            f"eta exceeds 2*mu/L^2: eta={config.eta}, limit={2 * w.mu / w.L ** 2:.6g}{noisy}"
         )
-    return mu, L
+    return w
 
 
 def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
@@ -240,16 +226,20 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     """Train on X and on X-with-one-record-replaced from the same start and
     record ||z_T - z_T'|| per trial.
 
-    The gd eta gate and bound use the K, mu and L that the sampled operators
-    actually satisfy (noisy_operator_ceiling, _noisy_certificates);
-    bound_base_K keeps the plain-constants bound for reference. For eg the
-    closed form is informational only.
+    The eta gate and the bound use the constants (mu_w, L_w, K_w) that the
+    sampled operators satisfy (check_gd_eta); bound_base_K is gd's bound at
+    the plain constants, for reference. Unprojected eg with per-step ratio
+    xi_w = eg_contraction_bound(mu_w, L_w, eta) < 1 is bounded by
+    2 eta K_w (1 + eta L_w) / (n (1 - xi_w)): one step widens the gap between
+    the two runs by at most eta ||G_X - G_X'|| (1 + eta L_w) <= 2 eta K_w
+    (1 + eta L_w) / n. Other eg runs report eg_stability_closed_form,
+    informational only.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if consts is None:
         consts = constants(problem, domain)
-    mu_w, L_w = check_gd_eta(config, consts, noise)
+    w = check_gd_eta(config, consts, noise, domain)
     # pairs arrive interleaved (X_0, X'_0, X_1, ...); the batch is laid out
     # as all originals, then all neighbours
     mats, offs = _stacked_empirical(problem, _neighbour_pairs(problem, noise, n, trials, seed))
@@ -259,16 +249,16 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     Z = run(F, domain, config).final
     div = np.linalg.norm(Z[:trials] - Z[trials:], axis=-1)
 
+    eta, base, informational = config.eta, None, False
     if config.method == "gd":
-        K_noisy = noisy_operator_ceiling(consts, noise, domain)
-        bound = gd_stability_bound(K_noisy, n, mu_w, L_w, config.eta)
-        base = gd_stability_bound(consts.K, n, consts.mu, consts.L, config.eta)
-        informational = False
+        bound = gd_stability_bound(w.K, n, w.mu, w.L, eta)
+        base = gd_stability_bound(consts.K, n, consts.mu, consts.L, eta)
+    elif not config.projected and (xi := eg_contraction_bound(w.mu, w.L, eta)) < 1.0:
+        bound = 2.0 * eta * w.K * (1.0 + eta * w.L) / (n * (1.0 - xi))
     else:
-        bound = eg_stability_closed_form(consts.K, n, consts.mu, consts.L, config.eta)
-        base = None
+        bound = eg_stability_closed_form(consts.K, n, consts.mu, consts.L, eta)
         informational = True
-    return StabilityResult(n=n, divergences=div, bound=bound,
+    return StabilityResult(divergences=div, bound=bound,
                            bound_informational=informational, bound_base_K=base)
 
 
@@ -290,19 +280,19 @@ class SweepResult:
     fit_error: Optional[str] = None
 
 
-def _training_horizon(config, noise, consts) -> int:
+def _training_horizon(config, consts, noise, domain) -> int:
     """First horizon of the doubling loop, from the per-step contraction of
-    the noisy operators (check_gd_eta); ConfigError when eta does not
+    the sampled operators (check_gd_eta); ConfigError when eta does not
     contract them."""
-    mu_eff, L_eff = check_gd_eta(config, consts, noise)
+    w = check_gd_eta(config, consts, noise, domain)
     if config.method == "gd":
-        xi = gd_contraction_bound(mu_eff, L_eff, config.eta)
+        xi = gd_contraction_bound(w.mu, w.L, config.eta)
     else:
-        xi = eg_contraction_bound(mu_eff, L_eff, config.eta)
+        xi = eg_contraction_bound(w.mu, w.L, config.eta)
         if xi >= 1.0:
             raise ConfigError(f"training eta {config.eta} not contractive for eg")
-    R0 = consts.D + noise.magnitude / mu_eff
-    target = 0.5 * _TRAIN_TOL / max(L_eff * consts.D * max(R0, 1e-12), 1e-300)
+    R0 = w.D + noise.magnitude / w.mu
+    target = 0.5 * _TRAIN_TOL / max(w.L * w.D * max(R0, 1e-12), 1e-300)
     return max(1, int(math.ceil(math.log(target) / math.log(max(xi, 1e-12)))))
 
 
@@ -343,7 +333,7 @@ def _empirical_solutions(problem, domain, config, datasets, noise, consts):
     unprojected configs, every trial trains (_iterate_to_tol). `datasets` is
     any iterable; only its means are kept (see _stacked_empirical).
     """
-    T = _training_horizon(config, noise, consts)
+    T = _training_horizon(config, consts, noise, domain)
     F = QuadraticOperator(*_stacked_empirical(problem, datasets))
     if config.projected:
         Z = _empirical_roots(F)
@@ -386,8 +376,8 @@ def _check_sweep(problem, kind: str, trials: int, delta: float,
 
 
 def sweep_point(problem, domain: Domain, config: SolverConfig, noise: NoiseModel,
-                n: int, trials: int, seed: int, kind: str = "gap",
-                delta: float = 0.1, consts: Optional[ProblemConstants] = None) -> dict:
+                n: int, trials: int, seed: int, kind: str, delta: float,
+                consts: ProblemConstants) -> dict:
     """One dataset size of a sweep: sample `trials` datasets of size n, find
     each one's empirical VI solution, and evaluate the true `kind` there.
     Projected configs solve for it directly when every trial's root lies in
@@ -397,8 +387,6 @@ def sweep_point(problem, domain: Domain, config: SolverConfig, noise: NoiseModel
     (steps every trial trained, 0 when solved) and `failed`: the trials
     whose training missed the tolerance."""
     _check_sweep(problem, kind, trials, delta)
-    if consts is None:
-        consts = constants(problem, domain)
     datasets = (sample_dataset(problem, noise, n, trial_dataset_seed(seed, n, t))
                 for t in range(trials))
     Z, steps, failed, direct = _empirical_solutions(problem, domain, config,
@@ -462,7 +450,6 @@ def quantile_fit_on(trials: int, delta: float) -> str:
 @dataclass(eq=False)
 class BernsteinResult:
     B: float
-    mc_samples: int
     rows: list  # dicts: index, lhs, rhs, se, violated
     violations: int
 
@@ -503,5 +490,4 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
         violations += int(violated)
         rows.append({"index": idx, "lhs": lhs, "rhs": rhs, "se": se,
                      "violated": violated})
-    return BernsteinResult(B=B, mc_samples=mc_samples, rows=rows,
-                           violations=violations)
+    return BernsteinResult(B=B, rows=rows, violations=violations)

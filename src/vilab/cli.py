@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (bernstein_check, check_gd_eta, evaluate_bounds, fit_sweep,
-                       quantile_fit_on, stability_experiment, stability_gamma,
-                       sweep_point, trial_dataset_seed)
+                       quantile_fit_on, stability_experiment, sweep_point,
+                       trial_dataset_seed)
 from .charts import log_log_chart
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
@@ -352,32 +352,26 @@ def _run(command: str, experiment, args) -> int:
     started = time.time()
     cfg = load_config(args.config, command, args.seed)
     problem, domain, noise = build_problem(cfg)
-    built = (problem, domain, noise, constants(problem, domain))
+    consts = constants(problem, domain)
+    built = (problem, domain, noise, consts)
     sc = SolverConfig(**cfg["solver"])
     out = experiment(args, cfg, built, sc)
     if out.csv is not None:
         write_csv(os.path.join(args.out_dir, cfg["output"]["csv"]), *out.csv)
     n, source, dataset_size = out.count
-    bounds = _bounds_at(n, sc, built)
+    bounds = evaluate_bounds(problem, domain, consts, noise, n, sc.eta)
     if source is not None:
         bounds.update(n=n, n_source=source, n_is_dataset_size=dataset_size)
-    write_summary(os.path.join(args.out_dir, cfg["output"]["json"]), command, cfg, built[3],
+    write_summary(os.path.join(args.out_dir, cfg["output"]["json"]), command, cfg, consts,
                   out.results, bounds, started, args.workers)
     if out.violation:
         raise BoundViolationError(out.violation)
     return 0
 
 
-def _bounds_at(n: int, sc: SolverConfig, built) -> dict:
-    """Every applicable bound, with gamma taken at n."""
-    problem, domain, noise, consts = built
-    return dataclasses.asdict(evaluate_bounds(
-        consts, stability_gamma(consts, n, sc.eta, noise, domain), domain, problem))
-
-
 def cmd_solve(args, cfg, built, sc) -> _Outcome:
     problem, domain, noise, consts = built
-    mu, L = check_gd_eta(sc, consts, noise)  # what the empirical operator certifies
+    w = check_gd_eta(sc, consts, noise, domain)  # what the empirical operator certifies
     n = cfg["experiment"]["n"]
     X = sample_dataset(problem, noise, n, trial_dataset_seed(cfg["problem"]["seed"], n, 0))
     emp = empirical_operator(problem, X)
@@ -388,9 +382,9 @@ def cmd_solve(args, cfg, built, sc) -> _Outcome:
         "gap_report": dataclasses.asdict(report),
         "diagnostics": {
             "method": sc.method, "eta": sc.eta, "n": n,
-            "gd_stability_range": in_gd_stability_range(sc.eta, mu, L),
+            "gd_stability_range": in_gd_stability_range(sc.eta, w.mu, w.L),
             "contraction_bound": (gd_contraction_bound if sc.method == "gd"
-                                  else eg_contraction_bound)(mu, L, sc.eta),
+                                  else eg_contraction_bound)(w.mu, w.L, sc.eta),
         },
     }
     return _Outcome(results, (n, None, None))
@@ -451,10 +445,10 @@ def cmd_stability(args, cfg, built, sc) -> _Outcome:
     one_n = functools.partial(stability_experiment, problem, domain, sc,
                               trials=cfg["experiment"]["trials"],
                               seed=cfg["problem"]["seed"], noise=noise, consts=consts)
-    per_n = [{"n": res.n, "divergences": res.divergences.tolist(), "bound": res.bound,
+    per_n = [{"n": n, "divergences": res.divergences.tolist(), "bound": res.bound,
               "bound_informational": res.bound_informational,
               "bound_base_K": res.bound_base_K}
-             for res in _parallel_map(one_n, n_grid, args.workers)]
+             for n, res in zip(n_grid, _parallel_map(one_n, n_grid, args.workers))]
     rows = [(b["n"], t, d) for b in per_n for t, d in enumerate(b["divergences"])]
     violations = sum(not b["bound_informational"] and max(b["divergences"]) > b["bound"] + 1e-12
                      for b in per_n)
@@ -481,7 +475,8 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
 
     bounds_per_n = []
     for row in per_n:
-        entry = {**_bounds_at(row["n"], sc, built), "n": row["n"]}
+        entry = {**evaluate_bounds(problem, domain, consts, noise, row["n"], sc.eta),
+                 "n": row["n"]}
         for key in ("simplex", "game"):
             if entry[key] is not None:
                 entry[f"mean_over_{key}_bound"] = row["mean"] / entry[key]
@@ -514,7 +509,7 @@ def cmd_bernstein(args, cfg, built, sc) -> _Outcome:
     res = bernstein_check(problem, noise, exp["z_samples"], exp["mc_samples"],
                           cfg["problem"]["seed"])
     return _Outcome(
-        {"B": res.B, "mc_samples": res.mc_samples, "rows": res.rows,
+        {"B": res.B, "mc_samples": exp["mc_samples"], "rows": res.rows,
          "violations": res.violations},
         (exp["mc_samples"], "experiment.mc_samples", False),
         (["sample_index", "lhs", "rhs", "B"],

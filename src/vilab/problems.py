@@ -28,7 +28,7 @@ root on the simplex hyperplane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -583,19 +583,15 @@ def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:
     return QuadraticOperator(M, problem.offset + e, problem.tangent_basis)
 
 
-def noisy_operator_ceiling(consts: ProblemConstants, noise: NoiseModel,
-                           domain: Domain) -> float:
-    """Upper bound on sup_{z,zeta} ||Xi(z, zeta)||: the K that per-sample
-    operators actually satisfy."""
+def sampled_constants(consts: ProblemConstants, noise: NoiseModel,
+                      domain: Domain) -> ProblemConstants:
+    """The constants that every sampled operator, and so every dataset
+    average, satisfies. Offset noise moves only K, by the magnitude. Matrix
+    noise keeps lambda_min(sym) >= max(mu/2, mu - magnitude) (the rejection
+    floor, or Weyl), sigma_max <= L + magnitude and sup_Z ||Xi|| <= K +
+    magnitude * max_Z ||z||."""
+    m = noise.magnitude
     if noise.kind == "offset":
-        return consts.K + noise.magnitude
-    return consts.K + noise.magnitude * domain.max_point_norm()
-
-
-def _noisy_certificates(consts: ProblemConstants, noise: NoiseModel) -> tuple:
-    """(mu, L) that every sampled operator, and so every dataset average,
-    satisfies. Matrix noise keeps lambda_min(sym) >= max(mu/2, mu - magnitude)
-    (the rejection floor, or Weyl) and sigma_max <= L + magnitude."""
-    if noise.kind == "offset":
-        return consts.mu, consts.L
-    return max(0.5 * consts.mu, consts.mu - noise.magnitude), consts.L + noise.magnitude
+        return replace(consts, K=consts.K + m)
+    return replace(consts, mu=max(0.5 * consts.mu, consts.mu - m), L=consts.L + m,
+                   K=consts.K + m * domain.max_point_norm())

@@ -29,18 +29,18 @@ from vilab import (
     generalization_sweep,
     generate_game,
     generate_operator,
-    noisy_operator_ceiling,
     quantile_fit_on,
     run,
     sample_dataset,
+    sampled_constants,
     simplex_bound,
     stability_experiment,
-    stability_gamma,
     sweep_point,
     trial_dataset_seed,
 )
 from vilab.analysis import (_empirical_solutions, _iterate_to_tol, _neighbour_pairs,
-                            _stacked_empirical, _training_horizon)
+                            _stacked_empirical, _training_horizon, check_gd_eta)
+from vilab.solvers import eg_contraction_bound
 
 from helpers import neighbour
 
@@ -48,6 +48,12 @@ UNIT_CONSTS = ProblemConstants(mu=1.0, L=1.0, K=1.0, D=2.0, per_player=((1.0, 1.
 TWO_PLAYER_CONSTS = ProblemConstants(
     mu=1.0, L=1.0, K=1.0, D=2.0, per_player=((1.0, 1.0), (1.0, 1.0))
 )
+NOISELESS = NoiseModel("offset", 0.0)
+
+
+def _gamma(consts, n, eta, noise=NOISELESS, dom=Ball(np.zeros(2), 1.0)):
+    """The stability constants a summary's bounds report."""
+    return evaluate_bounds(None, dom, consts, noise, n, eta)["gamma"]
 
 
 class TestClosedFormBounds:
@@ -72,15 +78,15 @@ class TestClosedFormBounds:
         assert val < 0.0
 
     def test_gamma_values(self):
-        g = stability_gamma(UNIT_CONSTS, 100, 0.1)
+        g = _gamma(UNIT_CONSTS, 100, 0.1)
         assert np.isclose(g["eta"], 2.0 / 190.0)
         assert np.isclose(g["limit"], 1.0 / 100.0)
-        out = stability_gamma(UNIT_CONSTS, 100, 5.0)
+        out = _gamma(UNIT_CONSTS, 100, 5.0)
         assert out["eta"] is None
 
     def test_gamma_uses_noise_inflated_k(self):
         dom = Ball(np.zeros(2), 1.0)
-        g = stability_gamma(UNIT_CONSTS, 100, 0.1, NoiseModel("offset", 0.5), dom)
+        g = _gamma(UNIT_CONSTS, 100, 0.1, NoiseModel("offset", 0.5), dom)
         assert np.isclose(g["eta"], 2.0 * 1.5 / 190.0)
         assert np.isclose(g["limit"], 1.5 / 100.0)
 
@@ -89,11 +95,11 @@ class TestClosedFormBounds:
         # L_w = L + 0.2 = 1.8; K grows by 0.2 * max ||z|| = 0.2
         consts = ProblemConstants(mu=0.8, L=1.6, K=1.0, D=2.0, per_player=((0.8, 1.6),))
         dom, noise = Ball(np.zeros(2), 1.0), NoiseModel("matrix", 0.2)
-        g = stability_gamma(consts, 100, 0.25, noise, dom)
+        g = _gamma(consts, 100, 0.25, noise, dom)
         assert np.isclose(g["eta"], 2.0 * 1.2 / (100 * (1.2 - 0.25 * 1.8 ** 2)))
         assert np.isclose(g["limit"], 1.2 / (100 * 0.6))
         # inside the plain range (0, 0.625), outside the noisy one (0, 0.37)
-        assert stability_gamma(consts, 100, 0.5, noise, dom)["eta"] is None
+        assert _gamma(consts, 100, 0.5, noise, dom)["eta"] is None
 
     def test_covering_bound_frozen(self):
         box = Box(np.zeros(2), np.ones(2))
@@ -211,13 +217,29 @@ class TestStabilityExperiment:
                                      16, trials, 0, NoiseModel("offset", 0.1))
 
     def test_eg_bound_is_informational(self):
-        cfg = SolverConfig("eg", 0.1, 500)
+        # projected eg has no certified per-step ratio; its literal closed
+        # form is reported, labelled informational
+        cfg = SolverConfig("eg", 0.1, 500, projected=True)
         res = stability_experiment(self.op, self.dom, cfg, 16, 8, 4,
                                    NoiseModel("offset", 0.3))
         assert res.bound_informational
         assert res.bound < 0.0
         assert res.bound_base_K is None
         assert np.all(res.divergences >= 0.0)
+
+    @pytest.mark.parametrize("kind", ["offset", "matrix"])
+    def test_unprojected_eg_bound_is_a_ceiling(self, kind):
+        # mu = L = 1 and eta 0.1 give a per-step ratio xi of about 0.91;
+        # each step adds at most 2 eta K_w (1 + eta L_w) / n to the divergence
+        noise = NoiseModel(kind, 0.3 if kind == "offset" else 0.05)
+        res = stability_experiment(self.op, self.dom, SolverConfig("eg", 0.1, 500),
+                                   16, 8, 4, noise)
+        w = sampled_constants(constants(self.op, self.dom), noise, self.dom)
+        xi = eg_contraction_bound(w.mu, w.L, 0.1)
+        assert xi < 1.0
+        assert not res.bound_informational
+        assert res.bound == 2 * 0.1 * w.K * (1 + 0.1 * w.L) / (16 * (1 - xi))
+        assert 0.0 < res.divergences.max() <= res.bound
 
     @pytest.mark.parametrize("kind", ["offset", "matrix"])
     @pytest.mark.parametrize("on_simplex", [False, True])
@@ -263,12 +285,26 @@ class TestStabilityExperiment:
         emps = [empirical_operator(op, X) for X in _trial_datasets(op, noise, n, 6, 1)]
         assert min(np.linalg.eigvalsh(0.5 * (e.matrix + e.matrix.T))[0] for e in emps) < consts.mu
         res = stability_experiment(op, dom, SolverConfig("gd", 0.25, 300), n, 6, 1, noise)
-        K_noisy = noisy_operator_ceiling(consts, noise, dom)
+        K_noisy = sampled_constants(consts, noise, dom).K
         assert res.bound == gd_stability_bound(K_noisy, n, mu_w, L_w, 0.25)
         assert res.divergences.max() <= res.bound
         eta = 0.5 * (2 * mu_w / L_w ** 2 + 2 * consts.mu / consts.L ** 2)
         with pytest.raises(ConfigError, match="matrix noise certifies"):
             stability_experiment(op, dom, SolverConfig("gd", eta, 10), n, 2, 0, noise)
+
+    @pytest.mark.parametrize("kind", ["offset", "matrix"])
+    def test_gamma_is_the_stability_bound(self, kind):
+        # one set of sampled constants gates eta, bounds the divergence and
+        # gives the summary's gamma at the same n
+        dom = Ball(np.zeros(3), 1.0)
+        op = generate_operator(9, 3, 0.8, 1.6, domain=dom)
+        consts, noise = constants(op, dom), NoiseModel(kind, 0.2)
+        cfg = SolverConfig("gd", 0.25, 50)
+        assert check_gd_eta(cfg, consts, noise, dom) == sampled_constants(consts, noise, dom)
+        res = stability_experiment(op, dom, cfg, 16, 3, 0, noise)
+        bounds = evaluate_bounds(op, dom, consts, noise, 16, 0.25)
+        assert set(bounds) == {"covering", "simplex", "game", "bernstein_B", "gamma", "note"}
+        assert res.bound == bounds["gamma"]["eta"]
 
     def test_matrix_noise_runs(self):
         cfg = SolverConfig("gd", 0.1, 500)
@@ -407,7 +443,7 @@ class TestGeneralizationSweep:
             with pytest.raises(ValueError, match=match):
                 generalization_sweep(op, dom, cfg, noise, (8, 16), 5, 0, kind=kind)
             with pytest.raises(ValueError, match=match):
-                sweep_point(op, dom, cfg, noise, 8, 5, 0, kind=kind)
+                sweep_point(op, dom, cfg, noise, 8, 5, 0, kind, 0.1, constants(op, dom))
         assert calls == []
 
     def test_training_steps_through_solver(self):
@@ -454,11 +490,16 @@ class TestEmpiricalSolutions:
         datasets = _trial_datasets(self.op, noise, n, trials, seed)
         F = QuadraticOperator(*_stacked_empirical(self.op, datasets))
         return _iterate_to_tol(F, dom, cfg,
-                               _training_horizon(cfg, noise, constants(self.op, dom)))
+                               _training_horizon(cfg, constants(self.op, dom), noise, dom))
+
+    def _row(self, dom, cfg, noise, n, trials, seed):
+        """sweep_point's strong-gap row, constants taken on `dom`."""
+        return sweep_point(self.op, dom, cfg, noise, n, trials, seed, "gap", 0.1,
+                           constants(self.op, dom))
 
     def test_roots_inside_are_solved_directly(self, kind):
         noise = NoiseModel(kind, 0.1)
-        row = sweep_point(self.op, self.unit, _projected(kind), noise, 64, 20, 3)
+        row = self._row(self.unit, _projected(kind), noise, 64, 20, 3)
         assert (row["direct"], row["train_steps"], row["failed"]) == (20, 0, [])
         Z, steps, failed = self._loop(self.unit, _projected(kind), noise, 64, 20, 3)
         assert steps > 0 and failed == []
@@ -468,7 +509,7 @@ class TestEmpiricalSolutions:
     def test_roots_outside_train_like_the_loop(self, kind):
         small = Ball(np.zeros(3), 0.01)
         noise = NoiseModel(kind, 0.1)
-        row = sweep_point(self.op, small, _projected(kind), noise, 64, 20, 3)
+        row = self._row(small, _projected(kind), noise, 64, 20, 3)
         assert row["direct"] == 0 and row["failed"] == []
         Z, steps, _ = self._loop(small, _projected(kind), noise, 64, 20, 3)
         assert row["train_steps"] == steps
@@ -483,7 +524,7 @@ class TestEmpiricalSolutions:
         roots = np.stack([exact_solution(empirical_operator(self.op, X))
                           for X in _trial_datasets(self.op, noise, 64, 20, 3)])
         assert not np.array_equal(dom.project(roots), roots)
-        row = sweep_point(self.op, dom, _projected(kind), noise, 64, 20, 3)
+        row = self._row(dom, _projected(kind), noise, 64, 20, 3)
         assert (row["direct"], row["train_steps"], row["failed"]) == (20, 0, [])
         Z, _, failed = self._loop(dom, _projected(kind), noise, 64, 20, 3)
         assert failed == []
@@ -499,7 +540,7 @@ class TestEmpiricalSolutions:
         roots = np.stack([exact_solution(empirical_operator(self.op, X))
                           for X in datasets])
         assert 0 < int(np.sum(dom.contains_interior(roots, 0.0))) < 20
-        row = sweep_point(self.op, dom, _projected(kind), noise, 16, 20, 5)
+        row = self._row(dom, _projected(kind), noise, 16, 20, 5)
         Z, steps, failed = self._loop(dom, _projected(kind), noise, 16, 20, 5)
         assert (row["direct"], row["train_steps"], row["failed"]) == (0, steps, failed)
         assert np.array_equal(row["values"], gap(self.op, dom, Z))
@@ -510,7 +551,7 @@ class TestEmpiricalSolutions:
 
         monkeypatch.setattr("vilab.analysis._empirical_roots", no_solve)
         cfg, noise = SolverConfig("gd", 0.2, 1), NoiseModel(kind, 0.1)
-        row = sweep_point(self.op, self.unit, cfg, noise, 64, 20, 3)
+        row = self._row(self.unit, cfg, noise, 64, 20, 3)
         Z, steps, failed = self._loop(self.unit, cfg, noise, 64, 20, 3)
         assert (row["direct"], row["train_steps"], row["failed"]) == (0, steps, failed)
         assert np.array_equal(row["values"], gap(self.op, self.unit, Z))
@@ -543,8 +584,9 @@ class TestPeakMemory:
     @pytest.mark.parametrize("kind", ["matrix", "offset"])
     def test_sweep_point_peak_flat_in_trials(self, kind):
         noise, cfg = NoiseModel(kind, 0.2), SolverConfig("gd", 0.1, 1)
+        consts = constants(self.op, self.dom)
         peaks = [_peak_bytes(lambda: sweep_point(self.op, self.dom, cfg, noise, 2048,
-                                                 trials, 0))
+                                                 trials, 0, "gap", 0.1, consts))
                  for trials in (4, 40)]
         assert peaks[1] <= 1.5 * peaks[0]
 
@@ -585,29 +627,29 @@ class TestBernsteinCheck:
 class TestEvaluateBounds:
     def test_simplex_domain(self):
         dom = Simplex(3)
-        bounds = evaluate_bounds(UNIT_CONSTS, {"eta": 0.01, "limit": 0.02}, dom)
-        assert bounds.simplex is not None
-        assert np.isclose(bounds.simplex, simplex_bound(UNIT_CONSTS, 0.01, 3))
-        assert bounds.covering > 0.0
-        assert bounds.game is None
-        assert bounds.note == BOUND_NOTE
+        bounds = evaluate_bounds(None, dom, UNIT_CONSTS, NOISELESS, 100, 0.1)
+        assert bounds["simplex"] is not None
+        assert np.isclose(bounds["simplex"], simplex_bound(UNIT_CONSTS, 2.0 / 190.0, 3))
+        assert bounds["covering"] > 0.0
+        assert bounds["game"] is None
+        assert bounds["note"] == BOUND_NOTE
 
     def test_game_problem(self):
         game = generate_game(6, 2, 1, 0.5, 0.3)
-        bounds = evaluate_bounds(TWO_PLAYER_CONSTS, {"eta": 0.01, "limit": 0.02},
-                                 game.domain, problem=game)
-        assert bounds.game is not None
-        assert np.isclose(bounds.game, game_bound(TWO_PLAYER_CONSTS, 0.01))
-        assert bounds.simplex is None
+        bounds = evaluate_bounds(game, game.domain, TWO_PLAYER_CONSTS, NOISELESS, 100, 0.1)
+        assert bounds["game"] is not None
+        assert np.isclose(bounds["game"], game_bound(TWO_PLAYER_CONSTS, 2.0 / 190.0))
+        assert bounds["simplex"] is None
 
     def test_gamma_fallback(self):
+        # eta 5 is outside the gd range: gamma falls back to K/(n mu) = 1/20
         dom = Ball(np.zeros(2), 1.0)
-        bounds = evaluate_bounds(UNIT_CONSTS, {"eta": None, "limit": 0.05}, dom)
+        bounds = evaluate_bounds(None, dom, UNIT_CONSTS, NOISELESS, 20, 5.0)
         ref = covering_bound(
             UNIT_CONSTS, 0.05, dom,
             dom.diameter() * np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5]),
         )
-        assert np.isclose(bounds.covering, ref)
+        assert np.isclose(bounds["covering"], ref)
 
     def test_seed_helper(self):
         assert trial_dataset_seed(7, 64, 3) == [7, 64, 3]

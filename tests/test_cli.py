@@ -393,6 +393,31 @@ class TestStability:
         assert ("eta exceeds 2*mu/L^2: eta=0.5, limit=0.37037 (matrix noise certifies "
                 "mu=0.6, L=1.8)") in capsys.readouterr().err
 
+    def test_matrix_noise_gamma_is_the_first_bound(self, tmp_path):
+        # the summary's gamma at n_grid[0] is that n's certified divergence bound
+        cfg = op_config(problem={"noise": {"kind": "matrix", "magnitude": 0.2}},
+                        solver={"eta": 0.25, "T": 100},
+                        experiment={"n_grid": [16, 64], "trials": 3})
+        code, out_dir = run_cli(tmp_path, "stability", cfg)
+        assert code == 0
+        summary = json.loads((out_dir / "stability_summary.json").read_text())
+        first = summary["results"]["per_n"][0]
+        assert first["n"] == 16
+        assert summary["bounds"]["gamma"]["eta"] == first["bound"]
+
+    def test_eg_reports_a_certified_ceiling(self, tmp_path):
+        # mu 0.9, L 1, eta 0.5 and matrix noise 0.05 once wrote a negative bound
+        cfg = op_config(problem={"mu": 0.9, "L": 1.0,
+                                 "noise": {"kind": "matrix", "magnitude": 0.05}},
+                        solver={"method": "eg", "eta": 0.5, "T": 300},
+                        experiment={"n_grid": [16, 64], "trials": 4})
+        code, out_dir = run_cli(tmp_path, "stability", cfg)
+        assert code == 0
+        summary = json.loads((out_dir / "stability_summary.json").read_text())
+        for block in summary["results"]["per_n"]:
+            assert block["bound_informational"] is False
+            assert 0.0 < max(block["divergences"]) <= block["bound"]
+
     def test_bounds_say_they_are_at_the_first_dataset_size(self, tmp_path):
         cfg = op_config(solver={"T": 100}, experiment={"n_grid": [32, 8], "trials": 3})
         code, out_dir = run_cli(tmp_path, "stability", cfg)

@@ -25,9 +25,9 @@ from vilab import (
     generate_game,
     generate_operator,
     monotonicity_modulus,
-    noisy_operator_ceiling,
     run,
     sample_dataset,
+    sampled_constants,
     spectral_norm,
 )
 
@@ -671,7 +671,7 @@ class TestEmpiricalOperator:
         pts = dom.sample(rng, 400)
         for noise in (NoiseModel("offset", 0.4), NoiseModel("matrix", 0.2)):
             X = sample_dataset(op, noise, 60, seed=21)
-            ceil = noisy_operator_ceiling(c, noise, dom)
+            ceil = sampled_constants(c, noise, dom).K
             vals = np.array([record_operator(op, X, i)(pts) for i in range(X.n)])  # (60, 400, 3)
             assert np.linalg.norm(vals, axis=-1).max() <= ceil + 1e-9
 
