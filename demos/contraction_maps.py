@@ -15,10 +15,8 @@ import numpy as np
 
 from vilab import (
     admissible_eta,
-    eg_contraction_bound,
-    eg_contraction_coefficient,
+    contraction_bound,
     eg_step,
-    gd_contraction_bound,
     gd_step,
     generate_operator,
 )
@@ -50,7 +48,7 @@ def main():
     lo, hi = admissible_eta(0.6, 1.8, "gd")
     for frac in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
         eta = lo + frac * (hi - lo)
-        bound = gd_contraction_bound(0.6, 1.8, eta)
+        bound = contraction_bound("gd", 0.6, 1.8, eta)
         measured = worst_ratio(op, gd_step, eta, rng)
         rows.append((eta, "gd", measured, bound))
         print(f"  eta={eta:.4f}  measured {measured:.6f}  <=  bound {bound:.6f}")
@@ -62,9 +60,9 @@ def main():
         print(f"eg on (mu, L) = ({mu}, 1.0): {status} (needs mu > L/2)")
         grid = adm[:: max(1, adm.size // 6)] if adm.size else np.linspace(0.1, 0.9, 5)
         for eta in grid:
-            bound = eg_contraction_bound(mu, 1.0, float(eta))
+            bound = contraction_bound("eg", mu, 1.0, float(eta))
             measured = worst_ratio(op, eg_step, float(eta), rng)
-            gated = eg_contraction_coefficient(mu, 1.0, float(eta)) < 1.0
+            gated = bound < 1.0
             rows.append((float(eta), "eg", measured, bound))
             mark = "<=" if gated else "  (ceiling >= 1, informational)"
             print(f"  eta={float(eta):.4f}  measured {measured:.6f}  {mark}  bound {bound:.6f}")

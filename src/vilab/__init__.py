@@ -5,10 +5,9 @@ __version__ = "0.1.0"
 
 from .analysis import (BOUND_NOTE, BernsteinResult, StabilityResult, SweepResult,
                        bernstein_check, bernstein_constant, covering_bound,
-                       eg_stability_closed_form, evaluate_bounds,
-                       fit_loglog_slope, fit_sweep, game_bound,
-                       gd_stability_bound, generalization_sweep,
-                       quantile_fit_on, simplex_bound, stability_experiment,
+                       evaluate_bounds, fit_loglog_slope, fit_sweep,
+                       game_bound, generalization_sweep, quantile_fit_on,
+                       simplex_bound, stability_bound, stability_experiment,
                        sweep_point, trial_dataset_seed)
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
@@ -21,7 +20,6 @@ from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
                        generate_game, generate_operator, monotonicity_modulus,
                        sample_dataset, sampled_constants, spectral_norm)
 from .solvers import (SolverConfig, Trajectory, admissible_eta,
-                      contraction_ratio, eg_contraction_bound,
-                      eg_contraction_coefficient, eg_step,
-                      gd_contraction_bound, gd_step, in_gd_stability_range,
-                      run)
+                      contraction_bound, contraction_ratio,
+                      eg_contraction_coefficient, eg_step, gd_step,
+                      in_gd_stability_range, run)

@@ -3,13 +3,14 @@
 The measurement side runs neighbouring-dataset divergence experiments and
 sweeps over dataset sizes that evaluate true gaps at each trial's empirical
 VI solution (solved for directly where a projected sweep allows, else
-trained); the closed-form side
-evaluates the uniform-stability ceilings (xi is eg's per-step ratio ceiling)
+trained); the closed-form side evaluates the uniform-stability ceiling a run
+certifies, stability_bound (None when it certifies none; xi is eg's per-step
+ratio ceiling)
 
     gd:  ||z_T - z_T'|| <= 2K / (n (2 mu - eta L^2)),   0 < eta < 2 mu/L^2,
     eg:  ||z_T - z_T'|| <= 2 eta K (1 + eta L) / (n (1 - xi)),   xi < 1 (unprojected),
 
-and the order-level generalization bounds driven by a stability constant
+and the order-level generalization bounds driven by that stability constant
 gamma: a covering-number bound min_r [K r + (L D + K) gamma log N(r)], the
 simplex bound (L + K) gamma log d, the game bound gamma (2 D L +
 K sum_i L_i/mu_i), and the Bernstein constant B = (L D + K (1 +
@@ -29,13 +30,12 @@ from typing import Optional
 import numpy as np
 
 from .domains import Domain, Simplex
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
                        QuadraticOperator, _draw_records, constants, empirical_operator,
                        exact_solution, sample_dataset, sampled_constants)
-from .solvers import (SolverConfig, eg_contraction_bound, gd_contraction_bound,
-                      in_gd_stability_range, run)
+from .solvers import SolverConfig, contraction_bound, in_gd_stability_range, run
 
 BOUND_NOTE = "order-level: hidden constants set to 1"
 
@@ -45,30 +45,28 @@ BOUND_NOTE = "order-level: hidden constants set to 1"
 # ---------------------------------------------------------------------------
 
 
-def gd_stability_bound(K: float, n: int, mu: float, L: float, eta: float) -> float:
-    """Divergence ceiling for gd on neighbouring datasets of size n."""
+def stability_bound(config: SolverConfig, consts: ProblemConstants, n: int) -> Optional[float]:
+    """The ceiling on ||z_T - z_T'|| that `config` certifies for neighbouring
+    datasets of size n whose operators satisfy `consts`, or None.
+
+    One record moves the empirical operator by at most 2K/n, so a step
+    widens the divergence by at most 2 eta K/n (gd) or 2 eta K (1 + eta L)/n
+    (eg), and a per-step ratio xi < 1 sums the widenings to at most
+    widening/(1 - xi). Unprojected eg with xi < 1 reports exactly that. gd
+    with 0 < eta < 2 mu/L^2 reports 2K/(n(2 mu - eta L^2)) = 2 eta K/(n(1 -
+    xi^2)), lower by the factor 1 + xi (a known defect, ROADMAP item 2).
+    Projected eg, eg with xi >= 1 and gd outside that range certify nothing.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not in_gd_stability_range(eta, mu, L):
-        raise ValueError(
-            f"eta={eta} outside the gd stability range (0, {2.0 * mu / L ** 2})"
-        )
-    return 2.0 * K / (n * (2.0 * mu - eta * L ** 2))
-
-
-def eg_stability_closed_form(K: float, n: int, mu: float, L: float, eta: float) -> float:
-    """Literal evaluation of the extragradient stability expression.
-
-    Informational only: the factor (1 - eta L - (1 + eta L)) equals
-    -2 eta L < 0, so the expression is negative and cannot ceiling a
-    divergence. It is reported, never asserted.
-    """
-    inner = 1.0 + eta - eta * L ** 2 * (1.0 - eta) * (1.0 - 2.0 * eta * mu + eta ** 2 * L ** 2)
-    outer = 1.0 - eta * L - (1.0 + eta * L)
-    denom = n * inner * outer
-    if denom == 0.0:
-        raise NumericalError("degenerate denominator in the eg stability expression")
-    return 2.0 * K / denom
+    eta, K, mu, L = config.eta, consts.K, consts.mu, consts.L
+    if config.method == "gd":
+        if not in_gd_stability_range(eta, mu, L):
+            return None
+        return 2.0 * K / (n * (2.0 * mu - eta * L ** 2))
+    if config.projected or (xi := contraction_bound("eg", mu, L, eta)) >= 1.0:
+        return None
+    return 2.0 * eta * K * (1.0 + eta * L) / (n * (1.0 - xi))
 
 
 def covering_bound(consts: ProblemConstants, gamma: float, domain: Domain, r_grid) -> float:
@@ -105,17 +103,16 @@ _COVER_RADII = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
 
 
 def evaluate_bounds(problem, domain: Domain, consts: ProblemConstants,
-                    noise: NoiseModel, n: int, eta: float) -> dict:
+                    noise: NoiseModel, n: int, config: SolverConfig) -> dict:
     """Every applicable bound at dataset size n, as a summary's `bounds`.
 
     The stability constant gamma is taken with the constants the sampled
-    operators satisfy (sampled_constants): at the configured eta, and in the
-    eta -> 0 limit K/(n mu), which stands in when eta is outside the gd range.
-    The other bounds use the plain constants; the covering bound is minimized
-    over _COVER_RADII times the domain diameter."""
+    operators satisfy (sampled_constants): the ceiling `config` certifies
+    (stability_bound), and gd's eta -> 0 limit K/(n mu), which stands in when
+    the run certifies none. The other bounds use the plain constants; the
+    covering bound is minimized over _COVER_RADII times the domain diameter."""
     w = sampled_constants(consts, noise, domain)
-    at_eta = gd_stability_bound(w.K, n, w.mu, w.L, eta) \
-        if in_gd_stability_range(eta, w.mu, w.L) else None
+    at_eta = stability_bound(config, w, n)
     limit = w.K / (n * w.mu)
     gamma = limit if at_eta is None else at_eta
     return {
@@ -184,8 +181,7 @@ def _stacked_empirical(problem, datasets):
 @dataclass(eq=False)
 class StabilityResult:
     divergences: np.ndarray
-    bound: float
-    bound_informational: bool
+    bound: Optional[float]         # None: the run certifies no ceiling
     bound_base_K: Optional[float]
 
 
@@ -227,13 +223,8 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     record ||z_T - z_T'|| per trial.
 
     The eta gate and the bound use the constants (mu_w, L_w, K_w) that the
-    sampled operators satisfy (check_gd_eta); bound_base_K is gd's bound at
-    the plain constants, for reference. Unprojected eg with per-step ratio
-    xi_w = eg_contraction_bound(mu_w, L_w, eta) < 1 is bounded by
-    2 eta K_w (1 + eta L_w) / (n (1 - xi_w)): one step widens the gap between
-    the two runs by at most eta ||G_X - G_X'|| (1 + eta L_w) <= 2 eta K_w
-    (1 + eta L_w) / n. Other eg runs report eg_stability_closed_form,
-    informational only.
+    sampled operators satisfy (check_gd_eta); bound_base_K is the same
+    stability_bound at the plain constants, for reference.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -249,17 +240,8 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     Z = run(F, domain, config).final
     div = np.linalg.norm(Z[:trials] - Z[trials:], axis=-1)
 
-    eta, base, informational = config.eta, None, False
-    if config.method == "gd":
-        bound = gd_stability_bound(w.K, n, w.mu, w.L, eta)
-        base = gd_stability_bound(consts.K, n, consts.mu, consts.L, eta)
-    elif not config.projected and (xi := eg_contraction_bound(w.mu, w.L, eta)) < 1.0:
-        bound = 2.0 * eta * w.K * (1.0 + eta * w.L) / (n * (1.0 - xi))
-    else:
-        bound = eg_stability_closed_form(consts.K, n, consts.mu, consts.L, eta)
-        informational = True
-    return StabilityResult(divergences=div, bound=bound,
-                           bound_informational=informational, bound_base_K=base)
+    return StabilityResult(divergences=div, bound=stability_bound(config, w, n),
+                           bound_base_K=stability_bound(config, consts, n))
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +267,9 @@ def _training_horizon(config, consts, noise, domain) -> int:
     the sampled operators (check_gd_eta); ConfigError when eta does not
     contract them."""
     w = check_gd_eta(config, consts, noise, domain)
-    if config.method == "gd":
-        xi = gd_contraction_bound(w.mu, w.L, config.eta)
-    else:
-        xi = eg_contraction_bound(w.mu, w.L, config.eta)
-        if xi >= 1.0:
-            raise ConfigError(f"training eta {config.eta} not contractive for eg")
+    xi = contraction_bound(config.method, w.mu, w.L, config.eta)
+    if xi >= 1.0:
+        raise ConfigError(f"training eta {config.eta} not contractive for {config.method}")
     R0 = w.D + noise.magnitude / w.mu
     target = 0.5 * _TRAIN_TOL / max(w.L * w.D * max(R0, 1e-12), 1e-300)
     return max(1, int(math.ceil(math.log(target) / math.log(max(xi, 1e-12)))))

@@ -45,9 +45,8 @@ from .errors import (BoundViolationError, ConfigError, GenerationError,
 from .gaps import gap_report
 from .problems import (NoiseModel, constants, empirical_operator,
                        generate_game, generate_operator, sample_dataset)
-from .solvers import (SolverConfig, admissible_eta, contraction_ratio,
-                      eg_contraction_bound, eg_contraction_coefficient,
-                      gd_contraction_bound, in_gd_stability_range, run)
+from .solvers import (SolverConfig, admissible_eta, contraction_bound, contraction_ratio,
+                      in_gd_stability_range, run)
 
 # ---------------------------------------------------------------------------
 # config schema
@@ -359,7 +358,7 @@ def _run(command: str, experiment, args) -> int:
     if out.csv is not None:
         write_csv(os.path.join(args.out_dir, cfg["output"]["csv"]), *out.csv)
     n, source, dataset_size = out.count
-    bounds = evaluate_bounds(problem, domain, consts, noise, n, sc.eta)
+    bounds = evaluate_bounds(problem, domain, consts, noise, n, sc)
     if source is not None:
         bounds.update(n=n, n_source=source, n_is_dataset_size=dataset_size)
     write_summary(os.path.join(args.out_dir, cfg["output"]["json"]), command, cfg, consts,
@@ -383,8 +382,7 @@ def cmd_solve(args, cfg, built, sc) -> _Outcome:
         "diagnostics": {
             "method": sc.method, "eta": sc.eta, "n": n,
             "gd_stability_range": in_gd_stability_range(sc.eta, w.mu, w.L),
-            "contraction_bound": (gd_contraction_bound if sc.method == "gd"
-                                  else eg_contraction_bound)(w.mu, w.L, sc.eta),
+            "contraction_bound": contraction_bound(sc.method, w.mu, w.L, sc.eta),
         },
     }
     return _Outcome(results, (n, None, None))
@@ -419,12 +417,8 @@ def cmd_contraction(args, cfg, built, sc) -> _Outcome:
     rows, details, violations = [], [], 0
     for eta in grid:
         measured = float(np.max(contraction_ratio(problem, Z1, Z2, eta, sc.method)))
-        if sc.method == "gd":
-            bound = gd_contraction_bound(consts.mu, consts.L, eta)
-            gated = True
-        else:
-            bound = eg_contraction_bound(consts.mu, consts.L, eta)
-            gated = eg_contraction_coefficient(consts.mu, consts.L, eta) < 1.0
+        bound = contraction_bound(sc.method, consts.mu, consts.L, eta)
+        gated = sc.method == "gd" or bound < 1.0
         violated = gated and measured > bound + 1e-9
         violations += int(violated)
         rows.append((eta, sc.method, measured, bound, int(Z1.shape[0])))
@@ -446,11 +440,10 @@ def cmd_stability(args, cfg, built, sc) -> _Outcome:
                               trials=cfg["experiment"]["trials"],
                               seed=cfg["problem"]["seed"], noise=noise, consts=consts)
     per_n = [{"n": n, "divergences": res.divergences.tolist(), "bound": res.bound,
-              "bound_informational": res.bound_informational,
               "bound_base_K": res.bound_base_K}
              for n, res in zip(n_grid, _parallel_map(one_n, n_grid, args.workers))]
     rows = [(b["n"], t, d) for b in per_n for t, d in enumerate(b["divergences"])]
-    violations = sum(not b["bound_informational"] and max(b["divergences"]) > b["bound"] + 1e-12
+    violations = sum(b["bound"] is not None and max(b["divergences"]) > b["bound"] + 1e-12
                      for b in per_n)
     return _Outcome(
         {"method": sc.method, "per_n": per_n, "violations": violations},
@@ -475,7 +468,7 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
 
     bounds_per_n = []
     for row in per_n:
-        entry = {**evaluate_bounds(problem, domain, consts, noise, row["n"], sc.eta),
+        entry = {**evaluate_bounds(problem, domain, consts, noise, row["n"], sc),
                  "n": row["n"]}
         for key in ("simplex", "game"):
             if entry[key] is not None:

@@ -9,10 +9,11 @@ For F(z) = Mz + b with mu = lambda_min(sym M) and L = sigma_max(M):
   by c(eta) = 2 - 2 eta mu + eta^4 L^4 - (2 eta mu + 1)(1 - 2 eta L +
   eta^2 mu^2), which dips below 1 only when mu > L/2.
 
-Both step maps and `run` take batched iterates of shape (..., dim) and an
-affine operator with `matrix` and `offset`: a QuadraticOperator (also a
-per-row stack of them, the empirical operator of a dataset, and a
-QuadraticGame).
+contraction_bound(method, mu, L, eta) is the one place that picks a
+method's ceiling. Both step maps and `run` take batched iterates of shape
+(..., dim) and an affine operator with `matrix` and `offset`: a
+QuadraticOperator (also a per-row stack of them, the empirical operator of
+a dataset, and a QuadraticGame).
 """
 
 from __future__ import annotations
@@ -129,12 +130,6 @@ def _check_mu_L_eta(mu: float, L: float, eta: float) -> None:
         raise ValueError(f"eta must be positive, got {eta}")
 
 
-def gd_contraction_bound(mu: float, L: float, eta: float) -> float:
-    """Per-step ratio ceiling sqrt(max(0, 1 - 2 eta mu + eta^2 L^2))."""
-    _check_mu_L_eta(mu, L, eta)
-    return math.sqrt(max(0.0, 1.0 - 2.0 * eta * mu + eta ** 2 * L ** 2))
-
-
 def eg_contraction_coefficient(mu: float, L: float, eta):
     """c(eta) bounding the SQUARED extragradient per-step ratio; accepts a
     scalar or an array of etas."""
@@ -148,33 +143,35 @@ def eg_contraction_coefficient(mu: float, L: float, eta):
     return float(c) if c.ndim == 0 else c
 
 
-def eg_contraction_bound(mu: float, L: float, eta: float) -> float:
+def contraction_bound(method: str, mu: float, L: float, eta: float) -> float:
+    """Per-step ratio ceiling of `method`: sqrt(max(0, 1 - 2 eta mu +
+    eta^2 L^2)) for gd, sqrt(max(0, c(eta))) for eg."""
     _check_mu_L_eta(mu, L, eta)
-    return math.sqrt(max(0.0, eg_contraction_coefficient(mu, L, eta)))
+    squared = 1.0 - 2.0 * eta * mu + eta ** 2 * L ** 2 if method == "gd" \
+        else eg_contraction_coefficient(mu, L, eta)
+    return math.sqrt(max(0.0, squared))
 
 
 def in_gd_stability_range(eta: float, mu: float, L: float) -> bool:
-    """True iff 0 < eta < 2 mu / L^2 (the range every stability bound needs)."""
+    """True iff 0 < eta < 2 mu / L^2 (the range gd's stability bound needs)."""
     _check_mu_L_eta(mu, L, eta)
     return eta < 2.0 * mu / L ** 2
 
 
-def admissible_eta(mu: float, L: float, method: str = "gd", resolution: Optional[float] = None):
+def admissible_eta(mu: float, L: float, method: str = "gd"):
     """Step sizes with a per-step ratio ceiling strictly below 1.
 
     gd returns the open interval (0, 2 mu / L^2) as a pair; eg returns the
     (possibly empty) array of grid points eta in (0, 1/L] with c(eta) < 1,
-    grid pitch `resolution` (default 1e-4 / L). The eg set is nonempty iff
-    mu > L/2.
+    grid pitch 1e-4 / L. The eg set is nonempty iff mu > L/2.
     """
     if method == "gd":
         _check_mu_L_eta(mu, L, 1.0)
         return (0.0, 2.0 * mu / L ** 2)
     if method != "eg":
         raise ValueError(f"method must be 'gd' or 'eg', got {method!r}")
-    if resolution is None:
-        resolution = 1e-4 / L
-    grid = np.arange(resolution, 1.0 / L + 0.5 * resolution, resolution)
+    pitch = 1e-4 / L
+    grid = np.arange(pitch, 1.0 / L + 0.5 * pitch, pitch)
     c = eg_contraction_coefficient(mu, L, grid)
     return grid[c < 1.0]
 

@@ -1,12 +1,15 @@
 """Brute-force oracles shared by the tests: dense domain grids, vertex lists,
-explicit l-inf covers, greedy packings, per-record operators, and small
-combinatorial utilities. Intentionally slow and simple."""
+explicit l-inf covers, greedy packings, per-record operators, one written-out
+contraction ceiling per method, and small combinatorial utilities.
+Intentionally slow and simple."""
 
 import itertools
+import math
 
 import numpy as np
 
-from vilab import Ball, Box, Product, QuadraticOperator, SampledDataset, Simplex
+from vilab import (Ball, Box, Product, QuadraticOperator, SampledDataset, Simplex,
+                   eg_contraction_coefficient)
 from vilab.problems import _draw_records
 
 _ORD = {"l1": 1, "l2": 2, "linf": np.inf}
@@ -111,6 +114,17 @@ def neighbour(problem, X, noise, j, seed):
     matrices = X.matrices.copy()
     matrices[j] = new_matrices[0]
     return SampledDataset(X.offsets, matrices)
+
+
+def gd_ratio_ceiling(mu, L, eta):
+    """gd's per-step ratio ceiling sqrt(max(0, 1 - 2 eta mu + eta^2 L^2)),
+    written out on its own."""
+    return math.sqrt(max(0.0, 1.0 - 2.0 * eta * mu + eta ** 2 * L ** 2))
+
+
+def eg_ratio_ceiling(mu, L, eta):
+    """eg's per-step ratio ceiling sqrt(max(0, c(eta))), written out on its own."""
+    return math.sqrt(max(0.0, eg_contraction_coefficient(mu, L, eta)))
 
 
 def bisection_monotone_matrix(rng, d, mu, L):

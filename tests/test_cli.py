@@ -357,6 +357,16 @@ class TestContraction:
         assert summary["results"]["violations"] == 0
         assert all(r["gated"] for r in summary["results"]["rows"])
 
+    def test_eg_without_a_contraction_reports_no_gamma(self, tmp_path):
+        # contraction_ball runs eg at eta 0.5 on mu 0.7, L 1: its ceiling is
+        # >= 1, so it certifies no stability constant and gamma falls back
+        code = main(["contraction", "--config", str(CONFIG_DIR / "contraction_ball.json"),
+                     "--out-dir", str(tmp_path), "--workers", "1"])
+        assert code == 0
+        summary = json.loads((tmp_path / "contraction_summary.json").read_text())
+        assert summary["config"]["solver"]["method"] == "eg"
+        assert summary["bounds"]["gamma"]["eta"] is None
+
 
 class TestStability:
     def test_zero_noise(self, tmp_path):
@@ -415,8 +425,29 @@ class TestStability:
         assert code == 0
         summary = json.loads((out_dir / "stability_summary.json").read_text())
         for block in summary["results"]["per_n"]:
-            assert block["bound_informational"] is False
             assert 0.0 < max(block["divergences"]) <= block["bound"]
+        # the summary's gamma is the ceiling this eg run certifies, not gd's
+        assert summary["bounds"]["gamma"]["eta"] == summary["results"]["per_n"][0]["bound"]
+
+    @pytest.mark.parametrize("solver, mu", [({"projected": True}, 0.9), ({}, 0.6)],
+                             ids=["projected", "xi_at_least_1"])
+    def test_eg_without_a_certificate_writes_a_null_bound(self, tmp_path, solver, mu):
+        # projected eg, and eg whose per-step ceiling is >= 1 (mu 0.6, L 1,
+        # eta 0.5), certify no ceiling: nothing is gated and the bound is null
+        cfg = op_config(problem={"mu": mu, "L": 1.0},
+                        solver={"method": "eg", "eta": 0.5, "T": 300, **solver},
+                        experiment={"n_grid": [16, 64], "trials": 4})
+        code, out_dir = run_cli(tmp_path, "stability", cfg)
+        assert code == 0
+        lines = (out_dir / "stability.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 4
+        assert all(float(line.split(",")[2]) > 0.0 for line in lines[1:])
+        summary = json.loads((out_dir / "stability_summary.json").read_text())
+        for block in summary["results"]["per_n"]:
+            assert block["bound"] is None and block["bound_base_K"] is None
+            assert "bound_informational" not in block
+        assert summary["results"]["violations"] == 0
+        assert summary["bounds"]["gamma"]["eta"] is None
 
     def test_bounds_say_they_are_at_the_first_dataset_size(self, tmp_path):
         cfg = op_config(solver={"T": 100}, experiment={"n_grid": [32, 8], "trials": 3})

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilab import (
     Ball,
@@ -15,13 +17,12 @@ from vilab import (
     Trajectory,
     admissible_eta,
     constants,
+    contraction_bound,
     contraction_ratio,
-    eg_contraction_bound,
     eg_contraction_coefficient,
     eg_step,
     empirical_operator,
     exact_solution,
-    gd_contraction_bound,
     gd_step,
     generate_operator,
     in_gd_stability_range,
@@ -29,7 +30,8 @@ from vilab import (
     sample_dataset,
 )
 
-from helpers import neighbour, record_operator, vertices
+from helpers import (eg_ratio_ceiling, gd_ratio_ceiling, neighbour, record_operator,
+                     vertices)
 
 IDENTITY = QuadraticOperator(np.eye(1), np.zeros(1))
 
@@ -238,17 +240,17 @@ class TestBufferedKernel:
 
 class TestContractionBounds:
     def test_gd_frozen_values(self):
-        assert np.isclose(gd_contraction_bound(1.0, 1.0, 1.0), 0.0)
-        assert np.isclose(gd_contraction_bound(1.0, 2.0, 0.25), np.sqrt(0.75))
+        assert np.isclose(contraction_bound("gd", 1.0, 1.0, 1.0), 0.0)
+        assert np.isclose(contraction_bound("gd", 1.0, 2.0, 0.25), np.sqrt(0.75))
         # the boundary step size of the stability range gives exactly 1
-        assert np.isclose(gd_contraction_bound(1.0, 2.0, 2.0 * 1.0 / 4.0), 1.0)
+        assert np.isclose(contraction_bound("gd", 1.0, 2.0, 2.0 * 1.0 / 4.0), 1.0)
 
     def test_eg_frozen_values(self):
         c = eg_contraction_coefficient(0.9, 1.0, 0.1)
         want = 2.0 - 0.18 + 1e-4 - 1.18 * (1.0 - 0.2 + 0.0081)
         assert np.isclose(c, want)
         assert np.isclose(c, 0.866542)
-        assert np.isclose(eg_contraction_bound(0.9, 1.0, 0.1), np.sqrt(0.866542))
+        assert np.isclose(contraction_bound("eg", 0.9, 1.0, 0.1), np.sqrt(0.866542))
 
     def test_eg_array_etas(self):
         etas = np.array([0.05, 0.1, 0.2])
@@ -259,11 +261,11 @@ class TestContractionBounds:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gd_contraction_bound(0.0, 1.0, 0.1)
+            contraction_bound("gd", 0.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            gd_contraction_bound(2.0, 1.0, 0.1)
+            contraction_bound("gd", 2.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            gd_contraction_bound(1.0, 1.0, 0.0)
+            contraction_bound("gd", 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             eg_contraction_coefficient(1.0, 1.0, -0.1)
 
@@ -271,6 +273,18 @@ class TestContractionBounds:
         assert in_gd_stability_range(0.1, 1.0, 1.0)
         assert not in_gd_stability_range(2.0, 1.0, 1.0)
         assert not in_gd_stability_range(0.5, 1.0, 2.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(mu=st.floats(1e-3, 10.0), spread=st.floats(1.0, 20.0),
+           eta=st.floats(1e-4, 10.0))
+    def test_contraction_bound_matches_each_method_formula(self, mu, spread, eta):
+        # bit for bit the per-method formulas, and eg's ceiling is below 1
+        # exactly when c(eta) is (the contraction command gates on that)
+        L = mu * spread
+        assert contraction_bound("gd", mu, L, eta) == gd_ratio_ceiling(mu, L, eta)
+        eg = contraction_bound("eg", mu, L, eta)
+        assert eg == eg_ratio_ceiling(mu, L, eta)
+        assert (eg < 1.0) == (eg_contraction_coefficient(mu, L, eta) < 1.0)
 
     def test_admissible_gd_interval(self):
         lo, hi = admissible_eta(1.0, 2.0, "gd")
@@ -318,7 +332,7 @@ class TestMeasuredContraction:
             op = generate_operator(seed, 4, 0.7, 2.0)
             # the gd ceiling is valid for every positive eta, even inadmissible
             for eta in (0.05, 0.175, 0.35, 0.5, 1.0):
-                bound = gd_contraction_bound(0.7, 2.0, eta)
+                bound = contraction_bound("gd", 0.7, 2.0, eta)
                 z = rng.normal(size=(200, 4))
                 w = rng.normal(size=(200, 4))
                 num = np.linalg.norm(gd_step(op, z, eta) - gd_step(op, w, eta), axis=-1)
@@ -348,7 +362,7 @@ class TestMeasuredContraction:
         op = generate_operator(6, 3, 0.7, 2.0, domain=dom)
         z_star = exact_solution(op, dom)
         eta = 0.7 / 4.0
-        rho = gd_contraction_bound(0.7, 2.0, eta)
+        rho = contraction_bound("gd", 0.7, 2.0, eta)
         z0 = dom.center() + np.array([1.0, -1.0, 0.5])
         T = 40
         out = run(op, dom, SolverConfig("gd", eta, T), z0=z0)
