@@ -54,7 +54,8 @@ def stability_bound(config: SolverConfig, consts: ProblemConstants, n: int) -> O
     (eg), and a per-step ratio xi < 1 sums the widenings to at most
     widening/(1 - xi). Unprojected eg with xi < 1 reports exactly that. gd
     with 0 < eta < 2 mu/L^2 reports 2K/(n(2 mu - eta L^2)) = 2 eta K/(n(1 -
-    xi^2)), lower by the factor 1 + xi (a known defect, ROADMAP item 2).
+    xi^2)), lower by the factor 1 + xi (a known defect, recorded by the
+    strict xfail test_gd_bound_holds_under_heavy_noise).
     Projected eg, eg with xi >= 1 and gd outside that range certify nothing.
     """
     if n < 1:

@@ -21,12 +21,13 @@ from vilab import (
     gap_report,
     generate_game,
     generate_operator,
+    monotonicity_modulus,
     potential_gap,
     sample_dataset,
     weak_gap,
 )
 
-from helpers import dense_grid, record_operator
+from helpers import dense_grid, record_operator, vertices
 
 
 class ConstantField:
@@ -100,6 +101,47 @@ class TestStrongGap:
         assert vals.shape == (15,)
         for i in range(15):
             assert np.isclose(vals[i], gap(op, dom, pts[i]))
+
+
+class TestGapsAtTheSolvedRoot:
+    """Under offset noise the empirical operator is F + e_bar, so its root
+    z_hat has F(z_hat) = -e_bar: the strong gap there is linear in the mean
+    noise, the weak gap quadratic (the criterion-4 note in README.md)."""
+
+    @pytest.mark.parametrize("n", [16, 256, 4096])
+    @pytest.mark.parametrize("domain", [Ball(np.array([0.2, -0.1, 0.0]), 1.5),
+                                        Box(-np.ones(3), 2.0 * np.ones(3)), Simplex(4)],
+                             ids=["ball", "box", "simplex"])
+    def test_strong_gap_is_the_support_function_of_the_mean_noise(self, domain, n):
+        op = generate_operator(51, domain.dim, 1.0, 2.0, domain)
+        X = sample_dataset(op, NoiseModel("offset", 0.02), n, seed=52)
+        z_hat = exact_solution(empirical_operator(op, X), domain)
+        e_bar = X.offsets.mean(axis=0)
+        corners = vertices(domain)
+        if corners is None:  # ball: max_u <e, u> = <e, c> + r ||e||
+            support = e_bar @ domain.center_point + domain.radius * np.linalg.norm(e_bar)
+        else:
+            support = max(e_bar @ v for v in corners)
+        assert gap(op, domain, z_hat) > 0.0
+        assert abs(gap(op, domain, z_hat) - (support - e_bar @ z_hat)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 256, 4096])
+    def test_game_weak_gap_is_quadratic_in_the_residual(self, n):
+        # <F_i, z_i - w_i> <= F_i^T Q_i^{-1} F_i (equal for interior best
+        # responses) <= ||F_i||^2 / lambda_min(Q_i). The bound
+        # ||F||^2 / (4 mu) holds for max_w <F(w), z - w>, not for this weak
+        # gap: here it is exceeded 2.4x.
+        game = generate_game(53, 3, 2, 0.5, 0.4)
+        X = sample_dataset(game, NoiseModel("offset", 0.05), n, seed=54)
+        z_hat = exact_solution(empirical_operator(game, X), game.domain)
+        F = game(z_hat)
+        energy = sum(F[s] @ np.linalg.solve(game.block(i), F[s])
+                     for i, s in enumerate(game.slices))
+        q_min = min(np.linalg.eigvalsh(game.block(i))[0] for i in range(game.k))
+        weak = weak_gap(game, game, z_hat)
+        assert np.isclose(weak, energy, rtol=1e-9, atol=0.0)
+        assert energy <= F @ F / q_min
+        assert weak > 2.0 * F @ F / (4.0 * monotonicity_modulus(game.matrix))
 
 
 class TestBestResponse:

@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vilab import problems
@@ -504,9 +504,9 @@ class TestDatasets:
         assert batched == []
         G = np.random.default_rng(
             np.random.SeedSequence(18, spawn_key=(0,))).standard_normal((300, 3, 3))
-        gram = np.matmul(np.swapaxes(G, -1, -2), G)
-        s = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
-        assert np.array_equal(X.matrices, magnitude * G / s[..., None, None])
+        # a replaced record would differ by O(magnitude)
+        assert np.allclose(X.matrices, self._svd_normalised(G, magnitude),
+                           rtol=0.0, atol=1e-13 * magnitude)
         for E in X.matrices:
             assert monotonicity_modulus(op.matrix + E) >= 0.5 * mu
         # at mu/2 Weyl no longer clears the floor, so every record is checked
@@ -569,11 +569,43 @@ class TestDatasets:
         assert np.allclose(X.matrices, want, rtol=0.0, atol=1e-13 * 0.9)
 
     def test_matrix_record_zero_independent_of_n(self):
-        op = generate_operator(43, 4, 0.8, 1.6)
+        # the quartic kernel's records at t = 4 (a d = 4 ball) and t = 3 (the
+        # tangent space of Simplex(3)) keep their bits whatever the count
         noise = NoiseModel("matrix", 0.2)
-        one = sample_dataset(op, noise, 1, seed=21)
-        many = sample_dataset(op, noise, 4096, seed=21)
-        assert np.array_equal(one.matrices[0], many.matrices[0])
+        ball_op = generate_operator(43, 4, 0.8, 1.6)
+        for op in (ball_op, generate_operator(43, 4, 0.8, 1.6, Simplex(3))):
+            for seed in range(21, 41):
+                many = sample_dataset(op, noise, 4096, seed=seed).matrices
+                for n in (1, 17):
+                    assert np.array_equal(sample_dataset(op, noise, n, seed=seed).matrices,
+                                          many[:n])
+
+    def test_matrix_redraw_is_normalised_as_inside_a_batch(self):
+        # same instance as test_matrix_records_certified, where rejections
+        # fire: a redrawn record is its raw draw normalised at count 1, and
+        # equals that draw normalised in place of the record inside the bulk
+        op = generate_operator(33, 3, 1.0, 2.0)
+        sym = 0.5 * (op.matrix + op.matrix.T)
+        floor = 0.5 * np.linalg.eigvalsh(sym)[0]
+        X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
+        G = np.random.default_rng(
+            np.random.SeedSequence(11, spawn_key=(0,))).standard_normal((300, 3, 3))
+
+        def normalised(block):
+            s = np.sqrt(np.maximum(problems._quartic_lambda_max(block), 0.0))
+            return 0.9 * block / np.maximum(s, 1e-300)[:, None, None]
+
+        redrawn = np.flatnonzero(np.any(X.matrices != normalised(G), axis=(1, 2)))
+        assert redrawn.size > 0
+        for i in redrawn:
+            for attempt in range(200):
+                G[i] = np.random.default_rng(np.random.SeedSequence(
+                    11, spawn_key=(2, int(i), attempt))).standard_normal((3, 3))
+                cand = normalised(G)[i]
+                if np.linalg.eigvalsh(sym + 0.5 * (cand + cand.T))[0] >= floor:
+                    break
+            assert np.array_equal(X.matrices[i], cand)
+            assert np.array_equal(normalised(G[i:i + 1])[0], cand)
 
     def test_matrix_noise_makes_no_svd_call(self, monkeypatch):
         # counts both the public svd and the one np.linalg.norm calls
@@ -596,6 +628,23 @@ class TestDatasets:
         # the counter does see the SVD route the sampler used to take
         np.linalg.norm(X.matrices, 2, axis=(-2, -1))
         assert calls == [1]
+
+    def test_matrix_norm_route_by_block_size(self, monkeypatch):
+        # t <= 4 blocks take the quartic kernel at every count, larger ones
+        # the Gram + eigvalsh route
+        calls = []
+        for name in ("_quartic_lambda_max", "_gram_lambda_max"):
+            route = getattr(problems, name)
+            monkeypatch.setattr(problems, name, lambda G, name=name, route=route: (
+                calls.append((name, G.shape)), route(G))[1])
+        noise = NoiseModel("matrix", 0.2)
+        for n in (1, 50):
+            sample_dataset(generate_operator(47, 4, 0.8, 1.6), noise, n, seed=24)
+            sample_dataset(generate_operator(47, 5, 0.8, 1.6, Simplex(4)), noise, n, seed=24)
+        assert calls == [("_quartic_lambda_max", (n, 4, 4)) for n in (1, 1, 50, 50)]
+        calls.clear()
+        sample_dataset(generate_operator(47, 5, 0.8, 1.6), noise, 1, seed=24)
+        assert calls == [("_gram_lambda_max", (1, 5, 5))]
 
     def test_matrix_noise_has_no_offset_buffer(self):
         op = generate_operator(46, 3, 1.0, 2.0)
@@ -642,6 +691,71 @@ class TestDatasets:
             NoiseModel("offset", -0.1)
         with pytest.raises(ValueError):
             NoiseModel("gaussian", 0.1)
+
+
+class TestQuarticKernel:
+    """problems._quartic_lambda_max against numpy's SVD, an independent route."""
+
+    @staticmethod
+    def _with_singular_values(rng, sigma):
+        t = len(sigma)
+        U, _ = np.linalg.qr(rng.standard_normal((t, t)))
+        V, _ = np.linalg.qr(rng.standard_normal((t, t)))
+        return (U * sigma) @ V.T
+
+    @settings(max_examples=80, deadline=None)
+    @given(t=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 12),
+           rank=st.integers(1, 3), exponent=st.sampled_from([-100, 0, 100]))
+    @example(t=4, seed=4, k=12, rank=1, exponent=-100)  # a step overshot the double root
+    def test_matches_svd(self, t, seed, k, rank, exponent):
+        rng = np.random.default_rng(seed)
+        sigma = np.sort(rng.uniform(0.1, 1.0, t))[::-1]
+        close = sigma.copy()
+        close[1:2] = sigma[0] * (1.0 - 10.0 ** -k)   # top two within 1e-k
+        deficient = np.where(np.arange(t) < rank, sigma, 0.0)
+        flat = sigma[0] * (1.0 - 10.0 ** -k * np.arange(t))  # all within 3e-k
+        constructed = [self._with_singular_values(rng, s) for s in (close, flat, deficient)]
+        G = np.concatenate([rng.standard_normal((64, t, t)), constructed,
+                            np.zeros((1, t, t))]) * 10.0 ** exponent
+        redone = []
+        eigvalsh_route = problems._gram_lambda_max
+
+        def recording(block):
+            redone.extend(block)
+            return eigvalsh_route(block)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(problems, "_gram_lambda_max", recording)
+            lam = problems._quartic_lambda_max(G)
+        assert np.all(np.isfinite(lam))
+        norms = np.sqrt(np.maximum(lam, 0.0))
+        assert np.allclose(norms, np.linalg.norm(G, 2, axis=(-2, -1)), rtol=1e-13, atol=0.0)
+        assert norms[-1] == 0.0
+        assert any(not b.any() for b in redone)  # the zero record took the eigvalsh route
+        if t > 1:  # kappa >= lambda / (lambda - lambda_2) > 30: recomputed
+            assert all(any(np.array_equal(b, G[i]) for b in redone) for i in (64, 65))
+
+    def test_zero_draw_gives_a_zero_record(self, monkeypatch):
+        # probability zero, but the 1e-300 guard keeps every record finite
+        stream = problems._stream
+
+        def with_a_zero_record(seed, key):
+            rng = stream(seed, key)
+
+            class Draws:
+                def standard_normal(self, shape):
+                    out = rng.standard_normal(shape)
+                    out[1] = 0.0
+                    return out
+
+            return Draws()
+
+        monkeypatch.setattr(problems, "_stream", with_a_zero_record)
+        op = generate_operator(43, 4, 0.8, 1.6)
+        E = sample_dataset(op, NoiseModel("matrix", 0.2), 3, seed=21).matrices
+        assert np.all(np.isfinite(E))
+        assert not E[1].any()
+        assert np.allclose(np.linalg.norm(E[[0, 2]], 2, axis=(-2, -1)), 0.2, rtol=1e-13, atol=0.0)
 
 
 class TestEmpiricalOperator:
