@@ -32,8 +32,8 @@ import numpy as np
 from .domains import Domain, Simplex
 from .errors import ConfigError
 from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
-from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
-                       QuadraticOperator, _draw_records, constants, empirical_operator,
+from .problems import (NoiseModel, ProblemConstants, QuadraticGame, QuadraticOperator,
+                       _draw_records, _stream, constants, empirical_operator,
                        exact_solution, sample_dataset, sampled_constants)
 from .solvers import SolverConfig, contraction_bound, in_gd_stability_range, run
 
@@ -159,19 +159,32 @@ def trial_dataset_seed(base_seed: int, n: int, t: int) -> list:
     return [int(base_seed), int(n), int(t)]
 
 
-def _stacked_empirical(problem, datasets):
-    """(matrix stack or shared matrix, offset stack) for an iterable of
-    datasets. Each dataset is reduced to its empirical operator as it
-    arrives, so a generator keeps only one dataset's records alive and peak
-    memory does not grow with the number of trials."""
-    mats, offs = [], []
-    for X in datasets:
-        emp = empirical_operator(problem, X)
-        offs.append(emp.offset)
-        if X.matrices is not None:
-            mats.append(emp.matrix)
+def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
+                     neighbours: bool = False) -> QuadraticOperator:
+    """The stacked empirical operators of the `trials` datasets of size n keyed
+    by trial_dataset_seed(seed, n, t), in trial order. With `neighbours`, as
+    many neighbours follow: trial t's dataset with one record, chosen by its
+    seed, redrawn in place. All trials' replacement records come from one
+    draw. Each dataset is reduced before the next is drawn, so peak memory
+    stays one trial's records."""
+    seeds = [trial_dataset_seed(seed, n, t) for t in range(trials)]
+    if neighbours:
+        offsets, matrices = _draw_records(problem, noise, 1, [s + [1] for s in seeds])
+    ops, swapped = [], []
+    for t, ds_seed in enumerate(seeds):
+        X = sample_dataset(problem, noise, n, ds_seed)
+        ops.append(empirical_operator(problem, X))
+        if neighbours:
+            j = int(_stream(ds_seed, (9,)).integers(n))
+            if matrices is None:
+                X.offsets[j] = offsets[t]
+            else:  # the zero offsets are shared by every record and stay as they are
+                X.matrices[j] = matrices[t]
+            swapped.append(empirical_operator(problem, X))
         del X
-    return (np.stack(mats) if mats else problem.matrix), np.stack(offs)
+    ops += swapped
+    mats = problem.matrix if noise.kind == "offset" else np.stack([e.matrix for e in ops])
+    return QuadraticOperator(mats, np.stack([e.offset for e in ops]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +197,6 @@ class StabilityResult:
     divergences: np.ndarray
     bound: Optional[float]         # None: the run certifies no ceiling
     bound_base_K: Optional[float]
-
-
-def _neighbour_pairs(problem, noise: NoiseModel, n: int, trials: int, seed: int):
-    """Yield each trial's dataset X, then X again with record j redrawn in
-    place: the consumer reduces X before it asks for the neighbour."""
-    for t in range(trials):
-        ds_seed = trial_dataset_seed(seed, n, t)
-        X = sample_dataset(problem, noise, n, ds_seed)
-        j = int(np.random.default_rng(
-            np.random.SeedSequence(ds_seed, spawn_key=(9,))).integers(n))
-        yield X
-        offsets, matrices = _draw_records(problem, noise, 1, ds_seed + [1])
-        if matrices is None:
-            X.offsets[j] = offsets[0]
-        else:  # the zero offsets are shared by every record and stay as they are
-            X.matrices[j] = matrices[0]
-        yield X
 
 
 def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseModel,
@@ -232,13 +228,8 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     if consts is None:
         consts = constants(problem, domain)
     w = check_gd_eta(config, consts, noise, domain)
-    # pairs arrive interleaved (X_0, X'_0, X_1, ...); the batch is laid out
-    # as all originals, then all neighbours
-    mats, offs = _stacked_empirical(problem, _neighbour_pairs(problem, noise, n, trials, seed))
-    if mats.ndim == 3:
-        mats = np.concatenate([mats[0::2], mats[1::2]])
-    F = QuadraticOperator(mats, np.concatenate([offs[0::2], offs[1::2]]))
-    Z = run(F, domain, config).final
+    Z = run(_trial_operators(problem, noise, n, seed, trials, neighbours=True),
+            domain, config).final
     div = np.linalg.norm(Z[:trials] - Z[trials:], axis=-1)
 
     return StabilityResult(divergences=div, bound=stability_bound(config, w, n),
@@ -302,19 +293,17 @@ def _empirical_roots(F: QuadraticOperator) -> np.ndarray:
     return np.negative(R, out=R)
 
 
-def _empirical_solutions(problem, domain, config, datasets, noise, consts):
-    """Every trial's empirical VI solution to a 1e-8 empirical gap, as
-    (Z, training steps, failed trials, trials solved directly).
+def _empirical_solutions(F: QuadraticOperator, domain, config, T: int):
+    """Every trial's empirical VI solution to a 1e-8 empirical gap, for the
+    stacked empirical operators F (_trial_operators), as (Z, training steps,
+    failed trials, trials solved directly).
 
     A projected config solves for every trial's root first. When every root
     lies in the domain (`contains_interior` at margin 0: exact for balls and
     boxes, within the plane tolerance for simplices) and passes the gap
     check, the roots are the projected-VI solutions. Otherwise, and for
-    unprojected configs, every trial trains (_iterate_to_tol). `datasets` is
-    any iterable; only its means are kept (see _stacked_empirical).
+    unprojected configs, every trial trains (_iterate_to_tol) from horizon T.
     """
-    T = _training_horizon(config, consts, noise, domain)
-    F = QuadraticOperator(*_stacked_empirical(problem, datasets))
     if config.projected:
         Z = _empirical_roots(F)
         if np.all(domain.contains_interior(Z, 0.0)
@@ -367,10 +356,9 @@ def sweep_point(problem, domain: Domain, config: SolverConfig, noise: NoiseModel
     (steps every trial trained, 0 when solved) and `failed`: the trials
     whose training missed the tolerance."""
     _check_sweep(problem, kind, trials, delta)
-    datasets = (sample_dataset(problem, noise, n, trial_dataset_seed(seed, n, t))
-                for t in range(trials))
-    Z, steps, failed, direct = _empirical_solutions(problem, domain, config,
-                                                    datasets, noise, consts)
+    T = _training_horizon(config, consts, noise, domain)
+    Z, steps, failed, direct = _empirical_solutions(
+        _trial_operators(problem, noise, n, seed, trials), domain, config, T)
     values = _evaluate_kind(problem, domain, kind, Z)
     qs = {key: float(np.quantile(values, level))
           for key, level in _quantile_levels(delta).items()}
@@ -449,7 +437,7 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
     if z_samples > 1:
         zs.extend(game.domain.sample(rng, z_samples - 1))
     zs = np.asarray(zs)
-    e, E = _draw_records(game, noise, mc_samples, [int(seed), 13])
+    e, E = _draw_records(game, noise, mc_samples, [[int(seed), 13]])
 
     def g(z, w):
         """g(z, zeta) over the noise draws, with w = w*(z)."""

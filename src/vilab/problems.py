@@ -22,6 +22,8 @@ Noisy samples come in two unbiased flavours:
 Record i of a dataset is a deterministic function of (seed, i), so two
 datasets from the same seed agree record by record and a neighbouring
 dataset is formed by redrawing one record without touching the others.
+Offset records on a simplex are the exception: the BLAS product into its
+tangent subspace has last bits that depend on the record count.
 
 Operators built on a simplex keep its tangent subspace invariant and the
 noise is drawn inside that subspace, so every sampled operator still has its
@@ -472,7 +474,8 @@ def _draw_offsets(seed, count: int, dim: int, magnitude: float,
     """Uniform draws from a centered ball (in the tangent subspace if given).
 
     Directions and radii come from separate substreams so record i is a fixed
-    function of (seed, i) regardless of count.
+    function of (seed, i) regardless of count, except in a tangent subspace:
+    the `e @ basis` product's bits depend on the count there.
     """
     t = dim if basis is None else basis.shape[0]
     dirs = _stream(seed, (0,)).standard_normal((count, t))
@@ -600,26 +603,29 @@ def _quartic_lambda_max(G: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _draw_matrices(seed, count: int, dim: int, magnitude: float,
+def _draw_matrices(seeds, count: int, dim: int, magnitude: float,
                    basis: Optional[np.ndarray], base_matrix: np.ndarray) -> np.ndarray:
-    """Spectral-norm-normalized Gaussian perturbations with a monotonicity
-    floor: lambda_min(sym(M + E_i)) >= mu_floor = lambda_min(sym M) / 2,
-    enforced per record so rejections never disturb neighbouring records.
+    """Spectral-norm-normalized Gaussian perturbations, `count` per seed in
+    `seeds` order, with a monotonicity floor: lambda_min(sym(M + E_i)) >=
+    mu_floor = lambda_min(sym M) / 2, enforced per record so rejections
+    never disturb neighbouring records.
 
     ||G_i||_2 = sqrt(lambda_max(G_i^T G_i)). For t <= 4 it comes from
-    `_quartic_lambda_max` at every count: 3.5x faster than the Gram +
-    eigvalsh route on 4,096 4 x 4 records (2.6 against 8.9 ms, one 2-vCPU
-    host), 20x slower on one (320 against 13 us), since its op count is
-    fixed. Larger t keeps the eigvalsh route, the only one there. The bulk
-    draw and the single-record redraws go through the same route, so record
-    i depends on (seed, i) only. The kernel's relative error in ||G_i||_2 is
-    about 3.3 eps kappa <= 100 eps at most (the eigvalsh route's is about
-    1e-15), so ||E_i||_2 equals magnitude to that precision, and the Weyl
-    skip below keeps a margin of 1e-9 * ||sym M|| >= 1e-9 * magnitude there,
-    far above either error.
+    `_quartic_lambda_max`: 3.5x faster than the Gram + eigvalsh route on
+    4,096 4 x 4 records (2.6 against 8.9 ms, one 2-vCPU host), 20x slower on
+    one (320 against 13 us), since its op count is fixed, so every seed's
+    records take one call. Larger t keeps the eigvalsh route, the only one
+    there. Both routes work record by record and the redraws take them at
+    count 1, so record i of a seed depends on (seed, i) only. The kernel's
+    relative error in ||G_i||_2 is about 3.3 eps kappa <= 100 eps at most
+    (the eigvalsh route's is about 1e-15), so ||E_i||_2 equals magnitude to
+    that precision, and the Weyl skip below keeps a margin of 1e-9 *
+    ||sym M|| >= 1e-9 * magnitude there, far above either error.
     """
     t = dim if basis is None else basis.shape[0]
-    G = _stream(seed, (0,)).standard_normal((count, t, t))
+    G = np.empty((len(seeds) * count, t, t))
+    for k, seed in enumerate(seeds):  # the bits of one (count, t, t) draw per seed
+        _stream(seed, (0,)).standard_normal(out=G[k * count:(k + 1) * count])
 
     def normalize(block):
         lam = _quartic_lambda_max(block) if t <= 4 else _gram_lambda_max(block)
@@ -640,8 +646,9 @@ def _draw_matrices(seed, count: int, dim: int, magnitude: float,
     if magnitude < eigs[0] - mu_floor - 1e-9 * np.max(np.abs(eigs)):
         return E
     for i in _below_floor(sym, E, mu_floor):
+        seed, r = seeds[i // count], int(i % count)
         for attempt in range(200):
-            g = _stream(seed, (2, int(i), attempt)).standard_normal((1, t, t))
+            g = _stream(seed, (2, r, attempt)).standard_normal((1, t, t))
             cand = normalize(g)[0]
             if basis is not None:
                 cand = basis.T @ cand @ basis
@@ -651,7 +658,7 @@ def _draw_matrices(seed, count: int, dim: int, magnitude: float,
                 break
         else:
             raise GenerationError(
-                f"matrix-noise record {i} could not satisfy the mu/2 floor; "
+                f"matrix-noise record {r} could not satisfy the mu/2 floor; "
                 f"magnitude {magnitude} is too large for mu {2 * mu_floor}"
             )
     return E
@@ -673,20 +680,21 @@ class SampledDataset:
         return self.offsets.shape[1]
 
 
-def _draw_records(problem, noise: NoiseModel, count: int, seed):
-    """(offsets, matrices) of `count` records drawn from `seed`."""
+def _draw_records(problem, noise: NoiseModel, count: int, seeds):
+    """(offsets, matrices) of `count` records from each seed in `seeds`, in order."""
     d, basis = problem.dim, problem.tangent_basis
     if noise.kind == "offset":
-        return _draw_offsets(seed, count, d, noise.magnitude, basis), None
-    E = _draw_matrices(seed, count, d, noise.magnitude, basis, problem.matrix)
+        e = [_draw_offsets(seed, count, d, noise.magnitude, basis) for seed in seeds]
+        return (e[0] if len(e) == 1 else np.concatenate(e)), None
+    E = _draw_matrices(seeds, count, d, noise.magnitude, basis, problem.matrix)
     # read-only zero offsets; no (n, d) buffer for a noise kind that has none
-    return np.broadcast_to(np.zeros(d), (count, d)), E
+    return np.broadcast_to(np.zeros(d), (len(E), d)), E
 
 
 def sample_dataset(problem, noise: NoiseModel, n: int, seed: int) -> SampledDataset:
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
-    return SampledDataset(*_draw_records(problem, noise, n, seed))
+    return SampledDataset(*_draw_records(problem, noise, n, [seed]))
 
 
 def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:

@@ -106,7 +106,7 @@ def record_operator(problem, X, j):
 
 def neighbour(problem, X, noise, j, seed):
     """A copy of X with record j redrawn from `seed`; X is left as it is."""
-    new_offsets, new_matrices = _draw_records(problem, noise, 1, seed)
+    new_offsets, new_matrices = _draw_records(problem, noise, 1, [seed])
     if X.matrices is None:
         offsets = X.offsets.copy()
         offsets[j] = new_offsets[0]

@@ -40,10 +40,9 @@ from vilab import (
     run,
     sample_dataset,
     stability_experiment,
-    trial_dataset_seed,
     weak_gap,
 )
-from vilab.analysis import _empirical_solutions
+from vilab.analysis import _empirical_solutions, _training_horizon, _trial_operators
 from vilab.cli import main as cli_main
 
 from helpers import dense_grid, neighbour, record_operator, vertices
@@ -138,8 +137,8 @@ def test_criterion_04_simplex_strong_gap_rate():
     op = generate_operator(50, dom.dim, 1.0, 2.0, domain=dom)
     noise = NoiseModel("offset", 0.05)
     n_grid = (64, 128, 256, 512, 1024, 2048, 4096)
-    res = generalization_sweep(op, dom, SolverConfig("gd", 0.1, 1), noise,
-                               n_grid, 100, 13, kind="gap")
+    cfg = SolverConfig("gd", 0.1, 1)
+    res = generalization_sweep(op, dom, cfg, noise, n_grid, 100, 13, kind="gap")
     elapsed = time.time() - started
     assert res.failures == []
     assert res.fit_error is None
@@ -151,10 +150,8 @@ def test_criterion_04_simplex_strong_gap_rate():
     # (quadratic in the noise) and the residual max over the simplex
     consts = constants(op, dom)
     n_diag = 1024
-    datasets = [sample_dataset(op, noise, n_diag, trial_dataset_seed(13, n_diag, t))
-                for t in range(100)]
-    Z, _, _, _ = _empirical_solutions(op, dom, SolverConfig("gd", 0.1, 1),
-                                      datasets, noise, consts)
+    Z, _, _, _ = _empirical_solutions(_trial_operators(op, noise, n_diag, 13, 100), dom, cfg,
+                                      _training_horizon(cfg, consts, noise, dom))
     zstar = exact_solution(op, dom)
     G = op(Z)
     quad = float(np.mean(np.einsum("bi,bi->b", G, Z - zstar)))
@@ -190,11 +187,10 @@ def test_criterion_05_game_weak_and_potential_rates():
     # sandwich on every trained iterate: potential <= weak <= strong (1e-9)
     consts = constants(game, game.domain)
     sandwich_worst = -np.inf
+    T = _training_horizon(cfg, consts, noise, game.domain)
     for n in n_grid:
-        datasets = [sample_dataset(game, noise, n, trial_dataset_seed(21, n, t))
-                    for t in range(100)]
-        Z, _, failed, _ = _empirical_solutions(game, game.domain, cfg, datasets,
-                                               noise, consts)
+        Z, _, failed, _ = _empirical_solutions(_trial_operators(game, noise, n, 21, 100),
+                                               game.domain, cfg, T)
         assert failed == []
         p = potential_gap(game, Z)
         w = weak_gap(game, game, Z)

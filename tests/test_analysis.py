@@ -1,5 +1,7 @@
+import importlib.util
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,11 +39,14 @@ from vilab import (
     sweep_point,
     trial_dataset_seed,
 )
-from vilab.analysis import (_empirical_solutions, _iterate_to_tol, _neighbour_pairs,
-                            _stacked_empirical, _training_horizon, check_gd_eta)
+from vilab import problems
+from vilab.analysis import (_empirical_solutions, _iterate_to_tol, _training_horizon,
+                            _trial_operators, check_gd_eta)
 from vilab.solvers import contraction_bound
 
 from helpers import neighbour
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 UNIT_CONSTS = ProblemConstants(mu=1.0, L=1.0, K=1.0, D=2.0, per_player=((1.0, 1.0),))
 TWO_PLAYER_CONSTS = ProblemConstants(
@@ -280,7 +285,7 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("kind", ["offset", "matrix"])
     @pytest.mark.parametrize("on_simplex", [False, True])
-    def test_neighbours_match_a_copied_reference(self, kind, on_simplex):
+    def test_neighbours_match_a_copied_reference(self, kind, on_simplex, monkeypatch):
         # the neighbour swapped in place gives the divergences of a
         # neighbour built as a copy, bit for bit
         dom = Simplex(2) if on_simplex else Ball(np.zeros(3), 1.0)
@@ -302,15 +307,50 @@ class TestStabilityExperiment:
         assert np.array_equal(res.divergences,
                               np.linalg.norm(Z[:trials] - Z[trials:], axis=-1))
         assert np.all(res.divergences > 0.0)
-        # the swap changes exactly one record
-        pairs = _neighbour_pairs(op, noise, n, 1, seed)
-        X = next(pairs)
-        before = X.offsets.copy(), None if X.matrices is None else X.matrices.copy()
-        assert next(pairs) is X
-        changed = np.any(X.offsets != before[0], axis=-1)
-        if kind == "matrix":
-            changed |= np.any(X.matrices != before[1], axis=(1, 2))
-        assert changed.sum() == 1
+        # the swap changes exactly one record of each trial's dataset
+        drawn = []
+
+        def keeping(*args, **kwargs):
+            X = sample_dataset(*args, **kwargs)
+            drawn.append((X, X.offsets.copy(), None if X.matrices is None else X.matrices.copy()))
+            return X
+
+        monkeypatch.setattr("vilab.analysis.sample_dataset", keeping)
+        _trial_operators(op, noise, n, seed, trials, neighbours=True)
+        assert len(drawn) == trials
+        for X, offsets, matrices in drawn:
+            changed = np.any(X.offsets != offsets, axis=-1)
+            if kind == "matrix":
+                changed |= np.any(X.matrices != matrices, axis=(1, 2))
+            assert changed.sum() == 1
+
+    def test_matrix_neighbours_take_one_norm_call(self, monkeypatch):
+        # one quartic-kernel call per dataset and one for every trial's
+        # replacement record (magnitude 0.2 < mu/2: no rejection redraws)
+        calls = []
+        route = problems._quartic_lambda_max
+        monkeypatch.setattr(problems, "_quartic_lambda_max",
+                            lambda G: (calls.append(G.shape), route(G))[1])
+        dom = Ball(np.zeros(4), 1.0)
+        op = generate_operator(3, 4, 0.8, 1.6, domain=dom)
+        n, trials = 32, 5
+        stability_experiment(op, dom, SolverConfig("gd", 0.25, 50), n, trials, 0,
+                             NoiseModel("matrix", 0.2))
+        assert sorted(calls) == sorted([(n, 4, 4)] * trials + [(trials, 4, 4)])
+
+    def test_benchmark_stability_outputs_match_the_reference(self):
+        # the benchmark's gate on its matrix-noise stability divergences: the
+        # `stability_matrix` operations at seed 0 against the pinned arrays,
+        # at the benchmark's own tolerance
+        spec = importlib.util.spec_from_file_location("workloads", BENCH_DIR / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        inst = workloads.setup("stability_matrix", workloads.DEFAULT_SEED, smoke=False)
+        got = [workloads.output_arrays("stability_matrix", op())
+               for op in workloads.operations(inst)]
+        pinned = workloads.load_reference("stability_matrix")
+        assert len(got) == len(pinned) == 3
+        assert all(workloads.compare(a, r)[0] for a, r in zip(got, pinned))
 
     def test_matrix_noise_bound_uses_the_certified_pair(self):
         # a record's lambda_min(sym) can fall below mu; the gate and the bound
@@ -492,8 +532,9 @@ class TestGeneralizationSweep:
         cfg = SolverConfig("eg", 0.5, 1, projected=True)
         datasets = [sample_dataset(op, noise, 8, trial_dataset_seed(0, 8, t))
                     for t in range(6)]
-        Z, steps, failed, direct = _empirical_solutions(op, dom, cfg, datasets, noise,
-                                                        constants(op, dom))
+        T = _training_horizon(cfg, constants(op, dom), noise, dom)
+        Z, steps, failed, direct = _empirical_solutions(_trial_operators(op, noise, 8, 0, 6),
+                                                        dom, cfg, T)
         assert direct == 0
         for z, X in zip(Z, datasets):
             ref = run(empirical_operator(op, X), dom, replace(cfg, T=steps)).final
@@ -524,8 +565,7 @@ class TestEmpiricalSolutions:
     op = generate_operator(0, 3, 0.8, 1.6, domain=unit)
 
     def _loop(self, dom, cfg, noise, n, trials, seed):
-        datasets = _trial_datasets(self.op, noise, n, trials, seed)
-        F = QuadraticOperator(*_stacked_empirical(self.op, datasets))
+        F = _trial_operators(self.op, noise, n, seed, trials)
         return _iterate_to_tol(F, dom, cfg,
                                _training_horizon(cfg, constants(self.op, dom), noise, dom))
 

@@ -105,8 +105,10 @@ class TestStrongGap:
 
 class TestGapsAtTheSolvedRoot:
     """Under offset noise the empirical operator is F + e_bar, so its root
-    z_hat has F(z_hat) = -e_bar: the strong gap there is linear in the mean
-    noise, the weak gap quadratic (the criterion-4 note in README.md)."""
+    z_hat has F(z_hat) = -e_bar; under matrix noise it is (M + E_bar) z + b,
+    so F(z_hat) = -E_bar z_hat. Either way the strong gap there is the
+    support function of the mean noise at z_hat, linear in it, and the weak
+    gap is quadratic (the criterion-4 note in README.md)."""
 
     @pytest.mark.parametrize("n", [16, 256, 4096])
     @pytest.mark.parametrize("domain", [Ball(np.array([0.2, -0.1, 0.0]), 1.5),
@@ -114,16 +116,18 @@ class TestGapsAtTheSolvedRoot:
                              ids=["ball", "box", "simplex"])
     def test_strong_gap_is_the_support_function_of_the_mean_noise(self, domain, n):
         op = generate_operator(51, domain.dim, 1.0, 2.0, domain)
-        X = sample_dataset(op, NoiseModel("offset", 0.02), n, seed=52)
-        z_hat = exact_solution(empirical_operator(op, X), domain)
-        e_bar = X.offsets.mean(axis=0)
         corners = vertices(domain)
-        if corners is None:  # ball: max_u <e, u> = <e, c> + r ||e||
-            support = e_bar @ domain.center_point + domain.radius * np.linalg.norm(e_bar)
-        else:
-            support = max(e_bar @ v for v in corners)
-        assert gap(op, domain, z_hat) > 0.0
-        assert abs(gap(op, domain, z_hat) - (support - e_bar @ z_hat)) <= 1e-12
+        for kind in ("offset", "matrix"):
+            X = sample_dataset(op, NoiseModel(kind, 0.02), n, seed=52)
+            z_hat = exact_solution(empirical_operator(op, X), domain)
+            e = (X.offsets.mean(axis=0) if X.matrices is None
+                 else X.matrices.mean(axis=0) @ z_hat)
+            if corners is None:  # ball: max_u <e, u> = <e, c> + r ||e||
+                support = e @ domain.center_point + domain.radius * np.linalg.norm(e)
+            else:
+                support = max(e @ v for v in corners)
+            assert gap(op, domain, z_hat) > 0.0
+            assert abs(gap(op, domain, z_hat) - (support - e @ z_hat)) <= 1e-12
 
     @pytest.mark.parametrize("n", [16, 256, 4096])
     def test_game_weak_gap_is_quadratic_in_the_residual(self, n):

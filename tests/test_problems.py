@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vilab import problems
-from vilab.analysis import _neighbour_pairs
+from vilab.analysis import _trial_operators
 from vilab import (
     Ball,
     Box,
@@ -470,6 +470,18 @@ class TestDatasets:
                 assert np.array_equal(a.matrices, b.matrices)
                 assert np.array_equal(a.matrices, big.matrices[:40])
 
+    @pytest.mark.xfail(strict=True, reason="offset records on a simplex go through "
+                       "`e @ basis`, a BLAS product whose bits depend on the record count")
+    def test_simplex_offsets_prefix_stable(self):
+        noise = NoiseModel("offset", 0.3)
+        for dom in (Simplex(4), Simplex(19)):
+            op = generate_operator(31, dom.dim, 0.5, 1.5, dom)
+            for seed in range(20):
+                many = sample_dataset(op, noise, 4096, seed=seed).offsets
+                for n in (1, 17):
+                    assert np.array_equal(sample_dataset(op, noise, n, seed=seed).offsets,
+                                          many[:n])
+
     def test_mean_offset_concentrates(self):
         op = generate_operator(32, 4, 0.5, 1.5)
         X = sample_dataset(op, NoiseModel("offset", 1.0), 100_000, seed=10)
@@ -622,7 +634,7 @@ class TestDatasets:
         monkeypatch.setattr(sys.modules[np.linalg.norm.__wrapped__.__module__],
                             "svd", counting)
         X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
-        problems._draw_records(op, NoiseModel("matrix", 0.9), 1, seed=99)
+        problems._draw_records(op, NoiseModel("matrix", 0.9), 1, [99])
         sample_dataset(simplex_op, NoiseModel("matrix", 0.3), 50, seed=22)
         assert calls == []
         # the counter does see the SVD route the sampler used to take
@@ -646,7 +658,7 @@ class TestDatasets:
         sample_dataset(generate_operator(47, 5, 0.8, 1.6), noise, 1, seed=24)
         assert calls == [("_gram_lambda_max", (1, 5, 5))]
 
-    def test_matrix_noise_has_no_offset_buffer(self):
+    def test_matrix_noise_has_no_offset_buffer(self, monkeypatch):
         op = generate_operator(46, 3, 1.0, 2.0)
         noise = NoiseModel("matrix", 0.2)
         X = sample_dataset(op, noise, 50, seed=23)
@@ -655,9 +667,17 @@ class TestDatasets:
         assert X.offsets.strides[0] == 0
         assert not X.offsets.flags.writeable
         # a stability neighbour swaps a matrix in place and keeps the broadcast
-        pairs = _neighbour_pairs(op, noise, 50, 1, 23)
-        first = next(pairs).offsets
-        assert next(pairs).offsets is first
+        drawn = []
+
+        def keeping(*args):
+            drawn.append(sample_dataset(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr("vilab.analysis.sample_dataset", keeping)
+        _trial_operators(op, noise, 50, 23, 1, neighbours=True)
+        (swapped,) = drawn
+        assert swapped.offsets.strides[0] == 0
+        assert not swapped.offsets.flags.writeable
         assert np.array_equal(empirical_operator(op, X).offset, op.offset)
 
     def test_matrix_floor_unreachable(self):
@@ -743,8 +763,8 @@ class TestQuarticKernel:
             rng = stream(seed, key)
 
             class Draws:
-                def standard_normal(self, shape):
-                    out = rng.standard_normal(shape)
+                def standard_normal(self, shape=None, out=None):
+                    out = rng.standard_normal(shape, out=out)
                     out[1] = 0.0
                     return out
 
