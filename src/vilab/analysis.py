@@ -70,6 +70,15 @@ def stability_bound(config: SolverConfig, consts: ProblemConstants, n: int) -> O
     return 2.0 * eta * K * (1.0 + eta * L) / (n * (1.0 - xi))
 
 
+def _stability_limit(method: str, consts: ProblemConstants, n: int) -> Optional[float]:
+    """The eta -> 0 limit of `method`'s stability_bound: K/(n mu) for gd;
+    2K/(n(2 mu - L)) for eg (xi = 1 - eta(2 mu - L) + O(eta^2)), None if 2 mu <= L."""
+    K, mu, L = consts.K, consts.mu, consts.L
+    if method == "gd":
+        return K / (n * mu)
+    return 2.0 * K / (n * (2.0 * mu - L)) if 2.0 * mu > L else None
+
+
 def covering_bound(consts: ProblemConstants, gamma: float, domain: Domain, r_grid) -> float:
     """min_r [K r + (L D + K) gamma log N(Z, r, l-inf)] over the given radii."""
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
@@ -109,18 +118,21 @@ def evaluate_bounds(problem, domain: Domain, consts: ProblemConstants,
 
     The stability constant gamma is taken with the constants the sampled
     operators satisfy (sampled_constants): the ceiling `config` certifies
-    (stability_bound), and gd's eta -> 0 limit K/(n mu), which stands in when
-    the run certifies none. The other bounds use the plain constants; the
+    (stability_bound), and the method's eta -> 0 limit (_stability_limit),
+    which stands in when the run certifies none. With neither, the covering,
+    simplex and game bounds are None. They use the plain constants; the
     covering bound is minimized over _COVER_RADII times the domain diameter."""
     w = sampled_constants(consts, noise, domain)
     at_eta = stability_bound(config, w, n)
-    limit = w.K / (n * w.mu)
+    limit = _stability_limit(config.method, w, n)
     gamma = limit if at_eta is None else at_eta
+    known = gamma is not None
     return {
-        "covering": covering_bound(consts, gamma, domain, domain.diameter() * _COVER_RADII),
+        "covering": (covering_bound(consts, gamma, domain, domain.diameter() * _COVER_RADII)
+                     if known else None),
         "simplex": (simplex_bound(consts, gamma, domain.d)
-                    if isinstance(domain, Simplex) and domain.d > 1 else None),
-        "game": game_bound(consts, gamma) if isinstance(problem, QuadraticGame) else None,
+                    if known and isinstance(domain, Simplex) and domain.d > 1 else None),
+        "game": game_bound(consts, gamma) if known and isinstance(problem, QuadraticGame) else None,
         "bernstein_B": bernstein_constant(consts),
         "gamma": {"eta": at_eta, "limit": limit},
         "note": BOUND_NOTE,

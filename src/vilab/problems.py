@@ -284,12 +284,8 @@ def _skew_window(smax, f0: float, hi: float, f_hi: float, L: float, err: float) 
 
 
 def _random_monotone_matrix(rng: np.random.Generator, d: int, mu: float, L: float) -> np.ndarray:
-    """Square matrix with lambda_min(sym) = mu and sigma_max = L (both 1e-9)."""
-    if not 0.0 < mu <= L:
-        raise GenerationError(f"need 0 < mu <= L, got mu={mu}, L={L}")
+    """Square matrix with lambda_min(sym) = mu and sigma_max = L, for 0 < mu <= L."""
     if math.isclose(mu, L, rel_tol=1e-12, abs_tol=0.0):
-        if L - mu > 1e-9:  # mu * I has sigma_max = mu exactly
-            raise GenerationError("generated matrix missed its mu/L certificates")
         return mu * np.eye(d)
     if d == 1:
         raise GenerationError("a 1x1 matrix forces mu == L; cannot hit distinct targets")
@@ -328,15 +324,15 @@ def _random_monotone_matrix(rng: np.random.Generator, d: int, mu: float, L: floa
             lo = mid
         if hi - lo <= 1e-14 * max(1.0, L):
             break
-    M = S + hi * A
-    if abs(monotonicity_modulus(M) - mu) > 1e-9 or abs(np.linalg.norm(M, 2) - L) > 1e-9:
-        raise GenerationError("generated matrix missed its mu/L certificates")
-    return M
+    return S + hi * A
 
 
-def _place_interior_root(
-    rng: np.random.Generator, domain: Domain, margin: float
-) -> np.ndarray:
+def _place_interior_root(rng: np.random.Generator, domain: Domain, margin=None) -> np.ndarray:
+    """A draw of `domain.sample` at least `margin` inside the domain, by default
+    0.25/dim on a simplex (its coordinates shrink like 1/dim, which would starve
+    a diameter-based margin) and 0.05 * diameter elsewhere, games included."""
+    if margin is None:
+        margin = 0.25 / domain.dim if isinstance(domain, Simplex) else 0.05 * domain.diameter()
     for _ in range(_REJECTION_BUDGET):
         z = domain.sample(rng)
         if bool(domain.contains_interior(z, margin)):
@@ -355,42 +351,37 @@ def generate_operator(
     domain: Optional[Domain] = None,
     interior_margin: Optional[float] = None,
 ) -> QuadraticOperator:
-    """Random certified instance with its root inside `domain`.
+    """Random certified instance with its root inside `domain`; lambda_min(sym
+    M) = mu and sigma_max(M) = L are checked once, on M, to 1e-9.
 
     On a simplex the matrix keeps the sum-zero tangent subspace invariant:
     the tangent block carries the mu/L targets and the normal direction gets
-    an eigenvalue inside [mu, L], so certificates hold in the full space while
-    the dynamics restricted to the simplex hyperplane stay there.
+    an eigenvalue inside [mu, L], so checking M checks the block, and the
+    dynamics restricted to the simplex hyperplane stay there.
     """
     if domain is None:
         domain = Ball(np.zeros(d), 1.0)
     if domain.dim != d:
         raise ValueError(f"domain dim {domain.dim} != requested d {d}")
-    if interior_margin is None:
-        # simplex coordinates shrink like 1/dim, so a diameter-based margin
-        # would starve the rejection sampler there
-        if isinstance(domain, Simplex):
-            interior_margin = 0.25 / domain.dim
-        else:
-            interior_margin = 0.05 * domain.diameter()
+    if not 0.0 < mu_target <= L_target:
+        raise GenerationError(f"need 0 < mu <= L, got mu={mu_target}, L={L_target}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if isinstance(domain, Simplex):
-        B = domain.tangent_basis()  # (d-1, d) orthonormal rows
-        t = B.shape[0]
+        basis = domain.tangent_basis()  # (d-1, d) orthonormal rows
+        t = basis.shape[0]
         if t == 1:
             Mt = np.array([[mu_target]])
             c = L_target
         else:
             Mt = _random_monotone_matrix(rng, t, mu_target, L_target)
             c = 0.5 * (mu_target + L_target)
-        M = B.T @ Mt @ B + c * np.full((d, d), 1.0 / d)
-        if abs(monotonicity_modulus(M) - mu_target) > 1e-9 or \
-                abs(np.linalg.norm(M, 2) - L_target) > 1e-9:
-            raise GenerationError("simplex embedding missed its mu/L certificates")
-        basis = B
+        M = basis.T @ Mt @ basis + c * np.full((d, d), 1.0 / d)
     else:
         M = _random_monotone_matrix(rng, d, mu_target, L_target)
         basis = None
+    if abs(monotonicity_modulus(M) - mu_target) > 1e-9 or \
+            abs(np.linalg.norm(M, 2) - L_target) > 1e-9:
+        raise GenerationError("generated matrix missed its mu/L certificates")
     root = _place_interior_root(rng, domain, interior_margin)
     return QuadraticOperator(M, -M @ root, tangent_basis=basis)
 
@@ -431,20 +422,17 @@ def generate_game(
         eigs = rng.uniform(1.5 * mu_target, 3.0 * mu_target, size=di)
         B = (Q * eigs) @ Q.T
         blocks.append(0.5 * (B + B.T))
-    raw_couplings = {}
+    C = np.zeros((d, d))  # unscaled couplings; the diagonal blocks stay zero
     for i in range(k):
         for j in range(k):
             if i != j:
-                raw_couplings[(i, j)] = rng.standard_normal((dims[i], dims[j])) / math.sqrt(d)
+                C[slices[i], slices[j]] = rng.standard_normal((dims[i], dims[j])) / math.sqrt(d)
 
     scale = float(coupling_strength)
     for _ in range(60):
-        M = np.zeros((d, d))
-        for i in range(k):
-            M[slices[i], slices[i]] = blocks[i]
-            for j in range(k):
-                if i != j:
-                    M[slices[i], slices[j]] = scale * raw_couplings[(i, j)]
+        M = scale * C  # blocks written over, not added: 0.0 + -0.0 is +0.0
+        for s, block in zip(slices, blocks):
+            M[s, s] = block
         if monotonicity_modulus(M) >= mu_target or scale == 0.0:
             break
         scale *= 0.5
@@ -454,8 +442,6 @@ def generate_game(
             f"(achieved {monotonicity_modulus(M):.3e})"
         )
 
-    if interior_margin is None:
-        interior_margin = 0.05 * domain.diameter()
     root = _place_interior_root(rng, domain, interior_margin)
     return QuadraticGame(M, -M @ root, domain=domain)
 
@@ -488,9 +474,9 @@ def _draw_offsets(seed, count: int, dim: int, magnitude: float,
 
 
 def _below_floor(sym: np.ndarray, E: np.ndarray, mu_floor: float) -> np.ndarray:
-    """Indices i with lambda_min(sym + sym(E_i)) < mu_floor, one batched eigvalsh."""
+    """Mask of the i with lambda_min(sym + sym(E_i)) < mu_floor, one batched eigvalsh."""
     lam = np.linalg.eigvalsh(sym + 0.5 * (E + np.transpose(E, (0, 2, 1))))[:, 0]
-    return np.nonzero(lam < mu_floor)[0]
+    return lam < mu_floor
 
 
 def _gram_lambda_max(G: np.ndarray) -> np.ndarray:
@@ -614,13 +600,14 @@ def _draw_matrices(seeds, count: int, dim: int, magnitude: float,
     `_quartic_lambda_max`: 3.5x faster than the Gram + eigvalsh route on
     4,096 4 x 4 records (2.6 against 8.9 ms, one 2-vCPU host), 20x slower on
     one (320 against 13 us), since its op count is fixed, so every seed's
-    records take one call. Larger t keeps the eigvalsh route, the only one
-    there. Both routes work record by record and the redraws take them at
-    count 1, so record i of a seed depends on (seed, i) only. The kernel's
-    relative error in ||G_i||_2 is about 3.3 eps kappa <= 100 eps at most
-    (the eigvalsh route's is about 1e-15), so ||E_i||_2 equals magnitude to
-    that precision, and the Weyl skip below keeps a margin of 1e-9 *
-    ||sym M|| >= 1e-9 * magnitude there, far above either error.
+    records take one call, and so do a redraw round's: round a redraws every
+    rejected record i from (seed, (2, i, a)). Larger t keeps the eigvalsh
+    route, the only one there. Both routes work record by record, so record
+    i of a seed depends on (seed, i) only. The kernel's relative error in
+    ||G_i||_2 is about 3.3 eps kappa <= 100 eps at most (the eigvalsh
+    route's is about 1e-15), so ||E_i||_2 equals magnitude to that
+    precision, and the Weyl skip below keeps a margin of 1e-9 * ||sym M|| >=
+    1e-9 * magnitude there, far above either error.
     """
     t = dim if basis is None else basis.shape[0]
     G = np.empty((len(seeds) * count, t, t))
@@ -630,11 +617,10 @@ def _draw_matrices(seeds, count: int, dim: int, magnitude: float,
     def normalize(block):
         lam = _quartic_lambda_max(block) if t <= 4 else _gram_lambda_max(block)
         s = np.sqrt(np.maximum(lam, 0.0))
-        return magnitude * block / np.maximum(s, 1e-300)[:, None, None]
+        E = magnitude * block / np.maximum(s, 1e-300)[:, None, None]
+        return E if basis is None else np.einsum("ti,ntu,uj->nij", basis, E, basis)
 
     E = normalize(G)
-    if basis is not None:
-        E = np.einsum("ti,ntu,uj->nij", basis, E, basis)
     if magnitude == 0.0:
         return E
     sym = 0.5 * (base_matrix + base_matrix.T)
@@ -645,22 +631,22 @@ def _draw_matrices(seeds, count: int, dim: int, magnitude: float,
     mu_floor = 0.5 * eigs[0]
     if magnitude < eigs[0] - mu_floor - 1e-9 * np.max(np.abs(eigs)):
         return E
-    for i in _below_floor(sym, E, mu_floor):
-        seed, r = seeds[i // count], int(i % count)
-        for attempt in range(200):
-            g = _stream(seed, (2, r, attempt)).standard_normal((1, t, t))
-            cand = normalize(g)[0]
-            if basis is not None:
-                cand = basis.T @ cand @ basis
-            lam_i = np.linalg.eigvalsh(sym + 0.5 * (cand + cand.T))[0]
-            if lam_i >= mu_floor:
-                E[i] = cand
-                break
-        else:
-            raise GenerationError(
-                f"matrix-noise record {r} could not satisfy the mu/2 floor; "
-                f"magnitude {magnitude} is too large for mu {2 * mu_floor}"
-            )
+    rejected = np.flatnonzero(_below_floor(sym, E, mu_floor))
+    for attempt in range(200):  # one round redraws every still-rejected record
+        if not rejected.size:
+            break
+        g = np.empty((rejected.size, t, t))
+        for m, i in enumerate(rejected):
+            _stream(seeds[i // count], (2, int(i % count), attempt)).standard_normal(out=g[m])
+        cand = normalize(g)
+        low = _below_floor(sym, cand, mu_floor)
+        E[rejected[~low]] = cand[~low]
+        rejected = rejected[low]
+    if rejected.size:
+        raise GenerationError(
+            f"matrix-noise record {int(rejected[0] % count)} could not satisfy the mu/2 "
+            f"floor; magnitude {magnitude} is too large for mu {2 * mu_floor}"
+        )
     return E
 
 

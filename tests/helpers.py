@@ -156,3 +156,37 @@ def bisection_monotone_matrix(rng, d, mu, L):
         if hi - lo <= 1e-14 * max(1.0, L):
             break
     return S + hi * A
+
+
+def blockwise_game_matrix(seed, k, dims, mu, coupling):
+    """`problems.generate_game`'s M for its default domain, assembled block by
+    block from a dict of coupling blocks in every halving round: the same
+    draws, floor and stop."""
+    dims = (dims,) * k if isinstance(dims, int) else tuple(dims)
+    d = sum(dims)
+    starts = np.cumsum((0,) + dims).tolist()
+    slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    blocks = []
+    for di in dims:
+        Q, _ = np.linalg.qr(rng.standard_normal((di, di)))
+        eigs = rng.uniform(1.5 * mu, 3.0 * mu, size=di)
+        B = (Q * eigs) @ Q.T
+        blocks.append(0.5 * (B + B.T))
+    raw = {}
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                raw[i, j] = rng.standard_normal((dims[i], dims[j])) / math.sqrt(d)
+    scale = float(coupling)
+    for _ in range(60):
+        M = np.zeros((d, d))
+        for i in range(k):
+            M[slices[i], slices[i]] = blocks[i]
+            for j in range(k):
+                if i != j:
+                    M[slices[i], slices[j]] = scale * raw[i, j]
+        if np.linalg.eigvalsh(0.5 * (M + M.T))[0] >= mu or scale == 0.0:
+            return M
+        scale *= 0.5
+    raise AssertionError("the floor was not reached in 60 halvings")

@@ -729,6 +729,28 @@ class TestEvaluateBounds:
         )
         assert np.isclose(bounds["covering"], ref)
 
+    def test_eg_fallback_takes_eg_limit(self):
+        # projected eg certifies nothing, so gamma is eg's eta -> 0 limit
+        # 2K/(n(2 mu - L)) = 2/(20 * 0.6) at mu 0.8, L 1, not gd's K/(n mu)
+        consts = ProblemConstants(mu=0.8, L=1.0, K=1.0, D=2.0, per_player=((0.8, 1.0),))
+        dom = Ball(np.zeros(2), 1.0)
+        bounds = evaluate_bounds(None, dom, consts, NOISELESS, 20,
+                                 SolverConfig("eg", 0.1, 0, projected=True))
+        assert bounds["gamma"]["eta"] is None
+        assert np.isclose(bounds["gamma"]["limit"], 2.0 / 12.0)
+        ref = covering_bound(consts, 2.0 / 12.0, dom,
+                             dom.diameter() * np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5]))
+        assert np.isclose(bounds["covering"], ref)
+
+    def test_eg_without_limit_reports_no_bounds(self):
+        # 2 mu <= L: eg has no eta -> 0 limit, so nothing stands in for gamma
+        consts = ProblemConstants(mu=0.3, L=1.0, K=1.0, D=2.0, per_player=((0.3, 1.0),))
+        bounds = evaluate_bounds(None, Simplex(2), consts, NOISELESS, 20,
+                                 SolverConfig("eg", 0.1, 0))
+        assert bounds["gamma"] == {"eta": None, "limit": None}
+        assert (bounds["covering"], bounds["simplex"], bounds["game"]) == (None, None, None)
+        assert bounds["bernstein_B"] == bernstein_constant(consts)
+
     def test_seed_helper(self):
         assert trial_dataset_seed(7, 64, 3) == [7, 64, 3]
         assert all(isinstance(x, int) for x in trial_dataset_seed(7, 64, 3))

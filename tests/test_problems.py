@@ -31,7 +31,7 @@ from vilab import (
     spectral_norm,
 )
 
-from helpers import bisection_monotone_matrix, record_operator
+from helpers import bisection_monotone_matrix, blockwise_game_matrix, record_operator
 
 
 def small_game(seed=0, k=3, dims=2, mu=0.5, coupling=0.4):
@@ -302,6 +302,31 @@ class TestGenerateOperator:
         assert abs(np.linalg.svd(op.matrix, compute_uv=False)[0] - 1.5) <= 1e-9
 
 
+class TestDefaultMargin:
+    """interior_margin=None takes the documented margin: 0.25/dim on a
+    simplex, 0.05 * diameter elsewhere, a game's product domain included."""
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert a.offset.tobytes() == b.offset.tobytes()
+
+    @pytest.mark.parametrize("dom", [Ball(np.full(4, 0.5), 2.0), Box(-np.ones(4), 2 * np.ones(4)),
+                                     Simplex(3)], ids=["ball", "box", "simplex"])
+    def test_operator(self, dom):
+        margin = 0.25 / dom.dim if isinstance(dom, Simplex) else 0.05 * dom.diameter()
+        for seed in range(20):
+            self.assert_same_bits(generate_operator(seed, 4, 0.6, 1.8, dom),
+                                  generate_operator(seed, 4, 0.6, 1.8, dom, margin))
+
+    def test_game(self):
+        dom = Product((Ball(np.zeros(2), 1.5), Box(-np.ones(1), np.ones(1)), Simplex(2)))
+        for seed in range(20):
+            self.assert_same_bits(
+                generate_game(seed, 3, (2, 1, 3), 0.5, 0.4, dom),
+                generate_game(seed, 3, (2, 1, 3), 0.5, 0.4, dom, 0.05 * dom.diameter()))
+
+
 class TestSkewScale:
     """The skew-scale bisection skips only comparisons that convexity decides,
     so every matrix equals the plain bisection's bit for bit."""
@@ -430,6 +455,18 @@ class TestGenerateGame:
             generate_game(25, 3, (2, 2), 0.5, 0.3)
         with pytest.raises(ValueError):
             generate_game(25, 2, 2, -1.0, 0.3)
+
+    @pytest.mark.parametrize("seed, k, dims, coupling", [
+        (0, 2, 1, 0.3), (1, 3, 2, 0.4), (2, 3, (1, 2, 3), 0.4), (3, 4, (3, 1, 2, 1), 5.0),
+        (4, 3, (2, 1, 3), 100.0), (5, 3, (1, 2, 3), 0.0), (6, 2, (2, 3), -0.7),
+    ])
+    def test_matrix_matches_blockwise_assembly(self, seed, k, dims, coupling):
+        # one unscaled coupling matrix, scaled per halving round, gives the
+        # bits of the block-by-block assembly, the signs of zeros included
+        got = generate_game(seed, k, dims, 0.5, coupling).matrix
+        want = blockwise_game_matrix(seed, k, dims, 0.5, coupling)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_domain_has_one_factor_per_player(self, monkeypatch):
         # the right total dimension is not enough: the domain is rejected
@@ -580,6 +617,51 @@ class TestDatasets:
         self._assert_svd_agrees(X, 0.9)
         assert np.allclose(X.matrices, want, rtol=0.0, atol=1e-13 * 0.9)
 
+    @pytest.mark.parametrize("seed, d, mu, magnitude, n", [
+        (33, 3, 1.0, 0.9, 300),   # the instance of test_matrix_records_certified
+        (48, 4, 0.8, 0.7, 1024),  # magnitude 7/8 mu on a d = 4 ball
+    ])
+    def test_matrix_redraws_take_one_norm_call_per_round(self, monkeypatch, seed, d, mu,
+                                                         magnitude, n):
+        # the kernel sees the bulk draw, then one call per redraw round on
+        # every record still rejected; the rounds are replayed with SVD norms
+        op = generate_operator(seed, d, mu, 2.0)
+        floor = 0.5 * monotonicity_modulus(op.matrix)
+        calls = []
+        route = problems._quartic_lambda_max
+        monkeypatch.setattr(problems, "_quartic_lambda_max",
+                            lambda G: (calls.append(len(G)), route(G))[1])
+        sample_dataset(op, NoiseModel("matrix", magnitude), n, seed=11)
+        E = self._svd_normalised(np.random.default_rng(
+            np.random.SeedSequence(11, spawn_key=(0,))).standard_normal((n, d, d)), magnitude)
+        attempts = np.zeros(n, dtype=int)  # per record, before the floor holds
+        for i in range(n):
+            while monotonicity_modulus(op.matrix + E[i]) < floor:
+                g = np.random.default_rng(np.random.SeedSequence(
+                    11, spawn_key=(2, i, int(attempts[i])))).standard_normal((1, d, d))
+                E[i] = self._svd_normalised(g, magnitude)[0]
+                attempts[i] += 1
+        assert attempts.max() > 1
+        assert calls == [n] + [int(np.sum(attempts > a)) for a in range(attempts.max())]
+
+    def test_simplex_matrix_redraws_keep_floor_and_prefix(self, monkeypatch):
+        # redrawn simplex records are embedded by the bulk einsum, record by
+        # record: every record clears the floor and keeps its bits at any count
+        op = generate_operator(49, 5, 1.0, 2.0, Simplex(4))
+        sym = 0.5 * (op.matrix + op.matrix.T)
+        floor = 0.5 * np.linalg.eigvalsh(sym)[0]
+        noise = NoiseModel("matrix", 0.9)
+        rounds = []
+        below_floor = problems._below_floor
+        monkeypatch.setattr(problems, "_below_floor",
+                            lambda *args: (rounds.append(1), below_floor(*args))[1])
+        many = sample_dataset(op, noise, 4096, seed=25).matrices
+        assert len(rounds) > 2
+        lam = np.linalg.eigvalsh(sym + 0.5 * (many + np.transpose(many, (0, 2, 1))))[:, 0]
+        assert lam.min() >= floor
+        for n in (1, 2, 3, 17, 64, 1000):
+            assert np.array_equal(sample_dataset(op, noise, n, seed=25).matrices, many[:n])
+
     def test_matrix_record_zero_independent_of_n(self):
         # the quartic kernel's records at t = 4 (a d = 4 ball) and t = 3 (the
         # tangent space of Simplex(3)) keep their bits whatever the count
@@ -594,8 +676,9 @@ class TestDatasets:
 
     def test_matrix_redraw_is_normalised_as_inside_a_batch(self):
         # same instance as test_matrix_records_certified, where rejections
-        # fire: a redrawn record is its raw draw normalised at count 1, and
-        # equals that draw normalised in place of the record inside the bulk
+        # fire: a redrawn record is its raw draw normalised among the round's
+        # redraws, and equals that draw normalised alone and in place of the
+        # record inside the bulk
         op = generate_operator(33, 3, 1.0, 2.0)
         sym = 0.5 * (op.matrix + op.matrix.T)
         floor = 0.5 * np.linalg.eigvalsh(sym)[0]
