@@ -18,12 +18,16 @@ sum_i L_i/mu_i))^2. Hidden constants are set to 1 and every bound is labeled
 order-level; these are comparison curves, not certificates.
 
 All randomness is keyed by (base_seed, n, trial), so a trial's outcome does
-not depend on execution order and parallel scheduling cannot change results.
+not depend on execution order and parallel scheduling cannot change results:
+the experiments draw their trials' datasets on up to `workers` threads
+(default: the CPUs this process may use) and stack the results in trial
+order, so every output is bit-identical at every worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -171,30 +175,74 @@ def trial_dataset_seed(base_seed: int, n: int, t: int) -> list:
     return [int(base_seed), int(n), int(t)]
 
 
+def _default_workers() -> int:
+    """The CPUs this process may run on (its affinity mask), or os.cpu_count()
+    where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Per-trial draw size, in floats (n t^2 for matrix noise, n t for offset
+# noise, t the draw dimension), below which a block of trials is drawn
+# serially: on 2 vCPUs threads lost up to about 10^4 floats per trial and
+# won above it (README "Parallelism").
+_SERIAL_FLOATS = 10_000
+
+
 def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
-                     neighbours: bool = False) -> QuadraticOperator:
+                     neighbours: bool = False,
+                     workers: Optional[int] = None) -> QuadraticOperator:
     """The stacked empirical operators of the `trials` datasets of size n keyed
     by trial_dataset_seed(seed, n, t), in trial order. With `neighbours`, as
     many neighbours follow: trial t's dataset with one record, chosen by its
     seed, redrawn in place. All trials' replacement records come from one
-    draw. Each dataset is reduced before the next is drawn, so peak memory
-    stays one trial's records."""
+    draw.
+
+    The trials are split into min(workers, trials) contiguous blocks (None:
+    _default_workers()), drawn and reduced on as many threads (the calling
+    thread takes block 0), unless a trial draws fewer than _SERIAL_FLOATS
+    floats: then one block runs serially. A trial's operator depends on its
+    seed only, so the stack is bit-identical at every worker count. Each
+    dataset is reduced before its block's next one is drawn, so peak memory
+    stays one trial's records per worker."""
+    if workers is None:
+        workers = _default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = [trial_dataset_seed(seed, n, t) for t in range(trials)]
     if neighbours:
         offsets, matrices = _draw_records(problem, noise, 1, [s + [1] for s in seeds])
-    ops, swapped = [], []
-    for t, ds_seed in enumerate(seeds):
-        X = sample_dataset(problem, noise, n, ds_seed)
-        ops.append(empirical_operator(problem, X))
-        if neighbours:
-            j = int(_stream(ds_seed, (9,)).integers(n))
-            if matrices is None:
-                X.offsets[j] = offsets[t]
-            else:  # the zero offsets are shared by every record and stay as they are
-                X.matrices[j] = matrices[t]
-            swapped.append(empirical_operator(problem, X))
-        del X
-    ops += swapped
+
+    def block(lo: int, hi: int):
+        ops, swapped = [], []
+        for t in range(lo, hi):
+            X = sample_dataset(problem, noise, n, seeds[t])
+            ops.append(empirical_operator(problem, X))
+            if neighbours:
+                j = int(_stream(seeds[t], (9,)).integers(n))
+                if matrices is None:
+                    X.offsets[j] = offsets[t]
+                else:  # the zero offsets are shared by every record and stay as they are
+                    X.matrices[j] = matrices[t]
+                swapped.append(empirical_operator(problem, X))
+            del X
+        return ops, swapped
+
+    basis = problem.tangent_basis
+    dim = problem.dim if basis is None else basis.shape[0]
+    k = 1 if n * dim ** (2 if noise.kind == "matrix" else 1) < _SERIAL_FLOATS \
+        else min(workers, trials)
+    if k == 1:
+        parts = [block(0, trials)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # serial runs skip it
+        edges = [trials * i // k for i in range(k + 1)]
+        with ThreadPoolExecutor(max_workers=k - 1) as pool:
+            helpers = [pool.submit(block, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+            parts = [block(edges[0], edges[1])] + [f.result() for f in helpers]
+    ops = [op for part in parts for op in part[0]] + [op for part in parts for op in part[1]]
     mats = problem.matrix if noise.kind == "offset" else np.stack([e.matrix for e in ops])
     return QuadraticOperator(mats, np.stack([e.offset for e in ops]))
 
@@ -227,20 +275,23 @@ def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseMod
 
 def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
                          trials: int, seed: int, noise: NoiseModel,
-                         consts: Optional[ProblemConstants] = None) -> StabilityResult:
+                         consts: Optional[ProblemConstants] = None,
+                         workers: Optional[int] = None) -> StabilityResult:
     """Train on X and on X-with-one-record-replaced from the same start and
     record ||z_T - z_T'|| per trial.
 
     The eta gate and the bound use the constants (mu_w, L_w, K_w) that the
     sampled operators satisfy (check_gd_eta); bound_base_K is the same
-    stability_bound at the plain constants, for reference.
+    stability_bound at the plain constants, for reference. The datasets are
+    drawn on up to `workers` threads (None: the CPUs this process may use);
+    training runs in the calling thread.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if consts is None:
         consts = constants(problem, domain)
     w = check_gd_eta(config, consts, noise, domain)
-    Z = run(_trial_operators(problem, noise, n, seed, trials, neighbours=True),
+    Z = run(_trial_operators(problem, noise, n, seed, trials, neighbours=True, workers=workers),
             domain, config).final
     div = np.linalg.norm(Z[:trials] - Z[trials:], axis=-1)
 
@@ -358,7 +409,7 @@ def _check_sweep(problem, kind: str, trials: int, delta: float,
 
 def sweep_point(problem, domain: Domain, config: SolverConfig, noise: NoiseModel,
                 n: int, trials: int, seed: int, kind: str, delta: float,
-                consts: ProblemConstants) -> dict:
+                consts: ProblemConstants, workers: Optional[int] = None) -> dict:
     """One dataset size of a sweep: sample `trials` datasets of size n, find
     each one's empirical VI solution, and evaluate the true `kind` there.
     Projected configs solve for it directly when every trial's root lies in
@@ -366,11 +417,12 @@ def sweep_point(problem, domain: Domain, config: SolverConfig, noise: NoiseModel
     The row holds n, mean, std, quantiles (0.5, 0.9, 1-delta), values,
     `direct` (trials taken from the solve: all or none), `train_steps`
     (steps every trial trained, 0 when solved) and `failed`: the trials
-    whose training missed the tolerance."""
+    whose training missed the tolerance. The datasets are drawn on up to
+    `workers` threads (None: the CPUs this process may use)."""
     _check_sweep(problem, kind, trials, delta)
     T = _training_horizon(config, consts, noise, domain)
     Z, steps, failed, direct = _empirical_solutions(
-        _trial_operators(problem, noise, n, seed, trials), domain, config, T)
+        _trial_operators(problem, noise, n, seed, trials, workers=workers), domain, config, T)
     values = _evaluate_kind(problem, domain, kind, Z)
     qs = {key: float(np.quantile(values, level))
           for key, level in _quantile_levels(delta).items()}
@@ -395,16 +447,17 @@ def fit_sweep(per_n, fit_on: str = "mean"):
 def generalization_sweep(problem, domain: Domain, config: SolverConfig,
                          noise: NoiseModel, n_grid, trials: int, seed: int,
                          kind: str = "gap", delta: float = 0.1,
-                         fit_on: str = "mean") -> SweepResult:
-    """sweep_point for each n, then fit_sweep through the chosen aggregate
-    (the mean, or a stored quantile via fit_on="q0.9")."""
+                         fit_on: str = "mean", workers: Optional[int] = None) -> SweepResult:
+    """sweep_point for each n (its datasets drawn on up to `workers` threads),
+    then fit_sweep through the chosen aggregate (the mean, or a stored
+    quantile via fit_on="q0.9")."""
     _check_sweep(problem, kind, trials, delta, fit_on)
     n_grid = tuple(int(n) for n in n_grid)
     if any(n < 1 for n in n_grid):
         raise ValueError("dataset sizes must be >= 1")
     consts = constants(problem, domain)
     per_n = [sweep_point(problem, domain, config, noise, n, trials, seed, kind,
-                         delta, consts) for n in n_grid]
+                         delta, consts, workers) for n in n_grid]
     slope, intercept, r2, fit_error = fit_sweep(per_n, fit_on)
     failures = [{"n": row["n"], "trials": row["failed"]} for row in per_n if row["failed"]]
     return SweepResult(fit_on=fit_on, per_n=per_n, slope=slope, intercept=intercept,

@@ -12,9 +12,11 @@ Shared flags: --config PATH (JSON), --out-dir DIR, --workers N, --seed S.
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 bound violation.
 
 Outputs are deterministic for a fixed config: CSV files are byte-identical
-across runs and across --workers settings (trials are pure functions of
-(base_seed, n, trial) merged in a fixed order); wall-clock time appears only
-inside the JSON manifest. All files are written atomically (temp + rename).
+across runs and across --workers settings (stability and sweep draw each n's
+trial datasets on up to --workers threads, default the CPUs this process may
+use; trials are pure functions of (base_seed, n, trial) stacked in trial
+order); wall-clock time appears only inside the JSON manifest. All files are
+written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (bernstein_check, check_gd_eta, evaluate_bounds, fit_sweep,
-                       quantile_fit_on, stability_experiment, sweep_point,
+from .analysis import (_default_workers, bernstein_check, check_gd_eta, evaluate_bounds,
+                       fit_sweep, quantile_fit_on, stability_experiment, sweep_point,
                        trial_dataset_seed)
 from .charts import log_log_chart
 from .domains import Ball, Box, Domain, Product, Simplex
@@ -436,12 +438,12 @@ def cmd_contraction(args, cfg, built, sc) -> _Outcome:
 def cmd_stability(args, cfg, built, sc) -> _Outcome:
     problem, domain, noise, consts = built
     n_grid = cfg["experiment"]["n_grid"]
-    one_n = functools.partial(stability_experiment, problem, domain, sc,
-                              trials=cfg["experiment"]["trials"],
-                              seed=cfg["problem"]["seed"], noise=noise, consts=consts)
-    per_n = [{"n": n, "divergences": res.divergences.tolist(), "bound": res.bound,
-              "bound_base_K": res.bound_base_K}
-             for n, res in zip(n_grid, _parallel_map(one_n, n_grid, args.workers))]
+    per_n = []
+    for n in n_grid:
+        res = stability_experiment(problem, domain, sc, n, cfg["experiment"]["trials"],
+                                   cfg["problem"]["seed"], noise, consts, args.workers)
+        per_n.append({"n": n, "divergences": res.divergences.tolist(), "bound": res.bound,
+                      "bound_base_K": res.bound_base_K})
     rows = [(b["n"], t, d) for b in per_n for t, d in enumerate(b["divergences"])]
     violations = sum(b["bound"] is not None and max(b["divergences"]) > b["bound"] + 1e-12
                      for b in per_n)
@@ -458,10 +460,8 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
     n_grid, kind = exp["n_grid"], exp["kind"]
     fit_on = quantile_fit_on(exp["trials"], exp["delta"]) if exp["mode"] == "quantile" \
         else "mean"
-    one_n = functools.partial(sweep_point, problem, domain, sc, noise,
-                              trials=exp["trials"], seed=cfg["problem"]["seed"],
-                              kind=kind, delta=exp["delta"], consts=consts)
-    per_n = _parallel_map(one_n, n_grid, args.workers)
+    per_n = [sweep_point(problem, domain, sc, noise, n, exp["trials"], cfg["problem"]["seed"],
+                         kind, exp["delta"], consts, args.workers) for n in n_grid]
     slope, intercept, r2, fit_error = fit_sweep(per_n, fit_on)
     rows = [(row["n"], t, v, kind)
             for row in per_n for t, v in enumerate(row["values"])]
@@ -516,14 +516,6 @@ def cmd_bernstein(args, cfg, built, sc) -> _Outcome:
 # ---------------------------------------------------------------------------
 
 
-def _parallel_map(fn, payloads, workers: int) -> list:
-    if workers > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # serial runs skip it
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            return list(pool.map(fn, payloads))
-    return [fn(p) for p in payloads]
-
-
 _COMMANDS = {
     "solve": functools.partial(_run, "solve", cmd_solve),
     "contraction": functools.partial(_run, "contraction", cmd_contraction),
@@ -540,8 +532,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out-dir", default=".", help="directory for outputs")
-        sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="parallel trial workers (results are identical)")
+        sp.add_argument("--workers", type=int, default=_default_workers(),
+                        help="threads that draw the trials' datasets (default: the CPUs "
+                             "this process may use; results are identical)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override problem.seed from the config")
     return parser

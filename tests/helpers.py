@@ -1,12 +1,15 @@
 """Brute-force oracles shared by the tests: dense domain grids, vertex lists,
 explicit l-inf covers, greedy packings, per-record operators, one written-out
 contraction ceiling per method, and small combinatorial utilities.
-Intentionally slow and simple."""
+Intentionally slow and simple. Also the `pool_sizes` fixture, a spy on the
+thread pools the experiments build."""
 
+import concurrent.futures
 import itertools
 import math
 
 import numpy as np
+import pytest
 
 from vilab import (Ball, Box, Product, QuadraticOperator, SampledDataset, Simplex,
                    eg_contraction_coefficient)
@@ -190,3 +193,17 @@ def blockwise_game_matrix(seed, k, dims, mu, coupling):
             return M
         scale *= 0.5
     raise AssertionError("the floor was not reached in 60 halvings")
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every ThreadPoolExecutor built while the test runs."""
+    sizes = []
+
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    return sizes

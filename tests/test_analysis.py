@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -40,11 +42,12 @@ from vilab import (
     trial_dataset_seed,
 )
 from vilab import problems
-from vilab.analysis import (_empirical_solutions, _iterate_to_tol, _training_horizon,
-                            _trial_operators, check_gd_eta)
+from vilab.analysis import (_SERIAL_FLOATS, _default_workers, _empirical_solutions,
+                            _iterate_to_tol, _training_horizon, _trial_operators,
+                            check_gd_eta)
 from vilab.solvers import contraction_bound
 
-from helpers import neighbour
+from helpers import neighbour, pool_sizes  # pool_sizes: a fixture, requested by name
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -645,27 +648,115 @@ def _peak_bytes(fn) -> int:
 
 class TestPeakMemory:
     """Experiments keep each trial's means, not its records, so peak memory
-    does not grow with the number of trials."""
+    does not grow with the number of trials: it is one trial's records per
+    worker thread. Serial runs are compared across trial counts; how far two
+    threads' records overlap depends on timing, so a threaded run is held to
+    the serial peak per worker."""
 
     dom = Ball(np.zeros(4), 1.0)
     op = generate_operator(0, 4, 0.8, 1.6, domain=dom)
 
+    def _check(self, experiment):
+        peaks = [_peak_bytes(lambda: experiment(trials, 1)) for trials in (4, 40)]
+        assert peaks[1] <= 1.5 * peaks[0]
+        assert _peak_bytes(lambda: experiment(40, 2)) <= 1.5 * 2 * peaks[0]
+
     @pytest.mark.parametrize("kind", ["matrix", "offset"])
     def test_stability_peak_flat_in_trials(self, kind):
         noise, cfg = NoiseModel(kind, 0.2), SolverConfig("gd", 0.25, 50)
-        peaks = [_peak_bytes(lambda: stability_experiment(self.op, self.dom, cfg, 2048,
-                                                          trials, 0, noise))
-                 for trials in (4, 40)]
-        assert peaks[1] <= 1.5 * peaks[0]
+        self._check(lambda trials, workers: stability_experiment(
+            self.op, self.dom, cfg, 2048, trials, 0, noise, workers=workers))
 
     @pytest.mark.parametrize("kind", ["matrix", "offset"])
     def test_sweep_point_peak_flat_in_trials(self, kind):
         noise, cfg = NoiseModel(kind, 0.2), SolverConfig("gd", 0.1, 1)
         consts = constants(self.op, self.dom)
-        peaks = [_peak_bytes(lambda: sweep_point(self.op, self.dom, cfg, noise, 2048,
-                                                 trials, 0, "gap", 0.1, consts))
-                 for trials in (4, 40)]
-        assert peaks[1] <= 1.5 * peaks[0]
+        self._check(lambda trials, workers: sweep_point(
+            self.op, self.dom, cfg, noise, 2048, trials, 0, "gap", 0.1, consts, workers))
+
+
+class TestTrialThreads:
+    """_trial_operators draws contiguous blocks of trials on threads when a
+    trial draws at least _SERIAL_FLOATS floats, and its stack keeps every bit
+    at every worker count."""
+
+    ball = Ball(np.zeros(4), 1.0)
+    simplex = Simplex(4)  # dim 5, tangent draws of dimension 4 as on the ball
+    problems = {"ball": generate_operator(0, 4, 0.8, 1.6, domain=ball),
+                "simplex": generate_operator(0, 5, 0.8, 1.6, domain=simplex)}
+    # per-trial sizes n on either side of the threshold, t = 4 on both domains
+    SIZES = {"matrix": (16, 640), "offset": (16, 2560)}
+
+    def test_sizes_straddle_the_threshold(self):
+        for kind, (below, above) in self.SIZES.items():
+            per_record = 16 if kind == "matrix" else 4
+            assert below * per_record < _SERIAL_FLOATS <= above * per_record
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("neighbours", [False, True])
+    @pytest.mark.parametrize("where", ["ball", "simplex"])
+    @pytest.mark.parametrize("kind", ["matrix", "offset"])
+    def test_stack_is_equal_at_every_worker_count(self, kind, where, neighbours, side):
+        op, noise = self.problems[where], NoiseModel(kind, 0.2)
+        n = self.SIZES[kind][side]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches than cores, mid-block
+        try:
+            stacks = [_trial_operators(op, noise, n, 7, 5, neighbours=neighbours, workers=w)
+                      for w in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(switch)
+        for F in stacks[1:]:
+            assert np.array_equal(F.matrix, stacks[0].matrix)
+            assert np.array_equal(F.offset, stacks[0].offset)
+
+    def test_pool_holds_at_most_one_helper_per_extra_block(self, pool_sizes):
+        op = self.problems["ball"]
+        for kind, (below, above) in self.SIZES.items():
+            noise = NoiseModel(kind, 0.2)
+            for workers in (1, 2, 8):
+                _trial_operators(op, noise, below, 0, 5, neighbours=True, workers=workers)
+            assert pool_sizes == []  # below the threshold: never built
+            for workers, trials in ((1, 5), (2, 5), (8, 5), (8, 2), (3, 1)):
+                _trial_operators(op, noise, above, 0, trials, workers=workers)
+            assert pool_sizes == [1, 4, 1]  # min(workers, trials) - 1, when >= 1
+            pool_sizes.clear()
+
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert _default_workers() == 3
+        _trial_operators(self.problems["ball"], NoiseModel("matrix", 0.2), 640, 0, 5)
+        assert pool_sizes == [2]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity call
+        assert _default_workers() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _default_workers() == 1
+
+    def test_experiments_are_equal_at_one_and_two_workers(self):
+        op, dom = self.problems["ball"], self.ball
+        matrix, offset = NoiseModel("matrix", 0.2), NoiseModel("offset", 0.2)
+        cfg = SolverConfig("gd", 0.25, 50)
+        div = [stability_experiment(op, dom, cfg, 640, 4, 0, matrix, workers=w).divergences
+               for w in (1, 2)]
+        assert np.array_equal(div[0], div[1])
+        cfg = SolverConfig("gd", 0.1, 1, projected=True)
+        sweeps = [generalization_sweep(op, dom, cfg, offset, (16, 2560), 4, 0, workers=w)
+                  for w in (1, 2)]
+        for a, b in zip(*(s.per_n for s in sweeps)):
+            assert np.array_equal(a["values"], b["values"])
+        assert sweeps[0].slope == sweeps[1].slope
+
+    def test_workers_below_one_are_rejected(self):
+        op, dom, noise = self.problems["ball"], self.ball, NoiseModel("offset", 0.2)
+        with pytest.raises(ValueError, match="workers"):
+            _trial_operators(op, noise, 16, 0, 3, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            stability_experiment(op, dom, SolverConfig("gd", 0.25, 5), 16, 3, 0, noise,
+                                 workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            generalization_sweep(op, dom, SolverConfig("gd", 0.1, 1, projected=True),
+                                 noise, (16, 32), 3, 0, workers=-1)
 
 
 class TestBernsteinCheck:

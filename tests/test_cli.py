@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -14,6 +15,8 @@ import pytest
 from vilab import BoundViolationError, ConfigError, NumericalError
 from vilab import cli
 from vilab.cli import build_problem, load_config, main, normalize_config
+
+from helpers import pool_sizes  # pool_sizes: a fixture, requested by name
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -63,6 +66,14 @@ def deep_update(base, overrides):
             deep_update(base[k], v)
         else:
             base[k] = v
+
+
+# matrix-noise stability at d = 4: n = 1024 draws 1024 * 4^2 floats per trial,
+# above analysis._SERIAL_FLOATS, and n = 16 below it
+MATRIX_STABILITY = op_config(
+    problem={"d": 4, "domain": {"kind": "ball", "center": [0.0] * 4, "radius": 1.0},
+             "noise": {"kind": "matrix", "magnitude": 0.2}},
+    solver={"eta": 0.25, "T": 100}, experiment={"n_grid": [16, 1024], "trials": 3})
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -611,14 +622,16 @@ class TestReproducibility:
             assert sum_a == sum_b
 
     def test_workers_do_not_change_output(self, tmp_path):
-        for command, cfg in (
-            ("stability", op_config(solver={"T": 200},
-                                    experiment={"n_grid": [8, 16, 32], "trials": 4})),
-            ("sweep", game_config(experiment={"n_grid": [16, 32, 64], "trials": 5,
-                                              "kind": "weak_gap"})),
+        for tag, command, cfg in (
+            ("stability", "stability", op_config(
+                solver={"T": 200}, experiment={"n_grid": [8, 16, 32], "trials": 4})),
+            ("sweep", "sweep", game_config(experiment={"n_grid": [16, 32, 64], "trials": 5,
+                                                       "kind": "weak_gap"})),
+            # n = 1024 draws above the serial threshold, so --workers 2 threads
+            ("threaded", "stability", MATRIX_STABILITY),
         ):
-            _, dir_serial = run_cli(tmp_path, command, cfg, out=f"{command}_s", workers=1)
-            _, dir_par = run_cli(tmp_path, command, cfg, out=f"{command}_p", workers=2)
+            _, dir_serial = run_cli(tmp_path, command, cfg, out=f"{tag}_s", workers=1)
+            _, dir_par = run_cli(tmp_path, command, cfg, out=f"{tag}_p", workers=2)
             assert (dir_serial / f"{command}.csv").read_bytes() == \
                 (dir_par / f"{command}.csv").read_bytes()
 
@@ -642,35 +655,13 @@ class TestReproducibility:
             got[stem] = hashlib.sha256(data).hexdigest()
         assert got == pinned
 
-    def test_pool_has_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
-        # the default fork context starts every one of max_workers processes
-        # when the pool starts, so idle workers would still be forked; the
-        # fake pool records its size and maps serially, starting no process
-        import concurrent.futures
-
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads):
-                return map(fn, payloads)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        assert cli._parallel_map(abs, [-3, 1, -2], 64) == [3, 1, 2]
-        assert cli._parallel_map(abs, [-3, 1, -2], 2) == [3, 1, 2]
-        assert cli._parallel_map(abs, [-3], 64) == [3]
-        cfg = op_config(solver={"T": 200}, experiment={"n_grid": [8, 16], "trials": 4})
-        code, _ = run_cli(tmp_path, "stability", cfg, workers=64)
+    def test_thread_pool_has_no_more_threads_than_trials(self, tmp_path, pool_sizes):
+        # the calling thread draws one block of trials itself, so a pool holds
+        # min(workers, trials) - 1 helpers; n = 16 draws below the serial
+        # threshold and builds no pool at all
+        code, _ = run_cli(tmp_path, "stability", MATRIX_STABILITY, workers=64)
         assert code == 0
-        assert sizes == [3, 2, 2]
+        assert pool_sizes == [2]
 
 
 class TestExitCodes:
@@ -692,6 +683,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read config file")
         assert str(tmp_path) in err and "Traceback" not in err
+
+    def test_workers_default_to_the_cpus_this_process_may_use(self, monkeypatch):
+        # os.cpu_count() counts CPUs the affinity mask may exclude
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        args = cli._build_parser().parse_args(["solve", "--config", "cfg.json"])
+        assert args.workers == 1
 
     def test_bad_workers(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, op_config(experiment={"n": 5}))
@@ -728,14 +726,15 @@ class TestExitCodes:
 
 class TestEntryPoint:
     def test_import_loads_no_process_pool(self):
-        # --workers 1 runs never start a pool, so importing the CLI must not
-        # pay for multiprocessing
+        # serial runs never start a pool, so importing the CLI must pay for
+        # neither a process pool nor a thread pool
         code = ("import sys, vilab.cli; "
-                "print('concurrent.futures.process' in sys.modules)")
+                "print(sorted(m for m in ('concurrent.futures.process', "
+                "'concurrent.futures.thread') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script(self, tmp_path):
         cfg = write_cfg(tmp_path, op_config(problem={"noise": {"kind": "offset",
