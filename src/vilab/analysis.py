@@ -1,11 +1,13 @@
 """Stability experiments, generalization-rate sweeps, and closed-form bounds.
 
-The measurement side runs neighbouring-dataset divergence experiments and
-sweeps over dataset sizes that evaluate true gaps at each trial's empirical
-VI solution (solved for directly where a projected sweep allows, else
-trained); the closed-form side evaluates the uniform-stability ceiling a run
-certifies, stability_bound (None when it certifies none; xi is eg's per-step
-ratio ceiling)
+The measurement side runs neighbouring-dataset divergence experiments
+(stability_experiment, one n per call) and sweeps over dataset sizes
+(generalization_sweep, the whole n grid and its log-log fit in one call)
+that evaluate true gaps at each trial's empirical VI solution (solved for
+directly where a projected sweep allows, else trained); the closed-form
+side evaluates the uniform-stability ceiling a run certifies,
+stability_bound (None when it certifies none; xi is eg's per-step ratio
+ceiling)
 
     gd:  ||z_T - z_T'|| <= 2K / (n (2 mu - eta L^2)),   0 < eta < 2 mu/L^2,
     eg:  ||z_T - z_T'|| <= 2 eta K (1 + eta L) / (n (1 - xi)),   xi < 1 (unprojected),
@@ -275,7 +277,6 @@ def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseMod
 
 def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
                          trials: int, seed: int, noise: NoiseModel,
-                         consts: Optional[ProblemConstants] = None,
                          workers: Optional[int] = None) -> StabilityResult:
     """Train on X and on X-with-one-record-replaced from the same start and
     record ||z_T - z_T'|| per trial.
@@ -288,8 +289,7 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if consts is None:
-        consts = constants(problem, domain)
+    consts = constants(problem, domain)
     w = check_gd_eta(config, consts, noise, domain)
     Z = run(_trial_operators(problem, noise, n, seed, trials, neighbours=True, workers=workers),
             domain, config).final
@@ -309,7 +309,7 @@ _TRAIN_TOL = 1e-8
 @dataclass(eq=False)
 class SweepResult:
     fit_on: str
-    per_n: list            # sweep_point rows
+    per_n: list            # one row per n (generalization_sweep)
     slope: Optional[float]
     intercept: Optional[float]
     r_squared: Optional[float]
@@ -383,14 +383,22 @@ def _evaluate_kind(problem, domain, kind: str, Z: np.ndarray) -> np.ndarray:
     return np.atleast_1d(potential_gap(problem, Z))
 
 
-def _quantile_levels(delta: float) -> dict:
-    """Quantile levels a sweep row stores, keyed as in row["quantiles"]."""
-    return {"0.5": 0.5, "0.9": 0.9, f"{1 - delta:g}": 1.0 - delta}
-
-
-def _check_sweep(problem, kind: str, trials: int, delta: float,
-                 fit_on: str = "mean") -> None:
-    """Validate a sweep's arguments before anything is sampled."""
+def generalization_sweep(problem, domain: Domain, config: SolverConfig,
+                         noise: NoiseModel, n_grid, trials: int, seed: int,
+                         kind: str = "gap", delta: float = 0.1,
+                         fit_on: str = "mean", workers: Optional[int] = None) -> SweepResult:
+    """For each dataset size n: sample `trials` datasets of size n (drawn on
+    up to `workers` threads, None: the CPUs this process may use), find each
+    one's empirical VI solution, and evaluate the true `kind` there.
+    Projected configs solve for it directly when every trial's root lies in
+    the domain; otherwise, and for unprojected configs, every trial trains.
+    Each row holds n, mean, std, quantiles (0.5, 0.9, 1-delta), values,
+    `direct` (trials taken from the solve: all or none), `train_steps`
+    (steps every trial trained, 0 when solved) and `failed`: the trials
+    whose training missed the tolerance. Then a log-log fit of the rows'
+    aggregate (the mean, or a stored quantile via fit_on="q0.9") against n;
+    when it fails, e.g. on a single n, its numbers are None and fit_error
+    holds the reason. Every argument is checked before anything is sampled."""
     if kind not in ("gap", "weak_gap", "potential_gap"):
         raise ValueError(f"unknown sweep kind {kind!r}")
     if kind != "gap" and not isinstance(problem, QuadraticGame):
@@ -399,66 +407,34 @@ def _check_sweep(problem, kind: str, trials: int, delta: float,
         raise ValueError("sweeps need at least 2 trials per n")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    levels = _quantile_levels(delta)
+    levels = {"0.5": 0.5, "0.9": 0.9, f"{1 - delta:g}": 1.0 - delta}
     if fit_on != "mean" and not (fit_on.startswith("q") and fit_on[1:] in levels):
         raise ValueError(
             f"fit_on must be 'mean' or 'q<level>' for a stored level "
             f"({', '.join(levels)}), got {fit_on!r}"
         )
-
-
-def sweep_point(problem, domain: Domain, config: SolverConfig, noise: NoiseModel,
-                n: int, trials: int, seed: int, kind: str, delta: float,
-                consts: ProblemConstants, workers: Optional[int] = None) -> dict:
-    """One dataset size of a sweep: sample `trials` datasets of size n, find
-    each one's empirical VI solution, and evaluate the true `kind` there.
-    Projected configs solve for it directly when every trial's root lies in
-    the domain; otherwise, and for unprojected configs, every trial trains.
-    The row holds n, mean, std, quantiles (0.5, 0.9, 1-delta), values,
-    `direct` (trials taken from the solve: all or none), `train_steps`
-    (steps every trial trained, 0 when solved) and `failed`: the trials
-    whose training missed the tolerance. The datasets are drawn on up to
-    `workers` threads (None: the CPUs this process may use)."""
-    _check_sweep(problem, kind, trials, delta)
-    T = _training_horizon(config, consts, noise, domain)
-    Z, steps, failed, direct = _empirical_solutions(
-        _trial_operators(problem, noise, n, seed, trials, workers=workers), domain, config, T)
-    values = _evaluate_kind(problem, domain, kind, Z)
-    qs = {key: float(np.quantile(values, level))
-          for key, level in _quantile_levels(delta).items()}
-    return {"n": n, "mean": float(values.mean()), "std": float(values.std()),
-            "quantiles": qs, "values": values, "direct": direct,
-            "train_steps": steps, "failed": failed}
-
-
-def fit_sweep(per_n, fit_on: str = "mean"):
-    """Log-log fit of the sweep rows' aggregate (the mean, or the quantile
-    named by fit_on="q<level>") against n, as (slope, intercept, r^2,
-    error). When the fit fails, e.g. on a single n, the numbers are None and
-    error holds the reason."""
-    agg = [row["mean"] if fit_on == "mean" else row["quantiles"][fit_on[1:]]
-           for row in per_n]
-    try:
-        return (*fit_loglog_slope([row["n"] for row in per_n], agg), None)
-    except ValueError as exc:
-        return None, None, None, str(exc)
-
-
-def generalization_sweep(problem, domain: Domain, config: SolverConfig,
-                         noise: NoiseModel, n_grid, trials: int, seed: int,
-                         kind: str = "gap", delta: float = 0.1,
-                         fit_on: str = "mean", workers: Optional[int] = None) -> SweepResult:
-    """sweep_point for each n (its datasets drawn on up to `workers` threads),
-    then fit_sweep through the chosen aggregate (the mean, or a stored
-    quantile via fit_on="q0.9")."""
-    _check_sweep(problem, kind, trials, delta, fit_on)
     n_grid = tuple(int(n) for n in n_grid)
     if any(n < 1 for n in n_grid):
         raise ValueError("dataset sizes must be >= 1")
-    consts = constants(problem, domain)
-    per_n = [sweep_point(problem, domain, config, noise, n, trials, seed, kind,
-                         delta, consts, workers) for n in n_grid]
-    slope, intercept, r2, fit_error = fit_sweep(per_n, fit_on)
+    T = _training_horizon(config, constants(problem, domain), noise, domain)
+    per_n = []
+    for n in n_grid:
+        Z, steps, failed, direct = _empirical_solutions(
+            _trial_operators(problem, noise, n, seed, trials, workers=workers),
+            domain, config, T)
+        values = _evaluate_kind(problem, domain, kind, Z)
+        del Z  # not held while the next n's datasets are drawn
+        qs = {key: float(np.quantile(values, level)) for key, level in levels.items()}
+        per_n.append({"n": n, "mean": float(values.mean()), "std": float(values.std()),
+                      "quantiles": qs, "values": values, "direct": direct,
+                      "train_steps": steps, "failed": failed})
+    agg = [row["mean"] if fit_on == "mean" else row["quantiles"][fit_on[1:]]
+           for row in per_n]
+    slope = intercept = r2 = fit_error = None
+    try:
+        slope, intercept, r2 = fit_loglog_slope(n_grid, agg)
+    except ValueError as exc:
+        fit_error = str(exc)
     failures = [{"n": row["n"], "trials": row["failed"]} for row in per_n if row["failed"]]
     return SweepResult(fit_on=fit_on, per_n=per_n, slope=slope, intercept=intercept,
                        r_squared=r2, failures=failures, fit_error=fit_error)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (_default_workers, bernstein_check, check_gd_eta, evaluate_bounds,
-                       fit_sweep, quantile_fit_on, stability_experiment, sweep_point,
+                       generalization_sweep, quantile_fit_on, stability_experiment,
                        trial_dataset_seed)
 from .charts import log_log_chart
 from .domains import Ball, Box, Domain, Product, Simplex
@@ -214,8 +214,13 @@ def _problem_domain(p: dict) -> Optional[Domain]:
         domain = _build_domain(p["domain"])
     except ValueError as exc:
         raise ConfigError(f"invalid domain at 'problem.domain': {exc}") from exc
-    if p["kind"] == "game" and not isinstance(domain, Product):
-        raise ConfigError("'problem.domain' for a game must be a product domain")
+    if p["kind"] == "game":
+        dims = p["dims"] if isinstance(p["dims"], list) else [p["dims"]] * p["k"]
+        got = [f.dim for f in domain.factors] if isinstance(domain, Product) else \
+            f"a {p['domain']['kind']} domain"
+        if got != dims:
+            raise ConfigError(f"'problem.domain' for a game must be a product of factors of "
+                              f"dims {dims}, one per player, got {got}")
     if p["kind"] == "operator" and domain.dim != p["d"]:
         raise ConfigError(f"'problem.domain' has dim {domain.dim} but 'problem.d' is {p['d']}")
     return domain
@@ -348,10 +353,15 @@ class _Outcome(NamedTuple):
 
 
 def _run(command: str, experiment, args) -> int:
-    """One subcommand: load the config, build the problem, run `experiment`,
-    write its CSV and summary, then report a bound violation."""
+    """One subcommand: load the config, create --out-dir, build the problem,
+    run `experiment`, write its CSV and summary, then report a bound violation."""
     started = time.time()
     cfg = load_config(args.config, command, args.seed)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:  # a file, no permission, an I/O error
+        raise ConfigError(f"cannot create --out-dir {args.out_dir}: "
+                          f"{exc.strerror or exc}") from exc
     problem, domain, noise = build_problem(cfg)
     consts = constants(problem, domain)
     built = (problem, domain, noise, consts)
@@ -441,7 +451,7 @@ def cmd_stability(args, cfg, built, sc) -> _Outcome:
     per_n = []
     for n in n_grid:
         res = stability_experiment(problem, domain, sc, n, cfg["experiment"]["trials"],
-                                   cfg["problem"]["seed"], noise, consts, args.workers)
+                                   cfg["problem"]["seed"], noise, args.workers)
         per_n.append({"n": n, "divergences": res.divergences.tolist(), "bound": res.bound,
                       "bound_base_K": res.bound_base_K})
     rows = [(b["n"], t, d) for b in per_n for t, d in enumerate(b["divergences"])]
@@ -460,9 +470,9 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
     n_grid, kind = exp["n_grid"], exp["kind"]
     fit_on = quantile_fit_on(exp["trials"], exp["delta"]) if exp["mode"] == "quantile" \
         else "mean"
-    per_n = [sweep_point(problem, domain, sc, noise, n, exp["trials"], cfg["problem"]["seed"],
-                         kind, exp["delta"], consts, args.workers) for n in n_grid]
-    slope, intercept, r2, fit_error = fit_sweep(per_n, fit_on)
+    res = generalization_sweep(problem, domain, sc, noise, n_grid, exp["trials"],
+                               cfg["problem"]["seed"], kind, exp["delta"], fit_on, args.workers)
+    per_n = res.per_n
     rows = [(row["n"], t, v, kind)
             for row in per_n for t, v in enumerate(row["values"])]
 
@@ -478,10 +488,10 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
     if "svg" in cfg["output"]:
         series = [{"label": f"mean {kind}", "x": n_grid,
                    "y": [row["mean"] for row in per_n]}]
-        if slope is not None:
-            series.append({"label": f"fit slope {slope:.2f}", "line": True,
+        if res.slope is not None:
+            series.append({"label": f"fit slope {res.slope:.2f}", "line": True,
                            "x": n_grid,
-                           "y": [math.exp(intercept) * n ** slope for n in n_grid]})
+                           "y": [math.exp(res.intercept) * n ** res.slope for n in n_grid]})
         # the problem-specific bound when there is one, else the covering bound
         key = next(k for k in ("game", "simplex", "covering") if bounds_per_n[0][k] is not None)
         series.append({"label": f"{key} bound", "line": True, "x": n_grid,
@@ -490,8 +500,8 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
                       log_log_chart(series, title=f"{kind} vs dataset size",
                                     xlabel="n", ylabel=kind))
     results = {"kind": kind, "fit_on": fit_on, "per_n": per_n,
-               "slope": slope, "intercept": intercept, "r_squared": r2,
-               "fit_error": fit_error, "bounds_per_n": bounds_per_n}
+               "slope": res.slope, "intercept": res.intercept, "r_squared": res.r_squared,
+               "fit_error": res.fit_error, "bounds_per_n": bounds_per_n}
     return _Outcome(results, (n_grid[0], "experiment.n_grid[0]", True),
                     (["n", "trial", "value", "kind"], rows))
 

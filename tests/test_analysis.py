@@ -38,7 +38,6 @@ from vilab import (
     simplex_bound,
     stability_bound,
     stability_experiment,
-    sweep_point,
     trial_dataset_seed,
 )
 from vilab import problems
@@ -523,7 +522,7 @@ class TestGeneralizationSweep:
             with pytest.raises(ValueError, match=match):
                 generalization_sweep(op, dom, cfg, noise, (8, 16), 5, 0, kind=kind)
             with pytest.raises(ValueError, match=match):
-                sweep_point(op, dom, cfg, noise, 8, 5, 0, kind, 0.1, constants(op, dom))
+                generalization_sweep(op, dom, cfg, noise, (8,), 5, 0, kind=kind)
         assert calls == []
 
     def test_training_steps_through_solver(self):
@@ -546,7 +545,7 @@ class TestGeneralizationSweep:
 
 
 def _trial_datasets(problem, noise, n, trials, seed):
-    """The datasets sweep_point draws for (n, seed)."""
+    """The datasets a sweep draws for (n, seed)."""
     return [sample_dataset(problem, noise, n, trial_dataset_seed(seed, n, t))
             for t in range(trials)]
 
@@ -573,9 +572,8 @@ class TestEmpiricalSolutions:
                                _training_horizon(cfg, constants(self.op, dom), noise, dom))
 
     def _row(self, dom, cfg, noise, n, trials, seed):
-        """sweep_point's strong-gap row, constants taken on `dom`."""
-        return sweep_point(self.op, dom, cfg, noise, n, trials, seed, "gap", 0.1,
-                           constants(self.op, dom))
+        """The strong-gap row of a one-size sweep, constants taken on `dom`."""
+        return generalization_sweep(self.op, dom, cfg, noise, (n,), trials, seed).per_n[0]
 
     def test_roots_inside_are_solved_directly(self, kind):
         noise = NoiseModel(kind, 0.1)
@@ -668,11 +666,10 @@ class TestPeakMemory:
             self.op, self.dom, cfg, 2048, trials, 0, noise, workers=workers))
 
     @pytest.mark.parametrize("kind", ["matrix", "offset"])
-    def test_sweep_point_peak_flat_in_trials(self, kind):
+    def test_sweep_peak_flat_in_trials(self, kind):
         noise, cfg = NoiseModel(kind, 0.2), SolverConfig("gd", 0.1, 1)
-        consts = constants(self.op, self.dom)
-        self._check(lambda trials, workers: sweep_point(
-            self.op, self.dom, cfg, noise, 2048, trials, 0, "gap", 0.1, consts, workers))
+        self._check(lambda trials, workers: generalization_sweep(
+            self.op, self.dom, cfg, noise, (2048,), trials, 0, workers=workers))
 
 
 class TestTrialThreads:

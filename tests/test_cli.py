@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vilab import BoundViolationError, ConfigError, NumericalError
+from vilab import (BoundViolationError, ConfigError, NumericalError, SolverConfig,
+                   generalization_sweep, quantile_fit_on)
 from vilab import cli
 from vilab.cli import build_problem, load_config, main, normalize_config
 
@@ -191,6 +192,8 @@ def game_with(**problem):
     return cfg
 
 
+UNIT_BOX = {"kind": "box", "lower": [-1.0], "upper": [1.0]}
+
 # Each config names the key path its error must give. Each used to run, crash
 # with a traceback, or exit with another code or with no key path.
 MALFORMED = [
@@ -213,6 +216,11 @@ MALFORMED = [
     pytest.param(op_config(solver=[], experiment={"n": 5}), "solver", id="solver-list"),
     pytest.param(game_with(dims=[0, 2]), "problem.dims[0]", id="zero-dim"),
     pytest.param(game_with(dims=[True, 1]), "problem.dims[0]", id="bool-dim"),
+    pytest.param(game_with(k=3, domain={"kind": "product", "factors": [UNIT_BOX, UNIT_BOX]}),
+                 "problem.domain", id="game-domain-too-few-factors"),
+    pytest.param(game_with(dims=[1, 2], domain={"kind": "product",
+                                                "factors": [UNIT_BOX, UNIT_BOX]}),
+                 "problem.domain", id="game-domain-factor-dims"),
 ]
 
 
@@ -233,6 +241,24 @@ def test_output_names_are_bare_file_names(tmp_path, capsys, key, name):
     # nothing written: only the config file sits in tmp_path
     assert not out_dir.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["sweep_out.json"]
+
+
+def test_out_dir_that_is_a_file_exits_2_before_generation(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(cfg):
+        calls.append(1)
+        return build_problem(cfg)
+
+    monkeypatch.setattr("vilab.cli.build_problem", counting)
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    code = main(["solve", "--config", str(CONFIG_DIR / "solve_ball.json"),
+                 "--out-dir", str(taken), "--workers", "1"])
+    assert code == 2
+    assert "--out-dir" in capsys.readouterr().err
+    assert calls == []
+    assert taken.read_text() == "a file"
 
 
 @pytest.mark.parametrize("kind", ["weak_gap", "potential_gap"])
@@ -555,7 +581,8 @@ class TestBuildOnce:
     @pytest.mark.parametrize("stem,command", [("sweep_game", "sweep"),
                                               ("stability_ball", "stability")])
     def test_problem_built_once_per_command(self, tmp_path, monkeypatch, stem, command):
-        # the n grid's workers reuse the instance and constants built up front
+        # one instance for the whole n grid; the library experiments take
+        # their constants from it again, which costs no generation
         calls = []
 
         def counting(cfg):
@@ -567,6 +594,41 @@ class TestBuildOnce:
                      "--out-dir", str(tmp_path), "--workers", "1"])
         assert code == 0
         assert len(calls) == 1
+
+
+class TestSweepDriver:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("stem", ["sweep_game", "sweep_simplex"])
+    def test_cli_sweep_is_one_library_sweep(self, tmp_path, monkeypatch, stem, workers):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return generalization_sweep(*args, **kwargs)
+
+        monkeypatch.setattr("vilab.cli.generalization_sweep", counting)
+        path = str(CONFIG_DIR / f"{stem}.json")
+        code = main(["sweep", "--config", path, "--out-dir", str(tmp_path),
+                     "--workers", str(workers)])
+        assert code == 0
+        assert len(calls) == 1
+        res = json.loads((tmp_path / "sweep_summary.json").read_text())["results"]
+
+        cfg = load_config(path, "sweep")
+        problem, domain, noise = build_problem(cfg)
+        exp = cfg["experiment"]
+        fit_on = quantile_fit_on(exp["trials"], exp["delta"]) \
+            if exp["mode"] == "quantile" else "mean"
+        ref = generalization_sweep(problem, domain, SolverConfig(**cfg["solver"]), noise,
+                                   exp["n_grid"], exp["trials"], cfg["problem"]["seed"],
+                                   exp["kind"], exp["delta"], fit_on, workers)
+        assert (res["fit_on"], res["slope"], res["intercept"], res["r_squared"],
+                res["fit_error"]) == (ref.fit_on, ref.slope, ref.intercept,
+                                      ref.r_squared, ref.fit_error)
+        assert len(res["per_n"]) == len(ref.per_n)
+        for got, want in zip(res["per_n"], ref.per_n):
+            assert np.array(got.pop("values")).tobytes() == want["values"].tobytes()
+            assert got == {k: v for k, v in want.items() if k != "values"}
 
 
 class TestBernstein:
