@@ -16,8 +16,7 @@ import numpy as np
 from vilab import (
     admissible_eta,
     contraction_bound,
-    eg_step,
-    gd_step,
+    contraction_ratio,
     generate_operator,
 )
 from vilab.cli import write_csv
@@ -27,11 +26,10 @@ DIM = 8
 SEED = 0
 
 
-def worst_ratio(op, step, eta, rng):
+def worst_ratio(op, method, eta, rng):
     z = rng.normal(size=(PAIRS, DIM))
     w = rng.normal(size=(PAIRS, DIM))
-    num = np.linalg.norm(step(op, z, eta) - step(op, w, eta), axis=-1)
-    return float(np.max(num / np.linalg.norm(z - w, axis=-1)))
+    return float(np.max(contraction_ratio(op, z, w, eta, method)))
 
 
 def main():
@@ -49,7 +47,7 @@ def main():
     for frac in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
         eta = lo + frac * (hi - lo)
         bound = contraction_bound("gd", 0.6, 1.8, eta)
-        measured = worst_ratio(op, gd_step, eta, rng)
+        measured = worst_ratio(op, "gd", eta, rng)
         rows.append((eta, "gd", measured, bound))
         print(f"  eta={eta:.4f}  measured {measured:.6f}  <=  bound {bound:.6f}")
 
@@ -61,7 +59,7 @@ def main():
         grid = adm[:: max(1, adm.size // 6)] if adm.size else np.linspace(0.1, 0.9, 5)
         for eta in grid:
             bound = contraction_bound("eg", mu, 1.0, float(eta))
-            measured = worst_ratio(op, eg_step, float(eta), rng)
+            measured = worst_ratio(op, "eg", float(eta), rng)
             gated = bound < 1.0
             rows.append((float(eta), "eg", measured, bound))
             mark = "<=" if gated else "  (ceiling >= 1, informational)"

@@ -375,6 +375,10 @@ def _empirical_solutions(F: QuadraticOperator, domain, config, T: int):
     return (*_iterate_to_tol(F, domain, config, T), 0)
 
 
+# Each sweep kind, in the CLI's order, and whether it needs a game.
+_SWEEP_KINDS = {"gap": False, "weak_gap": True, "potential_gap": True}
+
+
 def _evaluate_kind(problem, domain, kind: str, Z: np.ndarray) -> np.ndarray:
     if kind == "gap":
         return np.atleast_1d(gap(problem, domain, Z))
@@ -399,9 +403,9 @@ def generalization_sweep(problem, domain: Domain, config: SolverConfig,
     aggregate (the mean, or a stored quantile via fit_on="q0.9") against n;
     when it fails, e.g. on a single n, its numbers are None and fit_error
     holds the reason. Every argument is checked before anything is sampled."""
-    if kind not in ("gap", "weak_gap", "potential_gap"):
+    if kind not in _SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    if kind != "gap" and not isinstance(problem, QuadraticGame):
+    if _SWEEP_KINDS[kind] and not isinstance(problem, QuadraticGame):
         raise ValueError(f"kind {kind!r} needs a game")
     if trials < 2:
         raise ValueError("sweeps need at least 2 trials per n")
@@ -474,7 +478,7 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
     consts = constants(game)
     B = bernstein_constant(consts)
     zs = [exact_solution(game)]
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)], spawn_key=(11,)))
+    rng = _stream([int(seed)], (11,))
     if z_samples > 1:
         zs.extend(game.domain.sample(rng, z_samples - 1))
     zs = np.asarray(zs)

@@ -16,7 +16,7 @@ across runs and across --workers settings (stability and sweep draw each n's
 trial datasets on up to --workers threads, default the CPUs this process may
 use; trials are pure functions of (base_seed, n, trial) stacked in trial
 order); wall-clock time appears only inside the JSON manifest. All files are
-written atomically (temp + rename).
+written atomically (temp + rename), with the mode the umask gives.
 """
 
 from __future__ import annotations
@@ -24,28 +24,26 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
-from .analysis import (_default_workers, bernstein_check, check_gd_eta, evaluate_bounds,
-                       generalization_sweep, quantile_fit_on, stability_experiment,
-                       trial_dataset_seed)
+from .analysis import (_SWEEP_KINDS, _default_workers, bernstein_check, check_gd_eta,
+                       evaluate_bounds, generalization_sweep, quantile_fit_on,
+                       stability_experiment, trial_dataset_seed)
 from .charts import log_log_chart
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
                      InfeasiblePointError, NumericalError)
 from .gaps import gap_report
-from .problems import (NoiseModel, constants, empirical_operator,
+from .problems import (NoiseModel, _stream, constants, empirical_operator,
                        generate_game, generate_operator, sample_dataset)
 from .solvers import (SolverConfig, admissible_eta, contraction_bound, contraction_ratio,
                       in_gd_stability_range, run)
@@ -173,7 +171,7 @@ _EXPERIMENTS = {
     "stability": {"n_grid": ([int, _COUNT], _COUNT, _REQUIRED),
                   "trials": (int, _COUNT, _REQUIRED)},
     "sweep": {"n_grid": ([int, _COUNT], _PAIR, _REQUIRED), "trials": (int, _PAIR, _REQUIRED),
-              "kind": (("gap", "weak_gap", "potential_gap"), None, "gap"),
+              "kind": (tuple(_SWEEP_KINDS), None, "gap"),
               "mode": (("mean", "quantile"), None, "mean"),
               "delta": (float, "(0, 1)", 0.1)},
     "bernstein": {"z_samples": (int, _COUNT, _REQUIRED),
@@ -254,7 +252,7 @@ def normalize_config(cfg: dict, command: str, seed_override=None) -> dict:
     if command == "bernstein" and p["kind"] != "game":
         raise ConfigError("bernstein requires 'problem.kind' = 'game'")
     exp = cfg["experiment"]
-    if exp.get("kind", "gap") != "gap" and p["kind"] != "game":
+    if _SWEEP_KINDS[exp.get("kind", "gap")] and p["kind"] != "game":
         raise ConfigError(f"'experiment.kind' {exp['kind']!r} requires 'problem.kind' = 'game'")
     if exp.get("mode") == "quantile":
         quantile_fit_on(exp["trials"], exp["delta"])  # the quantile's trial floor
@@ -290,9 +288,13 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write `text` to a new temp file beside `path` and rename it over `path`;
+    the temp file is created with mode 0o666, so the umask sets the mode."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vilab-")
+    tmp = os.path.join(directory, f".vilab-{os.urandom(8).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -352,9 +354,9 @@ class _Outcome(NamedTuple):
     violation: Optional[str] = None  # set when a measured value broke its bound
 
 
-def _run(command: str, experiment, args) -> int:
+def _run(command: str, args) -> int:
     """One subcommand: load the config, create --out-dir, build the problem,
-    run `experiment`, write its CSV and summary, then report a bound violation."""
+    run its experiment, write its CSV and summary, then report a bound violation."""
     started = time.time()
     cfg = load_config(args.config, command, args.seed)
     try:
@@ -366,7 +368,7 @@ def _run(command: str, experiment, args) -> int:
     consts = constants(problem, domain)
     built = (problem, domain, noise, consts)
     sc = SolverConfig(**cfg["solver"])
-    out = experiment(args, cfg, built, sc)
+    out = _COMMANDS[command](args, cfg, built, sc)
     if out.csv is not None:
         write_csv(os.path.join(args.out_dir, cfg["output"]["csv"]), *out.csv)
     n, source, dataset_size = out.count
@@ -419,8 +421,7 @@ def cmd_contraction(args, cfg, built, sc) -> _Outcome:
     grid = [float(e) for e in exp["eta_grid"]] if "eta_grid" in exp else \
         _default_eta_grid(sc.method, consts.mu, consts.L)
 
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg["problem"]["seed"]], spawn_key=(5,)))
+    rng = _stream([cfg["problem"]["seed"]], (5,))
     Z1 = domain.sample(rng, pairs)
     Z2 = domain.sample(rng, pairs)
     keep = np.linalg.norm(Z1 - Z2, axis=-1) > 1e-12
@@ -526,13 +527,8 @@ def cmd_bernstein(args, cfg, built, sc) -> _Outcome:
 # ---------------------------------------------------------------------------
 
 
-_COMMANDS = {
-    "solve": functools.partial(_run, "solve", cmd_solve),
-    "contraction": functools.partial(_run, "contraction", cmd_contraction),
-    "stability": functools.partial(_run, "stability", cmd_stability),
-    "sweep": functools.partial(_run, "sweep", cmd_sweep),
-    "bernstein": functools.partial(_run, "bernstein", cmd_bernstein),
-}
+_COMMANDS = {"solve": cmd_solve, "contraction": cmd_contraction, "stability": cmd_stability,
+             "sweep": cmd_sweep, "bernstein": cmd_bernstein}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -556,17 +552,14 @@ def main(argv=None) -> int:
         print("config error: --workers must be >= 1", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _run(args.command, args)
     except (NumericalError, GenerationError, InfeasiblePointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except BoundViolationError as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,25 +66,28 @@ def best_response(game: QuadraticGame, z) -> np.ndarray:
     1/lambda_max(Q_i) runs until the projected-gradient norm is <= 1e-10
     (at most 1e5 inner steps).
     """
-    domain = game.domain
-    z = _check_feasible(domain, z)
+    return _best_response(game, _check_feasible(game.domain, z))
+
+
+def _best_response(game: QuadraticGame, z: np.ndarray) -> np.ndarray:
+    """best_response past its feasibility check; one eigvalsh per block."""
     parts = []
     for i in range(game.k):
         Q = game.block(i)
-        if float(np.linalg.eigvalsh(Q)[0]) <= 0.0:
+        eigs = np.linalg.eigvalsh(Q)
+        if float(eigs[0]) <= 0.0:
             raise NumericalError(f"player {i} quadratic block is not positive definite")
         lin = game.others(z, i) @ game.coupling(i).T + game.offset_block(i)
         w = -lin @ np.linalg.inv(Q)  # rows solve Q w = -lin (Q symmetric)
-        sub = domain.factors[i]
+        sub = game.domain.factors[i]
         if not np.all(sub.contains(w, 1e-9)):
-            w = _projected_best_response(Q, lin, sub, w)
+            w = _projected_best_response(Q, lin, sub, w, 1.0 / float(eigs[-1]))
         parts.append(w)
-    return domain.join(parts)
+    return game.domain.join(parts)
 
 
 def _projected_best_response(Q: np.ndarray, lin: np.ndarray, sub: Domain,
-                             w0: np.ndarray) -> np.ndarray:
-    step = 1.0 / float(np.linalg.eigvalsh(Q)[-1])
+                             w0: np.ndarray, step: float) -> np.ndarray:
     w = sub.project(w0)
     for _ in range(100_000):
         grad = w @ Q.T + lin
@@ -100,8 +103,8 @@ def _projected_best_response(Q: np.ndarray, lin: np.ndarray, sub: Domain,
 
 
 def weak_gap(F: Callable, game: QuadraticGame, z):
-    """<F(z), z - w*(z)> with true-game best responses; F may be empirical."""
-    z = _check_feasible(game.domain, z)
+    """<F(z), z - w*(z)> with true-game best responses (which check z); F may be empirical."""
+    z = np.asarray(z, dtype=float)
     return _weak_gap_at(F, z, best_response(game, z))
 
 
@@ -111,8 +114,8 @@ def _weak_gap_at(F: Callable, z: np.ndarray, w: np.ndarray):
 
 
 def potential_gap(game: QuadraticGame, z):
-    """sum_i [f_i(z) - min_{w in Z_i} f_i(w, z_{-i})]; nonnegative."""
-    z = _check_feasible(game.domain, z)
+    """sum_i [f_i(z) - min_{w in Z_i} f_i(w, z_{-i})] (best_response checks z); nonnegative."""
+    z = np.asarray(z, dtype=float)
     return _potential_gap_at(game, z, best_response(game, z))
 
 
@@ -141,11 +144,11 @@ def gap_report(problem, emp: Callable, domain: Domain, z) -> GapReport:
     point, plus true-minus-empirical for the report's kind: the weak gap for
     games, the strong gap otherwise."""
     is_game = isinstance(problem, QuadraticGame)
-    g_true, g_emp = gap(problem, domain, z), gap(emp, domain, z)
+    z = _check_feasible(domain, z)  # the one check; every measure below skips it
+    g_true, g_emp = _strong_gap(problem, domain, z), _strong_gap(emp, domain, z)
     w_true = w_emp = p_gap = None
     if is_game:
-        z = np.asarray(z, dtype=float)
-        w = best_response(problem, z)  # w*(z) once (it checks feasibility)
+        w = _best_response(problem, z)  # w*(z) once
         w_true, w_emp = _weak_gap_at(problem, z, w), _weak_gap_at(emp, z, w)
         p_gap = _potential_gap_at(problem, z, w)
     gen = w_true - w_emp if is_game else g_true - g_emp

@@ -44,6 +44,11 @@ from .errors import GenerationError, InfeasiblePointError, NumericalError
 _REJECTION_BUDGET = 1000
 
 
+def _stream(seed, key) -> np.random.Generator:
+    """The one random-stream constructor; key () gives SeedSequence(seed)'s stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value via power iteration on M^T M, run until the
     Rayleigh quotient moves by <= 1e-10 relative (at most 50,000 steps) from
@@ -52,7 +57,7 @@ def spectral_norm(M: np.ndarray) -> float:
     M = np.asarray(M, dtype=float)
     B = M.T @ M
     d = B.shape[0]
-    v = np.random.default_rng(0).standard_normal(d)
+    v = _stream(0, ()).standard_normal(d)
     v /= np.linalg.norm(v)
     lam = float(v @ B @ v)
     for _ in range(50_000):
@@ -365,7 +370,7 @@ def generate_operator(
         raise ValueError(f"domain dim {domain.dim} != requested d {d}")
     if not 0.0 < mu_target <= L_target:
         raise GenerationError(f"need 0 < mu <= L, got mu={mu_target}, L={L_target}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _stream(seed, ())
     if isinstance(domain, Simplex):
         basis = domain.tangent_basis()  # (d-1, d) orthonormal rows
         t = basis.shape[0]
@@ -413,7 +418,7 @@ def generate_game(
     if not isinstance(domain, Product) or [f.dim for f in domain.factors] != list(dims):
         raise ValueError("a game's domain must be a product of one factor per player "
                          "with the player's dimension")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _stream(seed, ())
     d, slices = domain.dim, domain.slices
 
     blocks = []
@@ -449,10 +454,6 @@ def generate_game(
 # ---------------------------------------------------------------------------
 # noisy datasets
 # ---------------------------------------------------------------------------
-
-
-def _stream(seed, key) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _draw_offsets(seed, count: int, dim: int, magnitude: float,

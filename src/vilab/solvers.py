@@ -123,21 +123,18 @@ def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _check_mu_L_eta(mu: float, L: float, eta: float) -> None:
+def _check_mu_L_eta(mu: float, L: float, eta) -> None:
     if not 0.0 < mu <= L:
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
-    if eta <= 0.0:
+    if np.any(np.asarray(eta) <= 0.0):
         raise ValueError(f"eta must be positive, got {eta}")
 
 
 def eg_contraction_coefficient(mu: float, L: float, eta):
     """c(eta) bounding the SQUARED extragradient per-step ratio; accepts a
     scalar or an array of etas."""
+    _check_mu_L_eta(mu, L, eta)
     eta = np.asarray(eta, dtype=float)
-    if np.any(eta <= 0.0):
-        raise ValueError("eta must be positive")
-    if not 0.0 < mu <= L:
-        raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
     c = (2.0 - 2.0 * eta * mu + eta ** 4 * L ** 4
          - (2.0 * eta * mu + 1.0) * (1.0 - 2.0 * eta * L + eta ** 2 * mu ** 2))
     return float(c) if c.ndim == 0 else c
@@ -146,9 +143,11 @@ def eg_contraction_coefficient(mu: float, L: float, eta):
 def contraction_bound(method: str, mu: float, L: float, eta: float) -> float:
     """Per-step ratio ceiling of `method`: sqrt(max(0, 1 - 2 eta mu +
     eta^2 L^2)) for gd, sqrt(max(0, c(eta))) for eg."""
-    _check_mu_L_eta(mu, L, eta)
-    squared = 1.0 - 2.0 * eta * mu + eta ** 2 * L ** 2 if method == "gd" \
-        else eg_contraction_coefficient(mu, L, eta)
+    if method == "gd":
+        _check_mu_L_eta(mu, L, eta)
+        squared = 1.0 - 2.0 * eta * mu + eta ** 2 * L ** 2
+    else:
+        squared = eg_contraction_coefficient(mu, L, eta)
     return math.sqrt(max(0.0, squared))
 
 

@@ -44,6 +44,7 @@ from vilab import problems
 from vilab.analysis import (_SERIAL_FLOATS, _default_workers, _empirical_solutions,
                             _iterate_to_tol, _training_horizon, _trial_operators,
                             check_gd_eta)
+from vilab.gaps import _strong_gap
 from vilab.solvers import contraction_bound
 
 from helpers import neighbour, pool_sizes  # pool_sizes: a fixture, requested by name
@@ -633,6 +634,58 @@ class TestEmpiricalSolutions:
         Z, steps, failed = self._loop(self.unit, cfg, noise, 64, 20, 3)
         assert (row["direct"], row["train_steps"], row["failed"]) == (0, steps, failed)
         assert np.array_equal(row["values"], gap(self.op, self.unit, Z))
+
+
+class TestDoublingRounds:
+    """_iterate_to_tol runs T steps, then 2T more, ... (at most 8 rounds) and
+    reports the rows still above the 1e-8 empirical gap; a plain run of the
+    same total steps is the reference."""
+
+    unit = Ball(np.zeros(2), 1.0)
+
+    def _max_gap(self, F, cfg, steps):
+        Z = run(F, self.unit, replace(cfg, T=steps)).final
+        return float(np.max(_strong_gap(F, self.unit, Z)))
+
+    def test_doubles_from_horizon_one(self):
+        # gd at eta 0.2 on M = I contracts by 0.8 per step: 1e-8 takes
+        # several rounds from horizon 1
+        F = QuadraticOperator(np.eye(2), np.array([[-0.5, 0.3], [0.2, 0.4]]))
+        cfg = SolverConfig("gd", 0.2, 1)
+        Z, steps, failed = _iterate_to_tol(F, self.unit, cfg, 1)
+        rounds = (steps + 1).bit_length() - 1
+        assert steps == 2 ** rounds - 1 and 2 < rounds < 8  # 1 + 2 + ... + 2^(rounds-1)
+        assert failed == []
+        assert self._max_gap(F, cfg, steps) <= 1e-8 < self._max_gap(F, cfg, steps // 2)
+        assert np.array_equal(Z, run(F, self.unit, replace(cfg, T=steps)).final)
+
+    def test_reports_the_rows_that_missed(self):
+        # eta 0.01 contracts by 0.99 per step, too slowly for 8 rounds; rows 0
+        # and 2 have their root at the start (the center) and never miss
+        F = QuadraticOperator(np.eye(2), np.array([[0.0, 0.0], [-0.5, 0.3],
+                                                   [0.0, 0.0], [0.2, 0.4]]))
+        cfg = SolverConfig("gd", 0.01, 1)
+        Z, steps, failed = _iterate_to_tol(F, self.unit, cfg, 1)
+        assert steps == 255
+        assert failed == [1, 3]
+        assert np.array_equal(Z, run(F, self.unit, replace(cfg, T=255)).final)
+        assert np.nonzero(_strong_gap(F, self.unit, Z) > 1e-8)[0].tolist() == failed
+
+    def test_sweep_reports_the_missed_trials(self, monkeypatch):
+        # a horizon of 1 at a slow eta leaves every trial above 1e-8 after
+        # 8 rounds; each row lists them and so does the sweep's failures
+        op = generate_operator(0, 2, 0.5, 1.0, domain=self.unit)
+        monkeypatch.setattr("vilab.analysis._training_horizon", lambda *args: 1)
+        cfg, noise = SolverConfig("gd", 0.01, 1), NoiseModel("offset", 0.1)
+        res = generalization_sweep(op, self.unit, cfg, noise, (8, 16), 4, 0)
+        for row in res.per_n:
+            Z, steps, failed = _iterate_to_tol(_trial_operators(op, noise, row["n"], 0, 4),
+                                               self.unit, cfg, 1)
+            assert failed == [0, 1, 2, 3]
+            assert (row["direct"], row["train_steps"], row["failed"]) == (0, 255, failed)
+            assert np.array_equal(row["values"], gap(op, self.unit, Z))
+        assert res.failures == [{"n": 8, "trials": [0, 1, 2, 3]},
+                                {"n": 16, "trials": [0, 1, 2, 3]}]
 
 
 def _peak_bytes(fn) -> int:

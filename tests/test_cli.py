@@ -15,6 +15,7 @@ import pytest
 from vilab import (BoundViolationError, ConfigError, NumericalError, SolverConfig,
                    generalization_sweep, quantile_fit_on)
 from vilab import cli
+from vilab.analysis import _SWEEP_KINDS
 from vilab.cli import build_problem, load_config, main, normalize_config
 
 from helpers import pool_sizes  # pool_sizes: a fixture, requested by name
@@ -75,6 +76,13 @@ MATRIX_STABILITY = op_config(
     problem={"d": 4, "domain": {"kind": "ball", "center": [0.0] * 4, "radius": 1.0},
              "noise": {"kind": "matrix", "magnitude": 0.2}},
     solver={"eta": 0.25, "T": 100}, experiment={"n_grid": [16, 1024], "trials": 3})
+
+
+def src_env() -> dict:
+    """This environment with src/ first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -275,6 +283,23 @@ def test_game_gap_kind_needs_a_game_before_generation(tmp_path, capsys, monkeypa
     assert code == 2
     assert "'experiment.kind'" in capsys.readouterr().err
     assert calls == []
+
+
+def test_sweep_kinds_come_from_the_library_table():
+    # the schema lists analysis._SWEEP_KINDS in its order, and the early
+    # check refuses on an operator exactly the kinds the table marks game-only
+    cfg = op_config(experiment={"n_grid": [16, 64], "trials": 4, "kind": "bogus"})
+    with pytest.raises(ConfigError, match="'experiment.kind' must be one of "
+                                          "gap/weak_gap/potential_gap, got 'bogus'"):
+        normalize_config(copy.deepcopy(cfg), "sweep")
+    for kind, needs_game in _SWEEP_KINDS.items():
+        cfg["experiment"]["kind"] = kind
+        if needs_game:
+            with pytest.raises(ConfigError, match=f"'experiment.kind' '{kind}' requires "
+                                                  "'problem.kind' = 'game'"):
+                normalize_config(copy.deepcopy(cfg), "sweep")
+        else:
+            assert normalize_config(copy.deepcopy(cfg), "sweep")["experiment"]["kind"] == kind
 
 
 class TestSolve:
@@ -776,7 +801,7 @@ class TestExitCodes:
     def test_bound_violation_maps_to_4(self, tmp_path, capsys, monkeypatch):
         import vilab.cli as cli_mod
 
-        def boom(args):
+        def boom(args, cfg, built, sc):
             raise BoundViolationError("synthetic")
 
         monkeypatch.setitem(cli_mod._COMMANDS, "solve", boom)
@@ -784,6 +809,28 @@ class TestExitCodes:
         code = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
         assert code == 4
         assert "bound violation" in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    def test_modes_follow_the_umask(self, tmp_path):
+        for mask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            cfg = op_config(experiment={"pairs": 20})
+            old = os.umask(mask)
+            try:
+                code, out_dir = run_cli(tmp_path, "contraction", cfg, out=f"umask_{mask:03o}")
+                cli._atomic_write(str(out_dir / "chart.svg"), "<svg/>")
+            finally:
+                os.umask(old)
+            assert code == 0
+            names = sorted(p.name for p in out_dir.iterdir())
+            assert names == ["chart.svg", "contraction.csv", "contraction_summary.json"]
+            assert {(out_dir / n).stat().st_mode & 0o777 for n in names} == {mode}
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write(str(target), "a lone surrogate \ud800")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEntryPoint:
@@ -794,7 +841,7 @@ class TestEntryPoint:
                 "print(sorted(m for m in ('concurrent.futures.process', "
                 "'concurrent.futures.thread') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120)
+                              text=True, timeout=120, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -809,7 +856,7 @@ class TestEntryPoint:
             argv = [sys.executable, "-m", "vilab.cli"]
         proc = subprocess.run(
             argv + ["solve", "--config", cfg, "--out-dir", str(tmp_path / "ep")],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "ep" / "solve_summary.json").exists()

@@ -230,6 +230,50 @@ class TestBestResponse:
         assert all(out.tobytes() == outs[0].tobytes() for out in outs[1:])
 
 
+class TestOneCheckPerCall:
+    """Each public gap evaluator checks its point once, and best_response
+    takes one eigvalsh per player block."""
+
+    def test_one_feasibility_check(self, monkeypatch):
+        game = generate_game(25, 3, 2, 0.5, 0.3)
+        emp = empirical_operator(game, sample_dataset(game, NoiseModel("offset", 0.2), 20, seed=3))
+        z = game.domain.sample(np.random.default_rng(26), 4)
+        check, calls = gaps._check_feasible, []
+
+        def counting(*args):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(gaps, "_check_feasible", counting)
+        for evaluate in (lambda: gap(game, game.domain, z), lambda: best_response(game, z),
+                         lambda: weak_gap(emp, game, z), lambda: potential_gap(game, z),
+                         lambda: gap_report(game, emp, game.domain, z[0])):
+            calls.clear()
+            evaluate()
+            assert len(calls) == 1
+
+    def test_one_spectrum_per_block(self, monkeypatch):
+        # ball factors with opponents pushing the unconstrained minimizers
+        # outside, so every block also takes the projected fallback
+        dom = Product((Ball(np.zeros(3), 1.0), Ball(np.zeros(3), 1.0)))
+        game = generate_game(3, 2, (3, 3), 0.5, 3.0, domain=dom, interior_margin=0.01)
+        z = dom.sample(np.random.default_rng(4), 40)
+        eigvalsh, projected, calls = np.linalg.eigvalsh, gaps._projected_best_response, []
+
+        def counting(*args):
+            calls.append("eigvalsh")
+            return eigvalsh(*args)
+
+        def fallback(*args):
+            calls.append("fallback")
+            return projected(*args)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(gaps, "_projected_best_response", fallback)
+        best_response(game, z)
+        assert calls == ["eigvalsh", "fallback"] * 2
+
+
 class TestWeakAndPotential:
     def frozen_game(self):
         # single player, f(z) = z^2 on [-1, 1]
@@ -332,13 +376,14 @@ class TestEmpiricalAndReports:
         X = sample_dataset(game, NoiseModel("offset", 0.2), 20, seed=3)
         z = game.domain.sample(np.random.default_rng(26))
         calls = []
+        unchecked = gaps._best_response  # best_response past its feasibility check
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return best_response(*args, **kwargs)
+            return unchecked(*args, **kwargs)
 
         emp = empirical_operator(game, X)
-        monkeypatch.setattr("vilab.gaps.best_response", counting)
+        monkeypatch.setattr(gaps, "_best_response", counting)
         rep = gap_report(game, emp, game.domain, z)
         assert len(calls) == 1
         # each field equals the public evaluator's value, bit for bit

@@ -853,8 +853,8 @@ class TestQuarticKernel:
 
             return Draws()
 
+        op = generate_operator(43, 4, 0.8, 1.6)  # drawn before the patch: it needs uniform
         monkeypatch.setattr(problems, "_stream", with_a_zero_record)
-        op = generate_operator(43, 4, 0.8, 1.6)
         E = sample_dataset(op, NoiseModel("matrix", 0.2), 3, seed=21).matrices
         assert np.all(np.isfinite(E))
         assert not E[1].any()

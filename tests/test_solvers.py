@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vilab import solvers
 from vilab import (
     Ball,
     Box,
@@ -268,6 +269,25 @@ class TestContractionBounds:
             contraction_bound("gd", 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             eg_contraction_coefficient(1.0, 1.0, -0.1)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            eg_contraction_coefficient(1.0, 1.0, np.array([0.1, 0.0]))
+        with pytest.raises(ValueError, match="need 0 < mu <= L"):
+            contraction_bound("eg", 2.0, 1.0, 0.1)
+
+    def test_each_call_checks_once(self, monkeypatch):
+        check, calls = solvers._check_mu_L_eta, []
+
+        def counting(*args):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(solvers, "_check_mu_L_eta", counting)
+        for evaluate in (lambda: contraction_bound("gd", 0.9, 1.0, 0.1),
+                         lambda: contraction_bound("eg", 0.9, 1.0, 0.1),
+                         lambda: eg_contraction_coefficient(0.9, 1.0, np.array([0.1, 0.2]))):
+            calls.clear()
+            evaluate()
+            assert len(calls) == 1
 
     def test_stability_range(self):
         assert in_gd_stability_range(0.1, 1.0, 1.0)
