@@ -41,7 +41,8 @@ from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame, QuadraticOperator,
                        _draw_records, _stream, constants, empirical_operator,
                        exact_solution, sample_dataset, sampled_constants)
-from .solvers import SolverConfig, contraction_bound, in_gd_stability_range, run
+from .solvers import (SolverConfig, admissible_eta, contraction_bound, in_gd_stability_range,
+                      run)
 
 BOUND_NOTE = "order-level: hidden constants set to 1"
 
@@ -270,7 +271,8 @@ def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseMod
         noisy = "" if noise.kind == "offset" else \
             f" (matrix noise certifies mu={w.mu:.6g}, L={w.L:.6g})"
         raise ConfigError(
-            f"eta exceeds 2*mu/L^2: eta={config.eta}, limit={2 * w.mu / w.L ** 2:.6g}{noisy}"
+            f"eta exceeds 2*mu/L^2: eta={config.eta}, "
+            f"limit={admissible_eta(w.mu, w.L, 'gd')[1]:.6g}{noisy}"
         )
     return w
 

@@ -45,8 +45,8 @@ from .errors import (BoundViolationError, ConfigError, GenerationError,
 from .gaps import gap_report
 from .problems import (NoiseModel, _stream, constants, empirical_operator,
                        generate_game, generate_operator, sample_dataset)
-from .solvers import (SolverConfig, admissible_eta, contraction_bound, contraction_ratio,
-                      in_gd_stability_range, run)
+from .solvers import (_METHODS, SolverConfig, admissible_eta, contraction_bound,
+                      contraction_ratio, in_gd_stability_range, run)
 
 # ---------------------------------------------------------------------------
 # config schema
@@ -162,7 +162,7 @@ _PROBLEMS = {
              "coupling": (float, _NONNEGATIVE, _REQUIRED), "domain": (_DOMAIN, None, None),
              **_INSTANCE},
 }
-_SOLVER = {"method": (("gd", "eg"), None, "gd"), "eta": (float, _POSITIVE, _REQUIRED),
+_SOLVER = {"method": (_METHODS, None, "gd"), "eta": (float, _POSITIVE, _REQUIRED),
            "T": (int, _NONNEGATIVE, _REQUIRED), "projected": (bool, None, False)}
 _EXPERIMENTS = {
     "solve": {"n": (int, _COUNT, _REQUIRED)},
@@ -188,9 +188,10 @@ def _file_name(value, path):
 
 
 def _output(command: str) -> dict:
+    """`command`'s output file names; only sweep draws a chart (svg)."""
+    chart = {"svg": (_file_name, None, None)} if command == "sweep" else {}
     return {"csv": (_file_name, None, f"{command}.csv"),
-            "json": (_file_name, None, f"{command}_summary.json"),
-            "svg": (_file_name, None, None)}
+            "json": (_file_name, None, f"{command}_summary.json"), **chart}
 
 
 def _build_domain(spec: dict) -> Domain:
@@ -403,10 +404,9 @@ def cmd_solve(args, cfg, built, sc) -> _Outcome:
 
 
 def _default_eta_grid(method: str, mu: float, L: float):
+    adm = admissible_eta(mu, L, method)
     if method == "gd":
-        top = 2.0 * mu / L ** 2
-        return [f * top for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    adm = admissible_eta(mu, L, "eg")
+        return [f * adm[1] for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
     if adm.size == 0:
         # nothing contractive; still measure a few points against the ceiling
         return [f / L for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
@@ -429,8 +429,9 @@ def cmd_contraction(args, cfg, built, sc) -> _Outcome:
 
     rows, details, violations = [], [], 0
     for eta in grid:
-        measured = float(np.max(contraction_ratio(problem, Z1, Z2, eta, sc.method)))
+        # the ceiling first: it raises before any step at an eta it cannot bound
         bound = contraction_bound(sc.method, consts.mu, consts.L, eta)
+        measured = float(np.max(contraction_ratio(problem, Z1, Z2, eta, sc.method)))
         gated = sc.method == "gd" or bound < 1.0
         violated = gated and measured > bound + 1e-9
         violations += int(violated)

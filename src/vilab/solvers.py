@@ -9,11 +9,17 @@ For F(z) = Mz + b with mu = lambda_min(sym M) and L = sigma_max(M):
   by c(eta) = 2 - 2 eta mu + eta^4 L^4 - (2 eta mu + 1)(1 - 2 eta L +
   eta^2 mu^2), which dips below 1 only when mu > L/2.
 
-contraction_bound(method, mu, L, eta) is the one place that picks a
-method's ceiling. Both step maps and `run` take batched iterates of shape
-(..., dim) and an affine operator with `matrix` and `offset`: a
-QuadraticOperator (also a per-row stack of them, the empirical operator of
-a dataset, and a QuadraticGame).
+Each method and step-size rule is written once here: the method names
+(`_METHODS`, checked by `_check_method`), the step-size rule (`_check_eta`:
+finite and positive; `_check_mu_L_eta` puts 0 < mu <= L < inf before it),
+gd's range end 2 mu / L^2 (`_gd_eta_limit`) and each method's squared
+ceiling (`_squared_ratio`, ValueError where it is not finite), which
+contraction_bound(method, mu, L, eta) takes the square root of.
+
+Both step maps and `run` take batched iterates of shape (..., dim) and an
+affine operator with `matrix` and `offset`: a QuadraticOperator (also a
+per-row stack of them, the empirical operator of a dataset, and a
+QuadraticGame).
 """
 
 from __future__ import annotations
@@ -29,6 +35,19 @@ from .errors import NumericalError
 from .problems import _apply_affine
 
 DIVERGENCE_FACTOR = 1e6
+_METHODS = ("gd", "eg")
+
+
+def _check_method(method: str) -> None:
+    if method not in _METHODS:
+        raise ValueError(f"method must be {' or '.join(map(repr, _METHODS))}, got {method!r}")
+
+
+def _check_eta(eta) -> None:
+    """Every step size (a scalar or an array of them) finite and positive."""
+    etas = np.asarray(eta, dtype=float)
+    if not np.all(np.isfinite(etas) & (etas > 0.0)):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
 @dataclass(eq=False)
@@ -39,11 +58,9 @@ class SolverConfig:
     projected: bool = False
 
     def __post_init__(self):
-        if self.method not in ("gd", "eg"):
-            raise ValueError(f"method must be 'gd' or 'eg', got {self.method!r}")
+        _check_method(self.method)
         self.eta = float(self.eta)
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        _check_eta(self.eta)
         self.T = int(self.T)
         if self.T < 0:
             raise ValueError(f"T must be >= 0, got {self.T}")
@@ -123,38 +140,63 @@ def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _check_mu_L_eta(mu: float, L: float, eta) -> None:
-    if not 0.0 < mu <= L:
-        raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
-    if np.any(np.asarray(eta) <= 0.0):
-        raise ValueError(f"eta must be positive, got {eta}")
+def _check_mu_L_eta(mu: float, L: float, eta=None) -> None:
+    """0 < mu <= L < inf, then the step-size rule when eta is given."""
+    if not 0.0 < mu <= L < math.inf:
+        raise ValueError(f"need 0 < mu <= L < inf, got mu={mu}, L={L}")
+    if eta is not None:
+        _check_eta(eta)
+
+
+def _squared_ratio(method: str, mu: float, L: float, eta):
+    """The squared per-step ratio ceiling of a checked method at checked
+    (mu, L, eta): gd's in Python floats, eg's c(eta) for a scalar or an
+    array of etas. ValueError, naming eta, where it is not finite."""
+    try:
+        if method == "gd":
+            squared = 1.0 - 2.0 * eta * mu + eta ** 2 * L ** 2
+        else:
+            e = np.asarray(eta, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                squared = (2.0 - 2.0 * e * mu + e ** 4 * L ** 4
+                           - (2.0 * e * mu + 1.0) * (1.0 - 2.0 * e * L + e ** 2 * mu ** 2))
+            squared = float(squared) if squared.ndim == 0 else squared
+    except OverflowError:  # a Python float power out of range
+        squared = math.inf
+    if not np.all(np.isfinite(squared)):
+        raise ValueError(f"{method}'s contraction ceiling is not finite at eta={eta} "
+                         f"(mu={mu}, L={L})")
+    return squared
 
 
 def eg_contraction_coefficient(mu: float, L: float, eta):
     """c(eta) bounding the SQUARED extragradient per-step ratio; accepts a
-    scalar or an array of etas."""
+    scalar or an array of etas (ValueError where c is not finite)."""
     _check_mu_L_eta(mu, L, eta)
-    eta = np.asarray(eta, dtype=float)
-    c = (2.0 - 2.0 * eta * mu + eta ** 4 * L ** 4
-         - (2.0 * eta * mu + 1.0) * (1.0 - 2.0 * eta * L + eta ** 2 * mu ** 2))
-    return float(c) if c.ndim == 0 else c
+    return _squared_ratio("eg", mu, L, eta)
 
 
 def contraction_bound(method: str, mu: float, L: float, eta: float) -> float:
     """Per-step ratio ceiling of `method`: sqrt(max(0, 1 - 2 eta mu +
-    eta^2 L^2)) for gd, sqrt(max(0, c(eta))) for eg."""
-    if method == "gd":
-        _check_mu_L_eta(mu, L, eta)
-        squared = 1.0 - 2.0 * eta * mu + eta ** 2 * L ** 2
-    else:
-        squared = eg_contraction_coefficient(mu, L, eta)
-    return math.sqrt(max(0.0, squared))
+    eta^2 L^2)) for gd, sqrt(max(0, c(eta))) for eg. ValueError for an
+    unknown method, bad (mu, L, eta), or a ceiling that is not finite."""
+    _check_method(method)
+    _check_mu_L_eta(mu, L, eta)
+    return math.sqrt(max(0.0, _squared_ratio(method, mu, L, eta)))
+
+
+def _gd_eta_limit(mu: float, L: float) -> float:
+    """2 mu / L^2, the top of gd's stability range (mu, L checked)."""
+    try:
+        return 2.0 * mu / L ** 2
+    except (OverflowError, ZeroDivisionError):  # L^2 outside the float range
+        raise ValueError(f"2 mu / L^2 is out of float range at mu={mu}, L={L}") from None
 
 
 def in_gd_stability_range(eta: float, mu: float, L: float) -> bool:
     """True iff 0 < eta < 2 mu / L^2 (the range gd's stability bound needs)."""
     _check_mu_L_eta(mu, L, eta)
-    return eta < 2.0 * mu / L ** 2
+    return eta < _gd_eta_limit(mu, L)
 
 
 def admissible_eta(mu: float, L: float, method: str = "gd"):
@@ -164,20 +206,20 @@ def admissible_eta(mu: float, L: float, method: str = "gd"):
     (possibly empty) array of grid points eta in (0, 1/L] with c(eta) < 1,
     grid pitch 1e-4 / L. The eg set is nonempty iff mu > L/2.
     """
+    _check_method(method)
+    _check_mu_L_eta(mu, L)
     if method == "gd":
-        _check_mu_L_eta(mu, L, 1.0)
-        return (0.0, 2.0 * mu / L ** 2)
-    if method != "eg":
-        raise ValueError(f"method must be 'gd' or 'eg', got {method!r}")
+        return (0.0, _gd_eta_limit(mu, L))
     pitch = 1e-4 / L
     grid = np.arange(pitch, 1.0 / L + 0.5 * pitch, pitch)
-    c = eg_contraction_coefficient(mu, L, grid)
-    return grid[c < 1.0]
+    return grid[_squared_ratio("eg", mu, L, grid) < 1.0]
 
 
 def contraction_ratio(F, z, zp, eta: float, method: str = "gd"):
     """Measured one-step ratios ||G(z) - G(z')|| / ||z - z'||, one per row of
     the distinct points z, z' of shape (..., d)."""
+    _check_method(method)
+    _check_eta(eta)
     z = np.asarray(z, dtype=float)
     zp = np.asarray(zp, dtype=float)
     gap = np.linalg.norm(z - zp, axis=-1)

@@ -179,7 +179,7 @@ class TestConfigValidation:
                       for title, body in re.findall(r"^### ([^\n]+)\n(.*?)(?=^### |\Z)",
                                                     text, re.M | re.S)}
         expected = {"`problem.noise`": set(cli._NOISE), "`solver`": set(cli._SOLVER),
-                    "`output`": set(cli._output("solve"))}
+                    "`output`": set(cli._output("sweep"))}
         for section, tables in (("problem", cli._PROBLEMS), ("problem.domain", cli._DOMAINS)):
             expected.update({f"`{section}`, kind `{kind}`": {"kind", *table}
                              for kind, table in tables.items()})
@@ -249,6 +249,19 @@ def test_output_names_are_bare_file_names(tmp_path, capsys, key, name):
     # nothing written: only the config file sits in tmp_path
     assert not out_dir.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["sweep_out.json"]
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("solve", op_config(experiment={"n": 8})),
+    ("contraction", op_config()),
+    ("stability", op_config(experiment={"n_grid": [8], "trials": 2})),
+    ("bernstein", game_config(experiment={"z_samples": 2, "mc_samples": 2}))])
+def test_svg_output_is_sweep_only(tmp_path, capsys, command, cfg):
+    # only sweep draws a chart, so no other command takes a chart name
+    code, out_dir = run_cli(tmp_path, command, {**cfg, "output": {"svg": "x.svg"}})
+    assert code == 2
+    assert "unknown config key 'output.svg'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_out_dir_that_is_a_file_exits_2_before_generation(tmp_path, capsys, monkeypatch):
@@ -428,6 +441,17 @@ class TestContraction:
         summary = json.loads((tmp_path / "contraction_summary.json").read_text())
         assert summary["config"]["solver"]["method"] == "eg"
         assert summary["bounds"]["gamma"]["eta"] is None
+
+
+    @pytest.mark.parametrize("method", ["gd", "eg"])
+    def test_eta_with_no_finite_ceiling_exits_2(self, tmp_path, capsys, method):
+        # gd's eta ** 2 overflows and eg's c(eta) is inf - inf at eta = 1e200
+        cfg = op_config(problem={"mu": 0.9, "L": 1.0}, solver={"method": method},
+                        experiment={"pairs": 100, "eta_grid": [1e200]})
+        code, out_dir = run_cli(tmp_path, "contraction", cfg)
+        assert code == 2
+        assert "not finite at eta=1e+200" in capsys.readouterr().err
+        assert not (out_dir / "contraction.csv").exists()
 
 
 class TestStability:

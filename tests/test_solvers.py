@@ -1,8 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vilab import solvers
@@ -275,19 +276,103 @@ class TestContractionBounds:
             contraction_bound("eg", 2.0, 1.0, 0.1)
 
     def test_each_call_checks_once(self, monkeypatch):
-        check, calls = solvers._check_mu_L_eta, []
+        # one method check and one check of the (mu, L, eta) each call takes;
+        # _check_mu_L_eta runs _check_eta when it is given an eta
+        calls = {}
 
-        def counting(*args):
-            calls.append(1)
-            return check(*args)
+        def counting(name):
+            check = getattr(solvers, name)
 
-        monkeypatch.setattr(solvers, "_check_mu_L_eta", counting)
-        for evaluate in (lambda: contraction_bound("gd", 0.9, 1.0, 0.1),
-                         lambda: contraction_bound("eg", 0.9, 1.0, 0.1),
-                         lambda: eg_contraction_coefficient(0.9, 1.0, np.array([0.1, 0.2]))):
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return check(*args)
+            return counted
+
+        for name in ("_check_method", "_check_mu_L_eta", "_check_eta"):
+            monkeypatch.setattr(solvers, name, counting(name))
+        method, mu_L_eta, eta = "_check_method", "_check_mu_L_eta", "_check_eta"
+        z, zp = np.array([[1.0]]), np.array([[0.0]])
+        for evaluate, want in (
+                (lambda: contraction_bound("gd", 0.9, 1.0, 0.1), {method, mu_L_eta, eta}),
+                (lambda: contraction_bound("eg", 0.9, 1.0, 0.1), {method, mu_L_eta, eta}),
+                (lambda: eg_contraction_coefficient(0.9, 1.0, np.array([0.1, 0.2])),
+                 {mu_L_eta, eta}),
+                (lambda: in_gd_stability_range(0.1, 0.9, 1.0), {mu_L_eta, eta}),
+                (lambda: admissible_eta(0.9, 1.0, "gd"), {method, mu_L_eta}),
+                (lambda: admissible_eta(0.9, 1.0, "eg"), {method, mu_L_eta}),
+                (lambda: contraction_ratio(IDENTITY, z, zp, 0.1, "gd"), {method, eta}),
+                (lambda: contraction_ratio(IDENTITY, z, zp, 0.1, "eg"), {method, eta}),
+                (lambda: SolverConfig("eg", 0.1, 5), {method, eta})):
             calls.clear()
             evaluate()
-            assert len(calls) == 1
+            assert calls == dict.fromkeys(want, 1)
+
+    def test_unknown_method_is_rejected_everywhere(self):
+        z, zp = np.array([[1.0]]), np.array([[0.0]])
+        for evaluate in (lambda: contraction_bound("gdx", 0.9, 1.0, 0.1),
+                         lambda: contraction_ratio(IDENTITY, z, zp, 0.1, "gdx"),
+                         lambda: admissible_eta(0.9, 1.0, "gdx"),
+                         lambda: SolverConfig("gdx", 0.1, 5)):
+            with pytest.raises(ValueError, match="method must be 'gd' or 'eg', got 'gdx'"):
+                evaluate()
+
+    @pytest.mark.parametrize("L", [0.0, np.inf])
+    def test_admissible_eta_checks_L_before_dividing_by_it(self, L):
+        # the eg grid's pitch 1e-4 / L is a division by zero or a zero step
+        for method in ("gd", "eg"):
+            with pytest.raises(ValueError, match="need 0 < mu <= L < inf"):
+                admissible_eta(0.5, L, method)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eta_is_rejected(self, eta):
+        for evaluate in (lambda: SolverConfig("gd", eta, 5),
+                         lambda: contraction_bound("gd", 0.9, 1.0, eta),
+                         lambda: contraction_bound("eg", 0.9, 1.0, eta),
+                         lambda: in_gd_stability_range(eta, 0.9, 1.0)):
+            with pytest.raises(ValueError, match="eta must be positive"):
+                evaluate()
+
+    @pytest.mark.parametrize("method", ["gd", "eg"])
+    def test_overflowing_ceiling_raises_naming_eta(self, method):
+        # gd's eta ** 2 overflows and eg's c(eta) is inf - inf: no ceiling,
+        # rather than an OverflowError or a ceiling of 0.0
+        with pytest.raises(ValueError, match=r"not finite at eta=1e\+200"):
+            contraction_bound(method, 0.5, 1.0, 1e200)
+
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(method=st.one_of(st.sampled_from(["gd", "eg"]), st.text(max_size=3)),
+           mu=st.floats(), L=st.floats(), eta=st.floats())
+    @example(method="gd", mu=0.5, L=1.0, eta=1e200)
+    @example(method="eg", mu=0.5, L=1.0, eta=1e200)
+    @example(method="eg", mu=1e-300, L=1e300, eta=1e-300)
+    @example(method="gd", mu=5e-324, L=5e-324, eta=1e300)
+    def test_contraction_bound_is_a_finite_float_or_a_value_error(self, method, mu, L, eta):
+        try:
+            got = contraction_bound(method, mu, L, eta)
+        except ValueError:
+            got = None
+        else:
+            assert isinstance(got, float) and math.isfinite(got)
+        if method not in ("gd", "eg") or not (0.0 < mu <= L) or \
+                not (0.0 < eta < math.inf):
+            assert got is None
+            return
+        # the per-method formulas as written before their one home, where finite
+        try:
+            if method == "gd":
+                squared = 1.0 - 2.0 * eta * mu + eta ** 2 * L ** 2
+            else:
+                e = np.asarray(eta, dtype=float)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    squared = float(2.0 - 2.0 * e * mu + e ** 4 * L ** 4
+                                    - (2.0 * e * mu + 1.0)
+                                    * (1.0 - 2.0 * e * L + e ** 2 * mu ** 2))
+        except OverflowError:
+            squared = math.inf
+        if math.isfinite(squared):
+            assert got == math.sqrt(max(0.0, squared))
+        else:
+            assert got is None
 
     def test_stability_range(self):
         assert in_gd_stability_range(0.1, 1.0, 1.0)
