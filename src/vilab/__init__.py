@@ -20,5 +20,4 @@ from .problems import (NoiseModel, ProblemConstants, QuadraticGame,
                        sample_dataset, sampled_constants, spectral_norm)
 from .solvers import (SolverConfig, Trajectory, admissible_eta,
                       contraction_bound, contraction_ratio,
-                      eg_contraction_coefficient, eg_step, gd_step,
                       in_gd_stability_range, run)

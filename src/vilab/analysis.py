@@ -385,7 +385,7 @@ def _evaluate_kind(problem, domain, kind: str, Z: np.ndarray) -> np.ndarray:
     if kind == "gap":
         return np.atleast_1d(gap(problem, domain, Z))
     if kind == "weak_gap":
-        return np.atleast_1d(weak_gap(problem, problem, Z))
+        return np.atleast_1d(weak_gap(problem, Z))
     return np.atleast_1d(potential_gap(problem, Z))
 
 
@@ -489,7 +489,7 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
     def g(z, w):
         """g(z, zeta) over the noise draws, with w = w*(z)."""
         noisy = e if E is None else np.einsum("nij,j->ni", E, z)
-        return (game.evaluate(z) + noisy) @ (z - w)
+        return (game(z) + noisy) @ (z - w)
 
     W = best_response(game, zs)
     gstar = g(zs[0], W[0])

@@ -182,8 +182,10 @@ class Ball(Domain):
     def __post_init__(self):
         self.center_point = np.atleast_1d(np.asarray(self.center_point, dtype=float))
         self.radius = float(self.radius)
-        if self.radius <= 0.0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
+        if not np.all(np.isfinite(self.center_point)):
+            raise ValueError(f"ball center must be finite, got {self.center_point}")
         self.dim = self.center_point.shape[0]
 
     def project(self, z, out=None) -> np.ndarray:
@@ -241,8 +243,8 @@ class Box(Domain):
         self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if self.lower.shape != self.upper.shape:
             raise ValueError("box bounds must share a shape")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("box requires lower < upper coordinatewise")
+        if not np.all(np.isfinite(self.lower) & (self.lower < self.upper) & np.isfinite(self.upper)):
+            raise ValueError("box requires finite bounds with lower < upper coordinatewise")
         self.dim = self.lower.shape[0]
 
     def project(self, z, out=None) -> np.ndarray:

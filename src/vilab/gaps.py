@@ -3,12 +3,13 @@
 * strong (dual) gap:      Err(z)  = max_{u in Z} <F(z), z - u>, computed
   exactly through the domain's linear minimization oracle;
 * weak gap:               <F(z), z - w*(z)> with w*(z) stacking each
-  player's best response to z_{-i};
+  player's best response to z_{-i} (weak_gap takes the game's own F);
 * potential gap:          sum_i [f_i(z) - f_i(w_i(z), z_{-i})].
 
 For per-player-convex games these nest:  potential <= weak <= strong gap
-pointwise (exactly, for quadratics). Empirical variants replace F by the
-dataset average; best responses always come from the true game.
+pointwise (exactly, for quadratics). gap_report's empirical variants
+replace F by the dataset average; best responses always come from the true
+game.
 
 All evaluators accept batches (..., dim) and return (...) arrays (floats for
 single points).
@@ -102,10 +103,10 @@ def _projected_best_response(Q: np.ndarray, lin: np.ndarray, sub: Domain,
     )
 
 
-def weak_gap(F: Callable, game: QuadraticGame, z):
-    """<F(z), z - w*(z)> with true-game best responses (which check z); F may be empirical."""
+def weak_gap(game: QuadraticGame, z):
+    """<F(z), z - w*(z)> of the game's own operator F, best_response checking z."""
     z = np.asarray(z, dtype=float)
-    return _weak_gap_at(F, z, best_response(game, z))
+    return _weak_gap_at(game, z, best_response(game, z))
 
 
 def _weak_gap_at(F: Callable, z: np.ndarray, w: np.ndarray):

@@ -52,9 +52,13 @@ def _stream(seed, key) -> np.random.Generator:
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value via power iteration on M^T M, run until the
     Rayleigh quotient moves by <= 1e-10 relative (at most 50,000 steps) from
-    a fixed pseudo-random start, so results are deterministic. Tested
-    against numpy's SVD."""
+    a fixed pseudo-random start, so results are deterministic. M is first
+    scaled, exactly, by the power of two that puts max |M| in [0.5, 1), so
+    M^T M cannot overflow or flush to zero; the result is scaled back.
+    Tested against numpy's SVD."""
     M = np.asarray(M, dtype=float)
+    _, scale = math.frexp(max(float(M.max()), -float(M.min())))
+    M = np.ldexp(M, -scale)
     B = M.T @ M
     d = B.shape[0]
     v = _stream(0, ()).standard_normal(d)
@@ -71,7 +75,7 @@ def spectral_norm(M: np.ndarray) -> float:
             lam = lam_new
             break
         lam = lam_new
-    return math.sqrt(max(lam, 0.0))
+    return math.ldexp(math.sqrt(max(lam, 0.0)), scale)
 
 
 def monotonicity_modulus(M: np.ndarray) -> float:
@@ -111,10 +115,8 @@ class QuadraticOperator:
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
-    def evaluate(self, z) -> np.ndarray:
+    def __call__(self, z) -> np.ndarray:
         return _apply_affine(self.matrix, self.offset, np.asarray(z, dtype=float))
-
-    __call__ = evaluate
 
     def as_operator(self) -> "QuadraticOperator":
         return self
@@ -180,8 +182,8 @@ class NoiseModel:
         if self.kind not in ("offset", "matrix"):
             raise ValueError(f"noise kind must be 'offset' or 'matrix', got {self.kind!r}")
         self.magnitude = float(self.magnitude)
-        if self.magnitude < 0.0:
-            raise ValueError(f"noise magnitude must be >= 0, got {self.magnitude}")
+        if not 0.0 <= self.magnitude < math.inf:
+            raise ValueError(f"noise magnitude must be finite and >= 0, got {self.magnitude}")
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,7 @@ def constants(problem, domain: Optional[Domain] = None) -> ProblemConstants:
     if domain.dim != problem.dim:
         raise ValueError("domain dimension does not match the operator")
     mu = monotonicity_modulus(problem.matrix)
-    L = spectral_norm(problem.matrix)
+    L = max(spectral_norm(problem.matrix), mu)  # sigma_max >= mu; the iteration may end ulps low
     K = L * domain.max_point_norm() + float(np.linalg.norm(problem.offset))
     D = domain.diameter()
     if isinstance(problem, QuadraticGame):

@@ -1,4 +1,4 @@
-"""Gradient and extragradient step maps with their contraction certificates.
+"""The gradient and extragradient loop and its contraction certificates.
 
 For F(z) = Mz + b with mu = lambda_min(sym M) and L = sigma_max(M):
 
@@ -16,10 +16,11 @@ gd's range end 2 mu / L^2 (`_gd_eta_limit`) and each method's squared
 ceiling (`_squared_ratio`, ValueError where it is not finite), which
 contraction_bound(method, mu, L, eta) takes the square root of.
 
-Both step maps and `run` take batched iterates of shape (..., dim) and an
-affine operator with `matrix` and `offset`: a QuadraticOperator (also a
-per-row stack of them, the empirical operator of a dataset, and a
-QuadraticGame).
+`run` is the one gd/eg loop, and `contraction_ratio` takes one step of
+the same kernel from each of two points. Both take batched iterates of
+shape (..., dim) and an affine operator with `matrix` and `offset`: a
+QuadraticOperator (also a per-row stack of them, the empirical operator of
+a dataset, and a QuadraticGame).
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ def _check_method(method: str) -> None:
 
 
 def _check_eta(eta) -> None:
-    """Every step size (a scalar or an array of them) finite and positive."""
-    etas = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(etas) & (etas > 0.0)):
+    """Every step size finite and positive."""
+    if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
@@ -98,40 +98,26 @@ def _own_start(F, z) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(z, dtype=float), batch), order="C")
 
 
-def gd_step(F, z, eta: float):
-    z = _own_start(F, z)
-    return _step_into(F, z, eta, None, np.empty_like(z))
-
-
-def eg_step(F, z, eta: float):
-    z = _own_start(F, z)
-    return _step_into(F, z, eta, None, np.empty_like(z), np.empty_like(z))
-
-
 def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
     """Iterate the configured step map for T steps from z0 (domain center by
     default, broadcast against F's batch; the B rows advance in lockstep):
     the one gd/eg loop, its (B, dim) buffers allocated once per call.
 
     Raises NumericalError if an iterate norm exceeds the guard
-    1e6 * (1 + max ||z0||). Projected runs skip the check when
-    2 * domain.max_point_norm() < guard: their iterates lie in the domain or
-    are NaN, which never exceeds it."""
+    1e6 * (1 + max ||z0||)."""
     z = domain.center() if z0 is None else np.asarray(z0, dtype=float)
     if z.shape[-1] != domain.dim:
         raise ValueError(f"start point shape {z.shape} does not match domain dim {domain.dim}")
     z = _own_start(F, z)
     guard = DIVERGENCE_FACTOR * (1.0 + float(np.max(np.linalg.norm(z, axis=-1))))
     target = domain if config.projected else None
-    guarded = target is None or 2.0 * domain.max_point_norm() >= guard
     buf = np.empty_like(z)  # F values and the step; free again after each step
     half = np.empty_like(z) if config.method == "eg" else None
     for t in range(config.T):
         _step_into(F, z, config.eta, target, buf, half)
-        if guarded:
-            norms = np.sqrt(np.add.reduce(np.multiply(z, z, out=buf), axis=-1))
-            if float(np.max(norms)) > guard:
-                raise NumericalError(f"iterate norm exceeded divergence guard at step {t + 1}")
+        norms = np.sqrt(np.add.reduce(np.multiply(z, z, out=buf), axis=-1))
+        if float(np.max(norms)) > guard:
+            raise NumericalError(f"iterate norm exceeded divergence guard at step {t + 1}")
     return Trajectory(final=z, steps=config.T)
 
 
@@ -167,13 +153,6 @@ def _squared_ratio(method: str, mu: float, L: float, eta):
         raise ValueError(f"{method}'s contraction ceiling is not finite at eta={eta} "
                          f"(mu={mu}, L={L})")
     return squared
-
-
-def eg_contraction_coefficient(mu: float, L: float, eta):
-    """c(eta) bounding the SQUARED extragradient per-step ratio; accepts a
-    scalar or an array of etas (ValueError where c is not finite)."""
-    _check_mu_L_eta(mu, L, eta)
-    return _squared_ratio("eg", mu, L, eta)
 
 
 def contraction_bound(method: str, mu: float, L: float, eta: float) -> float:
@@ -225,5 +204,9 @@ def contraction_ratio(F, z, zp, eta: float, method: str = "gd"):
     gap = np.linalg.norm(z - zp, axis=-1)
     if np.any(gap == 0.0):
         raise ValueError("contraction ratio needs two distinct points")
-    step = gd_step if method == "gd" else eg_step
-    return np.linalg.norm(step(F, z, eta) - step(F, zp, eta), axis=-1) / gap
+    moved = []
+    for start in (z, zp):
+        start = _own_start(F, start)
+        half = np.empty_like(start) if method == "eg" else None
+        moved.append(_step_into(F, start, eta, None, np.empty_like(start), half))
+    return np.linalg.norm(moved[0] - moved[1], axis=-1) / gap

@@ -1,6 +1,7 @@
 """Brute-force oracles shared by the tests: dense domain grids, vertex lists,
-explicit l-inf covers, greedy packings, per-record operators, one written-out
-contraction ceiling per method, and small combinatorial utilities.
+explicit l-inf covers, greedy packings, per-record operators, one-step runs,
+one written-out contraction ceiling per method, and small combinatorial
+utilities.
 Intentionally slow and simple. Also the `pool_sizes` fixture, a spy on the
 thread pools the experiments build."""
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from vilab import (Ball, Box, Product, QuadraticOperator, SampledDataset, Simplex,
-                   eg_contraction_coefficient)
+                   SolverConfig, run)
 from vilab.problems import _draw_records
 
 _ORD = {"l1": 1, "l2": 2, "linf": np.inf}
@@ -119,15 +120,31 @@ def neighbour(problem, X, noise, j, seed):
     return SampledDataset(X.offsets, matrices)
 
 
+def one_step(method, op, z, eta):
+    """One unprojected gd or eg step from each row of z: a one-step run, whose
+    domain only fixes the dimension."""
+    return run(op, Ball(np.zeros(op.dim), 1.0), SolverConfig(method, eta, 1), z).final
+
+
 def gd_ratio_ceiling(mu, L, eta):
     """gd's per-step ratio ceiling sqrt(max(0, 1 - 2 eta mu + eta^2 L^2)),
     written out on its own."""
     return math.sqrt(max(0.0, 1.0 - 2.0 * eta * mu + eta ** 2 * L ** 2))
 
 
+def eg_squared_ceiling(mu, L, eta):
+    """eg's c(eta) = 2 - 2 eta mu + eta^4 L^4 - (2 eta mu + 1)(1 - 2 eta L +
+    eta^2 mu^2), written out on its own over a float64 array of etas (0-d for
+    one eta), term by term in the library's order, so the two agree bit for
+    bit."""
+    e = np.asarray(eta, dtype=float)
+    return (2.0 - 2.0 * e * mu + e ** 4 * L ** 4
+            - (2.0 * e * mu + 1.0) * (1.0 - 2.0 * e * L + e ** 2 * mu ** 2))
+
+
 def eg_ratio_ceiling(mu, L, eta):
-    """eg's per-step ratio ceiling sqrt(max(0, c(eta))), written out on its own."""
-    return math.sqrt(max(0.0, eg_contraction_coefficient(mu, L, eta)))
+    """eg's per-step ratio ceiling sqrt(max(0, c(eta))) at one eta."""
+    return math.sqrt(max(0.0, float(eg_squared_ceiling(mu, L, eta))))
 
 
 def bisection_monotone_matrix(rng, d, mu, L):

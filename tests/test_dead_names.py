@@ -13,6 +13,12 @@ property too) of a src/vilab class is dead when no .py file under src/vilab,
 demos/ or bench/ reads its attribute name outside the method itself. A read
 is a loaded attribute (`x.name`), or the bare name in a class-level
 statement such as `__call__ = evaluate`.
+
+The export check covers the program too: a name vilab/__init__.py
+re-exports is dead when no .py file under src/vilab (but __init__.py),
+demos/ or bench/ reads it outside its own definition. Here a read is a
+loaded name or `vilab.name`; an import is not one, so the re-export cannot
+keep a name alive that only the tests use.
 """
 
 import ast
@@ -136,3 +142,61 @@ def test_no_dead_methods():
     program = {str(p): p.read_text(encoding="utf-8")
                for d in CALLERS for p in sorted(d.rglob("*.py"))}
     assert dead_methods(library, program) == []
+
+
+def exported_names(init_source: str) -> dict:
+    """Each name an __init__.py re-exports -> the module it comes from."""
+    return {alias.asname or alias.name: node.module
+            for node in ast.parse(init_source).body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def loads(node: ast.AST) -> Counter:
+    """How often each name is loaded under `node`, as a bare name or as
+    `vilab.name`."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+              and isinstance(n.value, ast.Name) and n.value.id == "vilab"):
+            out[n.attr] += 1
+    return out
+
+
+def dead_exports(library: dict, program: dict) -> list:
+    """(module, name) of every re-export of `library` (file name -> source,
+    __init__.py included) that no other library file and no file of
+    `program` (the other program files -> source) loads outside the name's
+    own definition."""
+    exported = exported_names(library["__init__.py"])
+    trees = {name: ast.parse(src) for name, src in library.items() if name != "__init__.py"}
+    total = sum((loads(tree) for tree in trees.values()), Counter())
+    total = sum((loads(ast.parse(src)) for src in program.values()), total)
+    for name, module in exported.items():
+        node = defined_names(trees[f"{module}.py"]).get(name)
+        if node is not None:
+            total[name] -= loads(node)[name]
+    return sorted((module, name) for name, module in exported.items() if total[name] <= 0)
+
+
+def test_checker_sees_dead_exports():
+    library = {
+        "__init__.py": "from .a import used, attr_used, recurse, tested, imported\n",
+        "a.py": ("def used():\n    return 1\n\n"
+                 "def attr_used():\n    return 2\n\n"
+                 "def recurse(n):\n    return recurse(n - 1)\n\n"
+                 "def tested():\n    return 3\n\n"
+                 "def imported():\n    return 4\n"),
+        "b.py": "from .a import used, imported\n\nVALUE = used()\n",
+    }
+    program = {"demo.py": "import vilab\nprint(vilab.attr_used())\n"}
+    assert dead_exports(library, program) == [("a", "imported"), ("a", "recurse"),
+                                              ("a", "tested")]
+
+
+def test_no_dead_exports():
+    library = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    program = {str(p): p.read_text(encoding="utf-8")
+               for d in CALLERS for p in sorted(d.rglob("*.py"))}
+    assert dead_exports(library, program) == []

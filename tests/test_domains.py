@@ -472,3 +472,16 @@ class TestValidation:
             Box(np.array([0.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             Product(())
+
+    @pytest.mark.parametrize("center, radius", [
+        (np.zeros(2), np.inf), (np.zeros(2), np.nan), (np.array([np.nan, 0.0]), 1.0),
+        (np.array([0.0, np.inf]), 1.0)])
+    def test_ball_must_be_finite(self, center, radius):
+        with pytest.raises(ValueError, match="finite"):
+            Ball(center, radius)
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([-np.inf], [np.inf]), ([0.0, -np.inf], [1.0, 0.0]), ([0.0], [np.inf])])
+    def test_box_must_be_finite(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            Box(np.array(lower), np.array(upper))

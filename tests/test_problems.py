@@ -195,6 +195,15 @@ class TestConstants:
                 c.smoothness_ratio_sum, sum(Li / mi for mi, Li in c.per_player)
             )
 
+    @pytest.mark.parametrize("s", [1e-170, 1e-150, 1e150, 1e160])
+    def test_L_at_extreme_scales(self, s):
+        # M = s I: M^T M flushes to zero or overflows unless M is first
+        # scaled by a power of two; L, never below mu, then reads s to rounding
+        dom = Ball(np.zeros(2), 1.0)
+        c = constants(generate_operator(1, 2, s, s, domain=dom), dom)
+        assert c.L >= c.mu
+        assert abs(c.L - s) <= 3e-16 * s
+
     def test_needs_domain(self):
         op = QuadraticOperator(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
@@ -401,7 +410,6 @@ class TestGameIsOperator:
         cg, co = constants(g), constants(op, dom)
         assert (cg.mu, cg.L, cg.K, cg.D) == (co.mu, co.L, co.K, co.D)
         z = dom.sample(np.random.default_rng(1), 9)
-        assert np.array_equal(g.evaluate(z), op.evaluate(z))
         assert np.array_equal(g(z), op(z))
         for kind in ("offset", "matrix"):
             Xg, Xo = (sample_dataset(p, NoiseModel(kind, 0.2), 50, 3) for p in (g, op))
@@ -794,6 +802,12 @@ class TestDatasets:
             NoiseModel("offset", -0.1)
         with pytest.raises(ValueError):
             NoiseModel("gaussian", 0.1)
+
+    @pytest.mark.parametrize("kind", ["offset", "matrix"])
+    @pytest.mark.parametrize("magnitude", [np.nan, np.inf])
+    def test_non_finite_magnitude_is_rejected(self, kind, magnitude):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(kind, magnitude)
 
 
 class TestQuarticKernel:

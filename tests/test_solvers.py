@@ -21,19 +21,16 @@ from vilab import (
     constants,
     contraction_bound,
     contraction_ratio,
-    eg_contraction_coefficient,
-    eg_step,
     empirical_operator,
     exact_solution,
-    gd_step,
     generate_operator,
     in_gd_stability_range,
     run,
     sample_dataset,
 )
 
-from helpers import (eg_ratio_ceiling, gd_ratio_ceiling, neighbour, record_operator,
-                     vertices)
+from helpers import (eg_ratio_ceiling, eg_squared_ceiling, gd_ratio_ceiling, neighbour,
+                     one_step, record_operator, vertices)
 
 IDENTITY = QuadraticOperator(np.eye(1), np.zeros(1))
 
@@ -41,11 +38,11 @@ IDENTITY = QuadraticOperator(np.eye(1), np.zeros(1))
 class TestSteps:
     def test_gd_example(self):
         # F(z) = z, eta = 1/2: 2 -> 1
-        assert np.allclose(gd_step(IDENTITY, np.array([2.0]), 0.5), [1.0])
+        assert np.allclose(one_step("gd", IDENTITY, np.array([2.0]), 0.5), [1.0])
 
     def test_eg_example(self):
         # half point 0.5, full step 1 - 0.5*0.5 = 0.75
-        assert np.allclose(eg_step(IDENTITY, np.array([1.0]), 0.5), [0.75])
+        assert np.allclose(one_step("eg", IDENTITY, np.array([1.0]), 0.5), [0.75])
 
     def test_projected_steps_stay_feasible(self):
         box = Box(np.array([0.0]), np.array([1.0]))
@@ -59,11 +56,11 @@ class TestSteps:
         rng = np.random.default_rng(0)
         op = QuadraticOperator(rng.normal(size=(3, 3)), rng.normal(size=3))
         z = rng.normal(size=(10, 3))
-        g = gd_step(op, z, 0.1)
-        e = eg_step(op, z, 0.1)
+        g = one_step("gd", op, z, 0.1)
+        e = one_step("eg", op, z, 0.1)
         for i in range(10):
-            assert np.allclose(g[i], gd_step(op, z[i], 0.1))
-            assert np.allclose(e[i], eg_step(op, z[i], 0.1))
+            assert np.allclose(g[i], one_step("gd", op, z[i], 0.1))
+            assert np.allclose(e[i], one_step("eg", op, z[i], 0.1))
 
 
 class TestRun:
@@ -175,8 +172,8 @@ KERNEL_DOMAINS = {
 
 
 class TestBufferedKernel:
-    # run and the single steps write into reused buffers; every iterate must
-    # carry the same bits as the allocating formulas above
+    # run writes into reused buffers; every iterate must carry the same bits
+    # as the allocating formulas above
     @pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
     @pytest.mark.parametrize("method,projected", [("gd", False), ("gd", True),
                                                   ("eg", False), ("eg", True)])
@@ -202,15 +199,10 @@ class TestBufferedKernel:
                 got = run(op, dom, SolverConfig(method, eta, t, projected=projected), z0)
                 assert got.final.shape == batch and got.steps == t
                 assert np.array_equal(got.final, r)
-            if projected:  # a projected single step is a one-step projected run
-                one = run(op, dom, SolverConfig(method, eta, 1, projected=True), z0).final
-            else:
-                one = (gd_step if method == "gd" else eg_step)(op, z0, eta)
-            assert np.array_equal(one, ref[1])
 
     def test_guard_raises_on_projected_run_in_huge_ball(self):
-        # Ball(0, 1e7) is larger than the guard 1e6 * (1 + ||z0||), so a
-        # projected run still checks it; F = -I pushes outwards
+        # a projected run checks the guard 1e6 * (1 + ||z0||) too, and
+        # Ball(0, 1e7) lets its iterates pass it; F = -I pushes outwards
         dom = Ball(np.zeros(2), 1e7)
         op = QuadraticOperator(-np.eye(2), np.zeros(2))
         with pytest.raises(NumericalError):
@@ -248,7 +240,7 @@ class TestContractionBounds:
         assert np.isclose(contraction_bound("gd", 1.0, 2.0, 2.0 * 1.0 / 4.0), 1.0)
 
     def test_eg_frozen_values(self):
-        c = eg_contraction_coefficient(0.9, 1.0, 0.1)
+        c = solvers._squared_ratio("eg", 0.9, 1.0, 0.1)
         want = 2.0 - 0.18 + 1e-4 - 1.18 * (1.0 - 0.2 + 0.0081)
         assert np.isclose(c, want)
         assert np.isclose(c, 0.866542)
@@ -256,10 +248,10 @@ class TestContractionBounds:
 
     def test_eg_array_etas(self):
         etas = np.array([0.05, 0.1, 0.2])
-        cs = eg_contraction_coefficient(0.9, 1.0, etas)
+        cs = solvers._squared_ratio("eg", 0.9, 1.0, etas)
         assert cs.shape == (3,)
         for eta, c in zip(etas, cs):
-            assert np.isclose(c, eg_contraction_coefficient(0.9, 1.0, float(eta)))
+            assert np.isclose(c, solvers._squared_ratio("eg", 0.9, 1.0, float(eta)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -269,9 +261,7 @@ class TestContractionBounds:
         with pytest.raises(ValueError):
             contraction_bound("gd", 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            eg_contraction_coefficient(1.0, 1.0, -0.1)
-        with pytest.raises(ValueError, match="eta must be positive"):
-            eg_contraction_coefficient(1.0, 1.0, np.array([0.1, 0.0]))
+            contraction_bound("eg", 1.0, 1.0, -0.1)
         with pytest.raises(ValueError, match="need 0 < mu <= L"):
             contraction_bound("eg", 2.0, 1.0, 0.1)
 
@@ -295,8 +285,6 @@ class TestContractionBounds:
         for evaluate, want in (
                 (lambda: contraction_bound("gd", 0.9, 1.0, 0.1), {method, mu_L_eta, eta}),
                 (lambda: contraction_bound("eg", 0.9, 1.0, 0.1), {method, mu_L_eta, eta}),
-                (lambda: eg_contraction_coefficient(0.9, 1.0, np.array([0.1, 0.2])),
-                 {mu_L_eta, eta}),
                 (lambda: in_gd_stability_range(0.1, 0.9, 1.0), {mu_L_eta, eta}),
                 (lambda: admissible_eta(0.9, 1.0, "gd"), {method, mu_L_eta}),
                 (lambda: admissible_eta(0.9, 1.0, "eg"), {method, mu_L_eta}),
@@ -389,7 +377,7 @@ class TestContractionBounds:
         assert contraction_bound("gd", mu, L, eta) == gd_ratio_ceiling(mu, L, eta)
         eg = contraction_bound("eg", mu, L, eta)
         assert eg == eg_ratio_ceiling(mu, L, eta)
-        assert (eg < 1.0) == (eg_contraction_coefficient(mu, L, eta) < 1.0)
+        assert (eg < 1.0) == (eg_squared_ceiling(mu, L, eta) < 1.0)
 
     def test_admissible_gd_interval(self):
         lo, hi = admissible_eta(1.0, 2.0, "gd")
@@ -398,7 +386,7 @@ class TestContractionBounds:
     def test_admissible_eg_grid(self):
         etas = admissible_eta(0.9, 1.0, "eg")
         assert etas.size > 0
-        assert np.all(eg_contraction_coefficient(0.9, 1.0, etas) < 1.0)
+        assert np.all(eg_squared_ceiling(0.9, 1.0, etas) < 1.0)
         assert etas.min() > 0.0 and etas.max() <= 1.0 + 1e-12
 
     def test_admissible_eg_empty_below_half(self):
@@ -420,8 +408,9 @@ class TestMeasuredContraction:
         op = generate_operator(7, 4, 0.7, 2.0)
         rng = np.random.default_rng(8)
         z, w = rng.normal(size=(50, 4)), rng.normal(size=(50, 4))
-        for method, step in (("gd", gd_step), ("eg", eg_step)):
-            want = (np.linalg.norm(step(op, z, 0.3) - step(op, w, 0.3), axis=-1)
+        for method in ("gd", "eg"):
+            want = (np.linalg.norm(one_step(method, op, z, 0.3) - one_step(method, op, w, 0.3),
+                                   axis=-1)
                     / np.linalg.norm(z - w, axis=-1))
             got = contraction_ratio(op, z, w, 0.3, method)
             assert got.shape == (50,)
@@ -440,7 +429,8 @@ class TestMeasuredContraction:
                 bound = contraction_bound("gd", 0.7, 2.0, eta)
                 z = rng.normal(size=(200, 4))
                 w = rng.normal(size=(200, 4))
-                num = np.linalg.norm(gd_step(op, z, eta) - gd_step(op, w, eta), axis=-1)
+                num = np.linalg.norm(one_step("gd", op, z, eta) - one_step("gd", op, w, eta),
+                                     axis=-1)
                 den = np.linalg.norm(z - w, axis=-1)
                 assert np.all(num <= bound * den + 1e-9)
 
@@ -449,18 +439,19 @@ class TestMeasuredContraction:
         for seed in range(3):
             op = generate_operator(seed, 4, 0.9, 1.0)
             for eta in admissible_eta(0.9, 1.0, "eg")[:: 2500]:
-                c = eg_contraction_coefficient(0.9, 1.0, float(eta))
+                c = eg_squared_ceiling(0.9, 1.0, float(eta))
                 z = rng.normal(size=(200, 4))
                 w = rng.normal(size=(200, 4))
-                num = np.linalg.norm(eg_step(op, z, eta) - eg_step(op, w, eta), axis=-1)
+                num = np.linalg.norm(one_step("eg", op, z, eta) - one_step("eg", op, w, eta),
+                                     axis=-1)
                 den = np.linalg.norm(z - w, axis=-1)
                 assert np.all(num ** 2 <= c * den ** 2 + 1e-9)
 
     def test_solution_is_fixed_point(self):
         op = generate_operator(5, 3, 0.7, 2.0)
         z = exact_solution(op)
-        assert np.linalg.norm(gd_step(op, z, 0.2) - z) <= 1e-12
-        assert np.linalg.norm(eg_step(op, z, 0.2) - z) <= 1e-12
+        assert np.linalg.norm(one_step("gd", op, z, 0.2) - z) <= 1e-12
+        assert np.linalg.norm(one_step("eg", op, z, 0.2) - z) <= 1e-12
 
     def test_linear_convergence_to_solution(self):
         dom = Ball(np.zeros(3), 5.0)
