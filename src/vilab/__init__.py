@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .analysis import (BOUND_NOTE, BernsteinResult, StabilityResult, SweepResult,
                        bernstein_check, bernstein_constant, covering_bound,
                        evaluate_bounds, fit_loglog_slope, game_bound,
-                       generalization_sweep, quantile_fit_on, simplex_bound,
-                       stability_bound, stability_experiment, trial_dataset_seed)
+                       generalization_sweep, simplex_bound, stability_bound,
+                       stability_experiment, trial_dataset_seed)
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
                      InfeasiblePointError, NumericalError)

@@ -4,7 +4,9 @@ The measurement side runs neighbouring-dataset divergence experiments
 (stability_experiment, one n per call) and sweeps over dataset sizes
 (generalization_sweep, the whole n grid and its log-log fit in one call)
 that evaluate true gaps at each trial's empirical VI solution (solved for
-directly where a projected sweep allows, else trained); the closed-form
+directly where a projected sweep allows, else trained) and fit either the
+trials' mean (mode "mean") or the high-probability trace, their (1 - delta)
+quantile from at least 10/delta trials (mode "quantile"); the closed-form
 side evaluates the uniform-stability ceiling a run certifies,
 stability_bound (None when it certifies none; xi is eg's per-step ratio
 ceiling)
@@ -216,7 +218,7 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
         raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = [trial_dataset_seed(seed, n, t) for t in range(trials)]
     if neighbours:
-        offsets, matrices = _draw_records(problem, noise, 1, [s + [1] for s in seeds])
+        replacements = _draw_records(problem, noise, 1, [s + [1] for s in seeds])
 
     def block(lo: int, hi: int):
         ops, swapped = [], []
@@ -225,10 +227,7 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
             ops.append(empirical_operator(problem, X))
             if neighbours:
                 j = int(_stream(seeds[t], (9,)).integers(n))
-                if matrices is None:
-                    X.offsets[j] = offsets[t]
-                else:  # the zero offsets are shared by every record and stay as they are
-                    X.matrices[j] = matrices[t]
+                X.records[j] = replacements[t]
                 swapped.append(empirical_operator(problem, X))
             del X
         return ops, swapped
@@ -310,7 +309,7 @@ _TRAIN_TOL = 1e-8
 
 @dataclass(eq=False)
 class SweepResult:
-    fit_on: str
+    fit_on: str            # the fitted aggregate: "mean", or "q<1 - delta>" for a quantile
     per_n: list            # one row per n (generalization_sweep)
     slope: Optional[float]
     intercept: Optional[float]
@@ -379,6 +378,15 @@ def _empirical_solutions(F: QuadraticOperator, domain, config, T: int):
 
 # Each sweep kind, in the CLI's order, and whether it needs a game.
 _SWEEP_KINDS = {"gap": False, "weak_gap": True, "potential_gap": True}
+_MODES = ("mean", "quantile")  # what a sweep fits: the trials' mean or (1 - delta) quantile
+
+
+def _check_mode(mode: str, trials: int, delta: float) -> None:
+    """A mode of _MODES; estimating the (1 - delta) quantile needs >= 10/delta trials."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, _MODES))}, got {mode!r}")
+    if mode == "quantile" and trials < (needed := math.ceil(10.0 / delta)):
+        raise ValueError(f"quantile sweep at delta={delta} needs >= {needed} trials, got {trials}")
 
 
 def _evaluate_kind(problem, domain, kind: str, Z: np.ndarray) -> np.ndarray:
@@ -392,7 +400,7 @@ def _evaluate_kind(problem, domain, kind: str, Z: np.ndarray) -> np.ndarray:
 def generalization_sweep(problem, domain: Domain, config: SolverConfig,
                          noise: NoiseModel, n_grid, trials: int, seed: int,
                          kind: str = "gap", delta: float = 0.1,
-                         fit_on: str = "mean", workers: Optional[int] = None) -> SweepResult:
+                         mode: str = "mean", workers: Optional[int] = None) -> SweepResult:
     """For each dataset size n: sample `trials` datasets of size n (drawn on
     up to `workers` threads, None: the CPUs this process may use), find each
     one's empirical VI solution, and evaluate the true `kind` there.
@@ -401,10 +409,11 @@ def generalization_sweep(problem, domain: Domain, config: SolverConfig,
     Each row holds n, mean, std, quantiles (0.5, 0.9, 1-delta), values,
     `direct` (trials taken from the solve: all or none), `train_steps`
     (steps every trial trained, 0 when solved) and `failed`: the trials
-    whose training missed the tolerance. Then a log-log fit of the rows'
-    aggregate (the mean, or a stored quantile via fit_on="q0.9") against n;
-    when it fails, e.g. on a single n, its numbers are None and fit_error
-    holds the reason. Every argument is checked before anything is sampled."""
+    whose training missed the tolerance. Then a log-log fit against n of
+    the rows' mean (mode "mean") or their (1 - delta) quantile (mode
+    "quantile", which needs >= 10/delta trials); when it fails, e.g. on a
+    single n, its numbers are None and fit_error holds the reason. Every
+    argument is checked before anything is sampled."""
     if kind not in _SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
     if _SWEEP_KINDS[kind] and not isinstance(problem, QuadraticGame):
@@ -413,12 +422,9 @@ def generalization_sweep(problem, domain: Domain, config: SolverConfig,
         raise ValueError("sweeps need at least 2 trials per n")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    levels = {"0.5": 0.5, "0.9": 0.9, f"{1 - delta:g}": 1.0 - delta}
-    if fit_on != "mean" and not (fit_on.startswith("q") and fit_on[1:] in levels):
-        raise ValueError(
-            f"fit_on must be 'mean' or 'q<level>' for a stored level "
-            f"({', '.join(levels)}), got {fit_on!r}"
-        )
+    _check_mode(mode, trials, delta)
+    level = f"{1 - delta:g}"
+    levels = {"0.5": 0.5, "0.9": 0.9, level: 1.0 - delta}
     n_grid = tuple(int(n) for n in n_grid)
     if any(n < 1 for n in n_grid):
         raise ValueError("dataset sizes must be >= 1")
@@ -434,27 +440,16 @@ def generalization_sweep(problem, domain: Domain, config: SolverConfig,
         per_n.append({"n": n, "mean": float(values.mean()), "std": float(values.std()),
                       "quantiles": qs, "values": values, "direct": direct,
                       "train_steps": steps, "failed": failed})
-    agg = [row["mean"] if fit_on == "mean" else row["quantiles"][fit_on[1:]]
-           for row in per_n]
+    agg = [row["mean"] if mode == "mean" else row["quantiles"][level] for row in per_n]
     slope = intercept = r2 = fit_error = None
     try:
         slope, intercept, r2 = fit_loglog_slope(n_grid, agg)
     except ValueError as exc:
         fit_error = str(exc)
     failures = [{"n": row["n"], "trials": row["failed"]} for row in per_n if row["failed"]]
-    return SweepResult(fit_on=fit_on, per_n=per_n, slope=slope, intercept=intercept,
-                       r_squared=r2, failures=failures, fit_error=fit_error)
-
-
-def quantile_fit_on(trials: int, delta: float) -> str:
-    """fit_on for the high-probability (1-delta)-quantile trace. Estimating
-    that quantile needs >= 10/delta trials."""
-    needed = int(math.ceil(10.0 / delta))
-    if trials < needed:
-        raise ValueError(
-            f"quantile sweep at delta={delta} needs >= {needed} trials, got {trials}"
-        )
-    return f"q{1 - delta:g}"
+    return SweepResult(fit_on="mean" if mode == "mean" else f"q{level}", per_n=per_n,
+                       slope=slope, intercept=intercept, r_squared=r2, failures=failures,
+                       fit_error=fit_error)
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +479,11 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
     if z_samples > 1:
         zs.extend(game.domain.sample(rng, z_samples - 1))
     zs = np.asarray(zs)
-    e, E = _draw_records(game, noise, mc_samples, [[int(seed), 13]])
+    R = _draw_records(game, noise, mc_samples, [[int(seed), 13]])
 
     def g(z, w):
         """g(z, zeta) over the noise draws, with w = w*(z)."""
-        noisy = e if E is None else np.einsum("nij,j->ni", E, z)
+        noisy = R if R.ndim == 2 else np.einsum("nij,j->ni", R, z)
         return (game(z) + noisy) @ (z - w)
 
     W = best_response(game, zs)

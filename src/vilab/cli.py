@@ -5,7 +5,7 @@ Subcommands
 solve        train on one sampled dataset, report a gap report
 contraction  measured per-step contraction ratios vs closed-form ceilings
 stability    neighbouring-dataset divergence vs the stability bound
-sweep        generalization rate over dataset sizes (mean or quantile)
+sweep        generalization rate over dataset sizes (mode: mean or quantile)
 bernstein    Bernstein-condition check on a quadratic game
 
 Shared flags: --config PATH (JSON), --out-dir DIR, --workers N, --seed S.
@@ -35,15 +35,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (_SWEEP_KINDS, _default_workers, bernstein_check, check_gd_eta,
-                       evaluate_bounds, generalization_sweep, quantile_fit_on,
+from .analysis import (_MODES, _SWEEP_KINDS, _check_mode, _default_workers,
+                       bernstein_check, check_gd_eta, evaluate_bounds, generalization_sweep,
                        stability_experiment, trial_dataset_seed)
 from .charts import log_log_chart
 from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import (BoundViolationError, ConfigError, GenerationError,
                      InfeasiblePointError, NumericalError)
 from .gaps import gap_report
-from .problems import (NoiseModel, _stream, constants, empirical_operator,
+from .problems import (_NOISE_KINDS, NoiseModel, _stream, constants, empirical_operator,
                        generate_game, generate_operator, sample_dataset)
 from .solvers import (_METHODS, SolverConfig, admissible_eta, contraction_bound,
                       contraction_ratio, in_gd_stability_range, run)
@@ -148,7 +148,7 @@ _DOMAINS = {
 _DOMAIN = _tagged(_DOMAINS)
 _DOMAINS["product"] = {"factors": ([_DOMAIN, None], _COUNT, _REQUIRED)}
 
-_NOISE = {"kind": (("offset", "matrix"), None, _REQUIRED),
+_NOISE = {"kind": (_NOISE_KINDS, None, _REQUIRED),
           "magnitude": (float, _NONNEGATIVE, _REQUIRED)}
 _INSTANCE = {"seed": (int, _NONNEGATIVE, 0),
              "noise": (_NOISE, None, {"kind": "offset", "magnitude": 0.0}),
@@ -172,7 +172,7 @@ _EXPERIMENTS = {
                   "trials": (int, _COUNT, _REQUIRED)},
     "sweep": {"n_grid": ([int, _COUNT], _PAIR, _REQUIRED), "trials": (int, _PAIR, _REQUIRED),
               "kind": (tuple(_SWEEP_KINDS), None, "gap"),
-              "mode": (("mean", "quantile"), None, "mean"),
+              "mode": (_MODES, None, "mean"),
               "delta": (float, "(0, 1)", 0.1)},
     "bernstein": {"z_samples": (int, _COUNT, _REQUIRED),
                   "mc_samples": (int, _PAIR, _REQUIRED)},
@@ -255,8 +255,8 @@ def normalize_config(cfg: dict, command: str, seed_override=None) -> dict:
     exp = cfg["experiment"]
     if _SWEEP_KINDS[exp.get("kind", "gap")] and p["kind"] != "game":
         raise ConfigError(f"'experiment.kind' {exp['kind']!r} requires 'problem.kind' = 'game'")
-    if exp.get("mode") == "quantile":
-        quantile_fit_on(exp["trials"], exp["delta"])  # the quantile's trial floor
+    if command == "sweep":  # the library's mode check, with its quantile trial floor
+        _check_mode(exp["mode"], exp["trials"], exp["delta"])
     _problem_domain(p)
     if seed_override is not None:
         p["seed"] = _value(int, _NONNEGATIVE, seed_override, "--seed")
@@ -470,10 +470,9 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
     problem, domain, noise, consts = built
     exp = cfg["experiment"]
     n_grid, kind = exp["n_grid"], exp["kind"]
-    fit_on = quantile_fit_on(exp["trials"], exp["delta"]) if exp["mode"] == "quantile" \
-        else "mean"
     res = generalization_sweep(problem, domain, sc, noise, n_grid, exp["trials"],
-                               cfg["problem"]["seed"], kind, exp["delta"], fit_on, args.workers)
+                               cfg["problem"]["seed"], kind, exp["delta"], exp["mode"],
+                               args.workers)
     per_n = res.per_n
     rows = [(row["n"], t, v, kind)
             for row in per_n for t, v in enumerate(row["values"])]
@@ -501,7 +500,7 @@ def cmd_sweep(args, cfg, built, sc) -> _Outcome:
         _atomic_write(os.path.join(args.out_dir, cfg["output"]["svg"]),
                       log_log_chart(series, title=f"{kind} vs dataset size",
                                     xlabel="n", ylabel=kind))
-    results = {"kind": kind, "fit_on": fit_on, "per_n": per_n,
+    results = {"kind": kind, "fit_on": res.fit_on, "per_n": per_n,
                "slope": res.slope, "intercept": res.intercept, "r_squared": res.r_squared,
                "fit_error": res.fit_error, "bounds_per_n": bounds_per_n}
     return _Outcome(results, (n_grid[0], "experiment.n_grid[0]", True),

@@ -6,7 +6,7 @@ C_i z_{-i} + b_i into one operator; the per-player potentials
 f_i(z) = 1/2 z_i^T Q_i z_i + z_i^T (C_i z_{-i} + b_i) make the stack
 conservative player by player.
 
-Noisy samples come in two unbiased flavours:
+Noisy samples come in two unbiased kinds (_NOISE_KINDS):
 
 * offset:  Xi(z, zeta_i) = F(z) + e_i, e_i uniform in a centered ball of
   radius `magnitude` (monotonicity and smoothness of each sample are exact);
@@ -19,11 +19,11 @@ Noisy samples come in two unbiased flavours:
   records are recomputed), and for t > 4 from one batched eigvalsh of the
   Gram stack (about 1e-15).
 
-Record i of a dataset is a deterministic function of (seed, i), so two
-datasets from the same seed agree record by record and a neighbouring
-dataset is formed by redrawing one record without touching the others.
-Offset records on a simplex are the exception: the BLAS product into its
-tangent subspace has last bits that depend on the record count.
+A dataset is one array of records, (n, d) offsets e_i or (n, d, d) matrices
+E_i. Record i is a deterministic function of (seed, i), so datasets from one
+seed agree record by record and a neighbour redraws one record, leaving the
+others. Offset records on a simplex are the exception: the BLAS product into
+its tangent subspace has last bits that depend on the record count.
 
 Operators built on a simplex keep its tangent subspace invariant and the
 noise is drawn inside that subspace, so every sampled operator still has its
@@ -42,6 +42,7 @@ from .domains import Ball, Box, Domain, Product, Simplex
 from .errors import GenerationError, InfeasiblePointError, NumericalError
 
 _REJECTION_BUDGET = 1000
+_NOISE_KINDS = ("offset", "matrix")
 
 
 def _stream(seed, key) -> np.random.Generator:
@@ -49,16 +50,21 @@ def _stream(seed, key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _prescaled(a) -> tuple:
+    """(a / 2^scale, scale) with max |a / 2^scale| in [0.5, 1): an exact
+    scaling, after which squares cannot overflow or flush to zero."""
+    a = np.asarray(a, dtype=float)
+    _, scale = math.frexp(max(float(a.max()), -float(a.min())))
+    return np.ldexp(a, -scale), scale
+
+
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value via power iteration on M^T M, run until the
     Rayleigh quotient moves by <= 1e-10 relative (at most 50,000 steps) from
     a fixed pseudo-random start, so results are deterministic. M is first
-    scaled, exactly, by the power of two that puts max |M| in [0.5, 1), so
-    M^T M cannot overflow or flush to zero; the result is scaled back.
-    Tested against numpy's SVD."""
-    M = np.asarray(M, dtype=float)
-    _, scale = math.frexp(max(float(M.max()), -float(M.min())))
-    M = np.ldexp(M, -scale)
+    prescaled (_prescaled) and the result scaled back. Tested against
+    numpy's SVD."""
+    M, scale = _prescaled(M)
     B = M.T @ M
     d = B.shape[0]
     v = _stream(0, ()).standard_normal(d)
@@ -179,8 +185,9 @@ class NoiseModel:
     magnitude: float
 
     def __post_init__(self):
-        if self.kind not in ("offset", "matrix"):
-            raise ValueError(f"noise kind must be 'offset' or 'matrix', got {self.kind!r}")
+        if self.kind not in _NOISE_KINDS:
+            raise ValueError(f"noise kind must be {' or '.join(map(repr, _NOISE_KINDS))}, "
+                             f"got {self.kind!r}")
         self.magnitude = float(self.magnitude)
         if not 0.0 <= self.magnitude < math.inf:
             raise ValueError(f"noise magnitude must be finite and >= 0, got {self.magnitude}")
@@ -206,7 +213,7 @@ def constants(problem, domain: Optional[Domain] = None) -> ProblemConstants:
 
     K = sigma_max(M) * max_{z in Z} ||z|| + ||b|| is a certified upper bound
     on sup_Z ||F||; the point-norm max is vertex-exact for boxes/simplexes
-    and closed-form for balls.
+    and closed-form for balls, and ||b|| is taken prescaled (_prescaled).
     """
     if domain is None:
         domain = getattr(problem, "domain", None)
@@ -216,7 +223,8 @@ def constants(problem, domain: Optional[Domain] = None) -> ProblemConstants:
         raise ValueError("domain dimension does not match the operator")
     mu = monotonicity_modulus(problem.matrix)
     L = max(spectral_norm(problem.matrix), mu)  # sigma_max >= mu; the iteration may end ulps low
-    K = L * domain.max_point_norm() + float(np.linalg.norm(problem.offset))
+    b, scale = _prescaled(problem.offset)
+    K = L * domain.max_point_norm() + math.ldexp(float(np.linalg.norm(b)), scale)
     D = domain.diameter()
     if isinstance(problem, QuadraticGame):
         per = []
@@ -370,8 +378,8 @@ def generate_operator(
         domain = Ball(np.zeros(d), 1.0)
     if domain.dim != d:
         raise ValueError(f"domain dim {domain.dim} != requested d {d}")
-    if not 0.0 < mu_target <= L_target:
-        raise GenerationError(f"need 0 < mu <= L, got mu={mu_target}, L={L_target}")
+    if not 0.0 < mu_target <= L_target < math.inf:
+        raise GenerationError(f"need 0 < mu <= L < inf, got mu={mu_target}, L={L_target}")
     rng = _stream(seed, ())
     if isinstance(domain, Simplex):
         basis = domain.tangent_basis()  # (d-1, d) orthonormal rows
@@ -413,8 +421,10 @@ def generate_game(
     dims = tuple(int(x) for x in dims)
     if len(dims) != k:
         raise ValueError(f"expected {k} player dims, got {len(dims)}")
-    if mu_target <= 0.0:
-        raise ValueError("mu_target must be positive")
+    if not 0.0 < mu_target < math.inf:
+        raise ValueError(f"mu_target must be positive and finite, got {mu_target}")
+    if not math.isfinite(coupling_strength):
+        raise ValueError(f"coupling_strength must be finite, got {coupling_strength}")
     if domain is None:
         domain = Product(tuple(Box(-np.ones(di), np.ones(di)) for di in dims))
     if not isinstance(domain, Product) or [f.dim for f in domain.factors] != list(dims):
@@ -655,35 +665,32 @@ def _draw_matrices(seeds, count: int, dim: int, magnitude: float,
 
 @dataclass(eq=False)
 class SampledDataset:
-    """n noisy operator samples: record i is (E_i, e_i) added to (M, b)."""
+    """n noisy operator samples: record i is e_i added to b, or E_i added to M."""
 
-    offsets: np.ndarray            # (n, d); a read-only zero broadcast for matrix noise
-    matrices: Optional[np.ndarray]  # (n, d, d) for matrix noise, else None
+    records: np.ndarray  # (n, d) offsets or (n, d, d) matrix perturbations
 
     @property
     def n(self) -> int:
-        return self.offsets.shape[0]
+        return self.records.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.offsets.shape[1]
+        return self.records.shape[-1]
 
 
-def _draw_records(problem, noise: NoiseModel, count: int, seeds):
-    """(offsets, matrices) of `count` records from each seed in `seeds`, in order."""
+def _draw_records(problem, noise: NoiseModel, count: int, seeds) -> np.ndarray:
+    """The `count` records of each seed in `seeds`, in order."""
     d, basis = problem.dim, problem.tangent_basis
     if noise.kind == "offset":
         e = [_draw_offsets(seed, count, d, noise.magnitude, basis) for seed in seeds]
-        return (e[0] if len(e) == 1 else np.concatenate(e)), None
-    E = _draw_matrices(seeds, count, d, noise.magnitude, basis, problem.matrix)
-    # read-only zero offsets; no (n, d) buffer for a noise kind that has none
-    return np.broadcast_to(np.zeros(d), (len(E), d)), E
+        return e[0] if len(e) == 1 else np.concatenate(e)
+    return _draw_matrices(seeds, count, d, noise.magnitude, basis, problem.matrix)
 
 
 def sample_dataset(problem, noise: NoiseModel, n: int, seed: int) -> SampledDataset:
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
-    return SampledDataset(*_draw_records(problem, noise, n, [seed]))
+    return SampledDataset(_draw_records(problem, noise, n, [seed]))
 
 
 def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:
@@ -691,10 +698,8 @@ def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:
     the average is too: evaluating it equals averaging record evaluations."""
     if X.dim != problem.dim:
         raise ValueError("dataset dimension does not match the operator")
-    if X.matrices is None:
-        M, e = problem.matrix, X.offsets.mean(axis=0)
-    else:  # zero offsets; b + 0.0 is a fresh array where a -0.0 of b reads +0.0
-        M, e = problem.matrix + X.matrices.mean(axis=0), np.zeros(X.dim)
+    mean = X.records.mean(axis=0)  # b + 0.0 is a fresh array where a -0.0 of b reads +0.0
+    M, e = (problem.matrix, mean) if mean.ndim == 1 else (problem.matrix + mean, 0.0)
     return QuadraticOperator(M, problem.offset + e, problem.tangent_basis)
 
 

@@ -103,21 +103,17 @@ def min_dist_to_set(points, anchors, norm="l2"):
 
 
 def record_operator(problem, X, j):
-    """Record j's sampled operator (M + E_j) z + b + e_j, built from scratch."""
-    M = problem.matrix if X.matrices is None else problem.matrix + X.matrices[j]
-    return QuadraticOperator(M, problem.offset + X.offsets[j])
+    """Record j's sampled operator (M + E_j) z + b or M z + b + e_j, built from scratch."""
+    if X.records.ndim == 2:
+        return QuadraticOperator(problem.matrix, problem.offset + X.records[j])
+    return QuadraticOperator(problem.matrix + X.records[j], problem.offset)
 
 
 def neighbour(problem, X, noise, j, seed):
     """A copy of X with record j redrawn from `seed`; X is left as it is."""
-    new_offsets, new_matrices = _draw_records(problem, noise, 1, [seed])
-    if X.matrices is None:
-        offsets = X.offsets.copy()
-        offsets[j] = new_offsets[0]
-        return SampledDataset(offsets, None)
-    matrices = X.matrices.copy()
-    matrices[j] = new_matrices[0]
-    return SampledDataset(X.offsets, matrices)
+    records = X.records.copy()
+    records[j] = _draw_records(problem, noise, 1, [seed])[0]
+    return SampledDataset(records)
 
 
 def one_step(method, op, z, eta):

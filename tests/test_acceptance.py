@@ -33,7 +33,6 @@ from vilab import (
     generate_game,
     generate_operator,
     potential_gap,
-    quantile_fit_on,
     run,
     sample_dataset,
     stability_experiment,
@@ -216,7 +215,7 @@ def test_criterion_06_high_probability_quantile_rate():
                                NoiseModel("offset", 0.1),
                                (64, 128, 256, 512, 1024), 200, 29,
                                kind="weak_gap", delta=0.1,
-                               fit_on=quantile_fit_on(200, 0.1))
+                               mode="quantile")
     elapsed = time.time() - started
     assert res.failures == []
     assert res.fit_on == "q0.9"
@@ -334,11 +333,11 @@ def test_criterion_09_certificates_and_growth():
         Xp = neighbour(op, X, noise, j, seed=4)
         emp, empp = empirical_operator(op, X), empirical_operator(op, Xp)
         # shared part: the n-1 common records, scaled by 1/n
-        if X.matrices is None:
+        if noise.kind == "offset":
             shared = (1.0 - 1.0 / n) * op.matrix
         else:
             shared = ((1.0 - 1.0 / n) * op.matrix
-                      + (X.matrices.sum(axis=0) - X.matrices[j]) / n)
+                      + (X.records.sum(axis=0) - X.records[j]) / n)
         xi = np.linalg.norm(np.eye(3) - eta * shared, 2)
         sup_in = eta / n * np.linalg.norm(record_operator(op, X, j)(verts), axis=-1).max()
         sup_out = eta / n * np.linalg.norm(record_operator(op, Xp, j)(verts), axis=-1).max()

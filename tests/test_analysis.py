@@ -31,7 +31,6 @@ from vilab import (
     generalization_sweep,
     generate_game,
     generate_operator,
-    quantile_fit_on,
     run,
     sample_dataset,
     sampled_constants,
@@ -315,16 +314,14 @@ class TestStabilityExperiment:
 
         def keeping(*args, **kwargs):
             X = sample_dataset(*args, **kwargs)
-            drawn.append((X, X.offsets.copy(), None if X.matrices is None else X.matrices.copy()))
+            drawn.append((X, X.records.copy()))
             return X
 
         monkeypatch.setattr("vilab.analysis.sample_dataset", keeping)
         _trial_operators(op, noise, n, seed, trials, neighbours=True)
         assert len(drawn) == trials
-        for X, offsets, matrices in drawn:
-            changed = np.any(X.offsets != offsets, axis=-1)
-            if kind == "matrix":
-                changed |= np.any(X.matrices != matrices, axis=(1, 2))
+        for X, records in drawn:
+            changed = np.any(X.records != records, axis=tuple(range(1, records.ndim)))
             assert changed.sum() == 1
 
     def test_matrix_neighbours_take_one_norm_call(self, monkeypatch):
@@ -444,8 +441,8 @@ class TestGeneralizationSweep:
         dom = Ball(np.zeros(2), 1.0)
         op = generate_operator(5, 2, 0.8, 1.6, domain=dom)
         res = generalization_sweep(op, dom, SolverConfig("gd", 0.2, 1),
-                                   NoiseModel("offset", 0.2), (16, 64, 256), 25, 0,
-                                   fit_on="q0.9")
+                                   NoiseModel("offset", 0.2), (16, 64, 256), 100, 0,
+                                   mode="quantile")
         assert res.fit_on == "q0.9"
         assert res.slope is not None and res.slope < 0.0
 
@@ -461,7 +458,7 @@ class TestGeneralizationSweep:
         with pytest.raises(ValueError):
             generalization_sweep(op, dom, cfg, noise, (8, 0), 5, 0)
         with pytest.raises(ValueError):
-            generalization_sweep(op, dom, cfg, noise, (8, 16), 5, 0, fit_on="best")
+            generalization_sweep(op, dom, cfg, noise, (8, 16), 5, 0, mode="best")
         with pytest.raises(ValueError):
             generalization_sweep(op, dom, cfg, noise, (8, 16), 5, 0, kind="weak_gap")
 
@@ -487,24 +484,26 @@ class TestGeneralizationSweep:
         noise = NoiseModel("offset", 0.1)
         with pytest.raises(ValueError):
             generalization_sweep(game, game.domain, cfg, noise, (16, 32), 19, 0,
-                                 delta=0.5, fit_on=quantile_fit_on(19, 0.5))
+                                 delta=0.5, mode="quantile")
         res = generalization_sweep(game, game.domain, cfg, noise, (16, 32), 20, 0,
-                                   delta=0.5, fit_on=quantile_fit_on(20, 0.5))
+                                   delta=0.5, mode="quantile")
         assert res.fit_on == "q0.5"
 
-    def test_fit_on_checked_before_sampling(self, monkeypatch):
+    @pytest.mark.parametrize("mode, trials, message", [
+        ("bogus", 5, "mode must be"), ("q0.9", 5, "mode must be"),
+        # the 0.9 quantile needs >= 10/0.1 trials
+        ("quantile", 2, "needs >= 100 trials, got 2")])
+    def test_mode_checked_before_sampling(self, monkeypatch, mode, trials, message):
         dom = Ball(np.zeros(2), 1.0)
         op = generate_operator(6, 2, 0.8, 1.6, domain=dom)
 
         def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before fit_on was checked")
+            raise AssertionError("sampled before mode was checked")
 
         monkeypatch.setattr("vilab.analysis.sample_dataset", no_sampling)
-        for fit_on in ("bogus", "q0.7"):
-            with pytest.raises(ValueError, match="fit_on"):
-                generalization_sweep(op, dom, SolverConfig("gd", 0.2, 1),
-                                     NoiseModel("offset", 0.1), (8, 16), 5, 0,
-                                     fit_on=fit_on)
+        with pytest.raises(ValueError, match=message):
+            generalization_sweep(op, dom, SolverConfig("gd", 0.2, 1),
+                                 NoiseModel("offset", 0.1), (8, 16), trials, 0, mode=mode)
 
     def test_kind_checked_before_sampling(self, monkeypatch):
         dom = Ball(np.zeros(2), 1.0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vilab import (BoundViolationError, ConfigError, NumericalError, SolverConfig,
-                   generalization_sweep, quantile_fit_on)
+                   generalization_sweep)
 from vilab import cli
 from vilab.analysis import _SWEEP_KINDS
 from vilab.cli import build_problem, load_config, main, normalize_config
@@ -666,11 +666,9 @@ class TestSweepDriver:
         cfg = load_config(path, "sweep")
         problem, domain, noise = build_problem(cfg)
         exp = cfg["experiment"]
-        fit_on = quantile_fit_on(exp["trials"], exp["delta"]) \
-            if exp["mode"] == "quantile" else "mean"
         ref = generalization_sweep(problem, domain, SolverConfig(**cfg["solver"]), noise,
                                    exp["n_grid"], exp["trials"], cfg["problem"]["seed"],
-                                   exp["kind"], exp["delta"], fit_on, workers)
+                                   exp["kind"], exp["delta"], exp["mode"], workers)
         assert (res["fit_on"], res["slope"], res["intercept"], res["r_squared"],
                 res["fit_error"]) == (ref.fit_on, ref.slope, ref.intercept,
                                       ref.r_squared, ref.fit_error)
@@ -749,22 +747,26 @@ class TestReproducibility:
     def test_sample_configs_match_the_pinned_digests(self, tmp_path):
         # the benchmark's same-bytes gate, digested as bench/workloads.py's
         # cli_output_digest does: the CSV, or solve's summary without its
-        # manifest (which holds wall time)
+        # manifest (which holds wall time); like bench/run.py, every config
+        # runs at --workers 1 and the three it reruns at --workers 2 must
+        # give the same pinned digests there too
         pinned = json.loads((ROOT / "bench" / "reference" / "cli_sha256.json").read_text())
         assert len(pinned) == 6
+        runs = [(stem, 1) for stem in pinned]
+        runs += [(stem, 2) for stem in ("stability_ball", "sweep_game", "sweep_simplex")]
         got = {}
-        for stem in pinned:
-            command, out = stem.split("_")[0], tmp_path / stem
+        for stem, workers in runs:
+            command, out = stem.split("_")[0], tmp_path / f"{stem}-w{workers}"
             assert main([command, "--config", str(CONFIG_DIR / f"{stem}.json"),
-                         "--out-dir", str(out), "--workers", "1"]) == 0
+                         "--out-dir", str(out), "--workers", str(workers)]) == 0
             if command == "solve":
                 summary = json.loads((out / "solve_summary.json").read_text())
                 summary.pop("manifest")
                 data = json.dumps(summary, sort_keys=True, separators=(",", ":")).encode()
             else:
                 data = (out / f"{command}.csv").read_bytes()
-            got[stem] = hashlib.sha256(data).hexdigest()
-        assert got == pinned
+            got[stem, workers] = hashlib.sha256(data).hexdigest()
+        assert got == {(stem, workers): pinned[stem] for stem, workers in runs}
 
     def test_thread_pool_has_no_more_threads_than_trials(self, tmp_path, pool_sizes):
         # the calling thread draws one block of trials itself, so a pool holds

@@ -126,8 +126,8 @@ class TestGapsAtTheSolvedRoot:
         for kind in ("offset", "matrix"):
             X = sample_dataset(op, NoiseModel(kind, 0.02), n, seed=52)
             z_hat = exact_solution(empirical_operator(op, X), domain)
-            e = (X.offsets.mean(axis=0) if X.matrices is None
-                 else X.matrices.mean(axis=0) @ z_hat)
+            mean = X.records.mean(axis=0)
+            e = mean if kind == "offset" else mean @ z_hat
             if corners is None:  # ball: max_u <e, u> = <e, c> + r ||e||
                 support = e @ domain.center_point + domain.radius * np.linalg.norm(e)
             else:

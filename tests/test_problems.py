@@ -1,4 +1,6 @@
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +197,19 @@ class TestConstants:
                 c.smoothness_ratio_sum, sum(Li / mi for mi, Li in c.per_player)
             )
 
+    @pytest.mark.parametrize("s", [1e-170, 1e155, 1e160])
+    def test_K_at_extreme_scales(self, s):
+        # ||b|| squares b's entries: unscaled, they overflow at 1e155 (K = inf)
+        # or flush to zero at 1e-170 (K < ||b||); prescaled, K reads 1.3797 s
+        dom = Ball(np.zeros(2), 1.0)
+        op = generate_operator(1, 2, s, s, domain=dom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = constants(op, dom)
+        assert math.isfinite(c.K)
+        assert c.K >= math.hypot(*op.offset.tolist())
+        assert abs(c.K - 1.3797 * s) <= 1e-4 * s
+
     @pytest.mark.parametrize("s", [1e-170, 1e-150, 1e150, 1e160])
     def test_L_at_extreme_scales(self, s):
         # M = s I: M^T M flushes to zero or overflows unless M is first
@@ -280,6 +295,14 @@ class TestGenerateOperator:
             generate_operator(16, 3, 0.0, 1.0)
         with pytest.raises(GenerationError):
             generate_operator(16, 3, 2.0, 1.0)
+
+    @pytest.mark.parametrize("mu, L", [(0.5, math.inf), (0.5, math.nan), (math.nan, 1.0),
+                                       (math.inf, math.inf)])
+    def test_non_finite_targets_rejected(self, mu, L):
+        # refused before any draw, where an infinite L would end in numpy's
+        # uniform() with OverflowError
+        with pytest.raises(GenerationError, match="L < inf"):
+            generate_operator(0, 2, mu, L)
 
     def test_simplex_structure(self):
         dom = Simplex(3)
@@ -413,9 +436,7 @@ class TestGameIsOperator:
         assert np.array_equal(g(z), op(z))
         for kind in ("offset", "matrix"):
             Xg, Xo = (sample_dataset(p, NoiseModel(kind, 0.2), 50, 3) for p in (g, op))
-            assert np.array_equal(Xg.offsets, Xo.offsets)
-            assert (Xg.matrices is None and Xo.matrices is None) or \
-                np.array_equal(Xg.matrices, Xo.matrices)
+            assert np.array_equal(Xg.records, Xo.records)
         for method in ("gd", "eg"):
             for projected in (False, True):
                 cfg = SolverConfig(method, 0.1, 30, projected=projected)
@@ -464,6 +485,20 @@ class TestGenerateGame:
         with pytest.raises(ValueError):
             generate_game(25, 2, 2, -1.0, 0.3)
 
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_non_finite_mu_rejected(self, mu):
+        # refused before any draw, where an infinite mu would end in numpy's
+        # uniform() with OverflowError
+        with pytest.raises(ValueError, match="mu_target must be positive and finite"):
+            generate_game(0, 2, 1, mu, 0.3)
+
+    @pytest.mark.parametrize("coupling", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coupling_rejected(self, coupling):
+        # refused up front, where an infinite coupling would run the halving
+        # loop on nan entries and end in GenerationError (achieved nan)
+        with pytest.raises(ValueError, match="coupling_strength must be finite"):
+            generate_game(0, 2, 1, 0.5, coupling)
+
     @pytest.mark.parametrize("seed, k, dims, coupling", [
         (0, 2, 1, 0.3), (1, 3, 2, 0.4), (2, 3, (1, 2, 3), 0.4), (3, 4, (3, 1, 2, 1), 5.0),
         (4, 3, (2, 1, 3), 100.0), (5, 3, (1, 2, 3), 0.0), (6, 2, (2, 3), -0.7),
@@ -496,9 +531,8 @@ class TestDatasets:
         op = generate_operator(30, 3, 0.5, 1.5)
         noise = NoiseModel("offset", 0.2)
         X = sample_dataset(op, noise, 500, seed=7)
-        assert X.offsets.shape == (500, 3)
-        assert X.matrices is None
-        norms = np.linalg.norm(X.offsets, axis=-1)
+        assert X.records.shape == (500, 3)
+        norms = np.linalg.norm(X.records, axis=-1)
         assert norms.max() <= 0.2 + 1e-12
         assert norms.min() > 0.0
 
@@ -509,11 +543,8 @@ class TestDatasets:
             a = sample_dataset(op, noise, 40, seed=9)
             b = sample_dataset(op, noise, 40, seed=9)
             big = sample_dataset(op, noise, 80, seed=9)
-            assert np.array_equal(a.offsets, b.offsets)
-            assert np.array_equal(a.offsets, big.offsets[:40])
-            if noise.kind == "matrix":
-                assert np.array_equal(a.matrices, b.matrices)
-                assert np.array_equal(a.matrices, big.matrices[:40])
+            assert np.array_equal(a.records, b.records)
+            assert np.array_equal(a.records, big.records[:40])
 
     @pytest.mark.xfail(strict=True, reason="offset records on a simplex go through "
                        "`e @ basis`, a BLAS product whose bits depend on the record count")
@@ -522,25 +553,25 @@ class TestDatasets:
         for dom in (Simplex(4), Simplex(19)):
             op = generate_operator(31, dom.dim, 0.5, 1.5, dom)
             for seed in range(20):
-                many = sample_dataset(op, noise, 4096, seed=seed).offsets
+                many = sample_dataset(op, noise, 4096, seed=seed).records
                 for n in (1, 17):
-                    assert np.array_equal(sample_dataset(op, noise, n, seed=seed).offsets,
+                    assert np.array_equal(sample_dataset(op, noise, n, seed=seed).records,
                                           many[:n])
 
     def test_mean_offset_concentrates(self):
         op = generate_operator(32, 4, 0.5, 1.5)
         X = sample_dataset(op, NoiseModel("offset", 1.0), 100_000, seed=10)
         # E||mean|| ~ magnitude * sqrt(d/n); 5x that is a comfortable ceiling
-        assert np.linalg.norm(X.offsets.mean(axis=0)) <= 5.0 * np.sqrt(4.0 / 100_000)
+        assert np.linalg.norm(X.records.mean(axis=0)) <= 5.0 * np.sqrt(4.0 / 100_000)
 
     def test_matrix_records_certified(self):
         op = generate_operator(33, 3, 1.0, 2.0)
         X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
-        norms = np.linalg.norm(X.matrices, ord=2, axis=(1, 2))
+        norms = np.linalg.norm(X.records, ord=2, axis=(1, 2))
         assert np.allclose(norms, 0.9, atol=1e-12)
         # the mu/2 floor held for every record even though rejections fired
         for i in range(X.n):
-            lam = monotonicity_modulus(op.matrix + X.matrices[i])
+            lam = monotonicity_modulus(op.matrix + X.records[i])
             assert lam >= 0.5 - 1e-12
 
     def test_matrix_floor_check_skipped_below_half_mu(self, monkeypatch):
@@ -562,9 +593,9 @@ class TestDatasets:
         G = np.random.default_rng(
             np.random.SeedSequence(18, spawn_key=(0,))).standard_normal((300, 3, 3))
         # a replaced record would differ by O(magnitude)
-        assert np.allclose(X.matrices, self._svd_normalised(G, magnitude),
+        assert np.allclose(X.records, self._svd_normalised(G, magnitude),
                            rtol=0.0, atol=1e-13 * magnitude)
-        for E in X.matrices:
+        for E in X.records:
             assert monotonicity_modulus(op.matrix + E) >= 0.5 * mu
         # at mu/2 Weyl no longer clears the floor, so every record is checked
         sample_dataset(op, NoiseModel("matrix", 0.5 * mu), 300, seed=18)
@@ -577,13 +608,13 @@ class TestDatasets:
 
     def _assert_svd_agrees(self, X, magnitude, G=None, basis=None):
         # oracle: numpy's SVD, independent of the Gram route the sampler uses
-        norms = np.linalg.norm(X.matrices, 2, axis=(-2, -1))
+        norms = np.linalg.norm(X.records, 2, axis=(-2, -1))
         assert np.allclose(norms, magnitude, rtol=1e-12, atol=0.0)
         if G is not None:
             want = self._svd_normalised(G, magnitude)
             if basis is not None:
                 want = np.einsum("ti,ntu,uj->nij", basis, want, basis)
-            assert np.allclose(X.matrices, want, rtol=0.0, atol=1e-13 * magnitude)
+            assert np.allclose(X.records, want, rtol=0.0, atol=1e-13 * magnitude)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 32])
     def test_matrix_normalisation_matches_svd(self, d):
@@ -623,7 +654,7 @@ class TestDatasets:
             redrawn += attempt > 0
         assert redrawn > 0
         self._assert_svd_agrees(X, 0.9)
-        assert np.allclose(X.matrices, want, rtol=0.0, atol=1e-13 * 0.9)
+        assert np.allclose(X.records, want, rtol=0.0, atol=1e-13 * 0.9)
 
     @pytest.mark.parametrize("seed, d, mu, magnitude, n", [
         (33, 3, 1.0, 0.9, 300),   # the instance of test_matrix_records_certified
@@ -663,12 +694,12 @@ class TestDatasets:
         below_floor = problems._below_floor
         monkeypatch.setattr(problems, "_below_floor",
                             lambda *args: (rounds.append(1), below_floor(*args))[1])
-        many = sample_dataset(op, noise, 4096, seed=25).matrices
+        many = sample_dataset(op, noise, 4096, seed=25).records
         assert len(rounds) > 2
         lam = np.linalg.eigvalsh(sym + 0.5 * (many + np.transpose(many, (0, 2, 1))))[:, 0]
         assert lam.min() >= floor
         for n in (1, 2, 3, 17, 64, 1000):
-            assert np.array_equal(sample_dataset(op, noise, n, seed=25).matrices, many[:n])
+            assert np.array_equal(sample_dataset(op, noise, n, seed=25).records, many[:n])
 
     def test_matrix_record_zero_independent_of_n(self):
         # the quartic kernel's records at t = 4 (a d = 4 ball) and t = 3 (the
@@ -677,9 +708,9 @@ class TestDatasets:
         ball_op = generate_operator(43, 4, 0.8, 1.6)
         for op in (ball_op, generate_operator(43, 4, 0.8, 1.6, Simplex(3))):
             for seed in range(21, 41):
-                many = sample_dataset(op, noise, 4096, seed=seed).matrices
+                many = sample_dataset(op, noise, 4096, seed=seed).records
                 for n in (1, 17):
-                    assert np.array_equal(sample_dataset(op, noise, n, seed=seed).matrices,
+                    assert np.array_equal(sample_dataset(op, noise, n, seed=seed).records,
                                           many[:n])
 
     def test_matrix_redraw_is_normalised_as_inside_a_batch(self):
@@ -698,7 +729,7 @@ class TestDatasets:
             s = np.sqrt(np.maximum(problems._quartic_lambda_max(block), 0.0))
             return 0.9 * block / np.maximum(s, 1e-300)[:, None, None]
 
-        redrawn = np.flatnonzero(np.any(X.matrices != normalised(G), axis=(1, 2)))
+        redrawn = np.flatnonzero(np.any(X.records != normalised(G), axis=(1, 2)))
         assert redrawn.size > 0
         for i in redrawn:
             for attempt in range(200):
@@ -707,7 +738,7 @@ class TestDatasets:
                 cand = normalised(G)[i]
                 if np.linalg.eigvalsh(sym + 0.5 * (cand + cand.T))[0] >= floor:
                     break
-            assert np.array_equal(X.matrices[i], cand)
+            assert np.array_equal(X.records[i], cand)
             assert np.array_equal(normalised(G[i:i + 1])[0], cand)
 
     def test_matrix_noise_makes_no_svd_call(self, monkeypatch):
@@ -729,7 +760,7 @@ class TestDatasets:
         sample_dataset(simplex_op, NoiseModel("matrix", 0.3), 50, seed=22)
         assert calls == []
         # the counter does see the SVD route the sampler used to take
-        np.linalg.norm(X.matrices, 2, axis=(-2, -1))
+        np.linalg.norm(X.records, 2, axis=(-2, -1))
         assert calls == [1]
 
     def test_matrix_norm_route_by_block_size(self, monkeypatch):
@@ -753,11 +784,9 @@ class TestDatasets:
         op = generate_operator(46, 3, 1.0, 2.0)
         noise = NoiseModel("matrix", 0.2)
         X = sample_dataset(op, noise, 50, seed=23)
-        assert X.offsets.shape == (50, 3)
-        assert np.all(X.offsets == 0.0)
-        assert X.offsets.strides[0] == 0
-        assert not X.offsets.flags.writeable
-        # a stability neighbour swaps a matrix in place and keeps the broadcast
+        # a matrix-noise dataset holds no offset array: its one array is the matrices
+        assert [a.shape for a in vars(X).values()] == [(50, 3, 3)]
+        # a stability neighbour swaps a matrix in place and still holds no offsets
         drawn = []
 
         def keeping(*args):
@@ -767,8 +796,7 @@ class TestDatasets:
         monkeypatch.setattr("vilab.analysis.sample_dataset", keeping)
         _trial_operators(op, noise, 50, 23, 1, neighbours=True)
         (swapped,) = drawn
-        assert swapped.offsets.strides[0] == 0
-        assert not swapped.offsets.flags.writeable
+        assert [a.shape for a in vars(swapped).values()] == [(50, 3, 3)]
         assert np.array_equal(empirical_operator(op, X).offset, op.offset)
 
     def test_matrix_floor_unreachable(self):
@@ -781,16 +809,16 @@ class TestDatasets:
     def test_zero_magnitude(self):
         op = generate_operator(35, 3, 0.5, 1.5)
         X = sample_dataset(op, NoiseModel("offset", 0.0), 10, seed=13)
-        assert np.all(X.offsets == 0.0)
+        assert np.all(X.records == 0.0)
 
     def test_simplex_noise_stays_tangent(self):
         dom = Simplex(3)
         op = generate_operator(38, dom.dim, 0.8, 2.0, domain=dom)
         X = sample_dataset(op, NoiseModel("offset", 0.3), 200, seed=16)
-        assert np.abs(X.offsets.sum(axis=-1)).max() <= 1e-12
+        assert np.abs(X.records.sum(axis=-1)).max() <= 1e-12
         Xm = sample_dataset(op, NoiseModel("matrix", 0.3), 50, seed=17)
         ones = np.ones(dom.dim)
-        for E in Xm.matrices:
+        for E in Xm.records:
             assert np.abs(E @ ones).max() <= 1e-12
             assert np.abs(ones @ E).max() <= 1e-12
 
@@ -869,7 +897,7 @@ class TestQuarticKernel:
 
         op = generate_operator(43, 4, 0.8, 1.6)  # drawn before the patch: it needs uniform
         monkeypatch.setattr(problems, "_stream", with_a_zero_record)
-        E = sample_dataset(op, NoiseModel("matrix", 0.2), 3, seed=21).matrices
+        E = sample_dataset(op, NoiseModel("matrix", 0.2), 3, seed=21).records
         assert np.all(np.isfinite(E))
         assert not E[1].any()
         assert np.allclose(np.linalg.norm(E[[0, 2]], 2, axis=(-2, -1)), 0.2, rtol=1e-13, atol=0.0)
