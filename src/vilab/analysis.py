@@ -6,20 +6,13 @@ The measurement side runs neighbouring-dataset divergence experiments
 that evaluate true gaps at each trial's empirical VI solution (solved for
 directly where a projected sweep allows, else trained) and fit either the
 trials' mean (mode "mean") or the high-probability trace, their (1 - delta)
-quantile from at least 10/delta trials (mode "quantile"); the closed-form
-side evaluates the uniform-stability ceiling a run certifies,
-stability_bound (None when it certifies none; xi is eg's per-step ratio
-ceiling)
-
-    gd:  ||z_T - z_T'|| <= 2K / (n (2 mu - eta L^2)),   0 < eta < 2 mu/L^2,
-    eg:  ||z_T - z_T'|| <= 2 eta K (1 + eta L) / (n (1 - xi)),   xi < 1 (unprojected),
-
-and the order-level generalization bounds driven by that stability constant
-gamma: a covering-number bound min_r [K r + (L D + K) gamma log N(r)], the
-simplex bound (L + K) gamma log d, the game bound gamma (2 D L +
-K sum_i L_i/mu_i), and the Bernstein constant B = (L D + K (1 +
-sum_i L_i/mu_i))^2. Hidden constants are set to 1 and every bound is labeled
-order-level; these are comparison curves, not certificates.
+quantile from at least 10/delta trials (mode "quantile"). The closed-form
+side evaluates order-level bounds driven by the stability constant gamma
+that solvers.stability_bound certifies: a covering-number bound min_r [K r
++ (L D + K) gamma log N(r)], the simplex bound (L + K) gamma log d, the
+game bound gamma (2 D L + K sum_i L_i/mu_i), and the Bernstein constant B =
+(L D + K (1 + sum_i L_i/mu_i))^2. Hidden constants are set to 1; these are
+comparison curves, not certificates.
 
 All randomness is keyed by (base_seed, n, trial), so a trial's outcome does
 not depend on execution order and parallel scheduling cannot change results:
@@ -43,8 +36,8 @@ from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame, QuadraticOperator,
                        _draw_records, _stream, constants, empirical_operator,
                        exact_solution, sample_dataset, sampled_constants)
-from .solvers import (SolverConfig, admissible_eta, contraction_bound, in_gd_stability_range,
-                      run)
+from .solvers import (SolverConfig, _gate_eta, _stability_limit, contraction_bound, run,
+                      stability_bound)
 
 BOUND_NOTE = "order-level: hidden constants set to 1"
 
@@ -52,40 +45,6 @@ BOUND_NOTE = "order-level: hidden constants set to 1"
 # ---------------------------------------------------------------------------
 # closed-form bounds
 # ---------------------------------------------------------------------------
-
-
-def stability_bound(config: SolverConfig, consts: ProblemConstants, n: int) -> Optional[float]:
-    """The ceiling on ||z_T - z_T'|| that `config` certifies for neighbouring
-    datasets of size n whose operators satisfy `consts`, or None.
-
-    One record moves the empirical operator by at most 2K/n, so a step
-    widens the divergence by at most 2 eta K/n (gd) or 2 eta K (1 + eta L)/n
-    (eg), and a per-step ratio xi < 1 sums the widenings to at most
-    widening/(1 - xi). Unprojected eg with xi < 1 reports exactly that. gd
-    with 0 < eta < 2 mu/L^2 reports 2K/(n(2 mu - eta L^2)) = 2 eta K/(n(1 -
-    xi^2)), lower by the factor 1 + xi (a known defect, recorded by the
-    strict xfail test_gd_bound_holds_under_heavy_noise).
-    Projected eg, eg with xi >= 1 and gd outside that range certify nothing.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    eta, K, mu, L = config.eta, consts.K, consts.mu, consts.L
-    if config.method == "gd":
-        if not in_gd_stability_range(eta, mu, L):
-            return None
-        return 2.0 * K / (n * (2.0 * mu - eta * L ** 2))
-    if config.projected or (xi := contraction_bound("eg", mu, L, eta)) >= 1.0:
-        return None
-    return 2.0 * eta * K * (1.0 + eta * L) / (n * (1.0 - xi))
-
-
-def _stability_limit(method: str, consts: ProblemConstants, n: int) -> Optional[float]:
-    """The eta -> 0 limit of `method`'s stability_bound: K/(n mu) for gd;
-    2K/(n(2 mu - L)) for eg (xi = 1 - eta(2 mu - L) + O(eta^2)), None if 2 mu <= L."""
-    K, mu, L = consts.K, consts.mu, consts.L
-    if method == "gd":
-        return K / (n * mu)
-    return 2.0 * K / (n * (2.0 * mu - L)) if 2.0 * mu > L else None
 
 
 def covering_bound(consts: ProblemConstants, gamma: float, domain: Domain, r_grid) -> float:
@@ -264,15 +223,10 @@ class StabilityResult:
 def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseModel,
                  domain: Domain) -> ProblemConstants:
     """The constants every sampled operator satisfies (sampled_constants);
-    ConfigError when gd's eta lies outside their stability range (0, 2 mu / L^2)."""
+    ConfigError when gd's eta lies outside their range (solvers._gate_eta)."""
     w = sampled_constants(consts, noise, domain)
-    if config.method == "gd" and not in_gd_stability_range(config.eta, w.mu, w.L):
-        noisy = "" if noise.kind == "offset" else \
-            f" (matrix noise certifies mu={w.mu:.6g}, L={w.L:.6g})"
-        raise ConfigError(
-            f"eta exceeds 2*mu/L^2: eta={config.eta}, "
-            f"limit={admissible_eta(w.mu, w.L, 'gd')[1]:.6g}{noisy}"
-        )
+    _gate_eta(config, w.mu, w.L, "" if noise.kind == "offset" else
+              f" (matrix noise certifies mu={w.mu:.6g}, L={w.L:.6g})")
     return w
 
 

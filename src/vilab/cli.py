@@ -25,6 +25,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -45,8 +46,8 @@ from .errors import (BoundViolationError, ConfigError, GenerationError,
 from .gaps import gap_report
 from .problems import (_NOISE_KINDS, NoiseModel, _stream, constants, empirical_operator,
                        generate_game, generate_operator, sample_dataset)
-from .solvers import (_METHODS, SolverConfig, admissible_eta, contraction_bound,
-                      contraction_ratio, in_gd_stability_range, run)
+from .solvers import (_METHODS, SolverConfig, _ceiling_gated, _default_eta_grid,
+                      admissible_eta, contraction_bound, contraction_ratio, run)
 
 # ---------------------------------------------------------------------------
 # config schema
@@ -257,6 +258,10 @@ def normalize_config(cfg: dict, command: str, seed_override=None) -> dict:
         raise ConfigError(f"'experiment.kind' {exp['kind']!r} requires 'problem.kind' = 'game'")
     if command == "sweep":  # the library's mode check, with its quantile trial floor
         _check_mode(exp["mode"], exp["trials"], exp["delta"])
+    out = cfg["output"]  # one file per output: no write replaces another
+    for a, b in itertools.combinations(out, 2):
+        if out[a] == out[b]:
+            raise ConfigError(f"'output.{a}' and 'output.{b}' name the same file {out[a]!r}")
     _problem_domain(p)
     if seed_override is not None:
         p["seed"] = _value(int, _NONNEGATIVE, seed_override, "--seed")
@@ -396,22 +401,11 @@ def cmd_solve(args, cfg, built, sc) -> _Outcome:
         "gap_report": dataclasses.asdict(report),
         "diagnostics": {
             "method": sc.method, "eta": sc.eta, "n": n,
-            "gd_stability_range": in_gd_stability_range(sc.eta, w.mu, w.L),
+            "gd_stability_range": sc.eta < admissible_eta(w.mu, w.L, "gd")[1],
             "contraction_bound": contraction_bound(sc.method, w.mu, w.L, sc.eta),
         },
     }
     return _Outcome(results, (n, None, None))
-
-
-def _default_eta_grid(method: str, mu: float, L: float):
-    adm = admissible_eta(mu, L, method)
-    if method == "gd":
-        return [f * adm[1] for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    if adm.size == 0:
-        # nothing contractive; still measure a few points against the ceiling
-        return [f / L for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    idx = np.unique(np.linspace(0, adm.size - 1, min(24, adm.size)).astype(int))
-    return [float(adm[i]) for i in idx]
 
 
 def cmd_contraction(args, cfg, built, sc) -> _Outcome:
@@ -432,7 +426,7 @@ def cmd_contraction(args, cfg, built, sc) -> _Outcome:
         # the ceiling first: it raises before any step at an eta it cannot bound
         bound = contraction_bound(sc.method, consts.mu, consts.L, eta)
         measured = float(np.max(contraction_ratio(problem, Z1, Z2, eta, sc.method)))
-        gated = sc.method == "gd" or bound < 1.0
+        gated = _ceiling_gated(sc.method, bound)
         violated = gated and measured > bound + 1e-9
         violations += int(violated)
         rows.append((eta, sc.method, measured, bound, int(Z1.shape[0])))

@@ -99,6 +99,31 @@ def run_cli(tmp_path, command, cfg, out="out", workers=1, extra=()):
     return code, out_dir
 
 
+def summary_bytes(out_dir, command) -> bytes:
+    """`command`'s summary in out_dir without its manifest (which holds wall
+    time), as canonical JSON bytes."""
+    summary = json.loads((out_dir / f"{command}_summary.json").read_text())
+    summary.pop("manifest")
+    return json.dumps(summary, sort_keys=True, separators=(",", ":")).encode()
+
+
+@pytest.fixture(scope="module")
+def sample_runs(tmp_path_factory):
+    """Each sample config's output directory, keyed (stem, workers): like
+    bench/run.py, every config at --workers 1, and the three it reruns at
+    --workers 2."""
+    root = tmp_path_factory.mktemp("samples")
+    stems = sorted(path.stem for path in CONFIG_DIR.glob("*.json"))
+    runs = [(stem, 1) for stem in stems]
+    runs += [(stem, 2) for stem in ("stability_ball", "sweep_game", "sweep_simplex")]
+    out = {}
+    for stem, workers in runs:
+        out[stem, workers] = root / f"{stem}-w{workers}"
+        assert main([stem.split("_")[0], "--config", str(CONFIG_DIR / f"{stem}.json"),
+                     "--out-dir", str(out[stem, workers]), "--workers", str(workers)]) == 0
+    return out
+
+
 class TestConfigValidation:
     # complete solve configs: the experiment's required keys are checked too
     def test_unknown_key_is_named(self):
@@ -249,6 +274,25 @@ def test_output_names_are_bare_file_names(tmp_path, capsys, key, name):
     # nothing written: only the config file sits in tmp_path
     assert not out_dir.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["sweep_out.json"]
+
+
+@pytest.mark.parametrize("command,output,keys", [
+    ("stability", {"csv": "x.out", "json": "x.out"}, ("csv", "json")),
+    ("stability", {"csv": "stability_summary.json"}, ("csv", "json")),  # json's default
+    ("sweep", {"csv": "x.out", "json": "x.out"}, ("csv", "json")),
+    ("sweep", {"csv": "x.out", "svg": "x.out"}, ("csv", "svg")),
+    ("sweep", {"json": "x.out", "svg": "x.out"}, ("json", "svg"))],
+    ids=["stability-csv-json", "stability-csv-default-json", "sweep-csv-json",
+         "sweep-csv-svg", "sweep-json-svg"])
+def test_output_names_that_collide_exit_2(tmp_path, capsys, command, output, keys):
+    # the later write would silently replace the earlier one
+    cfg = op_config(experiment={"n_grid": [16, 64], "trials": 4}, output=output)
+    code, out_dir = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    first, second = keys
+    assert f"'output.{first}' and 'output.{second}' name the same file" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -744,7 +788,7 @@ class TestReproducibility:
             assert (dir_serial / f"{command}.csv").read_bytes() == \
                 (dir_par / f"{command}.csv").read_bytes()
 
-    def test_sample_configs_match_the_pinned_digests(self, tmp_path):
+    def test_sample_configs_match_the_pinned_digests(self, sample_runs):
         # the benchmark's same-bytes gate, digested as bench/workloads.py's
         # cli_output_digest does: the CSV, or solve's summary without its
         # manifest (which holds wall time); like bench/run.py, every config
@@ -752,21 +796,23 @@ class TestReproducibility:
         # give the same pinned digests there too
         pinned = json.loads((ROOT / "bench" / "reference" / "cli_sha256.json").read_text())
         assert len(pinned) == 6
-        runs = [(stem, 1) for stem in pinned]
-        runs += [(stem, 2) for stem in ("stability_ball", "sweep_game", "sweep_simplex")]
         got = {}
-        for stem, workers in runs:
-            command, out = stem.split("_")[0], tmp_path / f"{stem}-w{workers}"
-            assert main([command, "--config", str(CONFIG_DIR / f"{stem}.json"),
-                         "--out-dir", str(out), "--workers", str(workers)]) == 0
-            if command == "solve":
-                summary = json.loads((out / "solve_summary.json").read_text())
-                summary.pop("manifest")
-                data = json.dumps(summary, sort_keys=True, separators=(",", ":")).encode()
-            else:
-                data = (out / f"{command}.csv").read_bytes()
+        for (stem, workers), out in sample_runs.items():
+            command = stem.split("_")[0]
+            data = summary_bytes(out, command) if command == "solve" else \
+                (out / f"{command}.csv").read_bytes()
             got[stem, workers] = hashlib.sha256(data).hexdigest()
-        assert got == {(stem, workers): pinned[stem] for stem, workers in runs}
+        assert got == {(stem, workers): pinned[stem] for stem, workers in sample_runs}
+
+    def test_sample_summaries_match_the_pinned_digests(self, sample_runs):
+        # the other five summaries, manifest dropped as for solve: they hold
+        # what no CSV does (bounds.gamma, a stability row's bound and
+        # bound_base_K, a contraction row's gated), at both worker counts
+        pinned = json.loads((ROOT / "tests" / "summary_sha256.json").read_text())
+        got = {(stem, workers): hashlib.sha256(summary_bytes(out, stem.split("_")[0])).hexdigest()
+               for (stem, workers), out in sample_runs.items() if stem != "solve_ball"}
+        assert {stem for stem, _ in got} == set(pinned) and len(pinned) == 5
+        assert got == {(stem, workers): pinned[stem] for stem, workers in got}
 
     def test_thread_pool_has_no_more_threads_than_trials(self, tmp_path, pool_sizes):
         # the calling thread draws one block of trials itself, so a pool holds

@@ -10,8 +10,10 @@ from vilab import solvers
 from vilab import (
     Ball,
     Box,
+    ConfigError,
     NoiseModel,
     NumericalError,
+    ProblemConstants,
     Product,
     QuadraticOperator,
     Simplex,
@@ -24,15 +26,19 @@ from vilab import (
     empirical_operator,
     exact_solution,
     generate_operator,
-    in_gd_stability_range,
     run,
     sample_dataset,
+    stability_bound,
 )
 
 from helpers import (eg_ratio_ceiling, eg_squared_ceiling, gd_ratio_ceiling, neighbour,
                      one_step, record_operator, vertices)
 
 IDENTITY = QuadraticOperator(np.eye(1), np.zeros(1))
+
+
+def consts(mu, L):
+    return ProblemConstants(mu=mu, L=L, K=1.0, D=2.0, per_player=((mu, L),))
 
 
 class TestSteps:
@@ -119,6 +125,13 @@ class TestRun:
             SolverConfig("gd", 0.0, 10)
         with pytest.raises(ValueError):
             SolverConfig("gd", 0.1, -1)
+        # T is an integer: a float is not truncated, a string or a bool not read
+        for T in (2.7, 2.0, "12", True, False, None):
+            with pytest.raises(ValueError, match="T must be an integer"):
+                SolverConfig("gd", 0.1, T)
+        for T in (np.int64(3), np.int32(3), np.uint8(3)):
+            config = SolverConfig("gd", 0.1, T)
+            assert config.T == 3 and type(config.T) is int
         dom = Box(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             run(IDENTITY, dom, SolverConfig("gd", 0.1, 1), z0=np.zeros(2))
@@ -281,11 +294,13 @@ class TestContractionBounds:
         for name in ("_check_method", "_check_mu_L_eta", "_check_eta"):
             monkeypatch.setattr(solvers, name, counting(name))
         method, mu_L_eta, eta = "_check_method", "_check_mu_L_eta", "_check_eta"
+        gd = SolverConfig("gd", 0.1, 5)
         z, zp = np.array([[1.0]]), np.array([[0.0]])
         for evaluate, want in (
                 (lambda: contraction_bound("gd", 0.9, 1.0, 0.1), {method, mu_L_eta, eta}),
                 (lambda: contraction_bound("eg", 0.9, 1.0, 0.1), {method, mu_L_eta, eta}),
-                (lambda: in_gd_stability_range(0.1, 0.9, 1.0), {mu_L_eta, eta}),
+                (lambda: stability_bound(gd, consts(0.9, 1.0), 1), {mu_L_eta, eta}),
+                (lambda: solvers._gate_eta(gd, 0.9, 1.0), {mu_L_eta, eta}),
                 (lambda: admissible_eta(0.9, 1.0, "gd"), {method, mu_L_eta}),
                 (lambda: admissible_eta(0.9, 1.0, "eg"), {method, mu_L_eta}),
                 (lambda: contraction_ratio(IDENTITY, z, zp, 0.1, "gd"), {method, eta}),
@@ -313,10 +328,13 @@ class TestContractionBounds:
 
     @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
     def test_non_finite_eta_is_rejected(self, eta):
+        bad = SolverConfig("gd", 0.1, 5)
+        bad.eta = eta  # past the constructor's check: the certificates check again
         for evaluate in (lambda: SolverConfig("gd", eta, 5),
                          lambda: contraction_bound("gd", 0.9, 1.0, eta),
                          lambda: contraction_bound("eg", 0.9, 1.0, eta),
-                         lambda: in_gd_stability_range(eta, 0.9, 1.0)):
+                         lambda: stability_bound(bad, consts(0.9, 1.0), 1),
+                         lambda: solvers._gate_eta(bad, 0.9, 1.0)):
             with pytest.raises(ValueError, match="eta must be positive"):
                 evaluate()
 
@@ -363,9 +381,20 @@ class TestContractionBounds:
             assert got is None
 
     def test_stability_range(self):
-        assert in_gd_stability_range(0.1, 1.0, 1.0)
-        assert not in_gd_stability_range(2.0, 1.0, 1.0)
-        assert not in_gd_stability_range(0.5, 1.0, 2.0)
+        # gd certifies a stability ceiling, and passes the eta gate, exactly
+        # on (0, 2 mu / L^2), the range admissible_eta returns
+        for eta, mu, L, inside in ((0.1, 1.0, 1.0, True), (2.0, 1.0, 1.0, False),
+                                   (0.5, 1.0, 2.0, False)):
+            config = SolverConfig("gd", eta, 0)
+            assert (eta < admissible_eta(mu, L, "gd")[1]) == inside
+            assert (stability_bound(config, consts(mu, L), 1) is not None) == inside
+            if inside:
+                solvers._gate_eta(config, mu, L)
+            else:
+                with pytest.raises(ConfigError, match=r"eta exceeds 2\*mu/L\^2"):
+                    solvers._gate_eta(config, mu, L)
+        # eg passes the gate at every eta
+        solvers._gate_eta(SolverConfig("eg", 2.0, 0), 1.0, 1.0)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(mu=st.floats(1e-3, 10.0), spread=st.floats(1.0, 20.0),
