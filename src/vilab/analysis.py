@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import Domain, Simplex
-from .errors import ConfigError
+from .errors import _COUNT, _PAIR, ConfigError, _checked
 from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame, QuadraticOperator,
                        _draw_records, _stream, constants, empirical_operator,
@@ -171,10 +171,7 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
     seed only, so the stack is bit-identical at every worker count. Each
     dataset is reduced before its block's next one is drawn, so peak memory
     stays one trial's records per worker."""
-    if workers is None:
-        workers = _default_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _checked(_default_workers() if workers is None else workers, "workers", int, _COUNT)
     seeds = [trial_dataset_seed(seed, n, t) for t in range(trials)]
     if neighbours:
         replacements = _draw_records(problem, noise, 1, [s + [1] for s in seeds])
@@ -242,8 +239,7 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     drawn on up to `workers` threads (None: the CPUs this process may use);
     training runs in the calling thread.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _checked(trials, "trials", int, _COUNT)
     consts = constants(problem, domain)
     w = check_gd_eta(config, consts, noise, domain)
     Z = run(_trial_operators(problem, noise, n, seed, trials, neighbours=True, workers=workers),
@@ -336,9 +332,7 @@ _MODES = ("mean", "quantile")  # what a sweep fits: the trials' mean or (1 - del
 
 
 def _check_mode(mode: str, trials: int, delta: float) -> None:
-    """A mode of _MODES; estimating the (1 - delta) quantile needs >= 10/delta trials."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, _MODES))}, got {mode!r}")
+    """Estimating the (1 - delta) quantile (mode "quantile") needs >= 10/delta trials."""
     if mode == "quantile" and trials < (needed := math.ceil(10.0 / delta)):
         raise ValueError(f"quantile sweep at delta={delta} needs >= {needed} trials, got {trials}")
 
@@ -368,20 +362,15 @@ def generalization_sweep(problem, domain: Domain, config: SolverConfig,
     "quantile", which needs >= 10/delta trials); when it fails, e.g. on a
     single n, its numbers are None and fit_error holds the reason. Every
     argument is checked before anything is sampled."""
-    if kind not in _SWEEP_KINDS:
-        raise ValueError(f"unknown sweep kind {kind!r}")
-    if _SWEEP_KINDS[kind] and not isinstance(problem, QuadraticGame):
+    if _SWEEP_KINDS[_checked(kind, "kind", tuple(_SWEEP_KINDS))] and \
+            not isinstance(problem, QuadraticGame):
         raise ValueError(f"kind {kind!r} needs a game")
-    if trials < 2:
-        raise ValueError("sweeps need at least 2 trials per n")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
-    _check_mode(mode, trials, delta)
+    _checked(trials, "trials", int, _PAIR)
+    _checked(delta, "delta", float, "(0, 1)")
+    _check_mode(_checked(mode, "mode", _MODES), trials, delta)
     level = f"{1 - delta:g}"
     levels = {"0.5": 0.5, "0.9": 0.9, level: 1.0 - delta}
-    n_grid = tuple(int(n) for n in n_grid)
-    if any(n < 1 for n in n_grid):
-        raise ValueError("dataset sizes must be >= 1")
+    n_grid = tuple(int(_checked(n, f"n_grid[{i}]", int, _COUNT)) for i, n in enumerate(n_grid))
     T = _training_horizon(config, constants(problem, domain), noise, domain)
     per_n = []
     for n in n_grid:
@@ -424,8 +413,8 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
     where g(z, zeta) = <Xi(z, zeta), z - w*(z)>. Row 0 is z* itself (both
     sides vanish). A row is violated when the 1.05-slack inequality fails by
     more than 3 Monte-Carlo standard errors."""
-    if z_samples < 1 or mc_samples < 2:
-        raise ValueError("need z_samples >= 1 and mc_samples >= 2")
+    _checked(z_samples, "z_samples", int, _COUNT)
+    _checked(mc_samples, "mc_samples", int, _PAIR)
     consts = constants(game)
     B = bernstein_constant(consts)
     zs = [exact_solution(game)]

@@ -41,8 +41,9 @@ from .analysis import (_MODES, _SWEEP_KINDS, _check_mode, _default_workers,
                        stability_experiment, trial_dataset_seed)
 from .charts import log_log_chart
 from .domains import Ball, Box, Domain, Product, Simplex
-from .errors import (BoundViolationError, ConfigError, GenerationError,
-                     InfeasiblePointError, NumericalError)
+from .errors import (_COUNT, _NONNEGATIVE, _PAIR, _POSITIVE, BoundViolationError,
+                     ConfigError, GenerationError, InfeasiblePointError, NumericalError,
+                     _checked, _within)
 from .gaps import gap_report
 from .problems import (_NOISE_KINDS, NoiseModel, _stream, constants, empirical_operator,
                        generate_game, generate_operator, sample_dataset)
@@ -54,40 +55,20 @@ from .solvers import (_METHODS, SolverConfig, _ceiling_gated, _default_eta_grid,
 # ---------------------------------------------------------------------------
 #
 # A table maps each key of one config object to (check, bound, default).
-# check: float (a finite int or float), int, bool or str (never a bool for
-# the numeric ones); a tuple of allowed strings; a nested table; a list
-# [element check, element bound]; or a function (value, path) -> value.
-# bound: an interval such as "(0, inf)" that a number, or a list's length,
-# must lie in. default: _REQUIRED, None (the key may be absent), or the value
-# filled in when the key is absent.
+# check: float, int, bool or str, or a tuple of allowed strings, each
+# checked by the library's one input rule (errors._checked); a nested table;
+# a list [element check, element bound]; or a function (value, path) ->
+# value. bound: an interval such as "(0, inf)" that a number, or a list's
+# length, must lie in. default: _REQUIRED, None (the key may be absent), or
+# the value filled in when the key is absent.
 
 _REQUIRED = object()
-_POSITIVE, _NONNEGATIVE, _COUNT, _PAIR = "(0, inf)", "[0, inf)", "[1, inf)", "[2, inf)"
-_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean",
-               str: "a string"}
-
-
-def _within(bound: str, v) -> bool:
-    lo, hi = (float(x) for x in bound[1:-1].split(","))
-    return ((lo <= v) if bound[0] == "[" else (lo < v)) and \
-        ((v <= hi) if bound[-1] == "]" else (v < hi))
-
-
-def _is(check: type, v) -> bool:
-    if check is float:  # finite: no NaN, no infinity, no int beyond float range
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and \
-            abs(v) <= sys.float_info.max
-    return isinstance(v, check) and isinstance(v, bool) == (check is bool)
 
 
 def _value(check, bound, value, path: str):
     """`value` checked against one table entry; errors name `path`."""
     if isinstance(check, dict):
         return _section(check, value, path)
-    if isinstance(check, tuple):
-        if value not in check:
-            raise ConfigError(f"'{path}' must be one of {'/'.join(check)}, got {value!r}")
-        return value
     if isinstance(check, list):
         if not isinstance(value, list):
             raise ConfigError(f"'{path}' must be a list")
@@ -95,13 +76,9 @@ def _value(check, bound, value, path: str):
         if bound is not None and not _within(bound, len(value)):
             raise ConfigError(f"'{path}' needs a length in {bound}, got {len(value)}")
         return value
-    if not isinstance(check, type):
+    if not isinstance(check, (type, tuple)):
         return check(value, path)
-    if not _is(check, value):
-        raise ConfigError(f"'{path}' must be {_TYPE_NAMES[check]}, got {value!r}")
-    if bound is not None and not _within(bound, value):
-        raise ConfigError(f"'{path}' must be in {bound}, got {value}")
-    return value
+    return _checked(value, path, check, bound)
 
 
 def _section(spec: dict, value, path: str) -> dict:

@@ -28,12 +28,22 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import _COUNT, _POSITIVE, _checked
+
 
 def _as_points(z, dim: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape[-1:] != (dim,):
         raise ValueError(f"dimension mismatch: point has shape {z.shape}, domain dim is {dim}")
     return z
+
+
+def _finite_array(a, name: str) -> np.ndarray:
+    """a as a float array, at least 1-d; ValueError unless it holds finite ints or floats."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must hold finite integers or floats, got {a!r}")
+    return np.atleast_1d(np.asarray(a, dtype=float))
 
 
 def _row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
@@ -124,8 +134,7 @@ class Simplex(Domain):
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"simplex order must be >= 1, got {self.d}")
+        _checked(self.d, "d", int, _COUNT)
         self.dim = self.d + 1
 
     def project(self, z, out=None) -> np.ndarray:
@@ -180,12 +189,8 @@ class Ball(Domain):
     radius: float
 
     def __post_init__(self):
-        self.center_point = np.atleast_1d(np.asarray(self.center_point, dtype=float))
-        self.radius = float(self.radius)
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
-        if not np.all(np.isfinite(self.center_point)):
-            raise ValueError(f"ball center must be finite, got {self.center_point}")
+        self.center_point = _finite_array(self.center_point, "ball center")
+        self.radius = float(_checked(self.radius, "radius", float, _POSITIVE))
         self.dim = self.center_point.shape[0]
 
     def project(self, z, out=None) -> np.ndarray:
@@ -239,11 +244,11 @@ class Box(Domain):
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        self.lower = _finite_array(self.lower, "box lower bound")
+        self.upper = _finite_array(self.upper, "box upper bound")
         if self.lower.shape != self.upper.shape:
             raise ValueError("box bounds must share a shape")
-        if not np.all(np.isfinite(self.lower) & (self.lower < self.upper) & np.isfinite(self.upper)):
+        if not np.all(self.lower < self.upper):
             raise ValueError("box requires finite bounds with lower < upper coordinatewise")
         self.dim = self.lower.shape[0]
 

@@ -39,7 +39,8 @@ from typing import Optional
 import numpy as np
 
 from .domains import Ball, Box, Domain, Product, Simplex
-from .errors import GenerationError, InfeasiblePointError, NumericalError
+from .errors import (_COUNT, _NONNEGATIVE, _POSITIVE, GenerationError, InfeasiblePointError,
+                     NumericalError, _checked)
 
 _REJECTION_BUDGET = 1000
 _NOISE_KINDS = ("offset", "matrix")
@@ -185,12 +186,8 @@ class NoiseModel:
     magnitude: float
 
     def __post_init__(self):
-        if self.kind not in _NOISE_KINDS:
-            raise ValueError(f"noise kind must be {' or '.join(map(repr, _NOISE_KINDS))}, "
-                             f"got {self.kind!r}")
-        self.magnitude = float(self.magnitude)
-        if not 0.0 <= self.magnitude < math.inf:
-            raise ValueError(f"noise magnitude must be finite and >= 0, got {self.magnitude}")
+        _checked(self.kind, "kind", _NOISE_KINDS)
+        self.magnitude = float(_checked(self.magnitude, "magnitude", float, _NONNEGATIVE))
 
 
 @dataclass(frozen=True)
@@ -374,6 +371,7 @@ def generate_operator(
     an eigenvalue inside [mu, L], so checking M checks the block, and the
     dynamics restricted to the simplex hyperplane stay there.
     """
+    _checked(d, "d", int, _COUNT)
     if domain is None:
         domain = Ball(np.zeros(d), 1.0)
     if domain.dim != d:
@@ -416,15 +414,13 @@ def generate_game(
     couplings start at `coupling_strength` scale and are halved (at most 60
     times) until the global monotonicity floor holds.
     """
-    if isinstance(dims, int):
-        dims = (dims,) * k
-    dims = tuple(int(x) for x in dims)
+    _checked(k, "k", int, _COUNT)
+    dims = (dims,) * k if np.ndim(dims) == 0 else dims  # one size for every player
+    dims = tuple(int(_checked(x, f"dims[{i}]", int, _COUNT)) for i, x in enumerate(dims))
     if len(dims) != k:
         raise ValueError(f"expected {k} player dims, got {len(dims)}")
-    if not 0.0 < mu_target < math.inf:
-        raise ValueError(f"mu_target must be positive and finite, got {mu_target}")
-    if not math.isfinite(coupling_strength):
-        raise ValueError(f"coupling_strength must be finite, got {coupling_strength}")
+    _checked(mu_target, "mu_target", float, _POSITIVE)
+    _checked(coupling_strength, "coupling_strength", float)
     if domain is None:
         domain = Product(tuple(Box(-np.ones(di), np.ones(di)) for di in dims))
     if not isinstance(domain, Product) or [f.dim for f in domain.factors] != list(dims):
@@ -688,8 +684,7 @@ def _draw_records(problem, noise: NoiseModel, count: int, seeds) -> np.ndarray:
 
 
 def sample_dataset(problem, noise: NoiseModel, n: int, seed: int) -> SampledDataset:
-    if n < 1:
-        raise ValueError(f"dataset size must be >= 1, got {n}")
+    _checked(n, "n", int, _COUNT)
     return SampledDataset(_draw_records(problem, noise, n, [seed]))
 
 

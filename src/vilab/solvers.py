@@ -10,9 +10,9 @@ For F(z) = Mz + b with mu = lambda_min(sym M) and L = sigma_max(M):
   by c(eta) = 2 - 2 eta mu + eta^4 L^4 - (2 eta mu + 1)(1 - 2 eta L +
   eta^2 mu^2), which dips below 1 only when mu > L/2.
 
-Each such rule is written once here: the method names (`_METHODS`), the
-step-size checks (`_check_eta`), gd's range end 2 mu / L^2 and its gate
-(`_gd_eta_limit`, `_gate_eta`), each ratio ceiling (`_squared_ratio`), the
+Each such rule is written once here: the method names (`_METHODS`), gd's
+range end 2 mu / L^2, its range test and its gate (`_gd_eta_limit`,
+`_gd_margin`, `_gate_eta`), each ratio ceiling (`_squared_ratio`), the
 contraction command's etas and gate (`_default_eta_grid`, `_ceiling_gated`)
 and the stability ceiling (stability_bound) and its eta -> 0 limit.
 
@@ -31,22 +31,11 @@ from typing import Optional
 import numpy as np
 
 from .domains import Domain
-from .errors import ConfigError, NumericalError
+from .errors import _COUNT, _NONNEGATIVE, _POSITIVE, ConfigError, NumericalError, _checked
 from .problems import ProblemConstants, _apply_affine
 
 DIVERGENCE_FACTOR = 1e6
 _METHODS = ("gd", "eg")
-
-
-def _check_method(method: str) -> None:
-    if method not in _METHODS:
-        raise ValueError(f"method must be {' or '.join(map(repr, _METHODS))}, got {method!r}")
-
-
-def _check_eta(eta) -> None:
-    """Every step size finite and positive."""
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
 @dataclass(eq=False)
@@ -57,14 +46,10 @@ class SolverConfig:
     projected: bool = False
 
     def __post_init__(self):
-        _check_method(self.method)
-        self.eta = float(self.eta)
-        _check_eta(self.eta)
-        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)):
-            raise ValueError(f"T must be an integer, got {self.T!r}")
-        self.T = int(self.T)
-        if self.T < 0:
-            raise ValueError(f"T must be >= 0, got {self.T}")
+        _checked(self.method, "method", _METHODS)
+        self.eta = float(_checked(self.eta, "eta", float, _POSITIVE))
+        self.T = int(_checked(self.T, "T", int, _NONNEGATIVE))
+        _checked(self.projected, "projected", bool)
 
 
 @dataclass(eq=False)
@@ -128,11 +113,13 @@ def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
 
 
 def _check_mu_L_eta(mu: float, L: float, eta=None) -> None:
-    """0 < mu <= L < inf, then the step-size rule when eta is given."""
-    if not 0.0 < mu <= L < math.inf:
-        raise ValueError(f"need 0 < mu <= L < inf, got mu={mu}, L={L}")
+    """mu, L (and eta when given) finite numbers, eta in (0, inf), and 0 < mu <= L."""
+    _checked(mu, "mu", float)
+    _checked(L, "L", float)
     if eta is not None:
-        _check_eta(eta)
+        _checked(eta, "eta", float, _POSITIVE)
+    if not 0.0 < mu <= L:
+        raise ValueError(f"need 0 < mu <= L < inf, got mu={mu}, L={L}")
 
 
 def _squared_ratio(method: str, mu: float, L: float, eta):
@@ -160,7 +147,7 @@ def contraction_bound(method: str, mu: float, L: float, eta: float) -> float:
     """Per-step ratio ceiling of `method`: sqrt(max(0, 1 - 2 eta mu +
     eta^2 L^2)) for gd, sqrt(max(0, c(eta))) for eg. ValueError for an
     unknown method, bad (mu, L, eta), or a ceiling that is not finite."""
-    _check_method(method)
+    _checked(method, "method", _METHODS)
     _check_mu_L_eta(mu, L, eta)
     return math.sqrt(max(0.0, _squared_ratio(method, mu, L, eta)))
 
@@ -181,7 +168,7 @@ def admissible_eta(mu: float, L: float, method: str = "gd"):
     (possibly empty) array of grid points eta in (0, 1/L] with c(eta) < 1,
     grid pitch 1e-4 / L. The eg set is nonempty iff mu > L/2.
     """
-    _check_method(method)
+    _checked(method, "method", _METHODS)
     if method == "gd":
         return (0.0, _gd_eta_limit(mu, L))
     _check_mu_L_eta(mu, L)
@@ -210,8 +197,8 @@ def _ceiling_gated(method: str, bound: float) -> bool:
 def contraction_ratio(F, z, zp, eta: float, method: str = "gd"):
     """Measured one-step ratios ||G(z) - G(z')|| / ||z - z'||, one per row of
     the distinct points z, z' of shape (..., d)."""
-    _check_method(method)
-    _check_eta(eta)
+    _checked(method, "method", _METHODS)
+    _checked(eta, "eta", float, _POSITIVE)
     z = np.asarray(z, dtype=float)
     zp = np.asarray(zp, dtype=float)
     gap = np.linalg.norm(z - zp, axis=-1)
@@ -225,11 +212,20 @@ def contraction_ratio(F, z, zp, eta: float, method: str = "gd"):
     return np.linalg.norm(moved[0] - moved[1], axis=-1) / gap
 
 
+def _gd_margin(mu: float, L: float, eta: float) -> Optional[float]:
+    """2 mu - eta L^2 if eta < 2 mu / L^2 and the computed margin > 0 (it can
+    round to 0 just below 2 mu / L^2), else None: gd's one range test."""
+    limit = _gd_eta_limit(mu, L, eta)
+    margin = 2.0 * mu - eta * L ** 2
+    return margin if eta < limit and margin > 0.0 else None
+
+
 def _gate_eta(config: SolverConfig, mu: float, L: float, note: str = "") -> None:
     """ConfigError, its message ending in `note`, when gd's eta lies outside
-    gd's stability range (0, 2 mu / L^2); an eg eta always passes."""
-    if config.method == "gd" and not config.eta < (limit := _gd_eta_limit(mu, L, config.eta)):
-        raise ConfigError(f"eta exceeds 2*mu/L^2: eta={config.eta}, limit={limit:.6g}{note}")
+    gd's stability range (_gd_margin); an eg eta always passes."""
+    if config.method == "gd" and _gd_margin(mu, L, config.eta) is None:
+        raise ConfigError(f"eta exceeds 2*mu/L^2: eta={config.eta}, "
+                          f"limit={2.0 * mu / L ** 2:.6g}{note}")
 
 
 def stability_bound(config: SolverConfig, consts: ProblemConstants, n: int) -> Optional[float]:
@@ -243,13 +239,12 @@ def stability_bound(config: SolverConfig, consts: ProblemConstants, n: int) -> O
     reports 2K/(n(2 mu - eta L^2)) = 2 eta K/(n(1 - xi^2)), lower by the factor
     1 + xi (a known defect, recorded by the strict xfail
     test_gd_bound_holds_under_heavy_noise). Projected eg, eg with xi >= 1 and gd
-    outside that range certify nothing."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    outside that range (_gd_margin) certify nothing."""
+    _checked(n, "n", int, _COUNT)
     eta, K, mu, L = config.eta, consts.K, consts.mu, consts.L
     if config.method == "gd":
-        limit = _gd_eta_limit(mu, L, eta)
-        return 2.0 * K / (n * (2.0 * mu - eta * L ** 2)) if eta < limit else None
+        margin = _gd_margin(mu, L, eta)
+        return None if margin is None else 2.0 * K / (n * margin)
     if config.projected or (xi := contraction_bound("eg", mu, L, eta)) >= 1.0:
         return None
     return 2.0 * eta * K * (1.0 + eta * L) / (n * (1.0 - xi))

@@ -490,7 +490,8 @@ class TestGeneralizationSweep:
         assert res.fit_on == "q0.5"
 
     @pytest.mark.parametrize("mode, trials, message", [
-        ("bogus", 5, "mode must be"), ("q0.9", 5, "mode must be"),
+        ("bogus", 5, "'mode' must be one of mean/quantile, got 'bogus'"),
+        ("q0.9", 5, "'mode' must be one of mean/quantile, got 'q0.9'"),
         # the 0.9 quantile needs >= 10/0.1 trials
         ("quantile", 2, "needs >= 100 trials, got 2")])
     def test_mode_checked_before_sampling(self, monkeypatch, mode, trials, message):
@@ -518,7 +519,8 @@ class TestGeneralizationSweep:
         cfg, noise = SolverConfig("gd", 0.2, 1), NoiseModel("offset", 0.1)
         for kind, match in (("weak_gap", "needs a game"),
                             ("potential_gap", "needs a game"),
-                            ("bogus", "unknown sweep kind")):
+                            ("bogus", "'kind' must be one of gap/weak_gap/potential_gap, "
+                                      "got 'bogus'")):
             with pytest.raises(ValueError, match=match):
                 generalization_sweep(op, dom, cfg, noise, (8, 16), 5, 0, kind=kind)
             with pytest.raises(ValueError, match=match):

@@ -342,6 +342,38 @@ def test_game_gap_kind_needs_a_game_before_generation(tmp_path, capsys, monkeypa
     assert calls == []
 
 
+# The schema's leaf messages, for a float, an integer, a boolean and a choice
+# key, as the CLI printed them before the leaf check became the library's
+# input rule (errors._checked): pinned byte for byte.
+LEAF_MESSAGES = [
+    pytest.param({"solver": {"eta": -1.0}}, "'solver.eta' must be in (0, inf), got -1.0",
+                 id="float-range"),
+    pytest.param({"solver": {"eta": "0.1"}}, "'solver.eta' must be a finite number, got '0.1'",
+                 id="float-type"),
+    pytest.param({"solver": {"eta": True}}, "'solver.eta' must be a finite number, got True",
+                 id="float-bool"),
+    pytest.param({"experiment": {"n": 2.5}}, "'experiment.n' must be an integer, got 2.5",
+                 id="int-type"),
+    pytest.param({"experiment": {"n": 0}}, "'experiment.n' must be in [1, inf), got 0",
+                 id="int-range"),
+    pytest.param({"solver": {"projected": "no"}},
+                 "'solver.projected' must be a boolean, got 'no'", id="bool-type"),
+    pytest.param({"solver": {"projected": 1}}, "'solver.projected' must be a boolean, got 1",
+                 id="bool-int"),
+    pytest.param({"solver": {"method": "gdx"}}, "'solver.method' must be one of gd/eg, got 'gdx'",
+                 id="choice"),
+]
+
+
+@pytest.mark.parametrize("override, message", LEAF_MESSAGES)
+def test_leaf_messages_are_pinned(tmp_path, capsys, override, message):
+    cfg = op_config(experiment={"n": 5})
+    deep_update(cfg, override)
+    code, _ = run_cli(tmp_path, "solve", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_sweep_kinds_come_from_the_library_table():
     # the schema lists analysis._SWEEP_KINDS in its order, and the early
     # check refuses on an operator exactly the kinds the table marks game-only
@@ -398,6 +430,23 @@ class TestSolve:
         code, _ = run_cli(tmp_path, "solve", cfg)
         assert code == 2
         assert "eta exceeds 2*mu/L^2" in capsys.readouterr().err
+
+    def test_eta_where_the_gd_margin_rounds_to_zero(self, tmp_path, capsys):
+        # 2 mu - eta L^2 computes to 0.0 at this eta, one float below the
+        # certified 2 mu / L^2: solve's gate refuses it, and contraction
+        # (which gates no training eta) reports no gamma at it
+        cfg = op_config(problem={"seed": 5, "mu": 0.3, "L": 0.9,
+                                 "noise": {"kind": "offset", "magnitude": 0.0}},
+                        solver={"eta": 0.7407407407413527, "T": 10}, experiment={"n": 5})
+        code, _ = run_cli(tmp_path, "solve", cfg)
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: eta exceeds 2*mu/L^2: "
+                                           "eta=0.7407407407413527, limit=0.740741\n")
+        cfg["experiment"] = {"pairs": 10, "eta_grid": [0.1]}
+        code, out_dir = run_cli(tmp_path, "contraction", cfg)
+        assert code == 0
+        summary = json.loads((out_dir / "contraction_summary.json").read_text())
+        assert summary["bounds"]["gamma"]["eta"] is None
 
     def test_matrix_noise_gates_and_reports_the_certified_pair(self, tmp_path, capsys):
         # mu 0.8, L 1.6, matrix noise 0.2: the empirical operator certifies

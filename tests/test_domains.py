@@ -485,3 +485,20 @@ class TestValidation:
     def test_box_must_be_finite(self, lower, upper):
         with pytest.raises(ValueError, match="finite"):
             Box(np.array(lower), np.array(upper))
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: Box(["0"], ["1"]), id="box-strings"),
+        pytest.param(lambda: Box([False], [True]), id="box-bools"),
+        pytest.param(lambda: Box(np.zeros(1), np.array([1 + 0j])), id="box-complex"),
+        pytest.param(lambda: Ball(np.array(["0", "0"]), 1.0), id="ball-strings"),
+        pytest.param(lambda: Ball([True, False], 1.0), id="ball-bools"),
+        pytest.param(lambda: Ball(np.array([0.0, None]), 1.0), id="ball-objects")])
+    def test_arrays_must_hold_integers_or_floats(self, build):
+        # np.asarray(..., dtype=float) would read "0" as 0.0 and True as 1.0
+        with pytest.raises(ValueError, match="integers or floats"):
+            build()
+
+    def test_integer_arrays_are_read_as_floats(self):
+        box = Box(np.array([0, -1], dtype=np.int32), [1, 2])
+        assert box.lower.dtype == box.upper.dtype == np.float64
+        assert Ball(np.array([1, 2], dtype=np.uint8), 1).center_point.tolist() == [1.0, 2.0]

@@ -489,14 +489,14 @@ class TestGenerateGame:
     def test_non_finite_mu_rejected(self, mu):
         # refused before any draw, where an infinite mu would end in numpy's
         # uniform() with OverflowError
-        with pytest.raises(ValueError, match="mu_target must be positive and finite"):
+        with pytest.raises(ValueError, match="'mu_target' must be a finite number"):
             generate_game(0, 2, 1, mu, 0.3)
 
     @pytest.mark.parametrize("coupling", [math.inf, -math.inf, math.nan])
     def test_non_finite_coupling_rejected(self, coupling):
         # refused up front, where an infinite coupling would run the halving
         # loop on nan entries and end in GenerationError (achieved nan)
-        with pytest.raises(ValueError, match="coupling_strength must be finite"):
+        with pytest.raises(ValueError, match="'coupling_strength' must be a finite number"):
             generate_game(0, 2, 1, 0.5, coupling)
 
     @pytest.mark.parametrize("seed, k, dims, coupling", [

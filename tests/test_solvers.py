@@ -127,7 +127,7 @@ class TestRun:
             SolverConfig("gd", 0.1, -1)
         # T is an integer: a float is not truncated, a string or a bool not read
         for T in (2.7, 2.0, "12", True, False, None):
-            with pytest.raises(ValueError, match="T must be an integer"):
+            with pytest.raises(ValueError, match="'T' must be an integer"):
                 SolverConfig("gd", 0.1, T)
         for T in (np.int64(3), np.int32(3), np.uint8(3)):
             config = SolverConfig("gd", 0.1, T)
@@ -279,33 +279,35 @@ class TestContractionBounds:
             contraction_bound("eg", 2.0, 1.0, 0.1)
 
     def test_each_call_checks_once(self, monkeypatch):
-        # one method check and one check of the (mu, L, eta) each call takes;
-        # _check_mu_L_eta runs _check_eta when it is given an eta
+        # each input a call takes passes the one input rule (_checked) once,
+        # and the (mu, L, eta) of a certificate one _check_mu_L_eta, which
+        # runs the rule on mu, L and eta when it is given an eta
         calls = {}
+        check, relation = solvers._checked, solvers._check_mu_L_eta
 
-        def counting(name):
-            check = getattr(solvers, name)
+        def counted_check(value, name, *rule):
+            calls[name] = calls.get(name, 0) + 1
+            return check(value, name, *rule)
 
-            def counted(*args):
-                calls[name] = calls.get(name, 0) + 1
-                return check(*args)
-            return counted
+        def counted_relation(*args):
+            calls["_check_mu_L_eta"] = calls.get("_check_mu_L_eta", 0) + 1
+            return relation(*args)
 
-        for name in ("_check_method", "_check_mu_L_eta", "_check_eta"):
-            monkeypatch.setattr(solvers, name, counting(name))
-        method, mu_L_eta, eta = "_check_method", "_check_mu_L_eta", "_check_eta"
+        monkeypatch.setattr(solvers, "_checked", counted_check)
+        monkeypatch.setattr(solvers, "_check_mu_L_eta", counted_relation)
+        certificate = {"_check_mu_L_eta", "mu", "L", "eta"}
         gd = SolverConfig("gd", 0.1, 5)
         z, zp = np.array([[1.0]]), np.array([[0.0]])
         for evaluate, want in (
-                (lambda: contraction_bound("gd", 0.9, 1.0, 0.1), {method, mu_L_eta, eta}),
-                (lambda: contraction_bound("eg", 0.9, 1.0, 0.1), {method, mu_L_eta, eta}),
-                (lambda: stability_bound(gd, consts(0.9, 1.0), 1), {mu_L_eta, eta}),
-                (lambda: solvers._gate_eta(gd, 0.9, 1.0), {mu_L_eta, eta}),
-                (lambda: admissible_eta(0.9, 1.0, "gd"), {method, mu_L_eta}),
-                (lambda: admissible_eta(0.9, 1.0, "eg"), {method, mu_L_eta}),
-                (lambda: contraction_ratio(IDENTITY, z, zp, 0.1, "gd"), {method, eta}),
-                (lambda: contraction_ratio(IDENTITY, z, zp, 0.1, "eg"), {method, eta}),
-                (lambda: SolverConfig("eg", 0.1, 5), {method, eta})):
+                (lambda: contraction_bound("gd", 0.9, 1.0, 0.1), {"method", *certificate}),
+                (lambda: contraction_bound("eg", 0.9, 1.0, 0.1), {"method", *certificate}),
+                (lambda: stability_bound(gd, consts(0.9, 1.0), 1), {"n", *certificate}),
+                (lambda: solvers._gate_eta(gd, 0.9, 1.0), certificate),
+                (lambda: admissible_eta(0.9, 1.0, "gd"), {"method", "_check_mu_L_eta", "mu", "L"}),
+                (lambda: admissible_eta(0.9, 1.0, "eg"), {"method", "_check_mu_L_eta", "mu", "L"}),
+                (lambda: contraction_ratio(IDENTITY, z, zp, 0.1, "gd"), {"method", "eta"}),
+                (lambda: contraction_ratio(IDENTITY, z, zp, 0.1, "eg"), {"method", "eta"}),
+                (lambda: SolverConfig("eg", 0.1, 5), {"method", "eta", "T", "projected"})):
             calls.clear()
             evaluate()
             assert calls == dict.fromkeys(want, 1)
@@ -316,14 +318,15 @@ class TestContractionBounds:
                          lambda: contraction_ratio(IDENTITY, z, zp, 0.1, "gdx"),
                          lambda: admissible_eta(0.9, 1.0, "gdx"),
                          lambda: SolverConfig("gdx", 0.1, 5)):
-            with pytest.raises(ValueError, match="method must be 'gd' or 'eg', got 'gdx'"):
+            with pytest.raises(ValueError, match="'method' must be one of gd/eg, got 'gdx'"):
                 evaluate()
 
     @pytest.mark.parametrize("L", [0.0, np.inf])
     def test_admissible_eta_checks_L_before_dividing_by_it(self, L):
         # the eg grid's pitch 1e-4 / L is a division by zero or a zero step
+        message = "need 0 < mu <= L < inf" if L == 0.0 else "'L' must be a finite number"
         for method in ("gd", "eg"):
-            with pytest.raises(ValueError, match="need 0 < mu <= L < inf"):
+            with pytest.raises(ValueError, match=message):
                 admissible_eta(0.5, L, method)
 
     @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
@@ -335,7 +338,7 @@ class TestContractionBounds:
                          lambda: contraction_bound("eg", 0.9, 1.0, eta),
                          lambda: stability_bound(bad, consts(0.9, 1.0), 1),
                          lambda: solvers._gate_eta(bad, 0.9, 1.0)):
-            with pytest.raises(ValueError, match="eta must be positive"):
+            with pytest.raises(ValueError, match="'eta' must be a finite number"):
                 evaluate()
 
     @pytest.mark.parametrize("method", ["gd", "eg"])
@@ -395,6 +398,22 @@ class TestContractionBounds:
                     solvers._gate_eta(config, mu, L)
         # eg passes the gate at every eta
         solvers._gate_eta(SolverConfig("eg", 2.0, 0), 1.0, 1.0)
+
+    def test_range_end_where_the_margin_rounds_to_zero(self):
+        # at eta = nextafter(2 mu / L^2, 0) the computed 2 mu - eta L^2 is 0.0
+        # for some (mu, L): the gate refuses that eta and stability_bound
+        # certifies nothing there, rather than dividing by zero
+        rng = np.random.default_rng(0)
+        mus = rng.uniform(0.01, 1.0, 2000)
+        Ls = mus * rng.uniform(1.0, 10.0, 2000)
+        pairs = [(mu, L) for mu, L in zip(mus.tolist(), Ls.tolist())
+                 if 2.0 * mu - math.nextafter(2.0 * mu / L ** 2, 0.0) * L ** 2 == 0.0]
+        assert len(pairs) > 10
+        for mu, L in pairs:
+            config = SolverConfig("gd", math.nextafter(2.0 * mu / L ** 2, 0.0), 0)
+            assert stability_bound(config, consts(mu, L), 1) is None
+            with pytest.raises(ConfigError, match=r"eta exceeds 2\*mu/L\^2"):
+                solvers._gate_eta(config, mu, L)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(mu=st.floats(1e-3, 10.0), spread=st.floats(1.0, 20.0),
