@@ -34,8 +34,7 @@ from .domains import Domain, Simplex
 from .errors import _COUNT, _PAIR, ConfigError, _checked
 from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
 from .problems import (NoiseModel, ProblemConstants, QuadraticGame, QuadraticOperator,
-                       _draw_records, _stream, constants, empirical_operator,
-                       exact_solution, sample_dataset, sampled_constants)
+                       _draw_records, _stream, constants, exact_solution, sampled_constants)
 from .solvers import (SolverConfig, _gate_eta, _stability_limit, contraction_bound, run,
                       stability_bound)
 
@@ -153,6 +152,9 @@ def _default_workers() -> int:
 # serially: on 2 vCPUs threads lost up to about 10^4 floats per trial and
 # won above it (README "Parallelism").
 _SERIAL_FLOATS = 10_000
+# Floats of records (n d^2 or n d per trial) that one chunk of trials holds:
+# 65,536 is one trial of 4,096 4 x 4 matrices.
+_CHUNK_FLOATS = 65_536
 
 
 def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
@@ -167,42 +169,48 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
     The trials are split into min(workers, trials) contiguous blocks (None:
     _default_workers()), drawn and reduced on as many threads (the calling
     thread takes block 0), unless a trial draws fewer than _SERIAL_FLOATS
-    floats: then one block runs serially. A trial's operator depends on its
-    seed only, so the stack is bit-identical at every worker count. Each
-    dataset is reduced before its block's next one is drawn, so peak memory
-    stays one trial's records per worker."""
+    floats: then one block runs serially. A block draws chunks of as many
+    consecutive trials as hold _CHUNK_FLOATS floats of records (at least
+    one), each with one record draw and one batched mean for its trials (and
+    one for their neighbours). Record i depends on (seed, i) only and a
+    batched mean keeps each trial's summation order, so the stack is
+    bit-identical at every worker count and chunk size, and peak memory
+    stays one chunk's records per worker."""
     workers = _checked(_default_workers() if workers is None else workers, "workers", int, _COUNT)
     seeds = [trial_dataset_seed(seed, n, t) for t in range(trials)]
     if neighbours:
         replacements = _draw_records(problem, noise, 1, [s + [1] for s in seeds])
+    record = (problem.dim,) * (2 if noise.kind == "matrix" else 1)
+    means = np.empty(((2 if neighbours else 1) * trials, *record))
+    chunk = max(1, _CHUNK_FLOATS // (n * math.prod(record)))
 
     def block(lo: int, hi: int):
-        ops, swapped = [], []
-        for t in range(lo, hi):
-            X = sample_dataset(problem, noise, n, seeds[t])
-            ops.append(empirical_operator(problem, X))
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            X = _draw_records(problem, noise, n, seeds[a:b]).reshape(b - a, n, *record)
+            X.mean(axis=1, out=means[a:b])
             if neighbours:
-                j = int(_stream(seeds[t], (9,)).integers(n))
-                X.records[j] = replacements[t]
-                swapped.append(empirical_operator(problem, X))
-            del X
-        return ops, swapped
+                swap = [int(_stream(s, (9,)).integers(n)) for s in seeds[a:b]]
+                X[np.arange(b - a), swap] = replacements[a:b]
+                X.mean(axis=1, out=means[trials + a:trials + b])
+            del X  # not held while the next chunk is drawn
 
     basis = problem.tangent_basis
     dim = problem.dim if basis is None else basis.shape[0]
-    k = 1 if n * dim ** (2 if noise.kind == "matrix" else 1) < _SERIAL_FLOATS \
-        else min(workers, trials)
+    k = 1 if n * dim ** len(record) < _SERIAL_FLOATS else min(workers, trials)
     if k == 1:
-        parts = [block(0, trials)]
+        block(0, trials)
     else:
         from concurrent.futures import ThreadPoolExecutor  # serial runs skip it
         edges = [trials * i // k for i in range(k + 1)]
         with ThreadPoolExecutor(max_workers=k - 1) as pool:
-            helpers = [pool.submit(block, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
-            parts = [block(edges[0], edges[1])] + [f.result() for f in helpers]
-    ops = [op for part in parts for op in part[0]] + [op for part in parts for op in part[1]]
-    mats = problem.matrix if noise.kind == "offset" else np.stack([e.matrix for e in ops])
-    return QuadraticOperator(mats, np.stack([e.offset for e in ops]))
+            helpers = pool.map(block, edges[1:-1], edges[2:])  # submitted at once
+            block(edges[0], edges[1])
+            list(helpers)  # re-raises a helper's error
+    if noise.kind == "offset":
+        return QuadraticOperator(problem.matrix, problem.offset + means)
+    # each row b + 0.0, as empirical_operator gives it (a -0.0 of b reads +0.0)
+    return QuadraticOperator(problem.matrix + means, problem.offset + np.zeros(means.shape[:2]))
 
 
 # ---------------------------------------------------------------------------

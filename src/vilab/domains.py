@@ -120,13 +120,6 @@ class Domain:
         raise NotImplementedError
 
 
-def _positive_radius(r: float) -> float:
-    r = float(r)
-    if not r > 0.0:
-        raise ValueError(f"covering radius must be positive, got {r}")
-    return r
-
-
 @dataclass(eq=False)
 class Simplex(Domain):
     """Standard d-simplex in R^{d+1}."""
@@ -168,7 +161,7 @@ class Simplex(Domain):
         return vh[1:]
 
     def covering_number_upper(self, r: float) -> int:
-        r = _positive_radius(r)
+        r = _checked(r, "r", float, _POSITIVE)
         # l2 volumetric bound inside the d-dimensional affine hull, whose ball
         # has circumradius sqrt(d/(d+1)); an l-inf ball of radius r contains
         # the l2 ball of radius r, so l-inf covering is no harder.
@@ -225,7 +218,8 @@ class Ball(Domain):
         # the l2 volumetric count per axis: ceil(1 + 2R/r) points spaced at
         # most r apart across [c-R, c+R] leave every point of the ball within
         # l-inf r/2 of the grid
-        return int(math.ceil(1.0 + 2.0 * self.radius / _positive_radius(r))) ** self.dim
+        r = _checked(r, "r", float, _POSITIVE)
+        return int(math.ceil(1.0 + 2.0 * self.radius / r)) ** self.dim
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
         n = 1 if size is None else size
@@ -276,7 +270,7 @@ class Box(Domain):
     def covering_number_upper(self, r: float) -> int:
         # cells of side <= 2r per axis; their centres cover within l-inf r.
         # Python ints: a product of per-axis counts overflows int64 by d = 19.
-        cell = 2.0 * _positive_radius(r)
+        cell = 2.0 * _checked(r, "r", float, _POSITIVE)
         return math.prod(max(1, math.ceil(s / cell)) for s in (self.upper - self.lower).tolist())
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:

@@ -345,6 +345,7 @@ def _place_interior_root(rng: np.random.Generator, domain: Domain, margin=None) 
     a diameter-based margin) and 0.05 * diameter elsewhere, games included."""
     if margin is None:
         margin = 0.25 / domain.dim if isinstance(domain, Simplex) else 0.05 * domain.diameter()
+    _checked(margin, "interior_margin", float, _NONNEGATIVE)
     for _ in range(_REJECTION_BUDGET):
         z = domain.sample(rng)
         if bool(domain.contains_interior(z, margin)):
@@ -464,22 +465,33 @@ def generate_game(
 # ---------------------------------------------------------------------------
 
 
-def _draw_offsets(seed, count: int, dim: int, magnitude: float,
+def _draw_offsets(seeds, count: int, dim: int, magnitude: float,
                   basis: Optional[np.ndarray]) -> np.ndarray:
-    """Uniform draws from a centered ball (in the tangent subspace if given).
+    """Uniform draws from a centered ball (in the tangent subspace if given),
+    `count` per seed in `seeds` order, in one buffer.
 
-    Directions and radii come from separate substreams so record i is a fixed
-    function of (seed, i) regardless of count, except in a tangent subspace:
-    the `e @ basis` product's bits depend on the count there.
+    Directions and radii come from separate substreams and every pass works
+    row by row (squared norms per seed, the scaling in place), so record i of
+    a seed is a fixed function of (seed, i) regardless of count, except in a
+    tangent subspace: each seed's `e @ basis` product has count-dependent bits.
     """
     t = dim if basis is None else basis.shape[0]
-    dirs = _stream(seed, (0,)).standard_normal((count, t))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=-1, keepdims=True), 1e-300)
-    radii = _stream(seed, (1,)).random(count) ** (1.0 / t)
-    e = magnitude * radii[:, None] * dirs
-    if basis is not None:
-        e = e @ basis
-    return e
+    total = len(seeds) * count
+    e, norms, radii = np.empty((total, t)), np.empty(total), np.empty(total)
+    parts = [slice(k * count, (k + 1) * count) for k in range(len(seeds))]
+    for seed, part in zip(seeds, parts):
+        _stream(seed, (0,)).standard_normal(out=e[part])
+        np.add.reduce(np.square(e[part]), axis=-1, out=norms[part])
+        _stream(seed, (1,)).random(out=radii[part])
+    e /= np.maximum(np.sqrt(norms, out=norms), 1e-300, out=norms)[:, None]
+    e *= (magnitude * radii ** (1.0 / t))[:, None]
+    if basis is None:
+        return e
+    del norms, radii  # not held beside the tangent images
+    out = np.empty((total, dim))
+    for part in parts:
+        np.matmul(e[part], basis, out=out[part])
+    return out
 
 
 def _below_floor(sym: np.ndarray, E: np.ndarray, mu_floor: float) -> np.ndarray:
@@ -494,8 +506,8 @@ def _gram_lambda_max(G: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.matmul(np.swapaxes(G, -1, -2), G))[:, -1]
 
 
-_UPPER_ROW, _UPPER_COL = np.triu_indices(4)
-_UPPER = tuple(zip(_UPPER_ROW.tolist(), _UPPER_COL.tolist()))  # (0, 0), (0, 1), ..., (3, 3)
+_UPPER = tuple((j, k) for j in range(4) for k in range(j, 4))  # (0, 0), (0, 1), ..., (3, 3)
+_ROW_STARTS = (0, 4, 7, 9)  # where row j's entries begin in _UPPER
 _PAIRS = tuple((j, k) for j, k in _UPPER if j < k)
 _LAGUERRE_STEPS = 50
 _KAPPA_MAX = 30.0
@@ -511,12 +523,16 @@ def _gram_charpoly(G: np.ndarray) -> tuple:
     count, t = G.shape[:2]
     g = np.zeros((4, 4, count))  # component-major, zero-padded to 4 x 4
     g[:t, :t] = np.moveaxis(G, 0, -1)
-    upper = g[0, _UPPER_ROW] * g[0, _UPPER_COL]  # G^T G, entries in _UPPER order
-    for row in g[1:]:
-        upper += row[_UPPER_ROW] * row[_UPPER_COL]
+    upper = np.empty((10, count))  # G^T G, entries in _UPPER order
+    for j, lo in enumerate(_ROW_STARTS):  # entries (j, j), ..., (j, 3)
+        part = upper[lo:lo + 4 - j]
+        np.multiply(g[0, j:], g[0, j], out=part)
+        for row in g[1:]:
+            part += row[j:] * row[j]
     scale = (upper[0] + upper[4]) + (upper[7] + upper[9])  # the trace
+    upper /= scale
     a = {}
-    for (j, k), entry in zip(_UPPER, upper / scale):
+    for (j, k), entry in zip(_UPPER, upper):
         a[j, k] = a[k, j] = entry
 
     def minor(r, s, j, k):
@@ -606,13 +622,14 @@ def _draw_matrices(seeds, count: int, dim: int, magnitude: float,
     never disturb neighbouring records.
 
     ||G_i||_2 = sqrt(lambda_max(G_i^T G_i)). For t <= 4 it comes from
-    `_quartic_lambda_max`: 3.5x faster than the Gram + eigvalsh route on
-    4,096 4 x 4 records (2.6 against 8.9 ms, one 2-vCPU host), 20x slower on
-    one (320 against 13 us), since its op count is fixed, so every seed's
-    records take one call, and so do a redraw round's: round a redraws every
-    rejected record i from (seed, (2, i, a)). Larger t keeps the eigvalsh
-    route, the only one there. Both routes work record by record, so record
-    i of a seed depends on (seed, i) only. The kernel's relative error in
+    `_quartic_lambda_max`: 4x faster than the Gram + eigvalsh route on
+    4,096 4 x 4 records (1.3 against 5.5 ms, one 2-vCPU host), 20x slower on
+    one (210 against 9 us), since its op count is fixed, so all seeds'
+    records fill one buffer, scaled in place, and take one call, and so do a
+    redraw round's: round a redraws every rejected record i from (seed, (2,
+    i, a)). Larger t keeps the eigvalsh route, the only one there. Both
+    routes work record by record, so record i of a seed depends on (seed, i)
+    only. The kernel's relative error in
     ||G_i||_2 is about 3.3 eps kappa <= 100 eps at most (the eigvalsh
     route's is about 1e-15), so ||E_i||_2 equals magnitude to that
     precision, and the Weyl skip below keeps a margin of 1e-9 * ||sym M|| >=
@@ -625,9 +642,9 @@ def _draw_matrices(seeds, count: int, dim: int, magnitude: float,
 
     def normalize(block):
         lam = _quartic_lambda_max(block) if t <= 4 else _gram_lambda_max(block)
-        s = np.sqrt(np.maximum(lam, 0.0))
-        E = magnitude * block / np.maximum(s, 1e-300)[:, None, None]
-        return E if basis is None else np.einsum("ti,ntu,uj->nij", basis, E, basis)
+        block *= magnitude
+        block /= np.maximum(np.sqrt(np.maximum(lam, 0.0)), 1e-300)[:, None, None]
+        return block if basis is None else np.einsum("ti,ntu,uj->nij", basis, block, basis)
 
     E = normalize(G)
     if magnitude == 0.0:
@@ -678,8 +695,7 @@ def _draw_records(problem, noise: NoiseModel, count: int, seeds) -> np.ndarray:
     """The `count` records of each seed in `seeds`, in order."""
     d, basis = problem.dim, problem.tangent_basis
     if noise.kind == "offset":
-        e = [_draw_offsets(seed, count, d, noise.magnitude, basis) for seed in seeds]
-        return e[0] if len(e) == 1 else np.concatenate(e)
+        return _draw_offsets(seeds, count, d, noise.magnitude, basis)
     return _draw_matrices(seeds, count, d, noise.magnitude, basis, problem.matrix)
 
 

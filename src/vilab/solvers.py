@@ -25,6 +25,7 @@ of them, or a QuadraticGame).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,20 +91,28 @@ def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
     the one gd/eg loop, its (B, dim) buffers allocated once per call.
 
     Raises NumericalError if an iterate norm exceeds the guard
-    1e6 * (1 + max ||z0||)."""
+    1e6 * (1 + max ||z0||) or is not a number. The norms are taken only when
+    max |z| passes a screen: a row's computed norm is at most sqrt(d) max |z|
+    (1 + (d + 3) eps / 2), and its squares overflow only past sqrt(float max / d)."""
     z = domain.center() if z0 is None else np.asarray(z0, dtype=float)
     if z.shape[-1] != domain.dim:
         raise ValueError(f"start point shape {z.shape} does not match domain dim {domain.dim}")
     z = _own_start(F, z)
     guard = DIVERGENCE_FACTOR * (1.0 + float(np.max(np.linalg.norm(z, axis=-1))))
+    d = z.shape[-1]
+    screen = min(guard, math.sqrt(sys.float_info.max)) / (
+        math.sqrt(d) * (1.0 + 4.0 * (d + 2) * sys.float_info.epsilon))
     target = domain if config.projected else None
     buf = np.empty_like(z)  # F values and the step; free again after each step
     half = np.empty_like(z) if config.method == "eg" else None
     for t in range(config.T):
         _step_into(F, z, config.eta, target, buf, half)
-        norms = np.sqrt(np.add.reduce(np.multiply(z, z, out=buf), axis=-1))
-        if float(np.max(norms)) > guard:
-            raise NumericalError(f"iterate norm exceeded divergence guard at step {t + 1}")
+        if float(np.max(np.abs(z, out=buf))) <= screen:
+            continue
+        top = float(np.max(np.sqrt(np.add.reduce(np.multiply(z, z, out=buf), axis=-1))))
+        if not top <= guard:
+            what = "exceeded divergence guard" if top > guard else "is not a number"
+            raise NumericalError(f"iterate norm {what} at step {t + 1}")
     return Trajectory(final=z, steps=config.T)
 
 

@@ -40,7 +40,7 @@ from vilab import (
     trial_dataset_seed,
 )
 from vilab import problems
-from vilab.analysis import (_SERIAL_FLOATS, _default_workers, _empirical_solutions,
+from vilab.analysis import (_CHUNK_FLOATS, _SERIAL_FLOATS, _default_workers, _empirical_solutions,
                             _iterate_to_tol, _training_horizon, _trial_operators,
                             check_gd_eta)
 from vilab.gaps import _strong_gap
@@ -230,7 +230,7 @@ class TestStabilityExperiment:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before trials was checked")
 
-        monkeypatch.setattr("vilab.analysis.sample_dataset", no_sampling)
+        monkeypatch.setattr("vilab.analysis._draw_records", no_sampling)
         for trials in (0, -1):
             with pytest.raises(ValueError, match="trials"):
                 stability_experiment(self.op, self.dom, SolverConfig("gd", 0.1, 10),
@@ -312,21 +312,25 @@ class TestStabilityExperiment:
         # the swap changes exactly one record of each trial's dataset
         drawn = []
 
-        def keeping(*args, **kwargs):
-            X = sample_dataset(*args, **kwargs)
-            drawn.append((X, X.records.copy()))
-            return X
+        def keeping(problem, noise, count, seeds):
+            records = problems._draw_records(problem, noise, count, seeds)
+            if count == n:  # a chunk's datasets, not the replacement records
+                drawn.append((records, records.copy()))
+            return records
 
-        monkeypatch.setattr("vilab.analysis.sample_dataset", keeping)
+        monkeypatch.setattr("vilab.analysis._draw_records", keeping)
+        monkeypatch.setattr("vilab.analysis._CHUNK_FLOATS",
+                            4 * n * dom.dim ** (2 if kind == "matrix" else 1))
         _trial_operators(op, noise, n, seed, trials, neighbours=True)
-        assert len(drawn) == trials
-        for X, records in drawn:
-            changed = np.any(X.records != records, axis=tuple(range(1, records.ndim)))
-            assert changed.sum() == 1
+        assert [len(records) for records, _ in drawn] == [4 * n, 2 * n]  # trials 0-3, 4-5
+        for records, before in drawn:
+            changed = np.any((records != before).reshape(-1, n, records[0].size), axis=-1)
+            assert np.array_equal(changed.sum(axis=-1), np.ones(len(records) // n))
 
     def test_matrix_neighbours_take_one_norm_call(self, monkeypatch):
-        # one quartic-kernel call per dataset and one for every trial's
-        # replacement record (magnitude 0.2 < mu/2: no rejection redraws)
+        # one quartic-kernel call per chunk of trials and one for every
+        # trial's replacement record (magnitude 0.2 < mu/2: no rejection
+        # redraws); a chunk of two trials here, one record stack per chunk
         calls = []
         route = problems._quartic_lambda_max
         monkeypatch.setattr(problems, "_quartic_lambda_max",
@@ -334,9 +338,15 @@ class TestStabilityExperiment:
         dom = Ball(np.zeros(4), 1.0)
         op = generate_operator(3, 4, 0.8, 1.6, domain=dom)
         n, trials = 32, 5
+        monkeypatch.setattr("vilab.analysis._CHUNK_FLOATS", 2 * n * 16 + 1)
         stability_experiment(op, dom, SolverConfig("gd", 0.25, 50), n, trials, 0,
-                             NoiseModel("matrix", 0.2))
-        assert sorted(calls) == sorted([(n, 4, 4)] * trials + [(trials, 4, 4)])
+                             NoiseModel("matrix", 0.2), workers=1)
+        assert calls == [(trials, 4, 4), (2 * n, 4, 4), (2 * n, 4, 4), (n, 4, 4)]
+        calls.clear()
+        monkeypatch.setattr("vilab.analysis._CHUNK_FLOATS", _CHUNK_FLOATS)  # one chunk of all
+        stability_experiment(op, dom, SolverConfig("gd", 0.25, 50), n, trials, 0,
+                             NoiseModel("matrix", 0.2), workers=1)
+        assert calls == [(trials, 4, 4), (trials * n, 4, 4)]
 
     def test_benchmark_stability_outputs_match_the_reference(self):
         # the benchmark's gate on its matrix-noise stability divergences: the
@@ -501,7 +511,7 @@ class TestGeneralizationSweep:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before mode was checked")
 
-        monkeypatch.setattr("vilab.analysis.sample_dataset", no_sampling)
+        monkeypatch.setattr("vilab.analysis._draw_records", no_sampling)
         with pytest.raises(ValueError, match=message):
             generalization_sweep(op, dom, SolverConfig("gd", 0.2, 1),
                                  NoiseModel("offset", 0.1), (8, 16), trials, 0, mode=mode)
@@ -513,9 +523,9 @@ class TestGeneralizationSweep:
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return sample_dataset(*args, **kwargs)
+            return problems._draw_records(*args, **kwargs)
 
-        monkeypatch.setattr("vilab.analysis.sample_dataset", counting)
+        monkeypatch.setattr("vilab.analysis._draw_records", counting)
         cfg, noise = SolverConfig("gd", 0.2, 1), NoiseModel("offset", 0.1)
         for kind, match in (("weak_gap", "needs a game"),
                             ("potential_gap", "needs a game"),
@@ -700,30 +710,71 @@ def _peak_bytes(fn) -> int:
 
 class TestPeakMemory:
     """Experiments keep each trial's means, not its records, so peak memory
-    does not grow with the number of trials: it is one trial's records per
-    worker thread. Serial runs are compared across trial counts; how far two
-    threads' records overlap depends on timing, so a threaded run is held to
-    the serial peak per worker."""
+    does not grow with the number of trials: it is one chunk's records per
+    worker thread. Serial runs are compared across trial counts that each
+    fill at least one chunk; how far two threads' records overlap depends on
+    timing, so a threaded run is held to the serial peak per worker."""
 
     dom = Ball(np.zeros(4), 1.0)
     op = generate_operator(0, 4, 0.8, 1.6, domain=dom)
+    # at n = 2048 and d = 4 a chunk holds 2 matrix-noise or 8 offset-noise trials
+    TRIALS = {"matrix": (4, 40), "offset": (8, 80)}
 
-    def _check(self, experiment):
-        peaks = [_peak_bytes(lambda: experiment(trials, 1)) for trials in (4, 40)]
+    def test_trial_counts_fill_a_chunk(self):
+        for kind, (few, _) in self.TRIALS.items():
+            assert _CHUNK_FLOATS // (2048 * (16 if kind == "matrix" else 4)) <= few
+
+    def _check(self, experiment, kind):
+        few, many = self.TRIALS[kind]
+        peaks = [_peak_bytes(lambda: experiment(trials, 1)) for trials in (few, many)]
         assert peaks[1] <= 1.5 * peaks[0]
-        assert _peak_bytes(lambda: experiment(40, 2)) <= 1.5 * 2 * peaks[0]
+        assert _peak_bytes(lambda: experiment(many, 2)) <= 1.5 * 2 * peaks[0]
 
     @pytest.mark.parametrize("kind", ["matrix", "offset"])
     def test_stability_peak_flat_in_trials(self, kind):
         noise, cfg = NoiseModel(kind, 0.2), SolverConfig("gd", 0.25, 50)
         self._check(lambda trials, workers: stability_experiment(
-            self.op, self.dom, cfg, 2048, trials, 0, noise, workers=workers))
+            self.op, self.dom, cfg, 2048, trials, 0, noise, workers=workers), kind)
 
     @pytest.mark.parametrize("kind", ["matrix", "offset"])
     def test_sweep_peak_flat_in_trials(self, kind):
         noise, cfg = NoiseModel(kind, 0.2), SolverConfig("gd", 0.1, 1)
         self._check(lambda trials, workers: generalization_sweep(
-            self.op, self.dom, cfg, noise, (2048,), trials, 0, workers=workers))
+            self.op, self.dom, cfg, noise, (2048,), trials, 0, workers=workers), kind)
+
+
+class TestTrialChunks:
+    """_trial_operators draws a chunk of consecutive trials at once, and its
+    stack keeps every bit at every chunk size: one trial per chunk, all
+    trials in one chunk, and the per-trial datasets' own means."""
+
+    ball = Ball(np.zeros(3), 1.0)
+    ops = {"ball": generate_operator(4, 3, 0.8, 1.6, domain=ball),
+           "simplex": generate_operator(4, 4, 0.8, 1.6, domain=Simplex(3))}
+
+    @pytest.mark.parametrize("neighbours", [False, True])
+    @pytest.mark.parametrize("where", ["ball", "simplex"])
+    @pytest.mark.parametrize("kind", ["matrix", "offset"])
+    def test_stack_is_equal_at_every_chunk_size(self, kind, where, neighbours, monkeypatch):
+        op, noise = self.ops[where], NoiseModel(kind, 0.3)
+        n, trials, seed = 24, 7, 5
+        stacks = []
+        for budget in (1, 10 ** 9):  # one trial per chunk, every trial in one chunk
+            monkeypatch.setattr("vilab.analysis._CHUNK_FLOATS", budget)
+            stacks.append(_trial_operators(op, noise, n, seed, trials,
+                                           neighbours=neighbours, workers=1))
+        seeds = [trial_dataset_seed(seed, n, t) for t in range(trials)]
+        datasets = [sample_dataset(op, noise, n, s) for s in seeds]
+        if neighbours:  # trial t's dataset with the record its seed picks redrawn
+            swapped = [int(problems._stream(s, (9,)).integers(n)) for s in seeds]
+            datasets += [neighbour(op, X, noise, j, s + [1])
+                         for X, j, s in zip(datasets, swapped, seeds)]
+        emps = [empirical_operator(op, X) for X in datasets]
+        mats = np.stack([e.matrix for e in emps]) if kind == "matrix" else op.matrix
+        offs = np.stack([e.offset for e in emps])
+        for F in stacks:
+            assert np.array_equal(F.matrix, mats)
+            assert np.array_equal(F.offset, offs)
 
 
 class TestTrialThreads:

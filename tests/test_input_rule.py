@@ -14,12 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from vilab import (Ball, ConfigError, NoiseModel, ProblemConstants, Simplex, SolverConfig,
+from vilab import (Ball, Box, ConfigError, NoiseModel, ProblemConstants, Simplex, SolverConfig,
                    bernstein_check, contraction_bound, generalization_sweep, generate_game,
                    generate_operator, sample_dataset, stability_bound, stability_experiment)
 from vilab.analysis import _trial_operators
 
 DOM = Ball(np.zeros(2), 1.0)
+BOX = Box(-np.ones(2), np.ones(2))
 OP = generate_operator(0, 2, 0.8, 1.6, domain=DOM)
 GAME = generate_game(3, 2, 1, 0.5, 0.3)
 NOISE = NoiseModel("offset", 0.1)
@@ -44,12 +45,19 @@ ENTRIES = {
     "NoiseModel.magnitude": (lambda v: NoiseModel("offset", v), 0.5, float, -0.1),
     "Simplex.d": (Simplex, 2, int, 0),
     "Ball.radius": (lambda v: Ball(np.zeros(2), v), 2.0, float, 0.0),
+    "Ball.covering_number_upper.r": (DOM.covering_number_upper, 0.5, float, 0.0),
+    "Box.covering_number_upper.r": (BOX.covering_number_upper, 0.5, float, 0.0),
+    "Simplex.covering_number_upper.r": (Simplex(2).covering_number_upper, 0.5, float, 0.0),
     "generate_operator.d": (lambda v: generate_operator(0, v, 0.8, 1.6), 2, int, 0),
+    "generate_operator.interior_margin": (
+        lambda v: generate_operator(0, 2, 0.8, 1.6, interior_margin=v), 0.1, float, -0.1),
     "generate_game.k": (lambda v: generate_game(0, v, 1, 0.5, 0.4), 2, int, 0),
     "generate_game.dims": (lambda v: generate_game(0, 2, [v, 1], 0.5, 0.4), 2, int, 0),
     "generate_game.mu_target": (lambda v: generate_game(0, 2, 1, v, 0.4), 0.5, float, 0.0),
     "generate_game.coupling_strength": (lambda v: generate_game(0, 2, 1, 0.5, v),
                                         0.4, float, None),
+    "generate_game.interior_margin": (
+        lambda v: generate_game(0, 2, 1, 0.5, 0.4, interior_margin=v), 0.1, float, -0.1),
     "sample_dataset.n": (lambda v: sample_dataset(OP, NOISE, v, 0), 4, int, 0),
     "stability_experiment.trials": (
         lambda v: stability_experiment(OP, DOM, PROJECTED, 4, v, 0, NOISE, 1), 2, int, 0),
@@ -107,6 +115,17 @@ def test_bad_value_is_refused(name, value):
     pytest.param(lambda: generate_game(0, True, 2, 0.5, 0.4), id="players-bool"),
     pytest.param(lambda: generate_game(0, 2, 2.5, 0.5, 0.4), id="dims-float"),
     pytest.param(lambda: sweep(n_grid=[4.7, 8]), id="n_grid-float"),
+    pytest.param(lambda: DOM.covering_number_upper("0.5"), id="covering-radius-string"),
+    pytest.param(lambda: DOM.covering_number_upper(True), id="covering-radius-bool"),
+    pytest.param(lambda: DOM.covering_number_upper(math.inf), id="covering-radius-inf"),
+    pytest.param(lambda: generate_operator(0, 2, 0.8, 1.6, interior_margin="0.1"),
+                 id="operator-margin-string"),
+    pytest.param(lambda: generate_operator(0, 2, 0.8, 1.6, interior_margin=math.nan),
+                 id="operator-margin-nan"),
+    pytest.param(lambda: generate_game(0, 2, 1, 0.5, 0.4, interior_margin="0.1"),
+                 id="game-margin-string"),
+    pytest.param(lambda: generate_game(0, 2, 1, 0.5, 0.4, interior_margin=math.nan),
+                 id="game-margin-nan"),
 ])
 def test_values_the_cli_schema_refuses_are_refused(call):
     with pytest.raises(ConfigError):

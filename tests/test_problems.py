@@ -786,18 +786,19 @@ class TestDatasets:
         X = sample_dataset(op, noise, 50, seed=23)
         # a matrix-noise dataset holds no offset array: its one array is the matrices
         assert [a.shape for a in vars(X).values()] == [(50, 3, 3)]
-        # a stability neighbour swaps a matrix in place and still holds no offsets
+        # a stability neighbour swaps a matrix in place: the trials draw only
+        # matrices, the replacement record and then the chunk's records
         drawn = []
 
         def keeping(*args):
-            drawn.append(sample_dataset(*args))
+            drawn.append(problems._draw_records(*args))
             return drawn[-1]
 
-        monkeypatch.setattr("vilab.analysis.sample_dataset", keeping)
-        _trial_operators(op, noise, 50, 23, 1, neighbours=True)
-        (swapped,) = drawn
-        assert [a.shape for a in vars(swapped).values()] == [(50, 3, 3)]
+        monkeypatch.setattr("vilab.analysis._draw_records", keeping)
+        F = _trial_operators(op, noise, 50, 23, 1, neighbours=True)
+        assert [a.shape for a in drawn] == [(1, 3, 3), (50, 3, 3)]
         assert np.array_equal(empirical_operator(op, X).offset, op.offset)
+        assert np.array_equal(F.offset, [op.offset, op.offset])
 
     def test_matrix_floor_unreachable(self):
         # at d=8 a norm-50 perturbation with near-PSD symmetric part is far

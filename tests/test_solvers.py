@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -243,6 +244,85 @@ class TestBufferedKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * z0.nbytes
+
+
+def _reference_guard_step(F, dom, config, z0):
+    """The first step at which a run's largest row norm, taken in full every
+    step, exceeds 1e6 * (1 + max ||z0||) or is not a number; None if none."""
+    z = solvers._own_start(F, np.asarray(z0, dtype=float))
+    guard = 1e6 * (1.0 + float(np.max(np.linalg.norm(z, axis=-1))))
+    buf = np.empty_like(z)
+    half = np.empty_like(z) if config.method == "eg" else None
+    for t in range(config.T):
+        solvers._step_into(F, z, config.eta, dom if config.projected else None, buf, half)
+        if not float(np.max(np.linalg.norm(z, axis=-1))) <= guard:
+            return t + 1
+    return None
+
+
+def _guard_step(F, dom, config, z0):
+    """The step at which `run` raises NumericalError, or None."""
+    try:
+        run(F, dom, config, z0)
+    except NumericalError as exc:
+        return int(re.search(r"at step (\d+)", str(exc)).group(1))
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestGuard:
+    """`run` screens each step with max |z| and takes the row norms only
+    above the screen; it raises at the same step as a full norm check.
+    Iterates that grow past the float range warn on the way."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 5, 50):
+            for scale in (1.0, 1e100, 1e150, 1e153, 1e155):
+                for B in (1, 7):
+                    M = rng.standard_normal((d, d)) - 0.4 * np.eye(d)  # some rows grow
+                    z0 = scale * rng.standard_normal((B, d)) / math.sqrt(d)
+                    yield QuadraticOperator(M, np.zeros(d)), Ball(np.zeros(d), 1.0), z0
+
+    @pytest.mark.parametrize("method", ["gd", "eg"])
+    def test_raise_step_matches_a_full_norm_check(self, method):
+        raised = 0
+        for op, dom, z0 in self._cases():
+            config = SolverConfig(method, 0.5, 400)
+            step = _reference_guard_step(op, dom, config, z0)
+            assert _guard_step(op, dom, config, z0) == step
+            raised += step is not None
+        assert raised >= 20
+
+    def test_squares_that_overflow_below_the_guard_still_raise(self):
+        # ||z0|| = 1e153 sets the guard near 1e159, but the squares of a norm
+        # past 1.34e154 overflow, so the full check raises there
+        dom = Ball(np.zeros(2), 1.0)
+        op = QuadraticOperator(-np.eye(2), np.zeros(2))
+        config = SolverConfig("gd", 0.5, 20)
+        z0 = np.array([1e153, 0.0])
+        assert _reference_guard_step(op, dom, config, z0) == 7  # 1e153 * 1.5^7 > 1.34e154
+        assert _guard_step(op, dom, config, z0) == 7
+
+    def test_a_start_whose_guard_overflows_never_raises(self):
+        # ||z0|| = 1e155: its squares overflow, the guard is infinite, and
+        # neither check raises while the iterates stay finite
+        dom = Ball(np.zeros(2), 1.0)
+        config = SolverConfig("gd", 0.5, 20)
+        z0 = np.array([1e155, 1e154])
+        shrink, grow = (QuadraticOperator(s * np.eye(2), np.zeros(2)) for s in (1.0, -1.0))
+        for op in (shrink, grow):
+            assert _reference_guard_step(op, dom, config, z0) is None
+            assert _guard_step(op, dom, config, z0) is None
+        assert np.array_equal(run(shrink, dom, config, z0).final, z0 * 0.5 ** 20)
+
+    @pytest.mark.parametrize("method", ["gd", "eg"])
+    def test_a_non_finite_iterate_raises(self, method):
+        op = QuadraticOperator([[np.nan, 0.0], [0.0, 1.0]], np.zeros(2))
+        with pytest.raises(NumericalError, match="not a number at step 1"):
+            run(op, Ball(np.zeros(2), 1.0), SolverConfig(method, 0.1, 5))
 
 
 class TestContractionBounds:
