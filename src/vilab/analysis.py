@@ -31,14 +31,22 @@ from typing import Optional
 import numpy as np
 
 from .domains import Domain, Simplex
-from .errors import _COUNT, _PAIR, ConfigError, _checked
+from .errors import _COUNT, _PAIR, _REQUIRED, ConfigError, _section, _value
 from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
-from .problems import (NoiseModel, ProblemConstants, QuadraticGame, QuadraticOperator,
-                       _draw_records, _stream, constants, exact_solution, sampled_constants)
+from .problems import (_DATASET_SIZE, _SEED, NoiseModel, ProblemConstants, QuadraticGame,
+                       QuadraticOperator, _draw_records, _stream, constants, exact_solution,
+                       sampled_constants)
 from .solvers import (SolverConfig, _gate_eta, _stability_limit, contraction_bound, run,
                       stability_bound)
 
 BOUND_NOTE = "order-level: hidden constants set to 1"
+# The experiments' inputs, keyed as in the CLI; each sweep kind says if it needs a game.
+_WORKERS = (int, _COUNT, None)
+_STABILITY = {"n": _DATASET_SIZE, "trials": (int, _COUNT, _REQUIRED)}
+_SWEEP_KINDS = {"gap": False, "weak_gap": True, "potential_gap": True}
+_SWEEP = {"trials": (int, _PAIR, _REQUIRED), "kind": (tuple(_SWEEP_KINDS), None, "gap"),
+          "mode": (("mean", "quantile"), None, "mean"), "delta": (float, "(0, 1)", 0.1)}
+_BERNSTEIN = {"z_samples": (int, _COUNT, _REQUIRED), "mc_samples": (int, _PAIR, _REQUIRED)}
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +184,7 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
     batched mean keeps each trial's summation order, so the stack is
     bit-identical at every worker count and chunk size, and peak memory
     stays one chunk's records per worker."""
-    workers = _checked(_default_workers() if workers is None else workers, "workers", int, _COUNT)
+    workers = _value(_WORKERS, _default_workers() if workers is None else workers, "workers")
     seeds = [trial_dataset_seed(seed, n, t) for t in range(trials)]
     if neighbours:
         replacements = _draw_records(problem, noise, 1, [s + [1] for s in seeds])
@@ -247,7 +255,8 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     drawn on up to `workers` threads (None: the CPUs this process may use);
     training runs in the calling thread.
     """
-    _checked(trials, "trials", int, _COUNT)
+    _section(_STABILITY, {"n": n, "trials": trials}, "")
+    _value(_SEED, seed, "seed")
     consts = constants(problem, domain)
     w = check_gd_eta(config, consts, noise, domain)
     Z = run(_trial_operators(problem, noise, n, seed, trials, neighbours=True, workers=workers),
@@ -334,11 +343,6 @@ def _empirical_solutions(F: QuadraticOperator, domain, config, T: int):
     return (*_iterate_to_tol(F, domain, config, T), 0)
 
 
-# Each sweep kind, in the CLI's order, and whether it needs a game.
-_SWEEP_KINDS = {"gap": False, "weak_gap": True, "potential_gap": True}
-_MODES = ("mean", "quantile")  # what a sweep fits: the trials' mean or (1 - delta) quantile
-
-
 def _check_mode(mode: str, trials: int, delta: float) -> None:
     """Estimating the (1 - delta) quantile (mode "quantile") needs >= 10/delta trials."""
     if mode == "quantile" and trials < (needed := math.ceil(10.0 / delta)):
@@ -370,15 +374,14 @@ def generalization_sweep(problem, domain: Domain, config: SolverConfig,
     "quantile", which needs >= 10/delta trials); when it fails, e.g. on a
     single n, its numbers are None and fit_error holds the reason. Every
     argument is checked before anything is sampled."""
-    if _SWEEP_KINDS[_checked(kind, "kind", tuple(_SWEEP_KINDS))] and \
-            not isinstance(problem, QuadraticGame):
+    _section(_SWEEP, {"trials": trials, "kind": kind, "mode": mode, "delta": delta}, "")
+    _value(_SEED, seed, "seed")
+    if _SWEEP_KINDS[kind] and not isinstance(problem, QuadraticGame):
         raise ValueError(f"kind {kind!r} needs a game")
-    _checked(trials, "trials", int, _PAIR)
-    _checked(delta, "delta", float, "(0, 1)")
-    _check_mode(_checked(mode, "mode", _MODES), trials, delta)
+    _check_mode(mode, trials, delta)
     level = f"{1 - delta:g}"
     levels = {"0.5": 0.5, "0.9": 0.9, level: 1.0 - delta}
-    n_grid = tuple(int(_checked(n, f"n_grid[{i}]", int, _COUNT)) for i, n in enumerate(n_grid))
+    n_grid = tuple(int(_value(_DATASET_SIZE, n, f"n_grid[{i}]")) for i, n in enumerate(n_grid))
     T = _training_horizon(config, constants(problem, domain), noise, domain)
     per_n = []
     for n in n_grid:
@@ -421,8 +424,8 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
     where g(z, zeta) = <Xi(z, zeta), z - w*(z)>. Row 0 is z* itself (both
     sides vanish). A row is violated when the 1.05-slack inequality fails by
     more than 3 Monte-Carlo standard errors."""
-    _checked(z_samples, "z_samples", int, _COUNT)
-    _checked(mc_samples, "mc_samples", int, _PAIR)
+    _section(_BERNSTEIN, {"z_samples": z_samples, "mc_samples": mc_samples}, "")
+    _value(_SEED, seed, "seed")
     consts = constants(game)
     B = bernstein_constant(consts)
     zs = [exact_solution(game)]

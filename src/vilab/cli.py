@@ -36,69 +36,26 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (_MODES, _SWEEP_KINDS, _check_mode, _default_workers,
-                       bernstein_check, check_gd_eta, evaluate_bounds, generalization_sweep,
-                       stability_experiment, trial_dataset_seed)
+from .analysis import (_BERNSTEIN, _STABILITY, _SWEEP, _SWEEP_KINDS, _WORKERS, _check_mode,
+                       _default_workers, bernstein_check, check_gd_eta, evaluate_bounds,
+                       generalization_sweep, stability_experiment, trial_dataset_seed)
 from .charts import log_log_chart
-from .domains import Ball, Box, Domain, Product, Simplex
-from .errors import (_COUNT, _NONNEGATIVE, _PAIR, _POSITIVE, BoundViolationError,
-                     ConfigError, GenerationError, InfeasiblePointError, NumericalError,
-                     _checked, _within)
+from .domains import _RADIUS, _SIMPLEX_D, Ball, Box, Domain, Product, Simplex
+from .errors import (_COUNT, _PAIR, _POSITIVE, _REQUIRED, BoundViolationError, ConfigError,
+                     GenerationError, InfeasiblePointError, NumericalError, _section, _value)
 from .gaps import gap_report
-from .problems import (_NOISE_KINDS, NoiseModel, _stream, constants, empirical_operator,
-                       generate_game, generate_operator, sample_dataset)
-from .solvers import (_METHODS, SolverConfig, _ceiling_gated, _default_eta_grid,
-                      admissible_eta, contraction_bound, contraction_ratio, run)
+from .problems import (_DATASET_SIZE, _GAME, _MARGIN, _NOISE, _OPERATOR, _PLAYER_DIM, _SEED,
+                       NoiseModel, _stream, constants, empirical_operator, generate_game,
+                       generate_operator, sample_dataset)
+from .solvers import (_SOLVER, SolverConfig, _ceiling_gated, _default_eta_grid, admissible_eta,
+                      contraction_bound, contraction_ratio, run)
 
 # ---------------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------------
-#
-# A table maps each key of one config object to (check, bound, default).
-# check: float, int, bool or str, or a tuple of allowed strings, each
-# checked by the library's one input rule (errors._checked); a nested table;
-# a list [element check, element bound]; or a function (value, path) ->
-# value. bound: an interval such as "(0, inf)" that a number, or a list's
-# length, must lie in. default: _REQUIRED, None (the key may be absent), or
-# the value filled in when the key is absent.
-
-_REQUIRED = object()
-
-
-def _value(check, bound, value, path: str):
-    """`value` checked against one table entry; errors name `path`."""
-    if isinstance(check, dict):
-        return _section(check, value, path)
-    if isinstance(check, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"'{path}' must be a list")
-        value = [_value(*check, v, f"{path}[{i}]") for i, v in enumerate(value)]
-        if bound is not None and not _within(bound, len(value)):
-            raise ConfigError(f"'{path}' needs a length in {bound}, got {len(value)}")
-        return value
-    if not isinstance(check, (type, tuple)):
-        return check(value, path)
-    return _checked(value, path, check, bound)
-
-
-def _section(spec: dict, value, path: str) -> dict:
-    """A checked copy of the object at `path` (the root when empty): unknown
-    keys rejected, missing ones reported, defaults filled in."""
-    at = f"{path}." if path else ""
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{path or 'config'}' must be an object")
-    for key in value:
-        if key not in spec:
-            raise ConfigError(f"unknown config key '{at}{key}'")
-    out = {}
-    for key, (check, bound, default) in spec.items():
-        if key in value:
-            out[key] = _value(check, bound, value[key], at + key)
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing config key '{at}{key}'")
-        elif default is not None:
-            out[key] = _value(check, bound, default, at + key)
-    return out
+# Tables of declarations (see errors). A key that a library entry point also
+# takes is that module's declaration (solvers._SOLVER, problems._OPERATOR, ...);
+# tagged kinds, list shapes, output names and relations between keys are the CLI's.
 
 
 def _tagged(tables: dict):
@@ -106,60 +63,46 @@ def _tagged(tables: dict):
     def check(value, path):
         if not isinstance(value, dict):
             raise ConfigError(f"'{path}' must be an object")
-        kind = _value(tuple(tables), None, value.get("kind"), f"{path}.kind")
+        kind = _value((tuple(tables), None), value.get("kind"), f"{path}.kind")
         return _section({"kind": ((kind,), None, _REQUIRED), **tables[kind]}, value, path)
     return check
 
 
 def _dims(value, path):
     """One size for every player, or a list of one size per player."""
-    return _value([int, _COUNT] if isinstance(value, list) else int, _COUNT, value, path)
+    return _value(([_PLAYER_DIM], _COUNT) if isinstance(value, list) else _PLAYER_DIM, value, path)
 
 
 _DOMAINS = {
-    "simplex": {"d": (int, _COUNT, _REQUIRED)},
-    "ball": {"center": ([float, None], _COUNT, _REQUIRED),
-             "radius": (float, _POSITIVE, _REQUIRED)},
-    "box": {"lower": ([float, None], _COUNT, _REQUIRED),
-            "upper": ([float, None], _COUNT, _REQUIRED)},
+    "simplex": {"d": _SIMPLEX_D},
+    "ball": {"center": ([(float, None)], _COUNT, _REQUIRED), "radius": _RADIUS},
+    "box": {"lower": ([(float, None)], _COUNT, _REQUIRED),
+            "upper": ([(float, None)], _COUNT, _REQUIRED)},
 }
 _DOMAIN = _tagged(_DOMAINS)
-_DOMAINS["product"] = {"factors": ([_DOMAIN, None], _COUNT, _REQUIRED)}
+_DOMAINS["product"] = {"factors": ([(_DOMAIN, None)], _COUNT, _REQUIRED)}
 
-_NOISE = {"kind": (_NOISE_KINDS, None, _REQUIRED),
-          "magnitude": (float, _NONNEGATIVE, _REQUIRED)}
-_INSTANCE = {"seed": (int, _NONNEGATIVE, 0),
-             "noise": (_NOISE, None, {"kind": "offset", "magnitude": 0.0}),
-             "interior_margin": (float, _NONNEGATIVE, None)}
+_INSTANCE = {"seed": _SEED, "noise": (_NOISE, None, {"kind": "offset", "magnitude": 0.0}),
+             "interior_margin": _MARGIN}
 _PROBLEMS = {
-    "operator": {"d": (int, _COUNT, _REQUIRED), "mu": (float, _POSITIVE, _REQUIRED),
-                 "L": (float, _POSITIVE, _REQUIRED), "domain": (_DOMAIN, None, _REQUIRED),
-                 **_INSTANCE},
-    "game": {"k": (int, _COUNT, _REQUIRED), "dims": (_dims, None, _REQUIRED),
-             "mu": (float, _POSITIVE, _REQUIRED),
-             "coupling": (float, _NONNEGATIVE, _REQUIRED), "domain": (_DOMAIN, None, None),
-             **_INSTANCE},
+    "operator": {"d": _OPERATOR["d"], "mu": _OPERATOR["mu"], "L": _OPERATOR["L"],
+                 "domain": (_DOMAIN, None, _REQUIRED), **_INSTANCE},
+    "game": {"k": _GAME["k"], "dims": (_dims, None, _REQUIRED), "mu": _GAME["mu"],
+             "coupling": _GAME["coupling"], "domain": (_DOMAIN, None, None), **_INSTANCE},
 }
-_SOLVER = {"method": (_METHODS, None, "gd"), "eta": (float, _POSITIVE, _REQUIRED),
-           "T": (int, _NONNEGATIVE, _REQUIRED), "projected": (bool, None, False)}
 _EXPERIMENTS = {
-    "solve": {"n": (int, _COUNT, _REQUIRED)},
+    "solve": {"n": _DATASET_SIZE},
     "contraction": {"pairs": (int, _COUNT, 1000),
-                    "eta_grid": ([float, _POSITIVE], _COUNT, None)},
-    "stability": {"n_grid": ([int, _COUNT], _COUNT, _REQUIRED),
-                  "trials": (int, _COUNT, _REQUIRED)},
-    "sweep": {"n_grid": ([int, _COUNT], _PAIR, _REQUIRED), "trials": (int, _PAIR, _REQUIRED),
-              "kind": (tuple(_SWEEP_KINDS), None, "gap"),
-              "mode": (_MODES, None, "mean"),
-              "delta": (float, "(0, 1)", 0.1)},
-    "bernstein": {"z_samples": (int, _COUNT, _REQUIRED),
-                  "mc_samples": (int, _PAIR, _REQUIRED)},
+                    "eta_grid": ([(float, _POSITIVE)], _COUNT, None)},
+    "stability": {"n_grid": ([_DATASET_SIZE], _COUNT, _REQUIRED), "trials": _STABILITY["trials"]},
+    "sweep": {"n_grid": ([_DATASET_SIZE], _PAIR, _REQUIRED), **_SWEEP},
+    "bernstein": _BERNSTEIN,
 }
 
 
 def _file_name(value, path):
     """A bare file name, so every output lands inside --out-dir."""
-    name = _value(str, None, value, path)
+    name = _value((str, None), value, path)
     if name in ("", ".", "..") or os.path.basename(name) != name:
         raise ConfigError(f"'{path}' must be a bare file name, got {value!r}")
     return name
@@ -241,7 +184,7 @@ def normalize_config(cfg: dict, command: str, seed_override=None) -> dict:
             raise ConfigError(f"'output.{a}' and 'output.{b}' name the same file {out[a]!r}")
     _problem_domain(p)
     if seed_override is not None:
-        p["seed"] = _value(int, _NONNEGATIVE, seed_override, "--seed")
+        p["seed"] = _value(_SEED, seed_override, "--seed")
     return cfg
 
 
@@ -519,10 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("config error: --workers must be >= 1", file=sys.stderr)
-        return 2
     try:
+        _value(_WORKERS, args.workers, "--workers")
         return _run(args.command, args)
     except (NumericalError, GenerationError, InfeasiblePointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

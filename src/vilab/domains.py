@@ -28,7 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import _COUNT, _POSITIVE, _checked
+from .errors import _COUNT, _POSITIVE, _REQUIRED, _checked, _value
+
+_SIMPLEX_D, _RADIUS = (int, _COUNT, _REQUIRED), (float, _POSITIVE, _REQUIRED)  # a ball's radius
 
 
 def _as_points(z, dim: int) -> np.ndarray:
@@ -127,7 +129,7 @@ class Simplex(Domain):
     d: int
 
     def __post_init__(self):
-        _checked(self.d, "d", int, _COUNT)
+        _value(_SIMPLEX_D, self.d, "d")
         self.dim = self.d + 1
 
     def project(self, z, out=None) -> np.ndarray:
@@ -183,7 +185,7 @@ class Ball(Domain):
 
     def __post_init__(self):
         self.center_point = _finite_array(self.center_point, "ball center")
-        self.radius = float(_checked(self.radius, "radius", float, _POSITIVE))
+        self.radius = float(_value(_RADIUS, self.radius, "radius"))
         self.dim = self.center_point.shape[0]
 
     def project(self, z, out=None) -> np.ndarray:

@@ -6,7 +6,7 @@ C_i z_{-i} + b_i into one operator; the per-player potentials
 f_i(z) = 1/2 z_i^T Q_i z_i + z_i^T (C_i z_{-i} + b_i) make the stack
 conservative player by player.
 
-Noisy samples come in two unbiased kinds (_NOISE_KINDS):
+Noisy samples come in two unbiased kinds (`_NOISE`'s kind):
 
 * offset:  Xi(z, zeta_i) = F(z) + e_i, e_i uniform in a centered ball of
   radius `magnitude` (monotonicity and smoothness of each sample are exact);
@@ -39,11 +39,22 @@ from typing import Optional
 import numpy as np
 
 from .domains import Ball, Box, Domain, Product, Simplex
-from .errors import (_COUNT, _NONNEGATIVE, _POSITIVE, GenerationError, InfeasiblePointError,
-                     NumericalError, _checked)
+from .errors import (_COUNT, _NONNEGATIVE, _POSITIVE, _REQUIRED, GenerationError,
+                     InfeasiblePointError, NumericalError, _section, _value)
 
 _REJECTION_BUDGET = 1000
-_NOISE_KINDS = ("offset", "matrix")
+# The inputs checked here, keyed as in the CLI's `problem` (mu_target is mu, L_target L,
+# coupling_strength coupling); a base seed is the experiments' too, n a dataset's size.
+_NOISE = {"kind": (("offset", "matrix"), None, _REQUIRED),
+          "magnitude": (float, _NONNEGATIVE, _REQUIRED)}
+_SEED = (int, _NONNEGATIVE, 0)
+_OPERATOR = {"seed": _SEED, "d": (int, _COUNT, _REQUIRED), "mu": (float, _POSITIVE, _REQUIRED),
+             "L": (float, _POSITIVE, _REQUIRED)}
+_GAME = {"seed": _SEED, "k": (int, _COUNT, _REQUIRED), "mu": _OPERATOR["mu"],
+         "coupling": (float, _NONNEGATIVE, _REQUIRED)}
+_MARGIN = (float, _NONNEGATIVE, None)
+_PLAYER_DIM = (int, _COUNT, _REQUIRED)
+_DATASET_SIZE = (int, _COUNT, _REQUIRED)
 
 
 def _stream(seed, key) -> np.random.Generator:
@@ -186,8 +197,7 @@ class NoiseModel:
     magnitude: float
 
     def __post_init__(self):
-        _checked(self.kind, "kind", _NOISE_KINDS)
-        self.magnitude = float(_checked(self.magnitude, "magnitude", float, _NONNEGATIVE))
+        self.magnitude = float(_section(_NOISE, vars(self), "")["magnitude"])
 
 
 @dataclass(frozen=True)
@@ -345,7 +355,7 @@ def _place_interior_root(rng: np.random.Generator, domain: Domain, margin=None) 
     a diameter-based margin) and 0.05 * diameter elsewhere, games included."""
     if margin is None:
         margin = 0.25 / domain.dim if isinstance(domain, Simplex) else 0.05 * domain.diameter()
-    _checked(margin, "interior_margin", float, _NONNEGATIVE)
+    _value(_MARGIN, margin, "interior_margin")
     for _ in range(_REJECTION_BUDGET):
         z = domain.sample(rng)
         if bool(domain.contains_interior(z, margin)):
@@ -372,12 +382,12 @@ def generate_operator(
     an eigenvalue inside [mu, L], so checking M checks the block, and the
     dynamics restricted to the simplex hyperplane stay there.
     """
-    _checked(d, "d", int, _COUNT)
+    _section(_OPERATOR, {"seed": seed, "d": d, "mu": mu_target, "L": L_target}, "")
     if domain is None:
         domain = Ball(np.zeros(d), 1.0)
     if domain.dim != d:
         raise ValueError(f"domain dim {domain.dim} != requested d {d}")
-    if not 0.0 < mu_target <= L_target < math.inf:
+    if mu_target > L_target:
         raise GenerationError(f"need 0 < mu <= L < inf, got mu={mu_target}, L={L_target}")
     rng = _stream(seed, ())
     if isinstance(domain, Simplex):
@@ -412,16 +422,14 @@ def generate_game(
     """Random k-player quadratic game with lambda_min(sym(M)) >= mu_target.
 
     Per-player blocks are SPD with eigenvalues in [1.5, 3] * mu_target;
-    couplings start at `coupling_strength` scale and are halved (at most 60
-    times) until the global monotonicity floor holds.
+    couplings start at `coupling_strength` (>= 0) scale and are halved (at
+    most 60 times) until the global monotonicity floor holds.
     """
-    _checked(k, "k", int, _COUNT)
+    _section(_GAME, {"seed": seed, "k": k, "mu": mu_target, "coupling": coupling_strength}, "")
     dims = (dims,) * k if np.ndim(dims) == 0 else dims  # one size for every player
-    dims = tuple(int(_checked(x, f"dims[{i}]", int, _COUNT)) for i, x in enumerate(dims))
+    dims = tuple(int(_value(_PLAYER_DIM, x, f"dims[{i}]")) for i, x in enumerate(dims))
     if len(dims) != k:
         raise ValueError(f"expected {k} player dims, got {len(dims)}")
-    _checked(mu_target, "mu_target", float, _POSITIVE)
-    _checked(coupling_strength, "coupling_strength", float)
     if domain is None:
         domain = Product(tuple(Box(-np.ones(di), np.ones(di)) for di in dims))
     if not isinstance(domain, Product) or [f.dim for f in domain.factors] != list(dims):
@@ -700,7 +708,7 @@ def _draw_records(problem, noise: NoiseModel, count: int, seeds) -> np.ndarray:
 
 
 def sample_dataset(problem, noise: NoiseModel, n: int, seed: int) -> SampledDataset:
-    _checked(n, "n", int, _COUNT)
+    _value(_DATASET_SIZE, n, "n")
     return SampledDataset(_draw_records(problem, noise, n, [seed]))
 
 

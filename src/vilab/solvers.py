@@ -10,7 +10,7 @@ For F(z) = Mz + b with mu = lambda_min(sym M) and L = sigma_max(M):
   by c(eta) = 2 - 2 eta mu + eta^4 L^4 - (2 eta mu + 1)(1 - 2 eta L +
   eta^2 mu^2), which dips below 1 only when mu > L/2.
 
-Each such rule is written once here: the method names (`_METHODS`), gd's
+Each such rule is written once here: the solver's inputs (`_SOLVER`), gd's
 range end 2 mu / L^2, its range test and its gate (`_gd_eta_limit`,
 `_gd_margin`, `_gate_eta`), each ratio ceiling (`_squared_ratio`), the
 contraction command's etas and gate (`_default_eta_grid`, `_ceiling_gated`)
@@ -32,11 +32,13 @@ from typing import Optional
 import numpy as np
 
 from .domains import Domain
-from .errors import _COUNT, _NONNEGATIVE, _POSITIVE, ConfigError, NumericalError, _checked
-from .problems import ProblemConstants, _apply_affine
+from .errors import (_NONNEGATIVE, _POSITIVE, _REQUIRED, ConfigError, NumericalError, _checked,
+                     _section, _value)
+from .problems import _DATASET_SIZE, ProblemConstants, _apply_affine
 
 DIVERGENCE_FACTOR = 1e6
-_METHODS = ("gd", "eg")
+_SOLVER = {"method": (("gd", "eg"), None, "gd"), "eta": (float, _POSITIVE, _REQUIRED),
+           "T": (int, _NONNEGATIVE, _REQUIRED), "projected": (bool, None, False)}
 
 
 @dataclass(eq=False)
@@ -47,10 +49,8 @@ class SolverConfig:
     projected: bool = False
 
     def __post_init__(self):
-        _checked(self.method, "method", _METHODS)
-        self.eta = float(_checked(self.eta, "eta", float, _POSITIVE))
-        self.T = int(_checked(self.T, "T", int, _NONNEGATIVE))
-        _checked(self.projected, "projected", bool)
+        _section(_SOLVER, vars(self), "")
+        self.eta, self.T = float(self.eta), int(self.T)
 
 
 @dataclass(eq=False)
@@ -126,7 +126,7 @@ def _check_mu_L_eta(mu: float, L: float, eta=None) -> None:
     _checked(mu, "mu", float)
     _checked(L, "L", float)
     if eta is not None:
-        _checked(eta, "eta", float, _POSITIVE)
+        _value(_SOLVER["eta"], eta, "eta")
     if not 0.0 < mu <= L:
         raise ValueError(f"need 0 < mu <= L < inf, got mu={mu}, L={L}")
 
@@ -156,7 +156,7 @@ def contraction_bound(method: str, mu: float, L: float, eta: float) -> float:
     """Per-step ratio ceiling of `method`: sqrt(max(0, 1 - 2 eta mu +
     eta^2 L^2)) for gd, sqrt(max(0, c(eta))) for eg. ValueError for an
     unknown method, bad (mu, L, eta), or a ceiling that is not finite."""
-    _checked(method, "method", _METHODS)
+    _value(_SOLVER["method"], method, "method")
     _check_mu_L_eta(mu, L, eta)
     return math.sqrt(max(0.0, _squared_ratio(method, mu, L, eta)))
 
@@ -177,7 +177,7 @@ def admissible_eta(mu: float, L: float, method: str = "gd"):
     (possibly empty) array of grid points eta in (0, 1/L] with c(eta) < 1,
     grid pitch 1e-4 / L. The eg set is nonempty iff mu > L/2.
     """
-    _checked(method, "method", _METHODS)
+    _value(_SOLVER["method"], method, "method")
     if method == "gd":
         return (0.0, _gd_eta_limit(mu, L))
     _check_mu_L_eta(mu, L)
@@ -206,8 +206,8 @@ def _ceiling_gated(method: str, bound: float) -> bool:
 def contraction_ratio(F, z, zp, eta: float, method: str = "gd"):
     """Measured one-step ratios ||G(z) - G(z')|| / ||z - z'||, one per row of
     the distinct points z, z' of shape (..., d)."""
-    _checked(method, "method", _METHODS)
-    _checked(eta, "eta", float, _POSITIVE)
+    _value(_SOLVER["method"], method, "method")
+    _value(_SOLVER["eta"], eta, "eta")
     z = np.asarray(z, dtype=float)
     zp = np.asarray(zp, dtype=float)
     gap = np.linalg.norm(z - zp, axis=-1)
@@ -249,7 +249,7 @@ def stability_bound(config: SolverConfig, consts: ProblemConstants, n: int) -> O
     1 + xi (a known defect, recorded by the strict xfail
     test_gd_bound_holds_under_heavy_noise). Projected eg, eg with xi >= 1 and gd
     outside that range (_gd_margin) certify nothing."""
-    _checked(n, "n", int, _COUNT)
+    _value(_DATASET_SIZE, n, "n")
     eta, K, mu, L = config.eta, consts.K, consts.mu, consts.L
     if config.method == "gd":
         margin = _gd_margin(mu, L, eta)

@@ -236,6 +236,22 @@ class TestStabilityExperiment:
                 stability_experiment(self.op, self.dom, SolverConfig("gd", 0.1, 10),
                                      16, trials, 0, NoiseModel("offset", 0.1))
 
+    @pytest.mark.parametrize("n, seed, message", [
+        (0, 0, r"'n' must be in \[1, inf\), got 0"), (2.5, 0, "'n' must be an integer, got 2.5"),
+        (True, 0, "'n' must be an integer, got True"), ("4", 0, "'n' must be an integer, got '4'"),
+        (16, True, "'seed' must be an integer, got True"),
+        (16, -1, r"'seed' must be in \[0, inf\), got -1")])
+    def test_n_and_seed_checked_before_sampling(self, monkeypatch, n, seed, message):
+        # n = 0 divided by zero and a bool seed ran as seed 1 before n and the
+        # base seed had a declaration
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before n and seed were checked")
+
+        monkeypatch.setattr("vilab.analysis._draw_records", no_sampling)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            stability_experiment(self.op, self.dom, SolverConfig("gd", 0.1, 10),
+                                 n, 4, seed, NoiseModel("offset", 0.1))
+
     @pytest.mark.parametrize("projected, mu", [(True, 1.0), (False, 0.6)],
                              ids=["projected", "xi_at_least_1"])
     def test_eg_without_a_certificate_reports_no_bound(self, projected, mu):

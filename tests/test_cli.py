@@ -904,6 +904,7 @@ class TestExitCodes:
         code = main(["solve", "--config", cfg, "--out-dir", str(tmp_path),
                      "--workers", "0"])
         assert code == 2
+        assert capsys.readouterr().err == "config error: '--workers' must be in [1, inf), got 0\n"
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "solve", op_config(experiment={"n": 5}),

@@ -12,6 +12,7 @@ from vilab.analysis import _trial_operators
 from vilab import (
     Ball,
     Box,
+    ConfigError,
     GenerationError,
     InfeasiblePointError,
     NoiseModel,
@@ -291,17 +292,19 @@ class TestGenerateOperator:
             generate_operator(15, 1, 0.5, 1.0, domain=Box(np.array([-1.0]), np.array([1.0])))
 
     def test_bad_targets(self):
-        with pytest.raises(GenerationError):
+        # a target outside (0, inf) breaks the input rule; mu > L the relation
+        with pytest.raises(ConfigError, match=r"^'mu' must be in \(0, inf\), got 0.0$"):
             generate_operator(16, 3, 0.0, 1.0)
-        with pytest.raises(GenerationError):
+        with pytest.raises(GenerationError, match="need 0 < mu <= L < inf"):
             generate_operator(16, 3, 2.0, 1.0)
 
     @pytest.mark.parametrize("mu, L", [(0.5, math.inf), (0.5, math.nan), (math.nan, 1.0),
                                        (math.inf, math.inf)])
     def test_non_finite_targets_rejected(self, mu, L):
-        # refused before any draw, where an infinite L would end in numpy's
-        # uniform() with OverflowError
-        with pytest.raises(GenerationError, match="L < inf"):
+        # refused by the input rule before any draw, where an infinite L would
+        # end in numpy's uniform() with OverflowError
+        name = "L" if math.isfinite(mu) else "mu"
+        with pytest.raises(ConfigError, match=f"^'{name}' must be a finite number, got"):
             generate_operator(0, 2, mu, L)
 
     def test_simplex_structure(self):
@@ -489,19 +492,19 @@ class TestGenerateGame:
     def test_non_finite_mu_rejected(self, mu):
         # refused before any draw, where an infinite mu would end in numpy's
         # uniform() with OverflowError
-        with pytest.raises(ValueError, match="'mu_target' must be a finite number"):
+        with pytest.raises(ValueError, match="'mu' must be a finite number"):
             generate_game(0, 2, 1, mu, 0.3)
 
     @pytest.mark.parametrize("coupling", [math.inf, -math.inf, math.nan])
     def test_non_finite_coupling_rejected(self, coupling):
         # refused up front, where an infinite coupling would run the halving
         # loop on nan entries and end in GenerationError (achieved nan)
-        with pytest.raises(ValueError, match="'coupling_strength' must be a finite number"):
+        with pytest.raises(ValueError, match="'coupling' must be a finite number"):
             generate_game(0, 2, 1, 0.5, coupling)
 
     @pytest.mark.parametrize("seed, k, dims, coupling", [
         (0, 2, 1, 0.3), (1, 3, 2, 0.4), (2, 3, (1, 2, 3), 0.4), (3, 4, (3, 1, 2, 1), 5.0),
-        (4, 3, (2, 1, 3), 100.0), (5, 3, (1, 2, 3), 0.0), (6, 2, (2, 3), -0.7),
+        (4, 3, (2, 1, 3), 100.0), (5, 3, (1, 2, 3), 0.0), (6, 2, (2, 3), 0.7),
     ])
     def test_matrix_matches_blockwise_assembly(self, seed, k, dims, coupling):
         # one unscaled coupling matrix, scaled per halving round, gives the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vilab import solvers
+from vilab import errors, solvers
 from vilab import (
     Ball,
     Box,
@@ -360,10 +360,11 @@ class TestContractionBounds:
 
     def test_each_call_checks_once(self, monkeypatch):
         # each input a call takes passes the one input rule (_checked) once,
-        # and the (mu, L, eta) of a certificate one _check_mu_L_eta, which
-        # runs the rule on mu, L and eta when it is given an eta
+        # through the walker (errors._value) or, for a certificate's mu and
+        # L, directly; and the (mu, L, eta) of a certificate one
+        # _check_mu_L_eta, which checks mu, L and eta when it is given an eta
         calls = {}
-        check, relation = solvers._checked, solvers._check_mu_L_eta
+        check, relation = errors._checked, solvers._check_mu_L_eta
 
         def counted_check(value, name, *rule):
             calls[name] = calls.get(name, 0) + 1
@@ -373,6 +374,7 @@ class TestContractionBounds:
             calls["_check_mu_L_eta"] = calls.get("_check_mu_L_eta", 0) + 1
             return relation(*args)
 
+        monkeypatch.setattr(errors, "_checked", counted_check)
         monkeypatch.setattr(solvers, "_checked", counted_check)
         monkeypatch.setattr(solvers, "_check_mu_L_eta", counted_relation)
         certificate = {"_check_mu_L_eta", "mu", "L", "eta"}
