@@ -142,8 +142,9 @@ def fit_loglog_slope(ns, values):
 
 
 def trial_dataset_seed(base_seed: int, n: int, t: int) -> list:
-    """Entropy for trial t at dataset size n; order-independent by design."""
-    return [int(base_seed), int(n), int(t)]
+    """Entropy for trial t at dataset size n; order-independent by design.
+    Each part is a nonnegative integer (problems._SEED), else ConfigError."""
+    return [int(_value(_SEED, v, name)) for v, name in ((base_seed, "seed"), (n, "n"), (t, "t"))]
 
 
 def _default_workers() -> int:
@@ -157,8 +158,12 @@ def _default_workers() -> int:
 
 # Per-trial draw size, in floats (n t^2 for matrix noise, n t for offset
 # noise, t the draw dimension), below which a block of trials is drawn
-# serially: on 2 vCPUs threads lost up to about 10^4 floats per trial and
-# won above it (README "Parallelism").
+# serially. Drawn a chunk at a time, trials below it no longer lose on
+# threads, nor clearly win: on 2 vCPUs, 2 threads against serial read 0.015
+# against 0.014 s at matrix noise d = 4, n = 16 (200 trials with
+# neighbours) and 0.045 against 0.057 s at offset noise d = 200, n = 16 (400
+# trials). It is kept so that no sample config starts a thread (README
+# "Parallelism").
 _SERIAL_FLOATS = 10_000
 # Floats of records (n d^2 or n d per trial) that one chunk of trials holds:
 # 65,536 is one trial of 4,096 4 x 4 matrices.

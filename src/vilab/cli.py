@@ -46,7 +46,7 @@ from .errors import (_COUNT, _PAIR, _POSITIVE, _REQUIRED, BoundViolationError, C
 from .gaps import gap_report
 from .problems import (_DATASET_SIZE, _GAME, _MARGIN, _NOISE, _OPERATOR, _PLAYER_DIM, _SEED,
                        NoiseModel, _stream, constants, empirical_operator, generate_game,
-                       generate_operator, sample_dataset)
+                       generate_operator, sample_dataset, sampled_constants)
 from .solvers import (_SOLVER, SolverConfig, _ceiling_gated, _default_eta_grid, admissible_eta,
                       contraction_bound, contraction_ratio, run)
 
@@ -281,8 +281,9 @@ class _Outcome(NamedTuple):
 
 
 def _run(command: str, args) -> int:
-    """One subcommand: load the config, create --out-dir, build the problem,
-    run its experiment, write its CSV and summary, then report a bound violation."""
+    """One subcommand: load the config, create --out-dir, build the problem
+    and check its noise (sampled_constants), run its experiment, write its
+    CSV and summary, then report a bound violation."""
     started = time.time()
     cfg = load_config(args.config, command, args.seed)
     try:
@@ -292,6 +293,7 @@ def _run(command: str, args) -> int:
                           f"{exc.strerror or exc}") from exc
     problem, domain, noise = build_problem(cfg)
     consts = constants(problem, domain)
+    sampled_constants(consts, noise, domain)  # matrix noise that certifies no mu: exit 2
     built = (problem, domain, noise, consts)
     sc = SolverConfig(**cfg["solver"])
     out = _COMMANDS[command](args, cfg, built, sc)

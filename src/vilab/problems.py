@@ -10,9 +10,10 @@ Noisy samples come in two unbiased kinds (`_NOISE`'s kind):
 
 * offset:  Xi(z, zeta_i) = F(z) + e_i, e_i uniform in a centered ball of
   radius `magnitude` (monotonicity and smoothness of each sample are exact);
-* matrix:  Xi(z, zeta_i) = (M + E_i) z + b, ||E_i||_2 = magnitude with
-  lambda_min(sym(M + E_i)) kept >= mu/2 by per-record rejection. E_i is a
-  Gaussian G_i scaled by magnitude / ||G_i||_2, and ||G_i||_2 is computed as
+* matrix:  Xi(z, zeta_i) = (M + E_i) z + b, E_i a Gaussian G_i scaled by
+  magnitude / ||G_i||_2 and drawn once, so by Weyl's inequality
+  lambda_min(sym(M + E_i)) >= mu - magnitude (`sampled_constants`, which
+  refuses magnitude >= mu). ||G_i||_2 is computed as
   sqrt(lambda_max(G_i^T G_i)): for t x t blocks with t <= 4 as the largest
   root of the Gram's characteristic quartic, elementwise over all records
   (within about 3.3 eps kappa of the SVD value, kappa <= 30; worse-conditioned
@@ -39,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import Ball, Box, Domain, Product, Simplex
-from .errors import (_COUNT, _NONNEGATIVE, _POSITIVE, _REQUIRED, GenerationError,
+from .errors import (_COUNT, _NONNEGATIVE, _POSITIVE, _REQUIRED, ConfigError, GenerationError,
                      InfeasiblePointError, NumericalError, _section, _value)
 
 _REJECTION_BUDGET = 1000
@@ -502,12 +503,6 @@ def _draw_offsets(seeds, count: int, dim: int, magnitude: float,
     return out
 
 
-def _below_floor(sym: np.ndarray, E: np.ndarray, mu_floor: float) -> np.ndarray:
-    """Mask of the i with lambda_min(sym + sym(E_i)) < mu_floor, one batched eigvalsh."""
-    lam = np.linalg.eigvalsh(sym + 0.5 * (E + np.transpose(E, (0, 2, 1))))[:, 0]
-    return lam < mu_floor
-
-
 def _gram_lambda_max(G: np.ndarray) -> np.ndarray:
     """lambda_max(G_i^T G_i) for a (count, t, t) stack, from one batched
     eigvalsh of the Gram stack."""
@@ -623,65 +618,32 @@ def _quartic_lambda_max(G: np.ndarray) -> np.ndarray:
 
 
 def _draw_matrices(seeds, count: int, dim: int, magnitude: float,
-                   basis: Optional[np.ndarray], base_matrix: np.ndarray) -> np.ndarray:
-    """Spectral-norm-normalized Gaussian perturbations, `count` per seed in
-    `seeds` order, with a monotonicity floor: lambda_min(sym(M + E_i)) >=
-    mu_floor = lambda_min(sym M) / 2, enforced per record so rejections
-    never disturb neighbouring records.
+                   basis: Optional[np.ndarray]) -> np.ndarray:
+    """Spectral-norm-normalized Gaussian perturbations E_i = magnitude *
+    G_i / ||G_i||_2, `count` per seed in `seeds` order. Each record is drawn
+    once and kept, so the records are independent and centred (rejecting the
+    records below a monotonicity floor would bias their mean); Weyl's
+    inequality certifies what every M + E_i satisfies (sampled_constants).
 
     ||G_i||_2 = sqrt(lambda_max(G_i^T G_i)). For t <= 4 it comes from
     `_quartic_lambda_max`: 4x faster than the Gram + eigvalsh route on
     4,096 4 x 4 records (1.3 against 5.5 ms, one 2-vCPU host), 20x slower on
     one (210 against 9 us), since its op count is fixed, so all seeds'
-    records fill one buffer, scaled in place, and take one call, and so do a
-    redraw round's: round a redraws every rejected record i from (seed, (2,
-    i, a)). Larger t keeps the eigvalsh route, the only one there. Both
-    routes work record by record, so record i of a seed depends on (seed, i)
-    only. The kernel's relative error in
-    ||G_i||_2 is about 3.3 eps kappa <= 100 eps at most (the eigvalsh
-    route's is about 1e-15), so ||E_i||_2 equals magnitude to that
-    precision, and the Weyl skip below keeps a margin of 1e-9 * ||sym M|| >=
-    1e-9 * magnitude there, far above either error.
+    records fill one buffer, scaled in place, and take one call. Larger t
+    keeps the eigvalsh route, the only one there. Both routes work record by
+    record, so record i of a seed depends on (seed, i) only. The kernel's
+    relative error in ||G_i||_2 is about 3.3 eps kappa <= 100 eps at most
+    (the eigvalsh route's is about 1e-15), so ||E_i||_2 equals magnitude to
+    that precision.
     """
     t = dim if basis is None else basis.shape[0]
     G = np.empty((len(seeds) * count, t, t))
     for k, seed in enumerate(seeds):  # the bits of one (count, t, t) draw per seed
         _stream(seed, (0,)).standard_normal(out=G[k * count:(k + 1) * count])
-
-    def normalize(block):
-        lam = _quartic_lambda_max(block) if t <= 4 else _gram_lambda_max(block)
-        block *= magnitude
-        block /= np.maximum(np.sqrt(np.maximum(lam, 0.0)), 1e-300)[:, None, None]
-        return block if basis is None else np.einsum("ti,ntu,uj->nij", basis, block, basis)
-
-    E = normalize(G)
-    if magnitude == 0.0:
-        return E
-    sym = 0.5 * (base_matrix + base_matrix.T)
-    # Weyl: lambda_min(sym(M + E_i)) >= lambda_min(sym M) - ||E_i||_2, and
-    # ||E_i||_2 = magnitude. When that clears the floor by a margin far above
-    # eigvalsh's rounding, no record can be rejected: skip the batched check.
-    eigs = np.linalg.eigvalsh(sym)
-    mu_floor = 0.5 * eigs[0]
-    if magnitude < eigs[0] - mu_floor - 1e-9 * np.max(np.abs(eigs)):
-        return E
-    rejected = np.flatnonzero(_below_floor(sym, E, mu_floor))
-    for attempt in range(200):  # one round redraws every still-rejected record
-        if not rejected.size:
-            break
-        g = np.empty((rejected.size, t, t))
-        for m, i in enumerate(rejected):
-            _stream(seeds[i // count], (2, int(i % count), attempt)).standard_normal(out=g[m])
-        cand = normalize(g)
-        low = _below_floor(sym, cand, mu_floor)
-        E[rejected[~low]] = cand[~low]
-        rejected = rejected[low]
-    if rejected.size:
-        raise GenerationError(
-            f"matrix-noise record {int(rejected[0] % count)} could not satisfy the mu/2 "
-            f"floor; magnitude {magnitude} is too large for mu {2 * mu_floor}"
-        )
-    return E
+    lam = _quartic_lambda_max(G) if t <= 4 else _gram_lambda_max(G)
+    G *= magnitude
+    G /= np.maximum(np.sqrt(np.maximum(lam, 0.0)), 1e-300)[:, None, None]
+    return G if basis is None else np.einsum("ti,ntu,uj->nij", basis, G, basis)
 
 
 @dataclass(eq=False)
@@ -704,11 +666,14 @@ def _draw_records(problem, noise: NoiseModel, count: int, seeds) -> np.ndarray:
     d, basis = problem.dim, problem.tangent_basis
     if noise.kind == "offset":
         return _draw_offsets(seeds, count, d, noise.magnitude, basis)
-    return _draw_matrices(seeds, count, d, noise.magnitude, basis, problem.matrix)
+    return _draw_matrices(seeds, count, d, noise.magnitude, basis)
 
 
-def sample_dataset(problem, noise: NoiseModel, n: int, seed: int) -> SampledDataset:
+def sample_dataset(problem, noise: NoiseModel, n: int, seed) -> SampledDataset:
+    """n records drawn from `seed`, a nonnegative int or a list of them (the
+    entropy trial_dataset_seed gives)."""
     _value(_DATASET_SIZE, n, "n")
+    seed = _value(([_SEED], None) if isinstance(seed, list) else _SEED, seed, "seed")
     return SampledDataset(_draw_records(problem, noise, n, [seed]))
 
 
@@ -725,12 +690,15 @@ def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:
 def sampled_constants(consts: ProblemConstants, noise: NoiseModel,
                       domain: Domain) -> ProblemConstants:
     """The constants that every sampled operator, and so every dataset
-    average, satisfies. Offset noise moves only K, by the magnitude. Matrix
-    noise keeps lambda_min(sym) >= max(mu/2, mu - magnitude) (the rejection
-    floor, or Weyl), sigma_max <= L + magnitude and sup_Z ||Xi|| <= K +
-    magnitude * max_Z ||z||."""
+    average, satisfies. Offset noise moves only K, by the magnitude m.
+    Matrix noise has ||E_i||_2 = m, so by Weyl's inequality lambda_min(sym)
+    >= mu - m, sigma_max <= L + m and sup_Z ||Xi|| <= K + m * max_Z ||z||;
+    ConfigError when m >= mu, where Weyl certifies no strong monotonicity."""
     m = noise.magnitude
     if noise.kind == "offset":
         return replace(consts, K=consts.K + m)
-    return replace(consts, mu=max(0.5 * consts.mu, consts.mu - m), L=consts.L + m,
+    if m >= consts.mu:
+        raise ConfigError(f"matrix noise of magnitude {m} certifies no strong monotonicity: "
+                          f"it must be below mu = {consts.mu:.6g}")
+    return replace(consts, mu=consts.mu - m, L=consts.L + m,
                    K=consts.K + m * domain.max_point_norm())

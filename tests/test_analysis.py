@@ -111,7 +111,7 @@ class TestClosedFormBounds:
         assert np.isclose(g["limit"], 1.5 / 100.0)
 
     def test_gamma_uses_the_matrix_noise_certificates(self):
-        # matrix noise 0.2 certifies mu_w = max(mu/2, mu - 0.2) = 0.6 and
+        # matrix noise 0.2 certifies mu_w = mu - 0.2 = 0.6 and
         # L_w = L + 0.2 = 1.8; K grows by 0.2 * max ||z|| = 0.2
         consts = ProblemConstants(mu=0.8, L=1.6, K=1.0, D=2.0, per_player=((0.8, 1.6),))
         dom, noise = Ball(np.zeros(2), 1.0), NoiseModel("matrix", 0.2)
@@ -345,8 +345,8 @@ class TestStabilityExperiment:
 
     def test_matrix_neighbours_take_one_norm_call(self, monkeypatch):
         # one quartic-kernel call per chunk of trials and one for every
-        # trial's replacement record (magnitude 0.2 < mu/2: no rejection
-        # redraws); a chunk of two trials here, one record stack per chunk
+        # trial's replacement record; a chunk of two trials here, one record
+        # stack per chunk
         calls = []
         route = problems._quartic_lambda_max
         monkeypatch.setattr(problems, "_quartic_lambda_max",
@@ -380,11 +380,11 @@ class TestStabilityExperiment:
 
     def test_matrix_noise_bound_uses_the_certified_pair(self):
         # a record's lambda_min(sym) can fall below mu; the gate and the bound
-        # use (max(mu/2, mu - magnitude), L + magnitude)
+        # use (mu - magnitude, L + magnitude)
         dom = Ball(np.zeros(3), 1.0)
         op = generate_operator(9, 3, 0.8, 1.6, domain=dom)
         consts, noise, n = constants(op, dom), NoiseModel("matrix", 0.2), 16
-        mu_w, L_w = max(consts.mu / 2, consts.mu - 0.2), consts.L + 0.2
+        mu_w, L_w = consts.mu - 0.2, consts.L + 0.2
         emps = [empirical_operator(op, X) for X in _trial_datasets(op, noise, n, 6, 1)]
         assert min(np.linalg.eigvalsh(0.5 * (e.matrix + e.matrix.T))[0] for e in emps) < consts.mu
         res = stability_experiment(op, dom, SolverConfig("gd", 0.25, 300), n, 6, 1, noise)

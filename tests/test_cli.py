@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vilab import (BoundViolationError, ConfigError, NumericalError, SolverConfig,
+from vilab import (BoundViolationError, ConfigError, NumericalError, SolverConfig, constants,
                    generalization_sweep)
 from vilab import cli
 from vilab.analysis import _SWEEP_KINDS
@@ -306,6 +306,24 @@ def test_svg_output_is_sweep_only(tmp_path, capsys, command, cfg):
     assert code == 2
     assert "unknown config key 'output.svg'" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("solve", op_config(experiment={"n": 8})),
+    ("contraction", op_config()),
+    ("stability", op_config(experiment={"n_grid": [8], "trials": 2})),
+    ("sweep", op_config(experiment={"n_grid": [16, 64], "trials": 4})),
+    ("bernstein", game_config(experiment={"z_samples": 2, "mc_samples": 2}))],
+    ids=["solve", "contraction", "stability", "sweep", "bernstein"])
+def test_matrix_noise_of_magnitude_mu_exits_2_writing_nothing(tmp_path, capsys, command, cfg):
+    # Weyl certifies mu - magnitude, so magnitude = mu certifies no strong monotonicity
+    problem, domain, _ = build_problem(normalize_config(copy.deepcopy(cfg), command))
+    cfg = copy.deepcopy(cfg)
+    cfg["problem"]["noise"] = {"kind": "matrix", "magnitude": constants(problem, domain).mu}
+    code, out_dir = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    assert "certifies no strong monotonicity" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_out_dir_that_is_a_file_exits_2_before_generation(tmp_path, capsys, monkeypatch):

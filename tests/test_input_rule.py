@@ -21,7 +21,8 @@ import pytest
 
 from vilab import (Ball, Box, ConfigError, NoiseModel, ProblemConstants, Simplex, SolverConfig,
                    bernstein_check, contraction_bound, generalization_sweep, generate_game,
-                   generate_operator, sample_dataset, stability_bound, stability_experiment)
+                   generate_operator, sample_dataset, stability_bound, stability_experiment,
+                   trial_dataset_seed)
 from vilab import analysis, cli, domains, problems, solvers
 from vilab.analysis import _trial_operators
 from vilab.errors import _REQUIRED
@@ -70,6 +71,11 @@ ENTRIES = {
     "generate_game.interior_margin": (
         lambda v: generate_game(0, 2, 1, 0.5, 0.4, interior_margin=v), 0.1, float, -0.1),
     "sample_dataset.n": (lambda v: sample_dataset(OP, NOISE, v, 0), 4, int, 0),
+    "sample_dataset.seed": (lambda v: sample_dataset(OP, NOISE, 4, v), 0, int, -1),
+    "sample_dataset.seed[i]": (lambda v: sample_dataset(OP, NOISE, 4, [v, 4, 0]), 0, int, -1),
+    "trial_dataset_seed.base_seed": (lambda v: trial_dataset_seed(v, 4, 0), 0, int, -1),
+    "trial_dataset_seed.n": (lambda v: trial_dataset_seed(0, v, 0), 4, int, -1),
+    "trial_dataset_seed.t": (lambda v: trial_dataset_seed(0, 4, v), 0, int, -1),
     "stability_experiment.n": (
         lambda v: stability_experiment(OP, DOM, PROJECTED, v, 2, 0, NOISE, 1), 4, int, 0),
     "stability_experiment.trials": (

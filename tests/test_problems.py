@@ -561,48 +561,46 @@ class TestDatasets:
                     assert np.array_equal(sample_dataset(op, noise, n, seed=seed).records,
                                           many[:n])
 
-    def test_mean_offset_concentrates(self):
-        op = generate_operator(32, 4, 0.5, 1.5)
-        X = sample_dataset(op, NoiseModel("offset", 1.0), 100_000, seed=10)
-        # E||mean|| ~ magnitude * sqrt(d/n); 5x that is a comfortable ceiling
-        assert np.linalg.norm(X.records.mean(axis=0)) <= 5.0 * np.sqrt(4.0 / 100_000)
+    @pytest.mark.parametrize("kind, instance, magnitude", [
+        ("offset", (32, 4, 0.5, 1.5), 1.0),
+        ("matrix", (33, 3, 1.0, 2.0), 0.9),  # 0.9 mu: a per-record mu/2 floor would bias the mean
+    ], ids=["offset", "matrix"])
+    def test_mean_record_concentrates(self, kind, instance, magnitude):
+        # the records are centred: E||mean|| ~ magnitude * sqrt(d/n) (the
+        # spectral norm for matrices), and 5x that is a comfortable ceiling
+        op = generate_operator(*instance)
+        X = sample_dataset(op, NoiseModel(kind, magnitude), 100_000, seed=10)
+        ceiling = 5.0 * magnitude * np.sqrt(op.dim / 100_000)
+        assert np.linalg.norm(X.records.mean(axis=0), 2) <= ceiling
 
     def test_matrix_records_certified(self):
-        op = generate_operator(33, 3, 1.0, 2.0)
-        X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
+        # each record keeps Weyl's mu - magnitude, the mu that sampled_constants
+        # certifies, and records below mu/2 are kept
+        dom = Ball(np.zeros(3), 1.0)
+        op = generate_operator(33, 3, 1.0, 2.0, dom)
+        noise = NoiseModel("matrix", 0.9)
+        X = sample_dataset(op, noise, 300, seed=11)
         norms = np.linalg.norm(X.records, ord=2, axis=(1, 2))
         assert np.allclose(norms, 0.9, atol=1e-12)
-        # the mu/2 floor held for every record even though rejections fired
-        for i in range(X.n):
-            lam = monotonicity_modulus(op.matrix + X.records[i])
-            assert lam >= 0.5 - 1e-12
+        mu = monotonicity_modulus(op.matrix)
+        assert sampled_constants(constants(op, dom), noise, dom).mu == mu - 0.9
+        lam = [monotonicity_modulus(op.matrix + E) for E in X.records]
+        assert min(lam) >= mu - 0.9 - 1e-12
+        assert min(lam) < 0.5 * mu
 
-    def test_matrix_floor_check_skipped_below_half_mu(self, monkeypatch):
-        # Weyl certifies the mu/2 floor when magnitude < mu/2, so the batched
-        # floor check is skipped and the records are the normalised draws
+    def test_matrix_records_are_the_normalised_draws(self):
+        # each record is its draw from (seed, (0,)) normalised, at any
+        # magnitude below mu
         op = generate_operator(40, 3, 1.0, 2.0)
         mu = monotonicity_modulus(op.matrix)
-        batched = []
-        below_floor = problems._below_floor
-
-        def counting(sym, E, mu_floor):
-            batched.append(E.shape[0])
-            return below_floor(sym, E, mu_floor)
-
-        monkeypatch.setattr(problems, "_below_floor", counting)
-        magnitude = 0.45 * mu
-        X = sample_dataset(op, NoiseModel("matrix", magnitude), 300, seed=18)
-        assert batched == []
         G = np.random.default_rng(
             np.random.SeedSequence(18, spawn_key=(0,))).standard_normal((300, 3, 3))
-        # a replaced record would differ by O(magnitude)
-        assert np.allclose(X.records, self._svd_normalised(G, magnitude),
-                           rtol=0.0, atol=1e-13 * magnitude)
-        for E in X.records:
-            assert monotonicity_modulus(op.matrix + E) >= 0.5 * mu
-        # at mu/2 Weyl no longer clears the floor, so every record is checked
-        sample_dataset(op, NoiseModel("matrix", 0.5 * mu), 300, seed=18)
-        assert batched == [300]
+        for magnitude in (0.45 * mu, 0.9 * mu):
+            X = sample_dataset(op, NoiseModel("matrix", magnitude), 300, seed=18)
+            assert np.allclose(X.records, self._svd_normalised(G, magnitude),
+                               rtol=0.0, atol=1e-13 * magnitude)
+            for E in X.records:
+                assert monotonicity_modulus(op.matrix + E) >= mu - magnitude - 1e-12
 
     @staticmethod
     def _svd_normalised(G, magnitude):
@@ -637,73 +635,6 @@ class TestDatasets:
             np.random.SeedSequence(20, spawn_key=(0,))).standard_normal((300, 3, 3))
         self._assert_svd_agrees(X, 0.3, G, B)
 
-    def test_matrix_normalisation_matches_svd_through_rejections(self):
-        # same instance as test_matrix_records_certified, where rejections
-        # fire; the oracle replays the redraw substreams with SVD norms
-        op = generate_operator(33, 3, 1.0, 2.0)
-        floor = 0.5 * monotonicity_modulus(op.matrix)
-        X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
-        G = np.random.default_rng(
-            np.random.SeedSequence(11, spawn_key=(0,))).standard_normal((300, 3, 3))
-        want = self._svd_normalised(G, 0.9)
-        redrawn = 0
-        for i in range(300):
-            attempt = 0
-            while monotonicity_modulus(op.matrix + want[i]) < floor:
-                g = np.random.default_rng(np.random.SeedSequence(
-                    11, spawn_key=(2, i, attempt))).standard_normal((3, 3))
-                want[i] = self._svd_normalised(g, 0.9)
-                attempt += 1
-            redrawn += attempt > 0
-        assert redrawn > 0
-        self._assert_svd_agrees(X, 0.9)
-        assert np.allclose(X.records, want, rtol=0.0, atol=1e-13 * 0.9)
-
-    @pytest.mark.parametrize("seed, d, mu, magnitude, n", [
-        (33, 3, 1.0, 0.9, 300),   # the instance of test_matrix_records_certified
-        (48, 4, 0.8, 0.7, 1024),  # magnitude 7/8 mu on a d = 4 ball
-    ])
-    def test_matrix_redraws_take_one_norm_call_per_round(self, monkeypatch, seed, d, mu,
-                                                         magnitude, n):
-        # the kernel sees the bulk draw, then one call per redraw round on
-        # every record still rejected; the rounds are replayed with SVD norms
-        op = generate_operator(seed, d, mu, 2.0)
-        floor = 0.5 * monotonicity_modulus(op.matrix)
-        calls = []
-        route = problems._quartic_lambda_max
-        monkeypatch.setattr(problems, "_quartic_lambda_max",
-                            lambda G: (calls.append(len(G)), route(G))[1])
-        sample_dataset(op, NoiseModel("matrix", magnitude), n, seed=11)
-        E = self._svd_normalised(np.random.default_rng(
-            np.random.SeedSequence(11, spawn_key=(0,))).standard_normal((n, d, d)), magnitude)
-        attempts = np.zeros(n, dtype=int)  # per record, before the floor holds
-        for i in range(n):
-            while monotonicity_modulus(op.matrix + E[i]) < floor:
-                g = np.random.default_rng(np.random.SeedSequence(
-                    11, spawn_key=(2, i, int(attempts[i])))).standard_normal((1, d, d))
-                E[i] = self._svd_normalised(g, magnitude)[0]
-                attempts[i] += 1
-        assert attempts.max() > 1
-        assert calls == [n] + [int(np.sum(attempts > a)) for a in range(attempts.max())]
-
-    def test_simplex_matrix_redraws_keep_floor_and_prefix(self, monkeypatch):
-        # redrawn simplex records are embedded by the bulk einsum, record by
-        # record: every record clears the floor and keeps its bits at any count
-        op = generate_operator(49, 5, 1.0, 2.0, Simplex(4))
-        sym = 0.5 * (op.matrix + op.matrix.T)
-        floor = 0.5 * np.linalg.eigvalsh(sym)[0]
-        noise = NoiseModel("matrix", 0.9)
-        rounds = []
-        below_floor = problems._below_floor
-        monkeypatch.setattr(problems, "_below_floor",
-                            lambda *args: (rounds.append(1), below_floor(*args))[1])
-        many = sample_dataset(op, noise, 4096, seed=25).records
-        assert len(rounds) > 2
-        lam = np.linalg.eigvalsh(sym + 0.5 * (many + np.transpose(many, (0, 2, 1))))[:, 0]
-        assert lam.min() >= floor
-        for n in (1, 2, 3, 17, 64, 1000):
-            assert np.array_equal(sample_dataset(op, noise, n, seed=25).records, many[:n])
-
     def test_matrix_record_zero_independent_of_n(self):
         # the quartic kernel's records at t = 4 (a d = 4 ball) and t = 3 (the
         # tangent space of Simplex(3)) keep their bits whatever the count
@@ -715,34 +646,6 @@ class TestDatasets:
                 for n in (1, 17):
                     assert np.array_equal(sample_dataset(op, noise, n, seed=seed).records,
                                           many[:n])
-
-    def test_matrix_redraw_is_normalised_as_inside_a_batch(self):
-        # same instance as test_matrix_records_certified, where rejections
-        # fire: a redrawn record is its raw draw normalised among the round's
-        # redraws, and equals that draw normalised alone and in place of the
-        # record inside the bulk
-        op = generate_operator(33, 3, 1.0, 2.0)
-        sym = 0.5 * (op.matrix + op.matrix.T)
-        floor = 0.5 * np.linalg.eigvalsh(sym)[0]
-        X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
-        G = np.random.default_rng(
-            np.random.SeedSequence(11, spawn_key=(0,))).standard_normal((300, 3, 3))
-
-        def normalised(block):
-            s = np.sqrt(np.maximum(problems._quartic_lambda_max(block), 0.0))
-            return 0.9 * block / np.maximum(s, 1e-300)[:, None, None]
-
-        redrawn = np.flatnonzero(np.any(X.records != normalised(G), axis=(1, 2)))
-        assert redrawn.size > 0
-        for i in redrawn:
-            for attempt in range(200):
-                G[i] = np.random.default_rng(np.random.SeedSequence(
-                    11, spawn_key=(2, int(i), attempt))).standard_normal((3, 3))
-                cand = normalised(G)[i]
-                if np.linalg.eigvalsh(sym + 0.5 * (cand + cand.T))[0] >= floor:
-                    break
-            assert np.array_equal(X.records[i], cand)
-            assert np.array_equal(normalised(G[i:i + 1])[0], cand)
 
     def test_matrix_noise_makes_no_svd_call(self, monkeypatch):
         # counts both the public svd and the one np.linalg.norm calls
@@ -804,11 +707,17 @@ class TestDatasets:
         assert np.array_equal(F.offset, [op.offset, op.offset])
 
     def test_matrix_floor_unreachable(self):
-        # at d=8 a norm-50 perturbation with near-PSD symmetric part is far
-        # too rare for the 200-attempt budget; streams are seed-fixed
-        op = generate_operator(34, 8, 1.0, 2.0)
-        with pytest.raises(GenerationError):
-            sample_dataset(op, NoiseModel("matrix", 50.0), 5, seed=12)
+        # Weyl certifies lambda_min(sym(M + E_i)) >= mu - magnitude, no
+        # positive floor from magnitude = mu on: sampled_constants refuses it
+        # (every CLI command then exits 2, test_cli.py)
+        dom = Ball(np.zeros(8), 1.0)
+        op = generate_operator(34, 8, 1.0, 2.0, dom)
+        consts = constants(op, dom)
+        for magnitude in (consts.mu, 50.0):
+            with pytest.raises(ConfigError, match="certifies no strong monotonicity"):
+                sampled_constants(consts, NoiseModel("matrix", magnitude), dom)
+        below = np.nextafter(consts.mu, 0.0)
+        assert sampled_constants(consts, NoiseModel("matrix", below), dom).mu > 0.0
 
     def test_zero_magnitude(self):
         op = generate_operator(35, 3, 0.5, 1.5)
