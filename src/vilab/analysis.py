@@ -36,7 +36,7 @@ from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
 from .problems import (_DATASET_SIZE, _SEED, NoiseModel, ProblemConstants, QuadraticGame,
                        QuadraticOperator, _draw_records, _stream, constants, exact_solution,
                        sampled_constants)
-from .solvers import (SolverConfig, _gate_eta, _stability_limit, contraction_bound, run,
+from .solvers import (SolverConfig, _stability_limit, check_gd_eta, contraction_bound, run,
                       stability_bound)
 
 BOUND_NOTE = "order-level: hidden constants set to 1"
@@ -156,17 +156,16 @@ def _default_workers() -> int:
         return os.cpu_count() or 1
 
 
-# Per-trial draw size, in floats (n t^2 for matrix noise, n t for offset
-# noise, t the draw dimension), below which a block of trials is drawn
-# serially. Drawn a chunk at a time, trials below it no longer lose on
-# threads, nor clearly win: on 2 vCPUs, 2 threads against serial read 0.015
-# against 0.014 s at matrix noise d = 4, n = 16 (200 trials with
-# neighbours) and 0.045 against 0.057 s at offset noise d = 200, n = 16 (400
-# trials). It is kept so that no sample config starts a thread (README
-# "Parallelism").
+# Floats of records a trial holds (n d^2 under matrix noise, n d under
+# offset noise) below which its trials are drawn serially. There threads
+# neither lose nor clearly win, but cost memory: with no threshold and
+# min(workers, chunks) threads, sweep_game and sweep_simplex start a helper
+# at --workers 2 and cli_configs peaks at 41.45-41.69 against 39.88-39.94
+# MiB RSS (3 alternating pairs, +4%; wall time unresolved); importing
+# concurrent.futures.thread alone costs about 0.7 MiB and 7-8 ms.
 _SERIAL_FLOATS = 10_000
-# Floats of records (n d^2 or n d per trial) that one chunk of trials holds:
-# 65,536 is one trial of 4,096 4 x 4 matrices.
+# Floats of records that one chunk of trials holds: 65,536 is one trial of
+# 4,096 4 x 4 matrices.
 _CHUNK_FLOATS = 65_536
 
 
@@ -181,11 +180,11 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
 
     The trials are split into min(workers, trials) contiguous blocks (None:
     _default_workers()), drawn and reduced on as many threads (the calling
-    thread takes block 0), unless a trial draws fewer than _SERIAL_FLOATS
-    floats: then one block runs serially. A block draws chunks of as many
-    consecutive trials as hold _CHUNK_FLOATS floats of records (at least
-    one), each with one record draw and one batched mean for its trials (and
-    one for their neighbours). Record i depends on (seed, i) only and a
+    thread takes block 0), unless a trial holds fewer than _SERIAL_FLOATS
+    floats of records: then one block runs serially. A block draws chunks of
+    as many consecutive trials as hold _CHUNK_FLOATS floats of records (at
+    least one), each with one record draw and one batched mean for its
+    trials (and one for their neighbours). Record i depends on (seed, i) only and a
     batched mean keeps each trial's summation order, so the stack is
     bit-identical at every worker count and chunk size, and peak memory
     stays one chunk's records per worker."""
@@ -195,7 +194,8 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
         replacements = _draw_records(problem, noise, 1, [s + [1] for s in seeds])
     record = (problem.dim,) * (2 if noise.kind == "matrix" else 1)
     means = np.empty(((2 if neighbours else 1) * trials, *record))
-    chunk = max(1, _CHUNK_FLOATS // (n * math.prod(record)))
+    size = n * math.prod(record)  # the floats of records one trial holds
+    chunk = max(1, _CHUNK_FLOATS // size)
 
     def block(lo: int, hi: int):
         for a in range(lo, hi, chunk):
@@ -208,9 +208,7 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
                 X.mean(axis=1, out=means[trials + a:trials + b])
             del X  # not held while the next chunk is drawn
 
-    basis = problem.tangent_basis
-    dim = problem.dim if basis is None else basis.shape[0]
-    k = 1 if n * dim ** len(record) < _SERIAL_FLOATS else min(workers, trials)
+    k = 1 if size < _SERIAL_FLOATS else min(workers, trials)
     if k == 1:
         block(0, trials)
     else:
@@ -238,16 +236,6 @@ class StabilityResult:
     bound_base_K: Optional[float]
 
 
-def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseModel,
-                 domain: Domain) -> ProblemConstants:
-    """The constants every sampled operator satisfies (sampled_constants);
-    ConfigError when gd's eta lies outside their range (solvers._gate_eta)."""
-    w = sampled_constants(consts, noise, domain)
-    _gate_eta(config, w.mu, w.L, "" if noise.kind == "offset" else
-              f" (matrix noise certifies mu={w.mu:.6g}, L={w.L:.6g})")
-    return w
-
-
 def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
                          trials: int, seed: int, noise: NoiseModel,
                          workers: Optional[int] = None) -> StabilityResult:
@@ -255,10 +243,10 @@ def stability_experiment(problem, domain: Domain, config: SolverConfig, n: int,
     record ||z_T - z_T'|| per trial.
 
     The eta gate and the bound use the constants (mu_w, L_w, K_w) that the
-    sampled operators satisfy (check_gd_eta); bound_base_K is the same
-    stability_bound at the plain constants, for reference. The datasets are
-    drawn on up to `workers` threads (None: the CPUs this process may use);
-    training runs in the calling thread.
+    sampled operators satisfy (solvers.check_gd_eta); bound_base_K is the
+    same stability_bound at the plain constants, for reference. The datasets
+    are drawn on up to `workers` threads (None: the CPUs this process may
+    use); training runs in the calling thread.
     """
     _section(_STABILITY, {"n": n, "trials": trials}, "")
     _value(_SEED, seed, "seed")
@@ -292,8 +280,8 @@ class SweepResult:
 
 def _training_horizon(config, consts, noise, domain) -> int:
     """First horizon of the doubling loop, from the per-step contraction of
-    the sampled operators (check_gd_eta); ConfigError when eta does not
-    contract them."""
+    the sampled operators (solvers.check_gd_eta); ConfigError when eta does
+    not contract them."""
     w = check_gd_eta(config, consts, noise, domain)
     xi = contraction_bound(config.method, w.mu, w.L, config.eta)
     if xi >= 1.0:
@@ -428,10 +416,13 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
     """Estimate E[(g(z) - g(z*))^2] and B * E[g(z) - g(z*)] over fresh noise,
     where g(z, zeta) = <Xi(z, zeta), z - w*(z)>. Row 0 is z* itself (both
     sides vanish). A row is violated when the 1.05-slack inequality fails by
-    more than 3 Monte-Carlo standard errors."""
+    more than 3 Monte-Carlo standard errors. B is taken at the plain
+    constants; matrix noise of magnitude >= mu raises ConfigError, as in
+    sampled_constants."""
     _section(_BERNSTEIN, {"z_samples": z_samples, "mc_samples": mc_samples}, "")
     _value(_SEED, seed, "seed")
     consts = constants(game)
+    sampled_constants(consts, noise, game.domain)
     B = bernstein_constant(consts)
     zs = [exact_solution(game)]
     rng = _stream([int(seed)], (11,))

@@ -37,8 +37,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (_BERNSTEIN, _STABILITY, _SWEEP, _SWEEP_KINDS, _WORKERS, _check_mode,
-                       _default_workers, bernstein_check, check_gd_eta, evaluate_bounds,
-                       generalization_sweep, stability_experiment, trial_dataset_seed)
+                       _default_workers, bernstein_check, evaluate_bounds, generalization_sweep,
+                       stability_experiment, trial_dataset_seed)
 from .charts import log_log_chart
 from .domains import _RADIUS, _SIMPLEX_D, Ball, Box, Domain, Product, Simplex
 from .errors import (_COUNT, _PAIR, _POSITIVE, _REQUIRED, BoundViolationError, ConfigError,
@@ -47,8 +47,8 @@ from .gaps import gap_report
 from .problems import (_DATASET_SIZE, _GAME, _MARGIN, _NOISE, _OPERATOR, _PLAYER_DIM, _SEED,
                        NoiseModel, _stream, constants, empirical_operator, generate_game,
                        generate_operator, sample_dataset, sampled_constants)
-from .solvers import (_SOLVER, SolverConfig, _ceiling_gated, _default_eta_grid, admissible_eta,
-                      contraction_bound, contraction_ratio, run)
+from .solvers import (_SOLVER, SolverConfig, _ceiling_gated, _default_eta_grid, _gd_margin,
+                      check_gd_eta, contraction_bound, contraction_ratio, run)
 
 # ---------------------------------------------------------------------------
 # config schema
@@ -163,7 +163,7 @@ def load_config(path: str, command: str, seed_override=None) -> dict:
 def normalize_config(cfg: dict, command: str, seed_override=None) -> dict:
     """A checked copy of `command`'s config `cfg` with defaults filled in."""
     cfg = _section({"problem": (_tagged(_PROBLEMS), None, _REQUIRED),
-                    "solver": (_SOLVER, None, {"method": "gd", "eta": 0.1, "T": 1000}),
+                    "solver": (_SOLVER, None, {"eta": 0.1, "T": 1000}),
                     "experiment": (_EXPERIMENTS[command], None, {}),
                     "output": (_output(command), None, {})}, cfg, "")
     p = cfg["problem"]
@@ -323,7 +323,7 @@ def cmd_solve(args, cfg, built, sc) -> _Outcome:
         "gap_report": dataclasses.asdict(report),
         "diagnostics": {
             "method": sc.method, "eta": sc.eta, "n": n,
-            "gd_stability_range": sc.eta < admissible_eta(w.mu, w.L, "gd")[1],
+            "gd_stability_range": _gd_margin(w.mu, w.L, sc.eta) is not None,
             "contraction_bound": contraction_bound(sc.method, w.mu, w.L, sc.eta),
         },
     }

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import _COUNT, _POSITIVE, _REQUIRED, _checked, _value
 
 _SIMPLEX_D, _RADIUS = (int, _COUNT, _REQUIRED), (float, _POSITIVE, _REQUIRED)  # a ball's radius
+_FEAS_TOL = 1e-6  # the distance from the domain at which a point still counts as feasible
 
 
 def _as_points(z, dim: int) -> np.ndarray:

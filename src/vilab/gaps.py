@@ -22,11 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import Domain, _row_norms
+from .domains import _FEAS_TOL, Domain, _row_norms
 from .errors import InfeasiblePointError, NumericalError
 from .problems import QuadraticGame
-
-_FEAS_TOL = 1e-6
 
 
 def _values(F: Callable, z) -> np.ndarray:

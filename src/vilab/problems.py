@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import Ball, Box, Domain, Product, Simplex
+from .domains import _FEAS_TOL, Ball, Box, Domain, Product, Simplex
 from .errors import (_COUNT, _NONNEGATIVE, _POSITIVE, _REQUIRED, ConfigError, GenerationError,
                      InfeasiblePointError, NumericalError, _section, _value)
 
@@ -247,7 +247,7 @@ def constants(problem, domain: Optional[Domain] = None) -> ProblemConstants:
 
 
 def exact_solution(problem, domain: Optional[Domain] = None) -> np.ndarray:
-    """Root of the affine operator, checked to lie within 1e-6 of the domain when given."""
+    """Root of the affine operator, checked to lie within _FEAS_TOL of the domain when given."""
     try:
         z = np.linalg.solve(problem.matrix, -problem.offset)
     except np.linalg.LinAlgError as exc:
@@ -256,7 +256,7 @@ def exact_solution(problem, domain: Optional[Domain] = None) -> np.ndarray:
         raise NumericalError("operator root is not finite")
     if domain is None:
         domain = getattr(problem, "domain", None)
-    if domain is not None and not bool(domain.contains(z, 1e-6)):
+    if domain is not None and not bool(domain.contains(z, _FEAS_TOL)):
         raise InfeasiblePointError(
             f"operator root lies outside the domain (distance {float(domain.distance(z)):.3e})"
         )

@@ -1,5 +1,5 @@
 """The gradient and extragradient loop and every certificate that depends
-on the method: no other module compares a value with a method name.
+on the method: no other module writes a method name outside a docstring.
 
 For F(z) = Mz + b with mu = lambda_min(sym M) and L = sigma_max(M):
 
@@ -10,9 +10,10 @@ For F(z) = Mz + b with mu = lambda_min(sym M) and L = sigma_max(M):
   by c(eta) = 2 - 2 eta mu + eta^4 L^4 - (2 eta mu + 1)(1 - 2 eta L +
   eta^2 mu^2), which dips below 1 only when mu > L/2.
 
-Each such rule is written once here: the solver's inputs (`_SOLVER`), gd's
-range end 2 mu / L^2, its range test and its gate (`_gd_eta_limit`,
-`_gd_margin`, `_gate_eta`), each ratio ceiling (`_squared_ratio`), the
+Each such rule is written once here: the solver's inputs and default
+method (`_SOLVER`), gd's range end 2 mu / L^2 and its range test
+(`_gd_eta_limit`, `_gd_margin`), gd's step-size gate at the sampled
+constants (check_gd_eta), each ratio ceiling (`_squared_ratio`), the
 contraction command's etas and gate (`_default_eta_grid`, `_ceiling_gated`)
 and the stability ceiling (stability_bound) and its eta -> 0 limit.
 
@@ -34,7 +35,8 @@ import numpy as np
 from .domains import Domain
 from .errors import (_NONNEGATIVE, _POSITIVE, _REQUIRED, ConfigError, NumericalError, _checked,
                      _section, _value)
-from .problems import _DATASET_SIZE, ProblemConstants, _apply_affine
+from .problems import (_DATASET_SIZE, NoiseModel, ProblemConstants, _apply_affine,
+                       sampled_constants)
 
 DIVERGENCE_FACTOR = 1e6
 _SOLVER = {"method": (("gd", "eg"), None, "gd"), "eta": (float, _POSITIVE, _REQUIRED),
@@ -229,12 +231,19 @@ def _gd_margin(mu: float, L: float, eta: float) -> Optional[float]:
     return margin if eta < limit and margin > 0.0 else None
 
 
-def _gate_eta(config: SolverConfig, mu: float, L: float, note: str = "") -> None:
-    """ConfigError, its message ending in `note`, when gd's eta lies outside
-    gd's stability range (_gd_margin); an eg eta always passes."""
-    if config.method == "gd" and _gd_margin(mu, L, config.eta) is None:
+def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseModel,
+                 domain: Domain) -> ProblemConstants:
+    """gd's step-size gate: the constants every sampled operator satisfies
+    (sampled_constants), or ConfigError when gd's eta lies outside their
+    range (_gd_margin), naming the certified pair under matrix noise. An eg
+    eta always passes."""
+    w = sampled_constants(consts, noise, domain)
+    if config.method == "gd" and _gd_margin(w.mu, w.L, config.eta) is None:
+        note = "" if noise.kind == "offset" else \
+            f" (matrix noise certifies mu={w.mu:.6g}, L={w.L:.6g})"
         raise ConfigError(f"eta exceeds 2*mu/L^2: eta={config.eta}, "
-                          f"limit={2.0 * mu / L ** 2:.6g}{note}")
+                          f"limit={2.0 * w.mu / w.L ** 2:.6g}{note}")
+    return w
 
 
 def stability_bound(config: SolverConfig, consts: ProblemConstants, n: int) -> Optional[float]:

@@ -41,10 +41,9 @@ from vilab import (
 )
 from vilab import problems
 from vilab.analysis import (_CHUNK_FLOATS, _SERIAL_FLOATS, _default_workers, _empirical_solutions,
-                            _iterate_to_tol, _training_horizon, _trial_operators,
-                            check_gd_eta)
+                            _iterate_to_tol, _training_horizon, _trial_operators)
 from vilab.gaps import _strong_gap
-from vilab.solvers import contraction_bound
+from vilab.solvers import check_gd_eta, contraction_bound
 
 from helpers import neighbour, pool_sizes  # pool_sizes: a fixture, requested by name
 
@@ -795,20 +794,22 @@ class TestTrialChunks:
 
 class TestTrialThreads:
     """_trial_operators draws contiguous blocks of trials on threads when a
-    trial draws at least _SERIAL_FLOATS floats, and its stack keeps every bit
-    at every worker count."""
+    trial holds at least _SERIAL_FLOATS floats of records, and its stack
+    keeps every bit at every worker count."""
 
     ball = Ball(np.zeros(4), 1.0)
-    simplex = Simplex(4)  # dim 5, tangent draws of dimension 4 as on the ball
+    simplex = Simplex(4)  # dim 5: records of 5 or 5 x 5 floats
     problems = {"ball": generate_operator(0, 4, 0.8, 1.6, domain=ball),
                 "simplex": generate_operator(0, 5, 0.8, 1.6, domain=simplex)}
-    # per-trial sizes n on either side of the threshold, t = 4 on both domains
+    # n on either side of the threshold on both domains: a trial holds n d^2
+    # floats of records under matrix noise and n d under offset noise
     SIZES = {"matrix": (16, 640), "offset": (16, 2560)}
 
     def test_sizes_straddle_the_threshold(self):
         for kind, (below, above) in self.SIZES.items():
-            per_record = 16 if kind == "matrix" else 4
-            assert below * per_record < _SERIAL_FLOATS <= above * per_record
+            for op in self.problems.values():
+                per_record = op.dim ** (2 if kind == "matrix" else 1)
+                assert below * per_record < _SERIAL_FLOATS <= above * per_record
 
     @pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
     @pytest.mark.parametrize("neighbours", [False, True])
@@ -895,6 +896,14 @@ class TestBernsteinCheck:
         res = bernstein_check(game, NoiseModel("matrix", 0.2),
                               z_samples=10, mc_samples=1000, seed=3)
         assert res.violations == 0
+
+    @pytest.mark.parametrize("factor", [1.0, 3.0])
+    def test_matrix_noise_that_certifies_no_mu_is_refused(self, factor):
+        # as sampled_constants and every CLI command refuse it, before any draw
+        game = generate_game(3, 3, 2, 0.5, 0.3)
+        noise = NoiseModel("matrix", factor * constants(game).mu)
+        with pytest.raises(ConfigError, match="certifies no strong monotonicity"):
+            bernstein_check(game, noise, 2, 50, 0)
 
     def test_deterministic(self):
         game = generate_game(4, 2, 1, 0.8, 0.3)

@@ -466,6 +466,27 @@ class TestSolve:
         summary = json.loads((out_dir / "contraction_summary.json").read_text())
         assert summary["bounds"]["gamma"]["eta"] is None
 
+    def test_gd_stability_range_is_the_gates_range_test(self, tmp_path):
+        # an eg run passes the gate at any eta; its gd_stability_range
+        # diagnostic applies gd's one range test, which refuses an eta one
+        # float below 2 mu_w / L_w^2 where 2 mu_w - eta L_w^2 computes to <= 0
+        cfg = op_config(problem={"mu": 0.3, "L": 0.9}, solver={"method": "eg", "T": 0},
+                        experiment={"n": 5})
+        for seed in range(100):
+            cfg["problem"]["seed"] = seed
+            problem, domain, _ = build_problem(normalize_config(copy.deepcopy(cfg), "solve"))
+            c = constants(problem, domain)  # offset noise: (mu_w, L_w) = (mu, L)
+            eta = math.nextafter(2.0 * c.mu / c.L ** 2, 0.0)
+            if 2.0 * c.mu - eta * c.L ** 2 <= 0.0:
+                break
+        else:
+            pytest.fail("no seed below 100 rounds the gd margin to 0")
+        cfg["solver"]["eta"] = eta
+        code, out_dir = run_cli(tmp_path, "solve", cfg)
+        assert code == 0
+        summary = json.loads((out_dir / "solve_summary.json").read_text())
+        assert summary["results"]["diagnostics"]["gd_stability_range"] is False
+
     def test_matrix_noise_gates_and_reports_the_certified_pair(self, tmp_path, capsys):
         # mu 0.8, L 1.6, matrix noise 0.2: the empirical operator certifies
         # only (0.6, 1.8), whose gd limit is 0.37 < 0.5 < 2 mu/L^2 = 0.625

@@ -42,6 +42,15 @@ def consts(mu, L):
     return ProblemConstants(mu=mu, L=L, K=1.0, D=2.0, per_player=((mu, L),))
 
 
+NO_NOISE, UNIT_BALL = NoiseModel("offset", 0.0), Ball(np.zeros(1), 1.0)
+
+
+def gate(config, mu, L):
+    """gd's step-size gate, solvers.check_gd_eta, at (mu, L): noise of
+    magnitude 0 leaves them as they are."""
+    return solvers.check_gd_eta(config, consts(mu, L), NO_NOISE, UNIT_BALL)
+
+
 class TestSteps:
     def test_gd_example(self):
         # F(z) = z, eta = 1/2: 2 -> 1
@@ -384,7 +393,7 @@ class TestContractionBounds:
                 (lambda: contraction_bound("gd", 0.9, 1.0, 0.1), {"method", *certificate}),
                 (lambda: contraction_bound("eg", 0.9, 1.0, 0.1), {"method", *certificate}),
                 (lambda: stability_bound(gd, consts(0.9, 1.0), 1), {"n", *certificate}),
-                (lambda: solvers._gate_eta(gd, 0.9, 1.0), certificate),
+                (lambda: gate(gd, 0.9, 1.0), certificate),
                 (lambda: admissible_eta(0.9, 1.0, "gd"), {"method", "_check_mu_L_eta", "mu", "L"}),
                 (lambda: admissible_eta(0.9, 1.0, "eg"), {"method", "_check_mu_L_eta", "mu", "L"}),
                 (lambda: contraction_ratio(IDENTITY, z, zp, 0.1, "gd"), {"method", "eta"}),
@@ -419,7 +428,7 @@ class TestContractionBounds:
                          lambda: contraction_bound("gd", 0.9, 1.0, eta),
                          lambda: contraction_bound("eg", 0.9, 1.0, eta),
                          lambda: stability_bound(bad, consts(0.9, 1.0), 1),
-                         lambda: solvers._gate_eta(bad, 0.9, 1.0)):
+                         lambda: gate(bad, 0.9, 1.0)):
             with pytest.raises(ValueError, match="'eta' must be a finite number"):
                 evaluate()
 
@@ -474,12 +483,12 @@ class TestContractionBounds:
             assert (eta < admissible_eta(mu, L, "gd")[1]) == inside
             assert (stability_bound(config, consts(mu, L), 1) is not None) == inside
             if inside:
-                solvers._gate_eta(config, mu, L)
+                assert gate(config, mu, L) == consts(mu, L)
             else:
                 with pytest.raises(ConfigError, match=r"eta exceeds 2\*mu/L\^2"):
-                    solvers._gate_eta(config, mu, L)
+                    gate(config, mu, L)
         # eg passes the gate at every eta
-        solvers._gate_eta(SolverConfig("eg", 2.0, 0), 1.0, 1.0)
+        gate(SolverConfig("eg", 2.0, 0), 1.0, 1.0)
 
     def test_range_end_where_the_margin_rounds_to_zero(self):
         # at eta = nextafter(2 mu / L^2, 0) the computed 2 mu - eta L^2 is 0.0
@@ -495,7 +504,7 @@ class TestContractionBounds:
             config = SolverConfig("gd", math.nextafter(2.0 * mu / L ** 2, 0.0), 0)
             assert stability_bound(config, consts(mu, L), 1) is None
             with pytest.raises(ConfigError, match=r"eta exceeds 2\*mu/L\^2"):
-                solvers._gate_eta(config, mu, L)
+                gate(config, mu, L)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(mu=st.floats(1e-3, 10.0), spread=st.floats(1.0, 20.0),
