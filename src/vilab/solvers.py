@@ -25,6 +25,7 @@ of them, or a QuadraticGame).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -87,6 +88,11 @@ def _own_start(F, z) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(z, dtype=float), batch), order="C")
 
 
+def _digest(z) -> bytes:
+    """BLAKE2b of the C-ordered iterate's bytes (so -0.0 differs from +0.0)."""
+    return hashlib.blake2b(z).digest()
+
+
 def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
     """Iterate the configured step map for T steps from z0 (domain center by
     default, broadcast against F's batch; the B rows advance in lockstep):
@@ -95,7 +101,14 @@ def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
     Raises NumericalError if an iterate norm exceeds the guard
     1e6 * (1 + max ||z0||) or is not a number. The norms are taken only when
     max |z| passes a screen: a row's computed norm is at most sqrt(d) max |z|
-    (1 + (d + 3) eps / 2), and its squares overflow only past sqrt(float max / d)."""
+    (1 + (d + 3) eps / 2), and its squares overflow only past sqrt(float max / d).
+
+    The step map is a function of z alone, so once a state repeats, every
+    later state is known (Brent's cycle detection): the state at each
+    power-of-two step is marked by max |z| and a digest of its bytes, and a
+    later state with both equal to the mark's makes the loop run only the
+    (T - t) mod period steps that are left. Every skipped state already
+    passed the guard; the final bits and `steps` are those of all T steps."""
     z = domain.center() if z0 is None else np.asarray(z0, dtype=float)
     if z.shape[-1] != domain.dim:
         raise ValueError(f"start point shape {z.shape} does not match domain dim {domain.dim}")
@@ -107,14 +120,21 @@ def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:
     target = domain if config.projected else None
     buf = np.empty_like(z)  # F values and the step; free again after each step
     half = np.empty_like(z) if config.method == "eg" else None
-    for t in range(config.T):
+    mark, t, T = (0, math.nan, b""), 0, config.T  # (step, max |z|, digest) of a past state
+    while t < T:
         _step_into(F, z, config.eta, target, buf, half)
-        if float(np.max(np.abs(z, out=buf))) <= screen:
-            continue
-        top = float(np.max(np.sqrt(np.add.reduce(np.multiply(z, z, out=buf), axis=-1))))
-        if not top <= guard:
-            what = "exceeded divergence guard" if top > guard else "is not a number"
-            raise NumericalError(f"iterate norm {what} at step {t + 1}")
+        t += 1
+        peak = float(np.max(np.abs(z, out=buf)))
+        if not peak <= screen:
+            top = float(np.max(np.sqrt(np.add.reduce(np.multiply(z, z, out=buf), axis=-1))))
+            if not top <= guard:
+                what = "exceeded divergence guard" if top > guard else "is not a number"
+                raise NumericalError(f"iterate norm {what} at step {t}")
+        digest = _digest(z) if peak == mark[1] else None
+        if digest == mark[2]:  # state t repeats state mark[0]: skip whole periods
+            T = t + (T - t) % (t - mark[0])
+        elif t & (t - 1) == 0:
+            mark = (t, peak, digest or _digest(z))
     return Trajectory(final=z, steps=config.T)
 
 
@@ -175,9 +195,12 @@ def _gd_eta_limit(mu: float, L: float, eta=None) -> float:
 def admissible_eta(mu: float, L: float, method: str = "gd"):
     """Step sizes with a per-step ratio ceiling strictly below 1.
 
-    gd returns the open interval (0, 2 mu / L^2) as a pair; eg returns the
-    (possibly empty) array of grid points eta in (0, 1/L] with c(eta) < 1,
-    grid pitch 1e-4 / L. The eg set is nonempty iff mu > L/2.
+    gd returns the open interval (0, 2 mu / L^2) as a pair; within a few
+    floats of its end the computed ceiling can round to 1, and gd's range
+    test (`_gd_margin`, which the gate and stability_bound apply) refuses
+    such an eta too. eg returns the (possibly empty) array of grid points
+    eta in (0, 1/L] with c(eta) < 1, grid pitch 1e-4 / L. The eg set is
+    nonempty iff mu > L/2.
     """
     _value(_SOLVER["method"], method, "method")
     if method == "gd":
@@ -224,11 +247,13 @@ def contraction_ratio(F, z, zp, eta: float, method: str = "gd"):
 
 
 def _gd_margin(mu: float, L: float, eta: float) -> Optional[float]:
-    """2 mu - eta L^2 if eta < 2 mu / L^2 and the computed margin > 0 (it can
-    round to 0 just below 2 mu / L^2), else None: gd's one range test."""
+    """2 mu - eta L^2 if eta < 2 mu / L^2, the computed margin > 0 and the
+    computed squared ratio ceiling < 1 (just below 2 mu / L^2 the margin can
+    round to 0 and the ceiling to 1), else None: gd's one range test."""
     limit = _gd_eta_limit(mu, L, eta)
     margin = 2.0 * mu - eta * L ** 2
-    return margin if eta < limit and margin > 0.0 else None
+    inside = eta < limit and margin > 0.0 and _squared_ratio("gd", mu, L, eta) < 1.0
+    return margin if inside else None
 
 
 def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseModel,

@@ -3,9 +3,11 @@ explicit l-inf covers, greedy packings, per-record operators, one-step runs,
 one written-out contraction ceiling per method, and small combinatorial
 utilities.
 Intentionally slow and simple. Also the `pool_sizes` fixture, a spy on the
-thread pools the experiments build."""
+thread pools the experiments build, and `counted_steps`, a spy on the steps
+`solvers.run` computes."""
 
 import concurrent.futures
+import contextlib
 import itertools
 import math
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from vilab import (Ball, Box, Product, QuadraticOperator, SampledDataset, Simplex,
-                   SolverConfig, run)
+                   SolverConfig, run, solvers)
 from vilab.problems import _draw_records
 
 _ORD = {"l1": 1, "l2": 2, "linf": np.inf}
@@ -220,3 +222,21 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
     return sizes
+
+
+@contextlib.contextmanager
+def counted_steps():
+    """A one-element list holding the number of steps `solvers.run` computes
+    (calls of solvers._step_into) while the block runs."""
+    count = [0]
+    step = solvers._step_into
+
+    def spy(*args):
+        count[0] += 1
+        return step(*args)
+
+    solvers._step_into = spy
+    try:
+        yield count
+    finally:
+        solvers._step_into = step

@@ -39,13 +39,13 @@ from vilab import (
     stability_experiment,
     trial_dataset_seed,
 )
-from vilab import problems
+from vilab import problems, solvers
 from vilab.analysis import (_CHUNK_FLOATS, _SERIAL_FLOATS, _default_workers, _empirical_solutions,
                             _iterate_to_tol, _training_horizon, _trial_operators)
 from vilab.gaps import _strong_gap
 from vilab.solvers import check_gd_eta, contraction_bound
 
-from helpers import neighbour, pool_sizes  # pool_sizes: a fixture, requested by name
+from helpers import counted_steps, neighbour, pool_sizes  # pool_sizes: a fixture, requested by name
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -219,6 +219,24 @@ class TestStabilityExperiment:
         a = stability_experiment(self.op, self.dom, cfg, 16, 8, 3, noise)
         b = stability_experiment(self.op, self.dom, cfg, 16, 8, 3, noise)
         assert np.array_equal(a.divergences, b.divergences)
+
+    def test_training_stops_once_the_iterates_repeat(self):
+        # the benchmark's stability run at d = 4 (matrix noise, gd eta 0.25,
+        # T 2000) repeats by about step 160: run computes at most 300 steps,
+        # and the divergences keep the bits of a plain 2000-step loop
+        dom = Ball(np.zeros(4), 1.0)
+        op = generate_operator(0, 4, 0.8, 1.6, dom)
+        cfg, noise, n, trials = SolverConfig("gd", 0.25, 2000), NoiseModel("matrix", 0.2), 64, 50
+        with counted_steps() as steps:
+            res = stability_experiment(op, dom, cfg, n, trials, 0, noise)
+        assert steps[0] <= 300
+        F = _trial_operators(op, noise, n, 0, trials, neighbours=True)
+        z = solvers._own_start(F, dom.center())
+        buf = np.empty_like(z)
+        for _ in range(cfg.T):
+            solvers._step_into(F, z, cfg.eta, None, buf)
+        plain = np.linalg.norm(z[:trials] - z[trials:], axis=-1)
+        assert res.divergences.tobytes() == plain.tobytes()
 
     def test_eta_gate(self):
         with pytest.raises(ConfigError):

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vilab import errors, solvers
+from vilab import analysis, errors, solvers
 from vilab import (
     Ball,
     Box,
@@ -32,8 +32,8 @@ from vilab import (
     stability_bound,
 )
 
-from helpers import (eg_ratio_ceiling, eg_squared_ceiling, gd_ratio_ceiling, neighbour,
-                     one_step, record_operator, vertices)
+from helpers import (counted_steps, eg_ratio_ceiling, eg_squared_ceiling, gd_ratio_ceiling,
+                     neighbour, one_step, record_operator, vertices)
 
 IDENTITY = QuadraticOperator(np.eye(1), np.zeros(1))
 
@@ -253,6 +253,78 @@ class TestBufferedKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * z0.nbytes
+
+    def test_working_set_is_the_buffers_when_the_skip_fires(self):
+        # the same run for long enough that its iterates repeat: the marks
+        # are digests, not copies, so the working set stays the buffers
+        B, d, T = 64, 50, 2000
+        dom = Ball(np.zeros(d), 1.0)
+        rng = np.random.default_rng(2)
+        op = QuadraticOperator(np.eye(d) + 0.1 * rng.normal(size=(d, d)),
+                               rng.normal(size=(B, d)))
+        z0 = np.zeros((B, d))
+        tracemalloc.start()
+        try:
+            with counted_steps() as steps:
+                run(op, dom, SolverConfig("gd", 0.2, T, projected=True), z0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert steps[0] < T
+        assert peak <= 3.5 * z0.nbytes
+
+
+def _first_repeat(iterates):
+    """(t, s): the first step t whose iterate has the bytes of the iterate at
+    s, the last power-of-two step before t; None if no such t."""
+    s = None
+    for t in range(1, len(iterates)):
+        if s is not None and iterates[t].tobytes() == iterates[s].tobytes():
+            return t, s
+        if t & (t - 1) == 0:
+            s = t
+    return None
+
+
+class TestCycleSkip:
+    # once the iterates repeat, run computes only the steps left over after
+    # whole periods, and every result keeps the bits of all T steps; the
+    # explicit examples cover every domain, both methods, projected and
+    # unprojected runs, and shared and stacked matrices
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(name=st.sampled_from(sorted(KERNEL_DOMAINS)), method=st.sampled_from(["gd", "eg"]),
+           projected=st.booleans(), stacked=st.booleans(), rows=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1), spread=st.floats(0.0, 0.3),
+           eta=st.floats(0.05, 0.6))
+    @example("ball_at_origin", "gd", True, True, 3, 1, 0.1, 0.3)
+    @example("ball_off_origin", "eg", True, False, 2, 2, 0.15, 0.4)
+    @example("box", "eg", False, True, 4, 3, 0.15, 0.4)
+    @example("simplex", "gd", True, False, 3, 4, 0.1, 0.2)
+    @example("product", "eg", True, True, 2, 5, 0.1, 0.35)
+    def test_skip_keeps_every_bit(self, name, method, projected, stacked, rows, seed,
+                                  spread, eta):
+        dom, d, T = KERNEL_DOMAINS[name], 9, 5000
+        rng = np.random.default_rng(seed)
+        M = np.eye(d) + spread * rng.normal(size=(rows, d, d) if stacked else (d, d))
+        b = 2.0 * rng.normal(size=(rows, d))
+        z0 = np.ascontiguousarray(np.broadcast_to(0.4 * rng.normal(size=d), (rows, d)))
+        # a contracting step map: ||I - eta M|| (gd), ||I - eta M + eta^2 M^2|| (eg) < 0.9
+        G = np.eye(d) - eta * M + (eta ** 2 * M @ M if method == "eg" else 0.0)
+        assume(np.max(np.linalg.norm(G, 2, axis=(-2, -1))) < 0.9)
+        ref = _reference_run(M, b, dom, method, eta, T, projected, z0)
+        repeat = _first_repeat(ref)
+        near = [] if repeat is None else range(max(0, repeat[0] - 3), repeat[0] + 4)
+        for horizon in [*near, T]:
+            with counted_steps() as steps:
+                got = run(QuadraticOperator(M, b), dom,
+                          SolverConfig(method, eta, horizon, projected=projected), z0)
+            assert got.steps == horizon and got.final.tobytes() == ref[horizon].tobytes()
+            if repeat is None or horizon < repeat[0]:
+                assert steps[0] == horizon
+            else:
+                t, s = repeat
+                assert steps[0] == t + (horizon - t) % (t - s)
+        assert repeat is None or steps[0] < T
 
 
 def _reference_guard_step(F, dom, config, z0):
@@ -505,6 +577,28 @@ class TestContractionBounds:
             assert stability_bound(config, consts(mu, L), 1) is None
             with pytest.raises(ConfigError, match=r"eta exceeds 2\*mu/L\^2"):
                 gate(config, mu, L)
+
+    def test_range_end_where_the_ceiling_rounds_to_one(self):
+        # at eta = nextafter(2 mu / L^2, 0) the computed margin can stay
+        # positive while gd's computed ceiling reads exactly 1.0: the range
+        # test refuses that eta, so a gd sweep stops at the gate rather than
+        # passing it and then finding eta not contractive
+        mu, L = 0.5167, 4.9367
+        eta = math.nextafter(2.0 * mu / L ** 2, 0.0)
+        assert 2.0 * mu - eta * L ** 2 > 0.0 and contraction_bound("gd", mu, L, eta) == 1.0
+        config = SolverConfig("gd", eta, 0)
+        assert solvers._gd_margin(mu, L, eta) is None
+        assert stability_bound(config, consts(mu, L), 1) is None
+        with pytest.raises(ConfigError, match=r"eta exceeds 2\*mu/L\^2"):
+            analysis._training_horizon(config, consts(mu, L), NO_NOISE, UNIT_BALL)
+        # wherever the range test passes one float below the end, the ceiling is below 1
+        rng = np.random.default_rng(1)
+        mus = rng.uniform(0.01, 1.0, 2000)
+        Ls = mus * rng.uniform(1.0, 10.0, 2000)
+        for mu, L in zip(mus.tolist(), Ls.tolist()):
+            eta = math.nextafter(2.0 * mu / L ** 2, 0.0)
+            if solvers._gd_margin(mu, L, eta) is not None:
+                assert contraction_bound("gd", mu, L, eta) < 1.0
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(mu=st.floats(1e-3, 10.0), spread=st.floats(1.0, 20.0),
