@@ -33,9 +33,9 @@ import numpy as np
 from .domains import Domain, Simplex
 from .errors import _COUNT, _PAIR, _REQUIRED, ConfigError, _section, _value
 from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
-from .problems import (_DATASET_SIZE, _SEED, NoiseModel, ProblemConstants, QuadraticGame,
-                       QuadraticOperator, _draw_records, _stream, constants, exact_solution,
-                       sampled_constants)
+from .problems import (_DATASET_SIZE, _RECORD_KEYS, _SEED, NoiseModel, ProblemConstants,
+                       QuadraticGame, QuadraticOperator, _draw_records, _record_streams, _stream,
+                       _stream_states, constants, exact_solution, sampled_constants)
 from .solvers import (SolverConfig, _stability_limit, check_gd_eta, contraction_bound, run,
                       stability_bound)
 
@@ -178,10 +178,14 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
     seed, redrawn in place. All trials' replacement records come from one
     draw.
 
-    The trials are split into min(workers, trials) contiguous blocks (None:
-    _default_workers()), drawn and reduced on as many threads (the calling
-    thread takes block 0), unless a trial holds fewer than _SERIAL_FLOATS
-    floats of records: then one block runs serially. A block draws chunks of
+    Every trial's streams are seeded first, in one pass per spawn key
+    (problems._stream_states): its records' keys and, with `neighbours`, key
+    (9,) for the record its neighbour redraws. The trials are then split
+    into min(workers, trials) contiguous blocks (None: _default_workers()),
+    drawn and reduced on as many threads (the calling thread takes block 0),
+    unless a trial holds fewer than _SERIAL_FLOATS floats of records: then
+    one block runs serially. A block sets one generator per key to its
+    trials' states in turn (problems._stream) and draws chunks of
     as many consecutive trials as hold _CHUNK_FLOATS floats of records (at
     least one), each with one record draw and one batched mean for its
     trials (and one for their neighbours). Record i depends on (seed, i) only and a
@@ -189,21 +193,27 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
     bit-identical at every worker count and chunk size, and peak memory
     stays one chunk's records per worker."""
     workers = _value(_WORKERS, _default_workers() if workers is None else workers, "workers")
-    seeds = [trial_dataset_seed(seed, n, t) for t in range(trials)]
+    head = trial_dataset_seed(seed, n, 0)[:2]  # the base seed and n, checked once
+    seeds = [head + [t] for t in range(trials)]
+    states = [_stream_states(seeds, key) for key in _RECORD_KEYS[noise.kind]]
     if neighbours:
-        replacements = _draw_records(problem, noise, 1, [s + [1] for s in seeds])
+        picks = _stream_states(seeds, (9,))
+        replacements = _draw_records(problem, noise, 1, trials,
+                                     _record_streams(noise, [s + [1] for s in seeds]))
     record = (problem.dim,) * (2 if noise.kind == "matrix" else 1)
     means = np.empty(((2 if neighbours else 1) * trials, *record))
     size = n * math.prod(record)  # the floats of records one trial holds
     chunk = max(1, _CHUNK_FLOATS // size)
 
     def block(lo: int, hi: int):
+        streams = [_stream(s[lo:hi]) for s in states]
+        swaps = _stream(picks[lo:hi]) if neighbours else None
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
-            X = _draw_records(problem, noise, n, seeds[a:b]).reshape(b - a, n, *record)
+            X = _draw_records(problem, noise, n, b - a, streams).reshape(b - a, n, *record)
             X.mean(axis=1, out=means[a:b])
             if neighbours:
-                swap = [int(_stream(s, (9,)).integers(n)) for s in seeds[a:b]]
+                swap = [int(next(swaps).integers(n)) for _ in range(a, b)]
                 X[np.arange(b - a), swap] = replacements[a:b]
                 X.mean(axis=1, out=means[trials + a:trials + b])
             del X  # not held while the next chunk is drawn
@@ -425,11 +435,11 @@ def bernstein_check(game: QuadraticGame, noise: NoiseModel, z_samples: int,
     sampled_constants(consts, noise, game.domain)
     B = bernstein_constant(consts)
     zs = [exact_solution(game)]
-    rng = _stream([int(seed)], (11,))
+    rng, = _stream(_stream_states([int(seed)], (11,)))
     if z_samples > 1:
         zs.extend(game.domain.sample(rng, z_samples - 1))
     zs = np.asarray(zs)
-    R = _draw_records(game, noise, mc_samples, [[int(seed), 13]])
+    R = _draw_records(game, noise, mc_samples, 1, _record_streams(noise, [[int(seed), 13]]))
 
     def g(z, w):
         """g(z, zeta) over the noise draws, with w = w*(z)."""

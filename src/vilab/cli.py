@@ -45,8 +45,8 @@ from .errors import (_COUNT, _PAIR, _POSITIVE, _REQUIRED, BoundViolationError, C
                      GenerationError, InfeasiblePointError, NumericalError, _section, _value)
 from .gaps import gap_report
 from .problems import (_DATASET_SIZE, _GAME, _MARGIN, _NOISE, _OPERATOR, _PLAYER_DIM, _SEED,
-                       NoiseModel, _stream, constants, empirical_operator, generate_game,
-                       generate_operator, sample_dataset, sampled_constants)
+                       NoiseModel, _stream, _stream_states, constants, empirical_operator,
+                       generate_game, generate_operator, sample_dataset, sampled_constants)
 from .solvers import (_SOLVER, SolverConfig, _ceiling_gated, _default_eta_grid, _gd_margin,
                       check_gd_eta, contraction_bound, contraction_ratio, run)
 
@@ -337,7 +337,7 @@ def cmd_contraction(args, cfg, built, sc) -> _Outcome:
     grid = [float(e) for e in exp["eta_grid"]] if "eta_grid" in exp else \
         _default_eta_grid(sc.method, consts.mu, consts.L)
 
-    rng = _stream([cfg["problem"]["seed"]], (5,))
+    rng, = _stream(_stream_states([cfg["problem"]["seed"]], (5,)))
     Z1 = domain.sample(rng, pairs)
     Z2 = domain.sample(rng, pairs)
     keep = np.linalg.norm(Z1 - Z2, axis=-1) > 1e-12

@@ -29,11 +29,19 @@ its tangent subspace has last bits that depend on the record count.
 Operators built on a simplex keep its tangent subspace invariant and the
 noise is drawn inside that subspace, so every sampled operator still has its
 root on the simplex hyperplane.
+
+Every draw is keyed by a seed (a nonnegative int or a list of them) and a
+spawn key, and draws what default_rng(SeedSequence(seed, spawn_key=key))
+draws. `_stream_states` seeds a whole list of seeds in one numpy pass that
+redoes numpy's integer seeding, and `_stream`, the library's one generator
+constructor, sets one reused Generator to each seeded state in turn: a
+dataset's records take key (0,) (offset radii (1,)), an instance key ().
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -58,9 +66,111 @@ _PLAYER_DIM = (int, _COUNT, _REQUIRED)
 _DATASET_SIZE = (int, _COUNT, _REQUIRED)
 
 
-def _stream(seed, key) -> np.random.Generator:
-    """The one random-stream constructor; key () gives SeedSequence(seed)'s stream."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's multiplier
+_M32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _words(entropy) -> list:
+    """numpy's uint32 coercion of a seed, a nonnegative int or a list of them:
+    each part's 32-bit words, least significant first (0 is one word)."""
+    words = []
+    for part in entropy if isinstance(entropy, (list, tuple)) else [entropy]:
+        part = operator.index(part)
+        if part < 0:
+            raise ValueError(f"seed parts must be nonnegative, got {part}")
+        words.append(part & _M32)
+        while part := part >> 32:
+            words.append(part & _M32)
+    return words
+
+
+def _multipliers(start: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1, 1) uint32: start * mult^i mod 2^32, the hash's running multiplier."""
+    out = [start]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values, mult):
+    """SeedSequence's hashmix of each row i of `values`, at mult[i] and mult[i + 1]."""
+    values = (values ^ mult[:-1]) * mult[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool words x with hashed words y."""
+    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return out ^ (out >> 16)
+
+
+def _mul_hi(a, b: int):
+    """The high 64 bits of each a * b, for uint64 a and a 64-bit int b."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, np.uint64(b & _M32), np.uint64(b >> 32)
+    low, cross = a0 * b1, a1 * b0
+    carry = ((a0 * b0) >> 32) + (low & _M32) + (cross & _M32)
+    return a1 * b1 + (low >> 32) + (cross >> 32) + (carry >> 32)
+
+
+def _stream_states(seeds, key) -> np.ndarray:
+    """The PCG64 state of default_rng(SeedSequence(seed, spawn_key=key)) for
+    each seed in `seeds` (a nonnegative int or a list of them), as one
+    (len(seeds), 4) uint64 array of state and increment, high word first.
+
+    One numpy pass over every seed redoes numpy's own integer seeding: the
+    uint32 word coercion, the zero padding to 4 words when a key is given,
+    SeedSequence's pool mixing and generate_state(4, uint64), and PCG64's
+    two-step srandom."""
+    key_words = _words(key)
+    rows = [_words(seed) for seed in seeds]
+    if key_words:
+        rows = [row + [0] * (4 - len(row)) + key_words for row in rows]
+    lengths = np.array([len(row) for row in rows])
+    width = max(4, int(lengths.max()))
+    words = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.uint32).T
+    mult = _multipliers(_INIT_A, _MULT_A, 16 + 4 * (width - 4))
+    pool = _hashmix(words[:4], mult[:5])  # a missing word hashes as 0
+    k = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], mult[k:k + 4]))
+        k += 3
+    for j in range(4, width):  # words past the pool, each into every pool word
+        pool = np.where(lengths > j, _mix(pool, _hashmix(words[j], mult[k:k + 5])), pool)
+        k += 4
+    out = _hashmix(np.concatenate([pool, pool]), _multipliers(_INIT_B, _MULT_B, 8))
+    out = out.astype(np.uint64)
+    v0, v1, v2, v3 = out[0::2] | (out[1::2] << 32)  # generate_state(4, uint64)
+    # srandom(initstate v0:v1, initseq v2:v3): inc = 2 initseq + 1, then
+    # state = ((inc + initstate) * multiplier + inc) mod 2^128
+    inc_hi, inc_lo = (v2 << 1) | (v3 >> 63), (v3 << 1) | np.uint64(1)
+    s_lo = inc_lo + v1
+    s_hi = inc_hi + v0 + (s_lo < v1)
+    p_lo = s_lo * np.uint64(_PCG_LO)
+    p_hi = _mul_hi(s_lo, _PCG_LO) + s_lo * np.uint64(_PCG_HI) + s_hi * np.uint64(_PCG_LO)
+    state_lo = p_lo + inc_lo
+    state_hi = p_hi + inc_hi + (state_lo < p_lo)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+
+
+def _stream(states):
+    """The one random-stream constructor: yields one PCG64 Generator, set in
+    turn to each row of `states` (_stream_states(seeds, key)), so its i-th
+    yield draws what default_rng(SeedSequence(seeds[i], spawn_key=key))
+    draws, bit for bit (`tests/test_streams.py::
+    test_bulk_streams_draw_what_numpy_draws`). Take each stream's draws
+    before the next: setting a state costs about 2 us, where building a
+    Generator costs about 14."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    for state_hi, state_lo, inc_hi, inc_lo in states.tolist():
+        state["state"], state["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+        rng.bit_generator.state = full
+        yield rng
 
 
 def _prescaled(a) -> tuple:
@@ -80,7 +190,7 @@ def spectral_norm(M: np.ndarray) -> float:
     M, scale = _prescaled(M)
     B = M.T @ M
     d = B.shape[0]
-    v = _stream(0, ()).standard_normal(d)
+    v = next(_stream(_stream_states([0], ()))).standard_normal(d)
     v /= np.linalg.norm(v)
     lam = float(v @ B @ v)
     for _ in range(50_000):
@@ -390,7 +500,7 @@ def generate_operator(
         raise ValueError(f"domain dim {domain.dim} != requested d {d}")
     if mu_target > L_target:
         raise GenerationError(f"need 0 < mu <= L < inf, got mu={mu_target}, L={L_target}")
-    rng = _stream(seed, ())
+    rng, = _stream(_stream_states([seed], ()))
     if isinstance(domain, Simplex):
         basis = domain.tangent_basis()  # (d-1, d) orthonormal rows
         t = basis.shape[0]
@@ -436,7 +546,7 @@ def generate_game(
     if not isinstance(domain, Product) or [f.dim for f in domain.factors] != list(dims):
         raise ValueError("a game's domain must be a product of one factor per player "
                          "with the player's dimension")
-    rng = _stream(seed, ())
+    rng, = _stream(_stream_states([seed], ()))
     d, slices = domain.dim, domain.slices
 
     blocks = []
@@ -474,24 +584,25 @@ def generate_game(
 # ---------------------------------------------------------------------------
 
 
-def _draw_offsets(seeds, count: int, dim: int, magnitude: float,
+def _draw_offsets(rows: int, streams, count: int, dim: int, magnitude: float,
                   basis: Optional[np.ndarray]) -> np.ndarray:
     """Uniform draws from a centered ball (in the tangent subspace if given),
-    `count` per seed in `seeds` order, in one buffer.
+    `count` for each of `rows` seeds in order, in one buffer: directions from
+    the seeds' key (0,) streams, radii from their key (1,) streams (`streams`).
 
-    Directions and radii come from separate substreams and every pass works
-    row by row (squared norms per seed, the scaling in place), so record i of
-    a seed is a fixed function of (seed, i) regardless of count, except in a
-    tangent subspace: each seed's `e @ basis` product has count-dependent bits.
+    Every pass works row by row (squared norms per seed, the scaling in
+    place), so record i of a seed is a fixed function of (seed, i) regardless
+    of count, except in a tangent subspace: each seed's `e @ basis` product
+    has count-dependent bits.
     """
     t = dim if basis is None else basis.shape[0]
-    total = len(seeds) * count
+    total = rows * count
     e, norms, radii = np.empty((total, t)), np.empty(total), np.empty(total)
-    parts = [slice(k * count, (k + 1) * count) for k in range(len(seeds))]
-    for seed, part in zip(seeds, parts):
-        _stream(seed, (0,)).standard_normal(out=e[part])
+    parts = [slice(k * count, (k + 1) * count) for k in range(rows)]
+    for part, e_rng, r_rng in zip(parts, *streams):
+        e_rng.standard_normal(out=e[part])
         np.add.reduce(np.square(e[part]), axis=-1, out=norms[part])
-        _stream(seed, (1,)).random(out=radii[part])
+        r_rng.random(out=radii[part])
     e /= np.maximum(np.sqrt(norms, out=norms), 1e-300, out=norms)[:, None]
     e *= (magnitude * radii ** (1.0 / t))[:, None]
     if basis is None:
@@ -617,10 +728,11 @@ def _quartic_lambda_max(G: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _draw_matrices(seeds, count: int, dim: int, magnitude: float,
+def _draw_matrices(rows: int, streams, count: int, dim: int, magnitude: float,
                    basis: Optional[np.ndarray]) -> np.ndarray:
     """Spectral-norm-normalized Gaussian perturbations E_i = magnitude *
-    G_i / ||G_i||_2, `count` per seed in `seeds` order. Each record is drawn
+    G_i / ||G_i||_2, `count` for each of `rows` seeds in order, G_i from the
+    seeds' key (0,) streams (`streams`). Each record is drawn
     once and kept, so the records are independent and centred (rejecting the
     records below a monotonicity floor would bias their mean); Weyl's
     inequality certifies what every M + E_i satisfies (sampled_constants).
@@ -637,9 +749,9 @@ def _draw_matrices(seeds, count: int, dim: int, magnitude: float,
     that precision.
     """
     t = dim if basis is None else basis.shape[0]
-    G = np.empty((len(seeds) * count, t, t))
-    for k, seed in enumerate(seeds):  # the bits of one (count, t, t) draw per seed
-        _stream(seed, (0,)).standard_normal(out=G[k * count:(k + 1) * count])
+    G = np.empty((rows * count, t, t))
+    for k, rng in zip(range(rows), *streams):  # one (count, t, t) draw per seed
+        rng.standard_normal(out=G[k * count:(k + 1) * count])
     lam = _quartic_lambda_max(G) if t <= 4 else _gram_lambda_max(G)
     G *= magnitude
     G /= np.maximum(np.sqrt(np.maximum(lam, 0.0)), 1e-300)[:, None, None]
@@ -661,12 +773,21 @@ class SampledDataset:
         return self.records.shape[-1]
 
 
-def _draw_records(problem, noise: NoiseModel, count: int, seeds) -> np.ndarray:
-    """The `count` records of each seed in `seeds`, in order."""
+# The spawn keys each noise kind's records draw from: directions and radii, or Gaussians.
+_RECORD_KEYS = {"offset": ((0,), (1,)), "matrix": ((0,),)}
+
+
+def _record_streams(noise: NoiseModel, seeds) -> list:
+    """One _stream over `seeds` per key in _RECORD_KEYS[noise.kind]."""
+    return [_stream(_stream_states(seeds, key)) for key in _RECORD_KEYS[noise.kind]]
+
+
+def _draw_records(problem, noise: NoiseModel, count: int, rows: int, streams) -> np.ndarray:
+    """The `count` records of each of the next `rows` seeds of `streams`
+    (_record_streams), in order."""
     d, basis = problem.dim, problem.tangent_basis
-    if noise.kind == "offset":
-        return _draw_offsets(seeds, count, d, noise.magnitude, basis)
-    return _draw_matrices(seeds, count, d, noise.magnitude, basis)
+    draw = _draw_offsets if noise.kind == "offset" else _draw_matrices
+    return draw(rows, streams, count, d, noise.magnitude, basis)
 
 
 def sample_dataset(problem, noise: NoiseModel, n: int, seed) -> SampledDataset:
@@ -674,7 +795,7 @@ def sample_dataset(problem, noise: NoiseModel, n: int, seed) -> SampledDataset:
     entropy trial_dataset_seed gives)."""
     _value(_DATASET_SIZE, n, "n")
     seed = _value(([_SEED], None) if isinstance(seed, list) else _SEED, seed, "seed")
-    return SampledDataset(_draw_records(problem, noise, n, [seed]))
+    return SampledDataset(_draw_records(problem, noise, n, 1, _record_streams(noise, [seed])))
 
 
 def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:

@@ -25,13 +25,17 @@ of them, or a QuadraticGame).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+try:  # hashlib's own BLAKE2b, without the OpenSSL binding that importing hashlib loads
+    from _blake2 import blake2b
+except ImportError:  # a Python built without it
+    from hashlib import blake2b
 
 from .domains import Domain
 from .errors import (_NONNEGATIVE, _POSITIVE, _REQUIRED, ConfigError, NumericalError, _checked,
@@ -90,7 +94,7 @@ def _own_start(F, z) -> np.ndarray:
 
 def _digest(z) -> bytes:
     """BLAKE2b of the C-ordered iterate's bytes (so -0.0 differs from +0.0)."""
-    return hashlib.blake2b(z).digest()
+    return blake2b(z).digest()
 
 
 def run(F, domain: Domain, config: SolverConfig, z0=None) -> Trajectory:

@@ -16,7 +16,7 @@ import pytest
 
 from vilab import (Ball, Box, Product, QuadraticOperator, SampledDataset, Simplex,
                    SolverConfig, run, solvers)
-from vilab.problems import _draw_records
+from vilab.problems import _draw_records, _record_streams
 
 _ORD = {"l1": 1, "l2": 2, "linf": np.inf}
 
@@ -114,7 +114,7 @@ def record_operator(problem, X, j):
 def neighbour(problem, X, noise, j, seed):
     """A copy of X with record j redrawn from `seed`; X is left as it is."""
     records = X.records.copy()
-    records[j] = _draw_records(problem, noise, 1, [seed])[0]
+    records[j] = _draw_records(problem, noise, 1, 1, _record_streams(noise, [seed]))[0]
     return SampledDataset(records)
 
 

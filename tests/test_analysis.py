@@ -345,8 +345,8 @@ class TestStabilityExperiment:
         # the swap changes exactly one record of each trial's dataset
         drawn = []
 
-        def keeping(problem, noise, count, seeds):
-            records = problems._draw_records(problem, noise, count, seeds)
+        def keeping(problem, noise, count, rows, streams):
+            records = problems._draw_records(problem, noise, count, rows, streams)
             if count == n:  # a chunk's datasets, not the replacement records
                 drawn.append((records, records.copy()))
             return records
@@ -799,7 +799,8 @@ class TestTrialChunks:
         seeds = [trial_dataset_seed(seed, n, t) for t in range(trials)]
         datasets = [sample_dataset(op, noise, n, s) for s in seeds]
         if neighbours:  # trial t's dataset with the record its seed picks redrawn
-            swapped = [int(problems._stream(s, (9,)).integers(n)) for s in seeds]
+            swapped = [int(rng.integers(n))
+                       for rng in problems._stream(problems._stream_states(seeds, (9,)))]
             datasets += [neighbour(op, X, noise, j, s + [1])
                          for X, j, s in zip(datasets, swapped, seeds)]
         emps = [empirical_operator(op, X) for X in datasets]
@@ -808,6 +809,49 @@ class TestTrialChunks:
         for F in stacks:
             assert np.array_equal(F.matrix, mats)
             assert np.array_equal(F.offset, offs)
+
+
+class TestTrialSeeding:
+    """_trial_operators seeds every trial's keyed streams in one pass per key
+    before its blocks start, and each block sets one reused generator per key
+    to its trials' states in turn."""
+
+    op = generate_operator(4, 3, 0.8, 1.6)
+
+    def test_rows_are_the_trial_seeds(self, monkeypatch):
+        passes = []
+
+        def recording(seeds, key):
+            passes.append((seeds, key))
+            return problems._stream_states(seeds, key)
+
+        monkeypatch.setattr("vilab.analysis._stream_states", recording)
+        _trial_operators(self.op, NoiseModel("offset", 0.3), 16, 7, 9, neighbours=True,
+                         workers=1)
+        rows = [trial_dataset_seed(7, 16, t) for t in range(9)]
+        assert passes == [(rows, (0,)), (rows, (1,)), (rows, (9,))]
+        assert all(type(part) is int for seeds, _ in passes for row in seeds for part in row)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["matrix", "offset"])
+    def test_generators_per_call_not_per_trial(self, monkeypatch, kind, workers):
+        # the replacement draw's streams, then each block's record and pick
+        # streams; threads forced on and one trial per chunk
+        built, real = [], np.random.PCG64
+
+        def counting(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        monkeypatch.setattr("vilab.analysis._SERIAL_FLOATS", 0)
+        monkeypatch.setattr("vilab.analysis._CHUNK_FLOATS", 1)
+        keys = 1 if kind == "matrix" else 2
+        for trials in (2, 5, 40):
+            built.clear()
+            _trial_operators(self.op, NoiseModel(kind, 0.3), 8, 3, trials, neighbours=True,
+                             workers=workers)
+            assert len(built) == keys + workers * (keys + 1)
 
 
 class TestTrialThreads:

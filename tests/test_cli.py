@@ -1006,6 +1006,16 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_openssl(self):
+        # the solver's cycle marks take BLAKE2b without hashlib, whose import
+        # loads the OpenSSL binding (about 3 ms of every CLI start)
+        code = ("import sys, vilab.cli; "
+                "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_console_script(self, tmp_path):
         cfg = write_cfg(tmp_path, op_config(problem={"noise": {"kind": "offset",
                                                                "magnitude": 0.0}},

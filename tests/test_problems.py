@@ -662,7 +662,8 @@ class TestDatasets:
         monkeypatch.setattr(sys.modules[np.linalg.norm.__wrapped__.__module__],
                             "svd", counting)
         X = sample_dataset(op, NoiseModel("matrix", 0.9), 300, seed=11)
-        problems._draw_records(op, NoiseModel("matrix", 0.9), 1, [99])
+        noise = NoiseModel("matrix", 0.9)
+        problems._draw_records(op, noise, 1, 1, problems._record_streams(noise, [99]))
         sample_dataset(simplex_op, NoiseModel("matrix", 0.3), 50, seed=22)
         assert calls == []
         # the counter does see the SVD route the sampler used to take
@@ -797,16 +798,15 @@ class TestQuarticKernel:
         # probability zero, but the 1e-300 guard keeps every record finite
         stream = problems._stream
 
-        def with_a_zero_record(seed, key):
-            rng = stream(seed, key)
+        def with_a_zero_record(states):
+            for rng in stream(states):
+                class Draws:
+                    def standard_normal(self, shape=None, out=None):
+                        out = rng.standard_normal(shape, out=out)
+                        out[1] = 0.0
+                        return out
 
-            class Draws:
-                def standard_normal(self, shape=None, out=None):
-                    out = rng.standard_normal(shape, out=out)
-                    out[1] = 0.0
-                    return out
-
-            return Draws()
+                yield Draws()
 
         op = generate_operator(43, 4, 0.8, 1.6)  # drawn before the patch: it needs uniform
         monkeypatch.setattr(problems, "_stream", with_a_zero_record)

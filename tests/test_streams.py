@@ -12,8 +12,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vilab.problems import _stream
+from vilab.problems import _stream, _stream_states
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vilab"
 MODULES = sorted(SRC.glob("*.py"))
@@ -57,6 +59,27 @@ def test_empty_key_is_the_plain_seed_sequence():
     # generators and spectral_norm take, and a spawn key keys it as numpy does
     for seed in (0, 7, [3, 5]):
         want = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(8)
-        assert _stream(seed, ()).standard_normal(8).tobytes() == want.tobytes()
+        assert next(_stream(_stream_states([seed], ()))).standard_normal(8).tobytes() \
+            == want.tobytes()
     want = np.random.default_rng(np.random.SeedSequence([3], spawn_key=(5,))).random(8)
-    assert _stream([3], (5,)).random(8).tobytes() == want.tobytes()
+    assert next(_stream(_stream_states([[3]], (5,)))).random(8).tobytes() == want.tobytes()
+
+
+SEEDS = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5]),
+                  st.lists(st.one_of(st.just(0), st.integers(0, 2 ** 32 - 1),
+                                     st.integers(0, 2 ** 100)), min_size=1, max_size=6))
+KEYS = [(), (0,), (1,), (9,), (11,), (13,), (5,), (0, 1)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seeds=st.lists(SEEDS, min_size=1, max_size=8), key=st.sampled_from(KEYS),
+       draw=st.sampled_from(["standard_normal", "random", "integers"]))
+def test_bulk_streams_draw_what_numpy_draws(seeds, key, draw):
+    # one seeding pass over rows of every width (words past the pool of 4
+    # included) gives, row by row, the draws of numpy's own constructor
+    args = (1000,) if draw == "integers" else ()
+    got = [getattr(rng, draw)(*args, size=7).tobytes()
+           for rng in _stream(_stream_states(seeds, key))]
+    want = [getattr(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)),
+                    draw)(*args, size=7).tobytes() for seed in seeds]
+    assert got == want
