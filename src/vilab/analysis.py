@@ -18,7 +18,9 @@ All randomness is keyed by (base_seed, n, trial), so a trial's outcome does
 not depend on execution order and parallel scheduling cannot change results:
 the experiments draw their trials' datasets on up to `workers` threads
 (default: the CPUs this process may use) and stack the results in trial
-order, so every output is bit-identical at every worker count.
+order, so every output is bit-identical at every worker count. No rule on a
+noise kind lives here: each kind's spawn keys, record axes and draw, and the
+one constructor from mean records to operators, come from problems.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import numpy as np
 from .domains import Domain, Simplex
 from .errors import _COUNT, _PAIR, _REQUIRED, ConfigError, _section, _value
 from .gaps import _strong_gap, best_response, gap, potential_gap, weak_gap
-from .problems import (_DATASET_SIZE, _RECORD_KEYS, _SEED, NoiseModel, ProblemConstants,
-                       QuadraticGame, QuadraticOperator, _draw_records, _record_streams, _stream,
+from .problems import (_DATASET_SIZE, _KINDS, _SEED, NoiseModel, ProblemConstants, QuadraticGame,
+                       QuadraticOperator, _draw_records, _mean_operator, _record_streams, _stream,
                        _stream_states, constants, exact_solution, sampled_constants)
 from .solvers import (SolverConfig, _stability_limit, check_gd_eta, contraction_bound, run,
                       stability_bound)
@@ -172,35 +174,31 @@ _CHUNK_FLOATS = 65_536
 def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
                      neighbours: bool = False,
                      workers: Optional[int] = None) -> QuadraticOperator:
-    """The stacked empirical operators of the `trials` datasets of size n keyed
-    by trial_dataset_seed(seed, n, t), in trial order. With `neighbours`, as
-    many neighbours follow: trial t's dataset with one record, chosen by its
-    seed, redrawn in place. All trials' replacement records come from one
-    draw.
-
-    Every trial's streams are seeded first, in one pass per spawn key
-    (problems._stream_states): its records' keys and, with `neighbours`, key
-    (9,) for the record its neighbour redraws. The trials are then split
-    into min(workers, trials) contiguous blocks (None: _default_workers()),
-    drawn and reduced on as many threads (the calling thread takes block 0),
-    unless a trial holds fewer than _SERIAL_FLOATS floats of records: then
-    one block runs serially. A block sets one generator per key to its
-    trials' states in turn (problems._stream) and draws chunks of
-    as many consecutive trials as hold _CHUNK_FLOATS floats of records (at
-    least one), each with one record draw and one batched mean for its
-    trials (and one for their neighbours). Record i depends on (seed, i) only and a
-    batched mean keeps each trial's summation order, so the stack is
-    bit-identical at every worker count and chunk size, and peak memory
-    stays one chunk's records per worker."""
+    """The stacked empirical operators (problems._mean_operator) of the
+    `trials` datasets of size n keyed by trial_dataset_seed(seed, n, t), in
+    trial order. It decides the seeding order: every trial's streams first,
+    one pass per spawn key (problems._stream_states). The threads: as many
+    contiguous blocks as min(workers, trials) (None: _default_workers()),
+    block 0 on the calling thread, or one serial block when a trial holds
+    fewer than _SERIAL_FLOATS floats of records. The chunks: a block sets one
+    generator per key to its trials' states in turn (problems._stream), then
+    draws and averages as many trials at once as hold _CHUNK_FLOATS floats of
+    records (at least one). The neighbours: with `neighbours`, as many
+    follow, trial t's dataset with the record its key (9,) stream picks
+    swapped in place for its replacement; all replacements are one draw.
+    Record i depends on (seed, i) only and a batched mean keeps each trial's
+    summation order, so the stack is bit-identical at every worker count and
+    chunk size, and peak memory stays one chunk's records per worker."""
     workers = _value(_WORKERS, _default_workers() if workers is None else workers, "workers")
     head = trial_dataset_seed(seed, n, 0)[:2]  # the base seed and n, checked once
     seeds = [head + [t] for t in range(trials)]
-    states = [_stream_states(seeds, key) for key in _RECORD_KEYS[noise.kind]]
+    kind = _KINDS[noise.kind]
+    states = [_stream_states(seeds, key) for key in kind.spawn_keys]
     if neighbours:
         picks = _stream_states(seeds, (9,))
         replacements = _draw_records(problem, noise, 1, trials,
                                      _record_streams(noise, [s + [1] for s in seeds]))
-    record = (problem.dim,) * (2 if noise.kind == "matrix" else 1)
+    record = (problem.dim,) * kind.axes
     means = np.empty(((2 if neighbours else 1) * trials, *record))
     size = n * math.prod(record)  # the floats of records one trial holds
     chunk = max(1, _CHUNK_FLOATS // size)
@@ -228,10 +226,7 @@ def _trial_operators(problem, noise: NoiseModel, n: int, seed: int, trials: int,
             helpers = pool.map(block, edges[1:-1], edges[2:])  # submitted at once
             block(edges[0], edges[1])
             list(helpers)  # re-raises a helper's error
-    if noise.kind == "offset":
-        return QuadraticOperator(problem.matrix, problem.offset + means)
-    # each row b + 0.0, as empirical_operator gives it (a -0.0 of b reads +0.0)
-    return QuadraticOperator(problem.matrix + means, problem.offset + np.zeros(means.shape[:2]))
+    return _mean_operator(problem, means, kind.axes)
 
 
 # ---------------------------------------------------------------------------

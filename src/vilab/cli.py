@@ -44,8 +44,8 @@ from .domains import _RADIUS, _SIMPLEX_D, Ball, Box, Domain, Product, Simplex
 from .errors import (_COUNT, _PAIR, _POSITIVE, _REQUIRED, BoundViolationError, ConfigError,
                      GenerationError, InfeasiblePointError, NumericalError, _section, _value)
 from .gaps import gap_report
-from .problems import (_DATASET_SIZE, _GAME, _MARGIN, _NOISE, _OPERATOR, _PLAYER_DIM, _SEED,
-                       NoiseModel, _stream, _stream_states, constants, empirical_operator,
+from .problems import (_DATASET_SIZE, _GAME, _MARGIN, _NO_NOISE, _NOISE, _OPERATOR, _PLAYER_DIM,
+                       _SEED, NoiseModel, _stream, _stream_states, constants, empirical_operator,
                        generate_game, generate_operator, sample_dataset, sampled_constants)
 from .solvers import (_SOLVER, SolverConfig, _ceiling_gated, _default_eta_grid, _gd_margin,
                       check_gd_eta, contraction_bound, contraction_ratio, run)
@@ -82,8 +82,7 @@ _DOMAINS = {
 _DOMAIN = _tagged(_DOMAINS)
 _DOMAINS["product"] = {"factors": ([(_DOMAIN, None)], _COUNT, _REQUIRED)}
 
-_INSTANCE = {"seed": _SEED, "noise": (_NOISE, None, {"kind": "offset", "magnitude": 0.0}),
-             "interior_margin": _MARGIN}
+_INSTANCE = {"seed": _SEED, "noise": (_NOISE, None, _NO_NOISE), "interior_margin": _MARGIN}
 _PROBLEMS = {
     "operator": {"d": _OPERATOR["d"], "mu": _OPERATOR["mu"], "L": _OPERATOR["L"],
                  "domain": (_DOMAIN, None, _REQUIRED), **_INSTANCE},

@@ -6,7 +6,9 @@ C_i z_{-i} + b_i into one operator; the per-player potentials
 f_i(z) = 1/2 z_i^T Q_i z_i + z_i^T (C_i z_{-i} + b_i) make the stack
 conservative player by player.
 
-Noisy samples come in two unbiased kinds (`_NOISE`'s kind):
+Noisy samples come in two unbiased kinds, and every rule on a kind lives here:
+its records' spawn keys, axes and draw (`_KINDS`), its certificate
+(`sampled_constants`), the CLI's default (`_NO_NOISE`) and `_mean_operator`:
 
 * offset:  Xi(z, zeta_i) = F(z) + e_i, e_i uniform in a centered ball of
   radius `magnitude` (monotonicity and smoothness of each sample are exact);
@@ -36,12 +38,15 @@ draws. `_stream_states` seeds a whole list of seeds in one numpy pass that
 redoes numpy's integer seeding, and `_stream`, the library's one generator
 constructor, sets one reused Generator to each seeded state in turn: a
 dataset's records take key (0,) (offset radii (1,)), an instance key ().
+With a key, SeedSequence zero-pads entropy shorter than 4 words, so the
+seeds [s, 13] and [s, 13, 0] name one stream.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -56,6 +61,7 @@ _REJECTION_BUDGET = 1000
 # coupling_strength coupling); a base seed is the experiments' too, n a dataset's size.
 _NOISE = {"kind": (("offset", "matrix"), None, _REQUIRED),
           "magnitude": (float, _NONNEGATIVE, _REQUIRED)}
+_NO_NOISE = {"kind": "offset", "magnitude": 0.0}
 _SEED = (int, _NONNEGATIVE, 0)
 _OPERATOR = {"seed": _SEED, "d": (int, _COUNT, _REQUIRED), "mu": (float, _POSITIVE, _REQUIRED),
              "L": (float, _POSITIVE, _REQUIRED)}
@@ -773,21 +779,24 @@ class SampledDataset:
         return self.records.shape[-1]
 
 
-# The spawn keys each noise kind's records draw from: directions and radii, or Gaussians.
-_RECORD_KEYS = {"offset": ((0,), (1,)), "matrix": ((0,),)}
+# Each noise kind's records: their spawn keys, axes ((d,) offsets or (d, d) matrices) and
+# draw kernel, and the note check_gd_eta adds on the pair the kind certifies.
+_Kind = namedtuple("_Kind", "spawn_keys axes draw note")
+_KINDS = {"offset": _Kind(((0,), (1,)), 1, _draw_offsets, ""),
+          "matrix": _Kind(((0,),), 2, _draw_matrices,
+                          " (matrix noise certifies mu={mu:.6g}, L={L:.6g})")}
 
 
 def _record_streams(noise: NoiseModel, seeds) -> list:
-    """One _stream over `seeds` per key in _RECORD_KEYS[noise.kind]."""
-    return [_stream(_stream_states(seeds, key)) for key in _RECORD_KEYS[noise.kind]]
+    """One _stream over `seeds` per spawn key of the kind's records."""
+    return [_stream(_stream_states(seeds, key)) for key in _KINDS[noise.kind].spawn_keys]
 
 
 def _draw_records(problem, noise: NoiseModel, count: int, rows: int, streams) -> np.ndarray:
     """The `count` records of each of the next `rows` seeds of `streams`
     (_record_streams), in order."""
-    d, basis = problem.dim, problem.tangent_basis
-    draw = _draw_offsets if noise.kind == "offset" else _draw_matrices
-    return draw(rows, streams, count, d, noise.magnitude, basis)
+    return _KINDS[noise.kind].draw(rows, streams, count, problem.dim, noise.magnitude,
+                                   problem.tangent_basis)
 
 
 def sample_dataset(problem, noise: NoiseModel, n: int, seed) -> SampledDataset:
@@ -798,14 +807,21 @@ def sample_dataset(problem, noise: NoiseModel, n: int, seed) -> SampledDataset:
     return SampledDataset(_draw_records(problem, noise, n, 1, _record_streams(noise, [seed])))
 
 
+def _mean_operator(problem, means: np.ndarray, axes: int) -> QuadraticOperator:
+    """The average of sampled operators whose `axes`-axis records average to
+    `means`, one per row of a stack of means. Matrix means keep the offset
+    b + 0.0: a fresh array, where a -0.0 of b reads +0.0."""
+    M, b, basis = problem.matrix, problem.offset, problem.tangent_basis
+    if axes == 1:
+        return QuadraticOperator(M, b + means, basis)
+    return QuadraticOperator(M + means, b + np.zeros(means.shape[:-1]), basis)
+
+
 def empirical_operator(problem, X: SampledDataset) -> QuadraticOperator:
-    """Average of the dataset's sampled operators. Each record is affine, so
-    the average is too: evaluating it equals averaging record evaluations."""
+    """The average of the dataset's sampled operators (_mean_operator)."""
     if X.dim != problem.dim:
         raise ValueError("dataset dimension does not match the operator")
-    mean = X.records.mean(axis=0)  # b + 0.0 is a fresh array where a -0.0 of b reads +0.0
-    M, e = (problem.matrix, mean) if mean.ndim == 1 else (problem.matrix + mean, 0.0)
-    return QuadraticOperator(M, problem.offset + e, problem.tangent_basis)
+    return _mean_operator(problem, X.records.mean(axis=0), X.records.ndim - 1)
 
 
 def sampled_constants(consts: ProblemConstants, noise: NoiseModel,

@@ -40,7 +40,7 @@ except ImportError:  # a Python built without it
 from .domains import Domain
 from .errors import (_NONNEGATIVE, _POSITIVE, _REQUIRED, ConfigError, NumericalError, _checked,
                      _section, _value)
-from .problems import (_DATASET_SIZE, NoiseModel, ProblemConstants, _apply_affine,
+from .problems import (_DATASET_SIZE, _KINDS, NoiseModel, ProblemConstants, _apply_affine,
                        sampled_constants)
 
 DIVERGENCE_FACTOR = 1e6
@@ -264,12 +264,11 @@ def check_gd_eta(config: SolverConfig, consts: ProblemConstants, noise: NoiseMod
                  domain: Domain) -> ProblemConstants:
     """gd's step-size gate: the constants every sampled operator satisfies
     (sampled_constants), or ConfigError when gd's eta lies outside their
-    range (_gd_margin), naming the certified pair under matrix noise. An eg
-    eta always passes."""
+    range (_gd_margin), with the noise kind's note on the pair it certifies
+    (problems._KINDS). An eg eta always passes."""
     w = sampled_constants(consts, noise, domain)
     if config.method == "gd" and _gd_margin(w.mu, w.L, config.eta) is None:
-        note = "" if noise.kind == "offset" else \
-            f" (matrix noise certifies mu={w.mu:.6g}, L={w.L:.6g})"
+        note = _KINDS[noise.kind].note.format(mu=w.mu, L=w.L)
         raise ConfigError(f"eta exceeds 2*mu/L^2: eta={config.eta}, "
                           f"limit={2.0 * w.mu / w.L ** 2:.6g}{note}")
     return w

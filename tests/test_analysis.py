@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -48,6 +49,7 @@ from vilab.solvers import check_gd_eta, contraction_bound
 from helpers import counted_steps, neighbour, pool_sizes  # pool_sizes: a fixture, requested by name
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 UNIT_CONSTS = ProblemConstants(mu=1.0, L=1.0, K=1.0, D=2.0, per_player=((1.0, 1.0),))
 TWO_PLAYER_CONSTS = ProblemConstants(
@@ -853,6 +855,25 @@ class TestTrialSeeding:
                              workers=workers)
             assert len(built) == keys + workers * (keys + 1)
 
+    @pytest.mark.parametrize("kind", ["matrix", "offset"])
+    def test_every_stream_of_a_call_is_distinct(self, monkeypatch, kind):
+        # each trial's record streams (matrix Gaussians, or offset directions
+        # and radii), its swap pick and its replacement record's streams,
+        # seeded in analysis and, for the replacements, in problems
+        seeded, real = [], problems._stream_states
+
+        def recording(seeds, key):
+            states = real(seeds, key)
+            seeded.extend(map(tuple, states.tolist()))
+            return states
+
+        monkeypatch.setattr("vilab.analysis._stream_states", recording)
+        monkeypatch.setattr("vilab.problems._stream_states", recording)
+        keys, trials = (1 if kind == "matrix" else 2), 9
+        _trial_operators(self.op, NoiseModel(kind, 0.3), 13, 7, trials, neighbours=True)
+        assert len(seeded) == trials * (2 * keys + 1)
+        assert len(set(seeded)) == len(seeded)
+
 
 class TestTrialThreads:
     """_trial_operators draws contiguous blocks of trials on threads when a
@@ -938,6 +959,47 @@ class TestTrialThreads:
         with pytest.raises(ValueError, match="workers"):
             generalization_sweep(op, dom, SolverConfig("gd", 0.1, 1, projected=True),
                                  noise, (16, 32), 3, 0, workers=-1)
+
+
+try:
+    _BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+except TypeError:  # numpy < 1.26 prints its config only
+    _BLAS = "unknown"
+# A projected d = 128 sweep whose every trial is solved directly; prints the
+# digest of its values.
+_BLAS_SWEEP = """
+import hashlib
+import numpy as np
+import vilab
+dom = vilab.Ball(np.zeros(128), 1.0)
+op = vilab.generate_operator(0, 128, 0.5, 2.0, dom, interior_margin=0.01)
+res = vilab.generalization_sweep(op, dom, vilab.SolverConfig("gd", 0.1, 1000, projected=True),
+                                 vilab.NoiseModel("offset", 0.2), (16, 64), 8, 0)
+assert [row["direct"] for row in res.per_n] == [8, 8]
+print(hashlib.sha256(b"".join(row["values"].tobytes() for row in res.per_n)).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    """Outputs keep their bytes across reruns and worker counts; from d of
+    about 128 they also follow the BLAS thread count (ROADMAP item 9)."""
+
+    @pytest.mark.skipif("openblas" not in _BLAS or _default_workers() < 2,
+                        reason="measured with OpenBLAS at 1 and 2 threads on 2 CPUs")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="np.linalg.solve in analysis._empirical_roots: at d = 128 the "
+                              "instance and the stacked operators keep their bytes at 1 and 2 "
+                              "OpenBLAS threads, the roots do not (at d = 64 they do)")
+    def test_projected_sweep_bytes_at_one_and_two_threads(self):
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR),
+                                                               os.environ.get("PYTHONPATH")]))}
+            digests.append(subprocess.run([sys.executable, "-c", _BLAS_SWEEP], env=env,
+                                          check=True, capture_output=True, text=True,
+                                          timeout=120).stdout)
+        assert digests[0] == digests[1]
 
 
 class TestBernsteinCheck:
